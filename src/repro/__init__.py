@@ -109,15 +109,20 @@ def run_experiment(exp_id, scale=None, quiet=False, trace=False,
 
     A :class:`RunRequest` may be passed instead of loose *scale* /
     *trace* arguments — the same normalized knob bundle the runner CLI
-    and the experiment service construct.
+    and the experiment service construct.  Loose arguments are
+    normalized through :meth:`RunRequest.make`, so *scale* accepts a
+    name, a :class:`~repro.config.RunScale` or ``None``
+    (``$REPRO_SCALE``), exactly as :func:`submit` does.
     """
-    if request is not None:
-        if scale is not None or trace:
-            raise TypeError("pass either a RunRequest or loose "
-                            "scale/trace arguments, not both")
-        scale, trace = request.run_scale, request.trace
+    if request is None:
+        # one serial run: $REPRO_JOBS does not apply
+        request = RunRequest.make(scale=scale, jobs=1, trace=trace)
+    elif scale is not None or trace:
+        raise TypeError("pass either a RunRequest or loose "
+                        "scale/trace arguments, not both")
     from .experiments import run_experiment as _run
-    return _run(exp_id, scale=scale, quiet=quiet, trace=trace)
+    return _run(exp_id, scale=request.run_scale, quiet=quiet,
+                trace=request.trace)
 
 
 def submit(experiments, request=None, *, address=None, scale=None,

@@ -235,20 +235,33 @@ class FPContext:
     # -- elementwise ops (one rounding each) ------------------------------
     # NaN operands are legitimate mid-computation (posit NaR carriers,
     # IEEE overflow products), so invalid-op warnings are silenced; the
-    # NaNs propagate and surface as solver failures.
+    # NaNs propagate and surface as solver failures.  Two Python floats
+    # (the solvers' scalar recurrences) compute in Python instead: the
+    # same IEEE double operation, without NumPy dispatch or errstate,
+    # rounded through the format's scalar tier.  Python raises on
+    # division by zero, so a zero divisor keeps the NumPy path.
     def add(self, a, b):
+        if type(a) is float and type(b) is float and not self._exact:
+            return self._quantize("add", a + b)
         with np.errstate(invalid="ignore", over="ignore"):
             return self._ewise("add", np.add, a, b)
 
     def sub(self, a, b):
+        if type(a) is float and type(b) is float and not self._exact:
+            return self._quantize("sub", a - b)
         with np.errstate(invalid="ignore", over="ignore"):
             return self._ewise("sub", np.subtract, a, b)
 
     def mul(self, a, b):
+        if type(a) is float and type(b) is float and not self._exact:
+            return self._quantize("mul", a * b)
         with np.errstate(invalid="ignore", over="ignore"):
             return self._ewise("mul", np.multiply, a, b)
 
     def div(self, a, b):
+        if type(a) is float and type(b) is float and b != 0.0 \
+                and not self._exact:
+            return self._quantize("div", a / b)
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._ewise("div", np.divide, a, b)
 

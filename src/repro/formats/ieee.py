@@ -22,12 +22,12 @@ import numpy as np
 
 from ..errors import FormatError
 from ..kernels import lut
-from .base import NumberFormat
+from .base import TableRoundedFormat
 
 __all__ = ["IEEEFormat", "BFLOAT16", "FP8_E4M3", "FP8_E5M2"]
 
 
-class IEEEFormat(NumberFormat):
+class IEEEFormat(TableRoundedFormat):
     """An emulated IEEE binary format with precision *p* and exponent width *w*.
 
     Parameters
@@ -112,22 +112,8 @@ class IEEEFormat(NumberFormat):
             self._table2 = lut.two_level_table(
                 self._key(), self._two_level_spec, self._round_impl,
                 step=self._affine_step, post=self._affine_post,
-                fmt_name=self.name)
+                post_span=(0.0, self._max), fmt_name=self.name)
         return self._table2
-
-    def round(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        if scalar:
-            arr = arr.reshape(1)
-        if lut._ENABLED:
-            if arr.size <= self._lut_max_n:
-                out = self._lut_table().round_array(arr)
-            else:
-                out = self._two_level_table().round_array(arr)
-        else:
-            out = self._round_impl(arr)
-        return float(out[0]) if scalar else out
 
     def _round_impl(self, arr: np.ndarray) -> np.ndarray:
         out = arr.copy()

@@ -28,6 +28,8 @@ class NativeIEEEFormat(NumberFormat):
         self._max = float(info.max)
         self._tiny = float(info.smallest_subnormal)
         self._eps = float(info.eps)
+        #: the scalar type narrower dtypes round Python floats through
+        self._cast = None if self._dtype == np.float64 else self._dtype.type
 
     @property
     def dtype(self) -> np.dtype:
@@ -35,6 +37,10 @@ class NativeIEEEFormat(NumberFormat):
         return self._dtype
 
     def round(self, x):
+        if self._cast is not None and isinstance(x, float) \
+                and -self._max <= x <= self._max:
+            # in range: one scalar cast, which cannot overflow
+            return float(self._cast(x))
         arr = np.asarray(x, dtype=np.float64)
         if self._dtype == np.float64:
             out = arr.copy() if isinstance(x, np.ndarray) else arr

@@ -10,23 +10,23 @@ from ..kernels import lut
 from ..posit.codec import PositConfig, decode_float, encode, posit_config
 from ..posit.rounding import (_posit_round_impl, posit_decode_array,
                               posit_two_level_spec)
-from .base import NumberFormat
+from .base import TableRoundedFormat
 
 __all__ = ["PositFormat", "POSIT8_0", "POSIT16_1", "POSIT16_2",
            "POSIT32_2", "POSIT32_3"]
 
 
-class PositFormat(NumberFormat):
+class PositFormat(TableRoundedFormat):
     """A posit(nbits, es) arithmetic format.
 
-    Quantization delegates to the vectorized kernel in
-    :mod:`repro.posit.rounding`, or — for narrow formats on small
-    arrays — to the bit-identical searchsorted tables of
-    :mod:`repro.kernels.lut`.  Note the two posit-specific behaviours
-    that matter in the experiments: saturation at ±maxpos instead of
-    overflow to infinity, and clamping to ±minpos instead of underflow
-    to zero — both are what give Posit16 its "superior reach" in the
-    paper's Table II.
+    Quantization goes through the bit-identical rounding tables of
+    :mod:`repro.kernels.lut` (see :class:`TableRoundedFormat` for the
+    tiers), or with ``REPRO_LUT=off`` through the vectorized bitwise
+    kernel of :mod:`repro.posit.rounding`.  Note the two
+    posit-specific behaviours that matter in the experiments:
+    saturation at ±maxpos instead of overflow to infinity, and clamping
+    to ±minpos instead of underflow to zero — both are what give
+    Posit16 its "superior reach" in the paper's Table II.
     """
 
     def __init__(self, nbits: int, es: int):
@@ -49,6 +49,9 @@ class PositFormat(NumberFormat):
         return _posit_round_impl(np.asarray(arr, dtype=np.float64),
                                  self._cfg)
 
+    #: the reference rounder of the table dispatch
+    _round_impl = _bitwise_round
+
     def _lut_table(self) -> "lut.RoundingTable":
         if self._table is None:
             cfg = self._cfg
@@ -67,23 +70,6 @@ class PositFormat(NumberFormat):
                 lambda: posit_two_level_spec(cfg),
                 self._bitwise_round, fmt_name=self.name)
         return self._table2
-
-    def round(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        if scalar:
-            arr = arr.reshape(1)
-        if lut._ENABLED:
-            # narrow format + small array: one dense searchsorted;
-            # everything else: exponent-bucketed two-level table (the
-            # only table route for posit32-class formats)
-            if arr.size <= self._lut_max_n:
-                out = self._lut_table().round_array(arr)
-            else:
-                out = self._two_level_table().round_array(arr)
-        else:
-            out = _posit_round_impl(arr, self._cfg)
-        return float(out[0]) if scalar else out
 
     @property
     def max_value(self) -> float:

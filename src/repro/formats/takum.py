@@ -66,7 +66,7 @@ import numpy as np
 
 from ..errors import FormatError
 from ..kernels import lut
-from .base import NumberFormat
+from .base import TableRoundedFormat
 
 __all__ = ["TakumFormat", "TAKUM8", "TAKUM16", "TAKUM32",
            "TAKUM_LOG8", "TAKUM_LOG16", "TAKUM_LOG32"]
@@ -171,7 +171,7 @@ def _exp_boundary_above(num: int, log2_den: int) -> float:
 _LIN_GRANULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-class TakumFormat(NumberFormat):
+class TakumFormat(TableRoundedFormat):
     """A takum(nbits) format; ``log=True`` selects the logarithmic variant."""
 
     def __init__(self, nbits: int, log: bool = False):
@@ -350,7 +350,8 @@ class TakumFormat(NumberFormat):
         if self._table2 is None:
             self._table2 = lut.two_level_table(
                 self._key(), self._two_level_spec, self._round_impl,
-                post=self._affine_post, fmt_name=self.name)
+                post=self._affine_post,
+                post_span=(self._minpos, self._maxpos), fmt_name=self.name)
         return self._table2
 
     # -- scalar path for wide takum-log ------------------------------------
@@ -397,21 +398,16 @@ class TakumFormat(NumberFormat):
 
     # -- NumberFormat interface --------------------------------------------
     def round(self, x):
+        if not (self._table_based or self.log):
+            return super().round(x)  # linear nbits >= 13: lut tiers
         arr = np.asarray(x, dtype=np.float64)
         scalar = arr.ndim == 0
         if scalar:
             arr = arr.reshape(1)
         if self._table_based:
             out = self._table_round(arr)
-        elif self.log:
-            out = self._wide_log_round(arr)
-        elif lut._ENABLED:
-            if arr.size <= self._lut_max_n:
-                out = self._lut_table().round_array(arr)
-            else:
-                out = self._two_level_table().round_array(arr)
         else:
-            out = self._round_impl(arr)
+            out = self._wide_log_round(arr)
         return float(out[0]) if scalar else out
 
     @property

@@ -9,8 +9,10 @@ conformance suites hold them to that):
     representable-value table plus bisection-probed decision boundaries,
     rounding via ``np.searchsorted`` instead of the ~20-op bitwise
     chain; for posit32/fp32-class widths a two-level exponent-bucketed
-    table (:class:`lut.TwoLevelTable`).  See :func:`lut.rounding_table`
-    and :func:`lut.two_level_table`.
+    table (:class:`lut.TwoLevelTable`).  Python floats and 1-D arrays
+    of at most :data:`lut.TINY_N` elements skip NumPy dispatch through
+    each table's pure-Python ``round_scalar``.  See
+    :func:`lut.rounding_table` and :func:`lut.two_level_table`.
 :mod:`repro.kernels.tabcache`
     Persistent on-disk table store under ``results/.cache/tables/``:
     the dense and two-level LUT arrays are serialized with a checksum

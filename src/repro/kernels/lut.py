@@ -32,15 +32,21 @@ every pattern and every boundary neighbourhood exhaustively.
 
 Size crossover
 --------------
-Binary search over a 64 K-entry table is cache-unfriendly; the bitwise
-kernels win on large arrays.  Callers consult :func:`max_eligible_n`
-and fall back to their reference kernel above it (both paths are
-bit-identical, so switching is free).  ``REPRO_LUT=off`` disables the
-tables entirely.
+Every NumPy call costs microseconds before it touches an element, so a
+Python float or a 1-D array of at most :data:`TINY_N` elements rounds
+through each table's pure-Python ``round_scalar`` (``bisect`` over the
+same boundaries, ``math.frexp`` for the bucket).  Binary search over a
+64 K-entry table is cache-unfriendly, so narrow formats take the dense
+table only up to :func:`max_eligible_n` elements and the two-level
+table above it.  Every tier reads the same arrays, so switching is
+free; :class:`repro.formats.base.TableRoundedFormat` is the one
+dispatch.  ``REPRO_LUT=off`` disables the tables entirely.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import threading
 from typing import Callable, Hashable
@@ -49,7 +55,7 @@ import numpy as np
 
 __all__ = ["RoundingTable", "TwoLevelTable", "lut_enabled",
            "max_eligible_n", "rounding_table", "two_level_table",
-           "MAX_TABLE_BITS", "FREXP_E_LO", "FREXP_E_TABLE"]
+           "MAX_TABLE_BITS", "FREXP_E_LO", "FREXP_E_TABLE", "TINY_N"]
 
 #: widest format a one-level dense table is built for (2**16 patterns)
 MAX_TABLE_BITS = 16
@@ -58,6 +64,17 @@ MAX_TABLE_BITS = 16
 #: two-level first-level table is indexed by ``frexp(x)[1] - FREXP_E_LO``
 FREXP_E_LO = -1073
 FREXP_E_TABLE = 2098
+
+#: 1-D arrays up to this size round element by element through
+#: ``round_scalar``: the largest size at which that loop beats the
+#: array tables for every format (crossovers measured per format in
+#: docs/performance.md, "Rounding tiers")
+TINY_N = 8
+
+#: the pure-Python twin of each NumPy step ufunc of the two-level
+#: affine path (all return ints, so ``0`` flags a signed-zero result)
+_SCALAR_STEPS = {np.rint: round, np.trunc: math.trunc,
+                 np.floor: math.floor, np.ceil: math.ceil}
 
 _INT64_MIN = np.int64(np.iinfo(np.int64).min)
 
@@ -115,6 +132,10 @@ class RoundingTable:
         self.values = values
         self.boundaries = boundaries
         self._reference = reference
+        # zero-copy sequence views for the scalar tier: indexing yields
+        # Python floats, so ``bisect`` runs without NumPy dispatch
+        self._value_seq = memoryview(np.ascontiguousarray(values))
+        self._boundary_seq = memoryview(np.ascontiguousarray(boundaries))
 
     @classmethod
     def build(cls, candidates: np.ndarray,
@@ -164,6 +185,14 @@ class RoundingTable:
             out[bad] = self._reference(arr[bad])
         return out
 
+    def round_scalar(self, x: float) -> float:
+        """:meth:`round_array` for one Python float, in pure Python."""
+        if not math.isfinite(x):
+            return float(self._reference(np.array([x]))[0])
+        v = self._value_seq[bisect.bisect_right(self._boundary_seq, x)]
+        # the table's one zero takes the input's sign, as above
+        return v if v else x * 0.0
+
 
 class TwoLevelTable:
     """Exponent-bucketed rounding for formats too wide for one table.
@@ -182,16 +211,27 @@ class TwoLevelTable:
     Non-finite inputs always take the dense route (which delegates
     them to the reference rounder), and an optional *post* hook lets
     IEEE-style formats apply their overflow/saturation rule to the
-    affine result.  Bit-identity with the reference is enforced by the
-    conformance suite (exhaustive for narrow formats, boundary-biased
-    stratified for posit32/binary32).
+    affine result; *post_span* is the closed magnitude range the hook
+    leaves unchanged, which lets :meth:`round_scalar` skip it there.
+    Bit-identity with the reference is enforced by the conformance
+    suite (exhaustive for narrow formats, boundary-biased stratified
+    for posit32/binary32).
+
+    Every granule is a finite, non-zero power of two no smaller than
+    ``2**(e - 1024)`` in bucket ``e``, so ``x / g`` is exact or finite
+    garbage and cannot raise a floating-point flag.  Only
+    ``step(x / g) * g`` in the top bucket (``e = 1024``) can overflow,
+    by rounding up to ``2**1024``; :meth:`round_array` enters an
+    ``np.errstate`` only when that bucket is affine (emulated IEEE
+    formats; posit and takum clamp there through the dense table).
     """
 
     def __init__(self, granules: np.ndarray, affine: np.ndarray,
                  dense: RoundingTable,
                  reference: Callable[[np.ndarray], np.ndarray],
                  step: Callable = np.rint,
-                 post: Callable[[np.ndarray], np.ndarray] | None = None):
+                 post: Callable[[np.ndarray], np.ndarray] | None = None,
+                 post_span: tuple[float, float] = (0.0, math.inf)):
         if granules.shape != (FREXP_E_TABLE,) \
                 or affine.shape != (FREXP_E_TABLE,):
             raise ValueError(
@@ -202,6 +242,15 @@ class TwoLevelTable:
         self._reference = reference
         self._step = step
         self._post = post
+        # scalar tier: zero-copy views of level 1, as for the dense
+        # table; a step without a pure-Python twin sends scalars to
+        # round_array
+        self._granule_seq = memoryview(self.granules)
+        self._affine_seq = memoryview(self.affine)
+        self._scalar_step = _SCALAR_STEPS.get(step)
+        self._post_lo, self._post_hi = ((0.0, math.inf) if post is None
+                                        else post_span)
+        self._top_affine = bool(self.affine[-1])
         # per-thread workspace bundles keyed by shape: one dict access
         # hands out all five intermediates (vs. five pool take/gives)
         self._ws = threading.local()
@@ -211,7 +260,8 @@ class TwoLevelTable:
               dense_candidates: np.ndarray,
               reference: Callable[[np.ndarray], np.ndarray],
               step: Callable = np.rint,
-              post: Callable[[np.ndarray], np.ndarray] | None = None
+              post: Callable[[np.ndarray], np.ndarray] | None = None,
+              post_span: tuple[float, float] = (0.0, math.inf)
               ) -> "TwoLevelTable":
         """Assemble from a format's bucket spec and trusted rounder.
 
@@ -222,7 +272,8 @@ class TwoLevelTable:
         tables, so no clamp/overflow tie logic exists to get wrong.
         """
         dense = RoundingTable.build(dense_candidates, reference)
-        return cls(granules, affine, dense, reference, step, post)
+        return cls(granules, affine, dense, reference, step, post,
+                   post_span)
 
     def _workspace(self, shape: tuple) -> tuple[list, tuple]:
         stacks = getattr(self._ws, "stacks", None)
@@ -242,20 +293,23 @@ class TwoLevelTable:
         stack, ws = self._workspace(arr.shape)
         m, g, e, aff, fin = ws
         try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.frexp(arr, m, e)
-                np.subtract(e, np.int32(FREXP_E_LO), out=e)
-                self.granules.take(e, out=g)
-                self.affine.take(e, out=aff)
-                # uniform-bucket rounding; non-affine lanes compute
-                # garbage here and are overwritten below
-                np.divide(arr, g, out=m)
-                self._step(m, out=m)
+            np.frexp(arr, m, e)
+            np.subtract(e, np.int32(FREXP_E_LO), out=e)
+            self.granules.take(e, out=g)
+            self.affine.take(e, out=aff)
+            # uniform-bucket rounding; non-affine lanes compute garbage
+            # here and are overwritten below
+            np.divide(arr, g, out=m)
+            self._step(m, out=m)
+            if self._top_affine:
+                with np.errstate(over="ignore"):
+                    out = np.multiply(m, g)
+            else:
                 out = np.multiply(m, g)
-                np.isfinite(arr, out=fin)
-                np.logical_and(aff, fin, out=aff)
-                if self._post is not None:
-                    out = self._post(out)
+            np.isfinite(arr, out=fin)
+            np.logical_and(aff, fin, out=aff)
+            if self._post is not None:
+                out = self._post(out)
             if not aff.all():
                 np.logical_not(aff, out=aff)
                 out[aff] = self.dense.round_array(arr[aff])
@@ -264,17 +318,42 @@ class TwoLevelTable:
             if len(stack) < 4:
                 stack.append(ws)
 
+    def round_scalar(self, x: float) -> float:
+        """:meth:`round_array` for one Python float, in pure Python.
+
+        Affine buckets compute ``step(x / g) * g`` with the step's
+        integer-valued twin (an integer 0 becomes the input's signed
+        zero, as ``rint(-0.3) * g`` is ``-0.0``); the dense remainder
+        and non-finite inputs take the dense table's scalar path.  A
+        result the *post* hook would change goes through
+        :meth:`round_array` instead.
+        """
+        if math.isfinite(x):
+            i = math.frexp(x)[1] - FREXP_E_LO
+            if self._affine_seq[i]:
+                step = self._scalar_step
+                if step is not None:
+                    g = self._granule_seq[i]
+                    q = step(x / g)
+                    r = q * g if q else x * 0.0
+                    if self._post_lo <= abs(r) <= self._post_hi:
+                        return r
+                return float(self.round_array(np.array([x]))[0])
+        return self.dense.round_scalar(x)
+
 
 def two_level_table(key: Hashable,
                     spec_fn: Callable[[], tuple],
                     reference: Callable[[np.ndarray], np.ndarray],
                     step: Callable = np.rint,
                     post: Callable[[np.ndarray], np.ndarray] | None = None,
+                    post_span: tuple[float, float] = (0.0, math.inf),
                     fmt_name: str = "") -> TwoLevelTable:
     """The cached two-level table for *key*, building it on first use.
 
     *spec_fn* returns ``(granules, affine, dense_candidates)``; *key*
-    follows the same contract as :func:`rounding_table`.  First use
+    follows the same contract as :func:`rounding_table`; *step*, *post*
+    and *post_span* are as for :class:`TwoLevelTable`.  First use
     consults the persistent store of :mod:`.tabcache` before paying the
     bisection build; *fmt_name* (the registry name) is written into
     stored files so :func:`.tabcache.preload_cached` can warm them.
@@ -287,11 +366,13 @@ def two_level_table(key: Hashable,
             dense = RoundingTable(arrs["values"], arrs["boundaries"],
                                   reference)
             table = TwoLevelTable(arrs["granules"], arrs["affine"],
-                                  dense, reference, step=step, post=post)
+                                  dense, reference, step=step, post=post,
+                                  post_span=post_span)
         else:
             granules, affine, candidates = spec_fn()
             table = TwoLevelTable.build(granules, affine, candidates,
-                                        reference, step=step, post=post)
+                                        reference, step=step, post=post,
+                                        post_span=post_span)
             tabcache.table_stats().builds += 1
             tabcache.store_arrays(
                 "two_level", key, fmt_name,

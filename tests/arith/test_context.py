@@ -163,3 +163,79 @@ class TestNaNPropagation:
         ctx = FPContext("posit16es2")
         assert np.isnan(ctx.dot(np.array([np.nan, 1.0]),
                                 np.array([1.0, 1.0])))
+
+
+_MAX = 1.7976931348623157e308
+#: operand pairs where Python and NumPy arithmetic could part ways
+_SCALAR_OPERANDS = [
+    (1.0, 3.0), (0.1, 0.2), (-2.5, 1e-3), (1e30, -7.0), (5e-324, 0.5),
+    (0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 3.0), (-0.0, 3.0),
+    (3.0, 0.0), (3.0, -0.0), (0.0, 0.0), (-1.0, 0.0),
+    (np.inf, np.inf), (np.inf, -np.inf), (-np.inf, 2.0), (np.inf, 0.0),
+    (np.nan, 1.0), (1.0, np.nan), (_MAX, _MAX), (_MAX, 10.0),
+    (-_MAX, 1e-300), (1e-300, 1e300), (1e-200, 1e-200), (1e300, 1e-300),
+]
+
+
+class TestScalarOps:
+    """Two Python floats compute in Python and round through the
+    scalar tier; the result must be the bits of the 0-d NumPy path."""
+
+    @pytest.mark.parametrize("fmt", ["posit32es2", "posit16es1",
+                                     "takum32", "bf16", "fp32", "fp16"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_python_floats_match_the_numpy_path(self, fmt, op):
+        ctx = FPContext(fmt)
+        fn = getattr(ctx, op)
+        for a, b in _SCALAR_OPERANDS:
+            for x, y in ((a, b), (b, a)):
+                got = fn(x, y)
+                want = fn(np.float64(x), np.float64(y))
+                assert type(got) is float
+                assert (np.isnan(got) and np.isnan(want)) or \
+                    np.float64(got).view(np.int64) == \
+                    np.float64(want).view(np.int64), (op, x, y, got, want)
+
+    def test_python_floats_enter_no_errstate(self, monkeypatch):
+        ctx = FPContext("posit32es2")
+        monkeypatch.setattr(np, "errstate",
+                            lambda **kw: pytest.fail("errstate entered"))
+        for op in (ctx.add, ctx.sub, ctx.mul, ctx.div):
+            assert op(1.0, 3.0) != 0.0
+
+    def test_division_by_zero_keeps_the_numpy_path(self):
+        ctx = FPContext("posit32es2")
+        with np.errstate(all="raise"):
+            assert np.isnan(ctx.div(1.0, 0.0))  # posit: x/0 is NaR
+            assert np.isnan(ctx.div(0.0, 0.0))
+        assert FPContext("fp32").div(-1.0, 0.0) == -np.inf
+
+    def test_collector_totals_of_a_cg_solve(self):
+        """Per-(site, format) counters of a small posit32 CG solve."""
+        from repro.linalg.cg import conjugate_gradient
+        from repro.telemetry import Collector
+
+        n = 24
+        A = (np.diag(np.full(n, 2.5)) - np.diag(np.ones(n - 1), 1)
+             - np.diag(np.ones(n - 1), -1)) * 0.3
+        b = 1.0 / np.arange(1.0, n + 1.0)
+        col = Collector()
+        res = conjugate_gradient(FPContext("posit32es2", collector=col),
+                                 A, b)
+        assert res.converged and res.iterations == 17
+        got = {site: {f: c.as_dict() for f, c in by_fmt.items()}
+               for site, by_fmt in col.snapshot().items()}
+
+        def counts(total, exact):
+            return {"posit32es2": {
+                "total": total, "exact": exact, "inexact": total - exact,
+                "nar": 0, "saturated": 0, "overflow": 0,
+                "underflow_zero": 0, "minpos_clamp": 0}}
+        # pinned from the array-only rounding path
+        assert got == {
+            "storage": counts(600, 535), "add": counts(1200, 606),
+            "mul": counts(1200, 10), "div": counts(33, 0),
+            "dot.mul": counts(840, 10), "dot.sum": counts(805, 196),
+            "matvec.mul": counts(9792, 8805),
+            "matvec.sum": counts(9384, 9228),
+        }

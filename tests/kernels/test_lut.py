@@ -94,17 +94,51 @@ class TestExhaustiveEquivalence:
                               _reference(fmt)(probes.copy()))
 
 
+def _spy_scalar_tier(monkeypatch, fmt) -> list:
+    """Record every value *fmt* rounds through its scalar tier."""
+    seen = []
+    rs = fmt._scalar_rounder()
+    monkeypatch.setattr(fmt, "_scalar_rounder",
+                        lambda: lambda x: seen.append(x) or rs(x))
+    return seen
+
+
 class TestDispatch:
     def test_small_arrays_take_the_table(self, monkeypatch):
+        """Up to TINY_N elements take the scalar tier (over the dense
+        table); one more takes the dense table's array path."""
         fmt = get_format("posit16es1")
         table = fmt._lut_table()
+        assert fmt._scalar_rounder().__self__ is table
         calls = []
         orig = table.round_array
         monkeypatch.setattr(table, "round_array",
                             lambda arr: calls.append(arr.size) or
                             orig(arr))
+        scalars = _spy_scalar_tier(monkeypatch, fmt)
+        assert lut.TINY_N == 8
         fmt.round(np.linspace(0.1, 1.0, 8))
-        assert calls == [8]
+        assert calls == [] and len(scalars) == 8
+        fmt.round(np.linspace(0.1, 1.0, 9))
+        assert calls == [9] and len(scalars) == 8
+
+    @pytest.mark.parametrize("name", ["posit16es1", "posit32es2", "bf16",
+                                      "takum32"])
+    def test_lut_off_sends_scalars_and_tiny_arrays_to_the_reference(
+            self, monkeypatch, name):
+        fmt = get_format(name)
+        ref = fmt._round_impl
+        calls = []
+        monkeypatch.setattr(lut, "_ENABLED", False)
+        monkeypatch.setattr(fmt, "_scalar_rounder",
+                            lambda: pytest.fail("scalar tier with LUT off"))
+        monkeypatch.setattr(fmt, "_round_impl",
+                            lambda arr: calls.append(arr.size) or ref(arr))
+        assert fmt.round(0.3) == float(ref(np.array([0.3]))[0])
+        assert fmt.round(np.float64(0.3)) == fmt.round(0.3)
+        x = np.linspace(0.1, 1.0, 8)
+        np.testing.assert_array_equal(fmt.round(x), ref(x.copy()))
+        assert calls == [1, 1, 1, 8]
 
     def test_large_arrays_fall_back_to_bitwise(self, monkeypatch):
         fmt = get_format("posit16es1")

@@ -174,16 +174,26 @@ class TestTwoLevelDispatch:
 
     def test_wide_formats_dispatch_two_level_at_any_size(self,
                                                          monkeypatch):
+        """Up to TINY_N elements take the two-level table's scalar
+        tier; one more takes its array path."""
         fmt = get_format("posit32es2")
         assert fmt._lut_max_n == -1  # no dense table for 32 bits
         table2 = fmt._two_level_table()
+        assert fmt._scalar_rounder().__self__ is table2
         calls = []
         orig = table2.round_array
         monkeypatch.setattr(table2, "round_array",
                             lambda arr: calls.append(arr.size) or
                             orig(arr))
+        seen = []
+        rs = fmt._scalar_rounder()
+        monkeypatch.setattr(fmt, "_scalar_rounder",
+                            lambda: lambda x: seen.append(x) or rs(x))
+        assert lut.TINY_N == 8
         fmt.round(np.linspace(0.1, 1.0, 8))
-        assert calls == [8]
+        assert calls == [] and len(seen) == 8
+        fmt.round(np.linspace(0.1, 1.0, 9))
+        assert calls == [9] and len(seen) == 8
 
     def test_cache_is_keyed_and_shared(self):
         lut.clear_tables()

@@ -102,6 +102,29 @@ class TestFacade:
             repro.run_experiment("fig6", scale=SCALES["smoke"],
                                  request=RunRequest())
 
+    @pytest.mark.parametrize("facade", ["run_experiment", "submit"])
+    @pytest.mark.parametrize("scale", ["smoke", SCALES["smoke"], None],
+                             ids=["name", "RunScale", "None"])
+    def test_scale_spellings(self, facade, scale, monkeypatch):
+        """Both façades normalize the scale through RunRequest.make."""
+        import repro
+        monkeypatch.setenv("REPRO_SCALE", "smoke")  # what None means
+        if facade == "run_experiment":
+            result = repro.run_experiment("fig6", scale=scale, quiet=True)
+        else:
+            result = repro.submit(["fig6"], scale=scale)["fig6"]
+        want = repro.run_experiment("fig6", request=RunRequest(
+            scale="smoke"), quiet=True)
+        assert result.text == want.text
+
+    @pytest.mark.parametrize("facade", ["run_experiment", "submit"])
+    def test_unknown_scale_is_rejected(self, facade):
+        import repro
+        call = (repro.run_experiment if facade == "run_experiment"
+                else repro.submit)
+        with pytest.raises(ValueError, match="unknown scale 'galactic'"):
+            call("fig6", scale="galactic")
+
     def test_context_accepts_request(self):
         import repro
         ctx = repro.context("fp32", request=RunRequest(trace=True))
