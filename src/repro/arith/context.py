@@ -27,6 +27,7 @@ from ..formats.registry import get_format
 from ..kernels import gemm as _gemm_kernels
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold, use_segmented
+from .shapes import require_conformant
 from .sparse import CSRMatrix, ELLMatrix
 from .summation import SUM_ORDERS, rounded_sum_last_axis
 
@@ -40,6 +41,23 @@ _SCRATCH = ScratchPool()
 
 def _identity(x: np.ndarray) -> np.ndarray:
     return x
+
+
+def _nonzero_block(x: np.ndarray, y: np.ndarray):
+    """Flat indices of the entries of ``outer(x, y)`` with two nonzero
+    factors, in row-major order (entry ``i·y.size + j`` is
+    ``x.flat[i]·y.flat[j]``, whatever the operands' shapes).
+
+    Returns None (round everything) when that block holds more than
+    half of the product: gathering and scattering a block costs more
+    per element than rounding in place, and near half the two break
+    even (``docs/performance.md``, "Exact-result skipping").
+    """
+    rows = np.flatnonzero(x)
+    cols = np.flatnonzero(y)
+    if 2 * rows.size * cols.size > x.size * y.size:
+        return None
+    return (rows[:, np.newaxis] * y.size + cols).ravel()
 
 
 # Ambient instrumentation registry.  The context layer knows nothing
@@ -309,6 +327,7 @@ class FPContext:
         injector site is layout-independent.
         """
         x = np.asarray(x, dtype=np.float64)
+        require_conformant(A, x)
         if isinstance(A, CSRMatrix):
             if self._exact:
                 return self.inject("matvec", A.matvec64(x))
@@ -364,12 +383,66 @@ class FPContext:
                                products, self._rnd_for("matvec.sum"),
                                self.sum_order))
 
+    def _quantize_at(self, site: str, exact: np.ndarray, ix):
+        """Round *exact* at the entries *ix* only (all of it for None).
+
+        The caller guarantees that every entry outside *ix* is already
+        a fixed point of the format's ``round`` (±0, NaN or a format
+        value), so the result is the bits of ``_quantize(site,
+        exact)``.  *exact* is rounded in place unless a collector is
+        active, which then sees the full ``(exact, rounded)`` pair.
+        """
+        if ix is None:
+            return self._quantize(site, exact)
+        col = self.collector
+        if col is None:
+            col = _INSTRUMENTS["collector"]
+        out = exact if col is None else exact.copy()
+        if ix.size:
+            np.put(out, ix, self._rnd(np.take(exact, ix)))
+        if col is not None:
+            col.record(site, exact, out, self.fmt)
+        return out
+
     def outer(self, x, y) -> np.ndarray:
-        """Rounded outer product."""
+        """Rounded outer product.
+
+        Only the block of entries whose two factors are both nonzero
+        is rounded: every other entry is ±0 or NaN (``0·inf``), which
+        every format's ``round`` maps to itself.  When that block is
+        most of the product, the whole array is rounded instead (see
+        :func:`_nonzero_block`).
+        """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         with np.errstate(invalid="ignore", over="ignore"):
-            return self._quantize("outer", np.multiply.outer(x, y))
+            exact = np.multiply.outer(x, y)
+            if self._exact:
+                return exact
+            return self._quantize_at("outer", exact, _nonzero_block(x, y))
+
+    def sub_outer(self, W, u, v) -> np.ndarray:
+        """``W − u·vᵀ`` with the product and the difference each rounded.
+
+        The bits of ``sub(W, outer(u, v))``, the rank-1 update of the
+        right-looking factorizations.  Precondition: *W* holds format
+        values (each factorization keeps its working matrix rounded).
+        The float64 subtraction runs over the whole matrix, so NaN
+        from a non-finite factor and ``−0 − (−0) = +0`` come out as
+        the full rounding would give them; only rounding is restricted
+        to the nonzero block of ``u·vᵀ``, since outside it the
+        difference is ``W − (±0)`` or NaN, a fixed point of ``round``.
+        Collector sites ``outer`` and ``sub`` see the full arrays.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            product = np.multiply.outer(u, v)
+            if self._exact:
+                return np.subtract(W, product)
+            ix = _nonzero_block(u, v)
+            product = self._quantize_at("outer", product, ix)
+            return self._quantize_at("sub", np.subtract(W, product), ix)
 
     def gemm(self, A, B) -> np.ndarray:
         """Rounded matrix-matrix product, accumulated over k per sum_order.

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arith.context import FPContext
+from ..arith.shapes import require_system
 from ..telemetry.trace import SolverTrace, maybe_trace
 from .norms import relative_backward_error
 
@@ -63,6 +64,7 @@ def bicg(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-5,
     sequence; its iterates are the ones the paper warns can grow large.
     """
     trace = maybe_trace("bicg", ctx.fmt.name, trace, always=True)
+    require_system(A, b)
     A = ctx.asarray(A)
     At = np.ascontiguousarray(A.T)
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
@@ -112,6 +114,7 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
              trace: SolverTrace | None = None) -> BiCGResult:
     """BiCGSTAB with per-op-rounded arithmetic."""
     trace = maybe_trace("bicgstab", ctx.fmt.name, trace, always=True)
+    require_system(A, b)
     A = ctx.asarray(A)
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
     n = b.shape[0]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arith.context import FPContext
+from ..arith.shapes import require_square, require_system
 from ..arith.triangular import solve_lower, solve_upper
 from ..errors import FactorizationError
 from ..telemetry.trace import SolverTrace, maybe_trace
@@ -40,10 +41,8 @@ def cholesky_factor(ctx: FPContext, A: np.ndarray,
     would dominate the trace at full matrix sizes).
     """
     trace = maybe_trace("cholesky", ctx.fmt.name, trace)
+    n = require_square(A)
     W = np.array(ctx.asarray(A), dtype=np.float64)  # working copy
-    n = W.shape[0]
-    if W.shape != (n, n):
-        raise ValueError(f"A must be square, got {W.shape}")
     R = np.zeros_like(W)
 
     for k in range(n):
@@ -67,8 +66,7 @@ def cholesky_factor(ctx: FPContext, A: np.ndarray,
         if k + 1 < n:
             row = ctx.div(W[k, k + 1:], rkk)
             R[k, k + 1:] = row
-            W[k + 1:, k + 1:] = ctx.sub(W[k + 1:, k + 1:],
-                                        ctx.outer(row, row))
+            W[k + 1:, k + 1:] = ctx.sub_outer(W[k + 1:, k + 1:], row, row)
     if trace is not None and n:
         diag = np.diag(R)
         trace.event("factorize", n=n, min_pivot=float(np.min(diag)),
@@ -94,6 +92,7 @@ def cholesky_solve(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     metric ``‖b − Ax‖₂/‖b‖₂`` measured in float64.
     """
     A64 = np.asarray(A, dtype=np.float64)
+    require_system(A64, b)
     b_fmt = ctx.asarray(np.asarray(b, dtype=np.float64))
     if R is None:
         R = cholesky_factor(ctx, A64)

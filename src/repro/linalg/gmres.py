@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arith.context import FPContext
+from ..arith.shapes import require_system
 from ..telemetry.trace import SolverTrace, maybe_trace
 
 __all__ = ["GMRESResult", "gmres"]
@@ -49,6 +50,7 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray,
         (used by GMRES-IR where M is the low-precision factorization).
     """
     trace = maybe_trace("gmres", ctx.fmt.name, trace)
+    require_system(A, b)
     A = ctx.asarray(A)
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
     n = b.shape[0]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arith.context import FPContext
+from ..arith.shapes import require_square
 from ..arith.triangular import solve_lower, solve_upper
 from ..errors import FactorizationError
 
@@ -42,10 +43,8 @@ def lu_factor(ctx: FPContext, A: np.ndarray,
     rounding.  A zero/non-finite pivot raises
     :class:`FactorizationError`.
     """
+    n = require_square(A)
     W = np.array(ctx.asarray(A), dtype=np.float64)
-    n = W.shape[0]
-    if W.shape != (n, n):
-        raise ValueError(f"A must be square, got {W.shape}")
     perm = np.arange(n)
     L = np.eye(n, dtype=np.float64)
 
@@ -65,8 +64,8 @@ def lu_factor(ctx: FPContext, A: np.ndarray,
         if k + 1 < n:
             mult = ctx.div(W[k + 1:, k], d)
             L[k + 1:, k] = mult
-            W[k + 1:, k + 1:] = ctx.sub(
-                W[k + 1:, k + 1:], ctx.outer(mult, W[k, k + 1:]))
+            W[k + 1:, k + 1:] = ctx.sub_outer(W[k + 1:, k + 1:], mult,
+                                              W[k, k + 1:])
             W[k + 1:, k] = 0.0
     return LUFactors(L=L, U=np.triu(W), perm=perm)
 

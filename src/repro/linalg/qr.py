@@ -40,6 +40,8 @@ def qr_factor(ctx: FPContext, A: np.ndarray) -> QRFactors:
     measurements; for m up to the suite's sizes this is fine).
     """
     W = np.array(ctx.asarray(A), dtype=np.float64)
+    if W.ndim != 2:
+        raise ValueError(f"A must be a matrix, got shape {W.shape}")
     m, n = W.shape
     if m < n:
         raise ValueError(f"qr_factor expects m >= n, got {W.shape}")
@@ -65,11 +67,11 @@ def qr_factor(ctx: FPContext, A: np.ndarray) -> QRFactors:
         # apply H = I − 2·v·vᵀ/vᵀv to the trailing block of W
         tail = W[k:, k:]
         coeffs = ctx.div(ctx.mul(2.0, ctx.matvec(tail.T.copy(), v)), vtv)
-        W[k:, k:] = ctx.sub(tail, ctx.outer(v, coeffs))
+        W[k:, k:] = ctx.sub_outer(tail, v, coeffs)
         # and to Q (accumulating Q = H_1 H_2 ... applied to identity)
         qtail = Q[:, k:]
         qcoeffs = ctx.div(ctx.mul(2.0, ctx.matvec(qtail, v)), vtv)
-        Q[:, k:] = ctx.sub(qtail, ctx.outer(qcoeffs, v))
+        Q[:, k:] = ctx.sub_outer(qtail, qcoeffs, v)
 
         # enforce the exact zeros the reflector produces analytically
         W[k + 1:, k] = 0.0
