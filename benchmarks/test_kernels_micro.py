@@ -20,6 +20,7 @@ the sizes well below its crossover.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -27,6 +28,7 @@ import pytest
 
 from repro.formats.registry import get_format
 from repro.kernels import bench as kbench
+from repro.kernels import segment
 from repro.kernels.lut import lut_enabled, max_eligible_n
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -93,25 +95,10 @@ def test_context_ops(name, n):
         _RESULTS[f"{op}/{name}/n{n}"] = {
             "seconds": round(kbench.measure(fn), 9)}
         assert _RESULTS[f"{op}/{name}/n{n}"]["seconds"] > 0
-    pairs = [(A, B)] * 4
-    serial = [ctx.gemm(a, b) for a, b in pairs]
-    batched = ctx.gemm_many(pairs)
-    for s, b in zip(serial, batched):
-        # timed paths must agree bit-for-bit
-        np.testing.assert_array_equal(s, b)
-    entry = {"seconds": round(
-                 kbench.measure(lambda: ctx.gemm_many(pairs)), 9),
-             "serial_s": round(
-                 kbench.measure(
-                     lambda: [ctx.gemm(a, b) for a, b in pairs]), 9)}
-    entry["speedup_vs_serial"] = round(
-        entry["serial_s"] / entry["seconds"], 3)
-    _RESULTS[f"gemm_many/{name}/n{n}"] = entry
-    assert entry["seconds"] > 0
 
 
 @pytest.mark.parametrize("mname", kbench.SPARSE_MATRICES)
-def test_sparse_matvec(mname):
+def test_sparse_matvec(mname, monkeypatch):
     """ELL vs padded-CSR vs segmented-CSR at full matrix dimension.
 
     Correctness guard first: all three routes must agree bit-for-bit
@@ -124,24 +111,16 @@ def test_sparse_matvec(mname):
     A = load_matrix(mname, SCALES["full"])
     rng = np.random.default_rng(67890)
     x = rng.standard_normal(A.shape[0])
-    saved = os.environ.get("REPRO_SPARSE")
-    try:
-        for fname in kbench.SPARSE_FORMATS:
-            ctx = FPContext(fname)
-            ell = ctx.asarray(ELLMatrix.from_dense(A))
-            csr = ctx.asarray(CSRMatrix.from_dense(A))
-            os.environ["REPRO_SPARSE"] = "ell"
-            want = ctx.matvec(ell, x)
+    for fname in kbench.SPARSE_FORMATS:
+        ctx = FPContext(fname)
+        ell = ctx.asarray(ELLMatrix.from_dense(A))
+        csr = ctx.asarray(CSRMatrix.from_dense(A))
+        want = ctx.matvec(ell, x)
+        # PAD_RATIO = inf forces the padded route, 0 the segmented one
+        for ratio in (math.inf, 0.0):
+            monkeypatch.setattr(segment, "PAD_RATIO", ratio)
             np.testing.assert_array_equal(
                 want.view(np.int64), ctx.matvec(csr, x).view(np.int64))
-            os.environ["REPRO_SPARSE"] = "segmented"
-            np.testing.assert_array_equal(
-                want.view(np.int64), ctx.matvec(csr, x).view(np.int64))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SPARSE", None)
-        else:
-            os.environ["REPRO_SPARSE"] = saved
     entries = kbench.sparse_microbench(matrices=(mname,))
     for key, entry in entries.items():
         entry["seconds"] = round(entry["seconds"], 9)

@@ -72,31 +72,6 @@ def context(fmt="fp64", trace=False, request=None, **kwargs) -> FPContext:
     return FPContext(fmt, **kwargs)
 
 
-def quantize_many(fmt, arrays, **kwargs):
-    """Round a sequence of arrays into *fmt* in one batched call.
-
-    Element-identical to rounding each array separately, but the whole
-    batch goes through one rounding-table dispatch::
-
-        xs = repro.quantize_many("posit32es2", [a, b, c])
-
-    Extra keyword arguments construct the underlying
-    :class:`FPContext` (e.g. ``collector=...``).
-    """
-    return FPContext(fmt, **kwargs).quantize_many(arrays)
-
-
-def gemm_many(fmt, pairs, sum_order="pairwise", **kwargs):
-    """Rounded GEMM over ``(A, B)`` pairs in *fmt*, batched by shape.
-
-    Element-identical to calling :meth:`FPContext.gemm` per pair; see
-    :meth:`FPContext.gemm_many` and :mod:`repro.kernels.gemm`::
-
-        Cs = repro.gemm_many("posit16es1", [(A1, B1), (A2, B2)])
-    """
-    return FPContext(fmt, sum_order=sum_order, **kwargs).gemm_many(pairs)
-
-
 def run_experiment(exp_id, scale=None, quiet=False, trace=False,
                    request=None):
     """Run one registered experiment by id (e.g. ``"fig6"``).
@@ -209,7 +184,6 @@ def __getattr__(name):
 __all__ = [
     "Posit", "PositConfig", "posit_config", "posit_round", "Quire",
     "FPContext", "get_format", "context", "run_experiment", "submit",
-    "quantize_many", "gemm_many",
     "RunRequest",
     "conjugate_gradient", "cholesky_factor", "cholesky_solve",
     "iterative_refinement",

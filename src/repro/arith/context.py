@@ -27,7 +27,7 @@ from ..formats.registry import get_format
 from ..kernels import gemm as _gemm_kernels
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold, use_segmented
-from .shapes import require_conformant
+from .shapes import require_conformant, require_product
 from .sparse import CSRMatrix, ELLMatrix
 from .summation import SUM_ORDERS, rounded_sum_last_axis
 
@@ -320,11 +320,12 @@ class FPContext:
         stored entry and reduce over the padded row width instead of
         the full dimension.  The CSR path quantizes the products in
         compact form and either scatters them into the padded shape or
-        folds them segmented in O(nnz) (``REPRO_SPARSE``, see
-        :mod:`repro.kernels.segment`) — both bit-identical to the ELL
-        path.  Collector sites carry the layout (``matvec.mul`` dense,
-        ``matvec.ell.*`` / ``matvec.csr.*`` sparse); the ``matvec``
-        injector site is layout-independent.
+        folds them segmented in O(nnz), chosen from the matrix's fill
+        (:func:`repro.kernels.segment.use_segmented`) — both
+        bit-identical to the ELL path.  Collector sites carry the
+        layout (``matvec.mul`` dense, ``matvec.ell.*`` /
+        ``matvec.csr.*`` sparse); the ``matvec`` injector site is
+        layout-independent.
         """
         x = np.asarray(x, dtype=np.float64)
         require_conformant(A, x)
@@ -449,29 +450,16 @@ class FPContext:
 
         The rank-1 term cube is tiled into (i, j) panels by
         :func:`repro.kernels.gemm.blocked_gemm` — bit-identical to the
-        monolithic cube (the fold along k is per-lane), but with
-        bounded scratch and per-panel amortized rounding dispatch.
-        ``REPRO_GEMM_BLOCKED=off`` restores the single-cube path.
+        whole cube (the fold along k is per-lane), but with bounded
+        scratch and per-panel amortized rounding dispatch.
         """
+        require_product(A, B)
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if self._exact:
             return A @ B
         quantize_mul = lambda cube: self._quantize("gemm.mul", cube)
         rnd = self._rnd_for("gemm.sum")
-        if not _gemm_kernels.blocked_enabled():
-            # monolithic reference: one cube, one quantize, one fold
-            buf = _SCRATCH.take((A.shape[0], A.shape[1], B.shape[1]))
-            try:
-                with np.errstate(invalid="ignore", over="ignore"):
-                    np.multiply(A[:, :, np.newaxis], B[np.newaxis, :, :],
-                                out=buf)
-                terms = quantize_mul(buf)
-            finally:
-                _SCRATCH.give(buf)
-            # move k to the last axis: terms[i, k, j] -> [i, j, k]
-            terms = np.moveaxis(terms, 1, -1)
-            return rounded_sum_last_axis(terms, rnd, self.sum_order)
         tracer = _INSTRUMENTS["tracer"]
         if tracer is None:
             return _gemm_kernels.blocked_gemm(A, B, quantize_mul, rnd,
@@ -483,60 +471,6 @@ class FPContext:
                     seconds=time.perf_counter() - t0,
                     m=A.shape[0], k=A.shape[1], n=B.shape[1],
                     fmt=self.fmt.name)
-        return out
-
-    # -- batched entry points (element-identical to scalar loops) ---------
-    def quantize_many(self, arrays, site: str = "round"
-                      ) -> list[np.ndarray]:
-        """Round a sequence of arrays in one quantization call.
-
-        Element-identical to ``[ctx.round(a) for a in arrays]`` —
-        quantization is elementwise, so concatenating the ravelled
-        inputs, rounding once, and splitting back changes no value (and
-        the collector sees the same element totals at *site*).  The one
-        rounding call amortizes table dispatch over the whole batch.
-        """
-        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-        if not arrays:
-            return []
-        if self._exact:
-            return arrays
-        flat = np.concatenate([a.ravel() for a in arrays])
-        rounded = np.asarray(self._quantize(site, flat))
-        out: list[np.ndarray] = []
-        pos = 0
-        for a in arrays:
-            out.append(rounded[pos:pos + a.size].reshape(a.shape))
-            pos += a.size
-        return out
-
-    def gemm_many(self, pairs) -> list[np.ndarray]:
-        """Rounded GEMM over ``(A, B)`` pairs, batched when shapes agree.
-
-        Element-identical to ``[ctx.gemm(A, B) for A, B in pairs]``:
-        same-shape runs are stacked so one product cube is built,
-        quantized (site ``gemm.mul``) and folded (site ``gemm.sum``)
-        per chunk — see :func:`repro.kernels.gemm.batched_gemm` for the
-        bit-identity argument.
-        """
-        pairs = [(np.asarray(A, dtype=np.float64),
-                  np.asarray(B, dtype=np.float64)) for A, B in pairs]
-        if self._exact:
-            return [A @ B for A, B in pairs]
-        quantize_mul = lambda cube: self._quantize("gemm.mul", cube)
-        rnd = self._rnd_for("gemm.sum")
-        out: list[np.ndarray] = [None] * len(pairs)  # type: ignore
-        # group by shape, preserving order within each group
-        groups: dict[tuple, list[int]] = {}
-        for idx, (A, B) in enumerate(pairs):
-            groups.setdefault(A.shape + B.shape, []).append(idx)
-        for indices in groups.values():
-            results = _gemm_kernels.batched_gemm(
-                [pairs[i][0] for i in indices],
-                [pairs[i][1] for i in indices],
-                quantize_mul, rnd, self.sum_order)
-            for i, r in zip(indices, results):
-                out[i] = r
         return out
 
     # -- compound helpers (each primitive rounded) -------------------------

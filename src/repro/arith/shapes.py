@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["require_conformant", "require_square", "require_system"]
+__all__ = ["require_conformant", "require_product", "require_square",
+           "require_system"]
 
 
 def _shape(obj) -> tuple:
@@ -34,6 +35,14 @@ def require_conformant(A, x, names: tuple[str, str] = ("A", "x")) -> None:
     if len(sa) != 2 or sx != (sa[1],):
         raise ValueError(f"{names[0]} has shape {sa} and {names[1]} has "
                          f"shape {sx}; expected (m, n) and (n,)")
+
+
+def require_product(A, B) -> None:
+    """ValueError naming both shapes unless *A* is (m, k) and *B* (k, n)."""
+    sa, sb = _shape(A), _shape(B)
+    if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
+        raise ValueError(f"A has shape {sa} and B has shape {sb}; "
+                         f"expected (m, k) and (k, n)")
 
 
 def require_system(A, b) -> int:

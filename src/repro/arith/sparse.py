@@ -19,8 +19,8 @@ order; see :mod:`repro.arith.summation`).
 ``indices`` / ``data``, no padding) — the natural interchange layout
 for real Matrix Market inputs, and ~k/avg-degree lighter than ELL when
 row lengths are skewed.  Its emulated matvec is **bit-identical** to
-the ELL path by construction, along either of two routes picked by
-``REPRO_SPARSE`` (see :mod:`repro.kernels.segment`):
+the ELL path by construction, along either of two routes picked from
+the matrix's fill (:func:`repro.kernels.segment.use_segmented`):
 
 * the *padded* route quantizes the per-entry products in compact form
   (plus one shared padding product) and scatters them through a

@@ -21,14 +21,14 @@ conformance suites hold them to that):
     posit32/takum32 tables once per machine instead of once per
     process.  ``REPRO_TABLE_CACHE=off`` opts out.
 :mod:`repro.kernels.gemm`
-    Blocked and batched rounded GEMM: the rank-1 term cube is tiled
-    into (i, j) panels quantized once each, preserving the summation
-    schedule bit-for-bit.  ``REPRO_GEMM_BLOCKED=off`` opts out.
+    Blocked rounded GEMM: the rank-1 term cube is tiled into (i, j)
+    panels quantized once each, preserving the summation schedule
+    bit-for-bit.
 :mod:`repro.kernels.segment`
     The compact CSR matvec reduction: a segmented rounded pairwise
     fold over the O(nnz) product array reproducing the padded ELL tree
     bit-for-bit, so skewed matrices stop paying the (n, k) scatter.
-    ``REPRO_SPARSE=ell|segmented|auto`` picks the route.
+    The route follows the matrix's fill (``segment.use_segmented``).
 :mod:`repro.kernels.scratch`
     Shape-keyed, thread-local pools of reusable ndarray buffers, so the
     quantize pipeline (``posit_round``, ``FPContext``, the summation

@@ -1,11 +1,11 @@
 """Kernel microbenchmarks and the ``BENCH_kernels.json`` trajectory.
 
 Measures the primitives every experiment is built on — quantize, dot,
-matvec, rounded sum, blocked gemm and the batched ``gemm_many`` —
-per format and size, and writes a bench payload
-(``kind: "kernels"``) that ``python -m repro.telemetry bench-diff``
-compares against the committed ``benchmarks/BENCH_kernels.json`` the
-same way experiment sweeps diff against ``BENCH_experiments.json``.
+matvec, rounded sum and blocked gemm — per format and size, and writes
+a bench payload (``kind: "kernels"``) that ``python -m repro.telemetry
+bench-diff`` compares against the committed
+``benchmarks/BENCH_kernels.json`` the same way experiment sweeps diff
+against ``BENCH_experiments.json``.
 
 Timing protocol: each entry is the best of ``repeats`` timed loops
 (min over medians is too clever; min over loop averages is the
@@ -36,7 +36,9 @@ engine's end-to-end ratchet.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -62,6 +64,9 @@ CONTEXT_SIZES = (24, 96)
 #: the skewed arrow extra, both at their full published dimension
 SPARSE_MATRICES = ("1138_bus", "arrow_496")
 SPARSE_FORMATS = ("fp16", "posit32es2")
+#: the :data:`repro.kernels.segment.PAD_RATIO` that forces each CSR
+#: matvec route; ``auto`` keeps the module's own input-driven choice
+_ROUTE_PAD_RATIO = {"ell": math.inf, "segmented": 0.0}
 
 
 def measure(fn: Callable[[], object], repeats: int = 5,
@@ -97,6 +102,19 @@ def _quantize_reference(fmt) -> Callable[[np.ndarray], np.ndarray] | None:
 
 def _selected(key: str, only: tuple[str, ...] | None) -> bool:
     return only is None or any(key.startswith(p) for p in only)
+
+
+@contextlib.contextmanager
+def _sparse_route(mode: str):
+    """Pin the CSR matvec route (``ell`` = padded) for the block."""
+    from . import segment
+
+    saved = segment.PAD_RATIO
+    segment.PAD_RATIO = _ROUTE_PAD_RATIO.get(mode, saved)
+    try:
+        yield
+    finally:
+        segment.PAD_RATIO = saved
 
 
 def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
@@ -137,8 +155,7 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
         ctx = FPContext(name)
         for n in ctx_sizes:
             keys = {op: f"{op}/{name}/n{n}"
-                    for op in ("dot", "matvec", "sum", "gemm",
-                               "gemm_many")}
+                    for op in ("dot", "matvec", "sum", "gemm")}
             if not any(_selected(k, only) for k in keys.values()):
                 continue
             v = rng.standard_normal(n)
@@ -154,26 +171,13 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
                     continue
                 fn()
                 kernels[op] = {"seconds": measure(fn, repeats)}
-            if _selected(keys["gemm_many"], only):
-                # batched: 4 same-shape products through one
-                # quantize/fold per chunk, vs the scalar loop
-                pairs = [(A, B)] * 4
-                ctx.gemm_many(pairs)
-                entry = {"seconds": measure(
-                             lambda: ctx.gemm_many(pairs), repeats),
-                         "serial_s": measure(
-                             lambda: [ctx.gemm(a, b) for a, b in pairs],
-                             repeats)}
-                entry["speedup_vs_serial"] = round(
-                    entry["serial_s"] / entry["seconds"], 3)
-                kernels[keys["gemm_many"]] = entry
 
     kernels.update(sparse_microbench(repeats=repeats, only=only))
     kernels.update(table_cache_bench(only=only))
 
     for key, entry in kernels.items():
         entry["seconds"] = round(entry["seconds"], 9)
-        for extra in ("bitwise_s", "serial_s", "padded_s", "ell_s",
+        for extra in ("bitwise_s", "padded_s", "ell_s",
                       "cold_s", "warm_s"):
             if extra in entry:
                 entry[extra] = round(entry[extra], 9)
@@ -189,8 +193,8 @@ def sparse_microbench(matrices: tuple[str, ...] = SPARSE_MATRICES,
 
     Matrices run at their full published dimension (the ``full`` run
     scale) so the skewed arrow keeps its adversarial pad ratio; each
-    CSR route is forced through ``REPRO_SPARSE`` and the segmented
-    entry records its speedup over both alternatives.
+    CSR route is forced through ``segment.PAD_RATIO`` and the
+    segmented entry records its speedup over both alternatives.
     """
     from ..arith.context import FPContext
     from ..arith.sparse import CSRMatrix, ELLMatrix
@@ -199,53 +203,46 @@ def sparse_microbench(matrices: tuple[str, ...] = SPARSE_MATRICES,
 
     rng = np.random.default_rng(67890)
     kernels: dict[str, dict] = {}
-    saved = os.environ.get("REPRO_SPARSE")
-    try:
-        for mname in matrices:
-            keys = [f"sparse/matvec/{mname}/{f}/{lay}"
-                    for f in formats
-                    for lay in ("ell", "csr_padded", "csr_segmented")]
-            if not any(_selected(k, only) for k in keys):
-                continue
-            A = load_matrix(mname, SCALES["full"])
-            x = rng.standard_normal(A.shape[0])
-            ell = ELLMatrix.from_dense(A)
-            csr = CSRMatrix.from_dense(A)
-            for fname in formats:
-                ctx = FPContext(fname)
-                ellq = ctx.asarray(ell)
-                csrq = ctx.asarray(csr)
-                base = f"sparse/matvec/{mname}/{fname}"
-                secs: dict[str, float] = {}
-                for lay, mat, mode in (("ell", ellq, "ell"),
-                                       ("csr_padded", csrq, "ell"),
-                                       ("csr_segmented", csrq,
-                                        "segmented")):
-                    key = f"{base}/{lay}"
-                    if not _selected(key, only):
-                        continue
-                    os.environ["REPRO_SPARSE"] = mode
+    for mname in matrices:
+        keys = [f"sparse/matvec/{mname}/{f}/{lay}"
+                for f in formats
+                for lay in ("ell", "csr_padded", "csr_segmented")]
+        if not any(_selected(k, only) for k in keys):
+            continue
+        A = load_matrix(mname, SCALES["full"])
+        x = rng.standard_normal(A.shape[0])
+        ell = ELLMatrix.from_dense(A)
+        csr = CSRMatrix.from_dense(A)
+        for fname in formats:
+            ctx = FPContext(fname)
+            ellq = ctx.asarray(ell)
+            csrq = ctx.asarray(csr)
+            base = f"sparse/matvec/{mname}/{fname}"
+            secs: dict[str, float] = {}
+            for lay, mat, mode in (("ell", ellq, "ell"),
+                                   ("csr_padded", csrq, "ell"),
+                                   ("csr_segmented", csrq,
+                                    "segmented")):
+                key = f"{base}/{lay}"
+                if not _selected(key, only):
+                    continue
+                with _sparse_route(mode):
                     ctx.matvec(mat, x)  # warm plan / slot map
                     secs[lay] = measure(lambda: ctx.matvec(mat, x),
                                         repeats)
-                    kernels[key] = {"seconds": secs[lay]}
-                seg = f"{base}/csr_segmented"
-                if "csr_segmented" in secs:
-                    entry = kernels[seg]
-                    if "csr_padded" in secs:
-                        entry["padded_s"] = secs["csr_padded"]
-                        entry["speedup_vs_padded"] = round(
-                            secs["csr_padded"] / secs["csr_segmented"],
-                            3)
-                    if "ell" in secs:
-                        entry["ell_s"] = secs["ell"]
-                        entry["speedup_vs_ell"] = round(
-                            secs["ell"] / secs["csr_segmented"], 3)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SPARSE", None)
-        else:
-            os.environ["REPRO_SPARSE"] = saved
+                kernels[key] = {"seconds": secs[lay]}
+            seg = f"{base}/csr_segmented"
+            if "csr_segmented" in secs:
+                entry = kernels[seg]
+                if "csr_padded" in secs:
+                    entry["padded_s"] = secs["csr_padded"]
+                    entry["speedup_vs_padded"] = round(
+                        secs["csr_padded"] / secs["csr_segmented"],
+                        3)
+                if "ell" in secs:
+                    entry["ell_s"] = secs["ell"]
+                    entry["speedup_vs_ell"] = round(
+                        secs["ell"] / secs["csr_segmented"], 3)
     return kernels
 
 
@@ -319,9 +316,9 @@ def run_sparse_grid_smoke(mode: str) -> float:
     CG × the grid format zoo on the ``arrow_496`` extra at the
     ``full`` run scale (the only scale where the arrow keeps its
     published 96× pad ratio — smaller scales cap the dimension and
-    flatten the skew).  *mode* pins ``REPRO_SPARSE`` for the run, so
-    ``ell`` replays the padded PR-9 baseline on the same machine and
-    ``auto`` times the segmented engine.
+    flatten the skew).  *mode* pins the CSR route for the run, so
+    ``ell`` replays the padded baseline on the same machine and
+    ``auto`` times the input-driven (here segmented) route.
     """
     from ..config import SCALES
     from ..experiments.common import (clear_cache, compute_cell,
@@ -330,20 +327,13 @@ def run_sparse_grid_smoke(mode: str) -> float:
 
     scale = SCALES["full"]
     cells = grid_cells(scale, solvers=("cg",), names=("arrow_496",))
-    saved = os.environ.get("REPRO_SPARSE")
-    os.environ["REPRO_SPARSE"] = mode
-    try:
+    with _sparse_route(mode):
         clear_cache()
         matrix_cache().clear()
         t0 = time.perf_counter()
         for cell in cells:
             compute_cell(cell, scale)
         return time.perf_counter() - t0
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SPARSE", None)
-        else:
-            os.environ["REPRO_SPARSE"] = saved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -365,8 +355,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="same-machine baseline for the sweep entry")
     parser.add_argument("--sparse-sweep", action="store_true",
                         help="also time the skewed solver-grid smoke "
-                             "sweep, padded (REPRO_SPARSE=ell) vs "
-                             "segmented (auto), best-of-3 each")
+                             "sweep, padded vs segmented (the "
+                             "input-driven route), best-of-3 each")
     args = parser.parse_args(argv)
 
     only = tuple(p.strip() for p in args.only.split(",")

@@ -1,38 +1,34 @@
-"""Blocked and batched GEMM kernels for the emulated contexts.
+"""Blocked rounded GEMM for the emulated contexts.
 
-:meth:`repro.FPContext.gemm` materializes the full rank-1 term cube
-``terms[i, k, j] = A[i, k] * B[k, j]`` before rounding and reducing —
-exact but O(m·k·n) memory, and each quantize call sees the whole cube.
-The kernels here tile that cube into **(i, j) panels**: one operand
-slice is multiplied into a bounded scratch cube, quantized once per
-panel (amortizing the rounding-table dispatch over the whole panel),
-and folded with the context's summation schedule.
+:meth:`repro.FPContext.gemm` rounds every term of the rank-1 cube
+``terms[i, k, j] = A[i, k] * B[k, j]`` and folds it along k.  Building
+that cube whole costs O(m·k·n) memory, so the kernel here tiles it into
+**(i, j) panels**: one operand slice is multiplied into a bounded
+scratch cube, quantized once per panel (amortizing the rounding-table
+dispatch over the whole panel), and folded with the context's
+summation schedule.
 
 Bit-identity argument: quantization is elementwise, and both summation
 orders (:mod:`repro.arith.summation`) fold each output lane ``(i, j)``
 independently along k.  Splitting the *i*/*j* axes therefore permutes
 neither the products nor any fold, so every partial sum — and hence
-every rounded value — is unchanged.  Splitting k would change the fold
-shape, so the panel iterator never tiles k.  The differential harness
-(``tests/kernels/test_batched_differential.py``) and the batched golden
-digests hold the kernels to this.
+every rounded value — equals the whole-cube result.  Splitting k would
+change the fold shape, so the panel iterator never tiles k.
+``tests/kernels/test_batched_differential.py`` holds every panel
+budget to a test-local whole-cube reference.
 
-``REPRO_GEMM_BLOCKED=off`` restores the monolithic path (read at
-import, like ``REPRO_LUT``); telemetry gains one ``gemm.block`` span
-per panelled call when a tracer is active.
+Telemetry gains one ``gemm.block`` span per call when a tracer is
+active.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from ..arith.summation import rounded_sum_last_axis
 from .scratch import ScratchPool
 
-__all__ = ["BLOCK_ELEMS", "batched_gemm", "blocked_enabled",
-           "blocked_gemm", "panel_ranges"]
+__all__ = ["BLOCK_ELEMS", "blocked_gemm", "panel_ranges"]
 
 #: element budget for one panel's product cube — big enough that the
 #: per-panel Python overhead is noise, small enough to stay cache-warm
@@ -40,15 +36,6 @@ __all__ = ["BLOCK_ELEMS", "batched_gemm", "blocked_enabled",
 BLOCK_ELEMS = 1 << 15
 
 _SCRATCH = ScratchPool()
-
-_ENABLED = os.environ.get("REPRO_GEMM_BLOCKED", "").strip().lower() not in (
-    "off", "0", "no", "false")
-
-
-def blocked_enabled() -> bool:
-    """True unless disabled via ``REPRO_GEMM_BLOCKED=off`` (import-time)."""
-    return _ENABLED
-
 
 def panel_ranges(m: int, n: int, k: int, budget: int = BLOCK_ELEMS):
     """Yield ``(i0, i1, j0, j1)`` output panels for an m×k · k×n GEMM.
@@ -69,7 +56,7 @@ def panel_ranges(m: int, n: int, k: int, budget: int = BLOCK_ELEMS):
 
 def blocked_gemm(A: np.ndarray, B: np.ndarray, quantize_mul, rnd,
                  sum_order: str, budget: int = BLOCK_ELEMS) -> np.ndarray:
-    """Panel-tiled rounded GEMM, bit-identical to the monolithic cube.
+    """Panel-tiled rounded GEMM, bit-identical to the whole-cube product.
 
     *quantize_mul* rounds one panel's product cube (the context's
     ``gemm.mul`` site); *rnd* / *sum_order* drive the per-lane fold.
@@ -95,39 +82,3 @@ def blocked_gemm(A: np.ndarray, B: np.ndarray, quantize_mul, rnd,
         out[i0:i1, j0:j1] = folded
     return out
 
-
-def batched_gemm(As, Bs, quantize_mul, rnd, sum_order: str,
-                 budget: int = BLOCK_ELEMS) -> list[np.ndarray]:
-    """Rounded GEMM over a batch of same-shape operand pairs.
-
-    Stacks chunks of the batch into one ``(b, m, k, n)`` product cube
-    so the whole chunk is quantized and folded in single calls —
-    element-identical to looping :func:`blocked_gemm` over the pairs,
-    because quantization is elementwise and every ``(b, i, j)`` lane
-    still folds independently along k.  Pairs whose single product cube
-    exceeds the budget fall back to the per-pair blocked kernel.
-    """
-    m, k = As[0].shape
-    n = Bs[0].shape[1]
-    per = m * k * n
-    if per > budget:
-        return [blocked_gemm(A, B, quantize_mul, rnd, sum_order, budget)
-                for A, B in zip(As, Bs)]
-    chunk = max(1, budget // max(per, 1))
-    out: list[np.ndarray] = []
-    for c0 in range(0, len(As), chunk):
-        A = np.stack(As[c0:c0 + chunk])
-        B = np.stack(Bs[c0:c0 + chunk])
-        buf = _SCRATCH.take((A.shape[0], m, k, n))
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.multiply(A[:, :, :, np.newaxis],
-                            B[:, np.newaxis, :, :], out=buf)
-            terms = quantize_mul(buf)
-        finally:
-            _SCRATCH.give(buf)
-        # terms[b, i, k, j] -> [b, i, j, k]
-        folded = rounded_sum_last_axis(np.moveaxis(terms, 2, -1),
-                                       rnd, sum_order)
-        out.extend(folded[b] for b in range(folded.shape[0]))
-    return out

@@ -218,22 +218,6 @@ class AsyncClient:
         assert isinstance(result, JobResult)
         return tuple(result.values or ())
 
-    async def quantize_many(
-            self, fmt: str, arrays: Iterable[Iterable[float]]
-    ) -> tuple[tuple[float, ...], ...]:
-        """Round several value groups into *fmt* in one request.
-
-        The server rounds the whole batch in a single
-        :meth:`repro.FPContext.quantize_many` call — element-identical
-        to one :meth:`quantize` per group, one round-trip total.
-        """
-        message = SubmitQuantize(
-            self._next_id(), fmt,
-            tuple(tuple(float(v) for v in group) for group in arrays))
-        result = await self._roundtrip(message)
-        assert isinstance(result, JobResult)
-        return tuple(tuple(g) for g in (result.values or ()))
-
     async def status(self) -> dict[str, Any]:
         """The server's live counters and queue depths."""
         reply = await self._roundtrip(StatusRequest(self._next_id()))
@@ -306,11 +290,6 @@ class Client:
                  values: Iterable[float]) -> tuple[float, ...]:
         values = list(values)
         return self._call(self._async.quantize(fmt, values))
-
-    def quantize_many(self, fmt: str, arrays: Iterable[Iterable[float]]
-                      ) -> tuple[tuple[float, ...], ...]:
-        arrays = [list(group) for group in arrays]
-        return self._call(self._async.quantize_many(fmt, arrays))
 
     def status(self) -> dict[str, Any]:
         return self._call(self._async.status())

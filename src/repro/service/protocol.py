@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: revision of this message vocabulary; negotiated by Hello/Welcome
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(Exception):
@@ -168,17 +168,14 @@ class SubmitCells:
 class SubmitQuantize:
     """Round a value batch in one format (cheap, served inline).
 
-    ``values`` is either a flat tuple of floats (one batch) or a tuple
-    of float tuples (one group per array — the wire form of
-    :meth:`repro.FPContext.quantize_many`); the reply's ``values``
-    mirrors the shape.  Both forms predate no wire field, so no
-    PROTOCOL_VERSION bump is needed.
+    ``values`` is a flat tuple of floats; the reply's ``values`` holds
+    the rounded batch in the same order.
     """
 
     TYPE: ClassVar[str] = "submit-quantize"
     id: str
     fmt: str
-    values: tuple[float | tuple[float, ...], ...]
+    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -244,8 +241,7 @@ class JobResult:
 
     ``experiments`` maps experiment id → ``{status, csv_path, error}``
     for experiment jobs; ``cells`` is the outcome tally; ``values``
-    carries quantize results (flat, or grouped per input array for a
-    batched quantize — mirroring the submit's shape).
+    carries quantize results (a flat float tuple).
     """
 
     TYPE: ClassVar[str] = "result"
@@ -253,7 +249,7 @@ class JobResult:
     status: str                      # completed | failed
     experiments: dict[str, Any] = field(default_factory=dict)
     cells: dict[str, int] = field(default_factory=dict)
-    values: tuple[float | tuple[float, ...], ...] | None = None
+    values: tuple[float, ...] | None = None
     error: str | None = None
 
 
@@ -299,26 +295,17 @@ def _cells_from_json(value: Any) -> tuple[CellSpec, ...]:
 
 
 def _values_from_json(value: Any) -> tuple | None:
-    """Quantize values: a flat float tuple or a tuple of float tuples.
-
-    The generic list→tuple conversion in :func:`decode` is shallow, so
-    grouped batches need this to come back as nested *tuples* (keeping
-    the dataclasses hashable and round-trip equal).
-    """
+    """Quantize values: a flat float tuple (nested lists are rejected)."""
     if value is None:
         return None
     if not isinstance(value, list):
         raise ProtocolError(f"malformed values field {value!r}",
-                            hint="expected a list of numbers or a list "
-                                 "of number lists")
+                            hint="expected a flat list of numbers")
     try:
-        return tuple(tuple(float(x) for x in v)
-                     if isinstance(v, (list, tuple)) else float(v)
-                     for v in value)
+        return tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed values field: {exc}",
-                            hint="values must be numbers (flat batch) "
-                                 "or lists of numbers (grouped batch)"
+                            hint="values must be a flat list of numbers"
                             ) from None
 
 

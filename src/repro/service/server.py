@@ -404,11 +404,7 @@ class ExperimentServer:
 
     async def _run_quantize(self, conn: _Conn,
                             message: SubmitQuantize) -> None:
-        grouped = any(isinstance(v, (tuple, list))
-                      for v in message.values)
-        total = (sum(len(v) if isinstance(v, (tuple, list)) else 1
-                     for v in message.values) if grouped
-                 else len(message.values))
+        total = len(message.values)
         if total > _MAX_QUANTIZE_VALUES:
             await conn.send(ErrorReply(
                 message.id,
@@ -420,21 +416,9 @@ class ExperimentServer:
             from ..arith.context import FPContext
 
             ctx = FPContext(message.fmt)
-            if grouped:
-                # one rounding call for the whole group batch
-                # (FPContext.quantize_many; element-identical to
-                # rounding each group separately)
-                arrays = ctx.quantize_many(
-                    [np.asarray(v, dtype=np.float64)
-                     for v in message.values])
-                values = tuple(
-                    tuple(float(x) for x in np.atleast_1d(a))
-                    for a in arrays)
-            else:
-                rounded = np.asarray(ctx.round(
-                    np.asarray(message.values, dtype=np.float64)))
-                values = tuple(float(v)
-                               for v in np.atleast_1d(rounded))
+            rounded = np.asarray(ctx.round(
+                np.asarray(message.values, dtype=np.float64)))
+            values = tuple(float(v) for v in np.atleast_1d(rounded))
         except Exception as exc:
             await conn.send(ErrorReply(
                 message.id, f"{type(exc).__name__}: {exc}",

@@ -9,12 +9,14 @@ not).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import pytest
 
 from repro.arith import CSRMatrix, ELLMatrix, FPContext
+from repro.kernels import segment
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "matrices",
                            "fixtures")
@@ -185,7 +187,7 @@ class TestSkewedFixture:
 
     The adversarial shape for the padded layouts: one dense arrow row
     drives the ELL width to n while most rows hold a handful of
-    entries, so ``auto`` mode routes the CSR matvec through the
+    entries, so the CSR matvec is routed through the
     segmented fold — which must stay byte-identical to ELL across the
     format zoo, including NaR and signed-zero edge products.
     """
@@ -219,11 +221,12 @@ class TestSkewedFixture:
         for fname in self.FORMATS:
             ctx = FPContext(fname)
             ye = ctx.matvec(ctx.asarray(ell), x)
-            for mode in ("ell", "segmented", "auto"):
-                monkeypatch.setenv("REPRO_SPARSE", mode)
+            # force padded, segmented, then the input-driven choice
+            for ratio in (math.inf, 0.0, segment.PAD_RATIO):
+                monkeypatch.setattr(segment, "PAD_RATIO", ratio)
                 yc = ctx.matvec(ctx.asarray(csr), x)
                 assert ye.tobytes() == yc.tobytes(), \
-                    f"CSR({mode}) != ELL bitwise for {fname}"
+                    f"CSR(PAD_RATIO={ratio}) != ELL bitwise for {fname}"
 
     def test_byte_identity_across_formats(self, fixture_pair, rng,
                                           monkeypatch):

@@ -1,14 +1,15 @@
-"""Batched-kernels golden regression: sweeps are byte-stable.
+"""Table-kernel golden regression: sweeps are byte-stable.
 
-The throughput kernels (two-level LUT quantization, blocked/batched
-GEMM) must be invisible in the paper artifacts: the fig6 and table2
-smoke sweeps run with the batched paths forced **on** and with them
-forced **off** (``REPRO_LUT=off`` / ``REPRO_GEMM_BLOCKED=off``
-semantics, toggled in-process) must produce sha256-identical CSVs —
-the same contract CI enforces out-of-process with ``cmp`` on the
-two-worker sweep.  The batched artifacts are additionally held to the
-checked-in column digests of ``test_golden.py``, so a regression here
-names the guilty kernel mode, not just "something drifted".
+The table-driven rounding kernels (dense and two-level LUT
+quantization) must be invisible in the paper artifacts: the fig6 and
+table2 smoke sweeps run with the tables forced **on** ("batched") and
+forced **off** (``REPRO_LUT=off`` semantics, toggled in-process, so
+every value goes through the bitwise rounders — the "serial"
+reference) must produce sha256-identical CSVs — the same contract CI
+enforces out-of-process with ``cmp`` on the two-worker sweep.  The
+table-mode artifacts are additionally held to the checked-in column
+digests of ``test_golden.py``, so a regression here names the guilty
+kernel mode, not just "something drifted".
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import pytest
 
 from repro.config import SCALES
 from repro.experiments import common, fig06_cg, table02_ir_naive
-from repro.kernels import gemm as gemm_kernels
 from repro.kernels import lut
 
 from .test_golden import GOLDEN_PATH, column_digests
@@ -36,13 +36,12 @@ def _sha256(path: str) -> str:
 
 
 def _run_sweeps(tmp, enabled: bool) -> dict[str, str]:
-    """Run the smoke sweeps with both kernel knobs forced to *enabled*;
+    """Run the smoke sweeps with the LUT kernels forced to *enabled*;
     return ``{csv-name: path}``."""
     saved_dir = os.environ.get("REPRO_RESULTS_DIR")
-    saved_lut, saved_gemm = lut._ENABLED, gemm_kernels._ENABLED
+    saved_lut = lut._ENABLED
     os.environ["REPRO_RESULTS_DIR"] = str(tmp)
     lut._ENABLED = enabled
-    gemm_kernels._ENABLED = enabled
     common.clear_cache()
     try:
         paths = {}
@@ -52,7 +51,6 @@ def _run_sweeps(tmp, enabled: bool) -> dict[str, str]:
         return paths
     finally:
         lut._ENABLED = saved_lut
-        gemm_kernels._ENABLED = saved_gemm
         common.clear_cache()
         if saved_dir is None:
             os.environ.pop("REPRO_RESULTS_DIR", None)
@@ -80,13 +78,13 @@ def test_batched_and_serial_csvs_are_sha256_identical(sweep_paths):
     mismatches = [name for name in ARTIFACTS
                   if _sha256(batched[name]) != _sha256(serial[name])]
     assert not mismatches, (
-        "batched kernels changed the artifacts: " + ", ".join(mismatches)
-        + " — the blocked/batched/two-level paths must be bit-identical "
-          "to the serial reference, never 'close'")
+        "table kernels changed the artifacts: " + ", ".join(mismatches)
+        + " — the dense/two-level table paths must be bit-identical "
+          "to the bitwise reference, never 'close'")
 
 
 def test_batched_mode_matches_committed_golden(sweep_paths):
-    """Forced-on batched artifacts match the checked-in digests too,
+    """Forced-on table artifacts match the checked-in digests too,
     pinning both modes to the same committed numbers."""
     if not GOLDEN_PATH.exists():
         pytest.skip("no committed golden digests")
@@ -99,5 +97,5 @@ def test_batched_mode_matches_committed_golden(sweep_paths):
             if want.get(name, {}).get(col) != digest:
                 mismatches.append(f"{name}:{col}")
     assert not mismatches, (
-        "batched sweep drifted from the committed golden digests: "
+        "table-mode sweep drifted from the committed golden digests: "
         + ", ".join(mismatches))

@@ -1,13 +1,12 @@
-"""Differential harness: batched/blocked kernels vs scalar reference.
+"""Differential harness: the blocked GEMM kernel vs whole-cube reference.
 
-The tentpole contract of the throughput kernels: ``blocked_gemm``,
-``batched_gemm`` / ``gemm_many`` and ``quantize_many`` are *throughput*
-changes only — every produced value must be bit-identical to the
-monolithic / scalar-loop paths they replace, and (for the formats the
-rational oracle can afford) to :mod:`repro.oracle`'s correctly rounded
-schedule references.  Any divergence here is a real conformance bug,
-not schedule ambiguity: the oracle folds partial sums in exactly the
-order :class:`repro.FPContext` promises.
+``blocked_gemm`` is a *throughput* kernel only — every produced value
+must be bit-identical to the whole-cube product (one cube, one
+quantize, one fold, kept here as the test-local reference), and (for
+the formats the rational oracle can afford) to :mod:`repro.oracle`'s
+correctly rounded schedule references.  Any divergence here is a real
+conformance bug, not schedule ambiguity: the oracle folds partial sums
+in exactly the order :class:`repro.FPContext` promises.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import pytest
 
 from repro.arith.context import FPContext
 from repro.kernels import gemm as gemm_kernels
-from repro.oracle import format_contract, ref_dot, ref_round
+from repro.oracle import format_contract, ref_dot
 from repro.telemetry.collector import Collector
-from tests.strategies import adversarial_values
 
 FORMATS = ("posit8es0", "posit16es1", "posit32es2", "bf16", "fp32")
 ORDERS = ("pairwise", "sequential")
@@ -83,84 +81,31 @@ class TestBlockedGemm:
             _assert_bit_identical(got, want)
 
 
-@pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("fmt", FORMATS)
-class TestBatchedGemm:
-    def test_gemm_many_matches_scalar_loop(self, fmt, order):
-        rng = np.random.default_rng(13)
-        ctx = FPContext(fmt, sum_order=order)
-        # mixed shapes: grouping must reassemble in input order
-        shapes = [(4, 3, 5), (2, 2, 2), (4, 3, 5), (9, 6, 1),
-                  (4, 3, 5), (2, 2, 2)]
-        pairs = [_operands(rng, *s, fmt) for s in shapes]
-        got = ctx.gemm_many(pairs)
-        want = [ctx.gemm(A, B) for A, B in pairs]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_bit_identical(g, w)
-
-    def test_small_chunk_budget(self, fmt, order):
-        """Chunk boundaries (and the per-pair fallback) change nothing."""
-        rng = np.random.default_rng(17)
-        ctx = FPContext(fmt, sum_order=order)
-        pairs = [_operands(rng, 5, 4, 3, fmt) for _ in range(7)]
-        quantize_mul = lambda cube: ctx._quantize("gemm.mul", cube)
-        rnd = ctx._rnd_for("gemm.sum")
-        want = [ctx.gemm(A, B) for A, B in pairs]
-        for budget in (30, 60, 120, 1 << 20):  # fallback .. one chunk
-            As, Bs = [p[0] for p in pairs], [p[1] for p in pairs]
-            got = gemm_kernels.batched_gemm(As, Bs, quantize_mul, rnd,
-                                            order, budget=budget)
-            for g, w in zip(got, want):
-                _assert_bit_identical(g, w)
-
-
-class TestQuantizeMany:
-    @pytest.mark.parametrize("fmt", FORMATS)
-    def test_matches_per_array_round(self, fmt):
-        rng = np.random.default_rng(19)
-        ctx = FPContext(fmt)
-        arrays = [adversarial_values(rng, fmt, n_random=50),
-                  np.zeros(3), rng.standard_normal((4, 5)),
-                  np.array([]), np.array(2.5)]
-        got = ctx.quantize_many(arrays)
-        want = [ctx.round(a) for a in arrays]
-        for g, w, a in zip(got, want, arrays):
-            assert g.shape == a.shape
-            _assert_bit_identical(g, w)
-
-    def test_exact_context_passthrough(self):
-        ctx = FPContext("fp64")
-        arrays = [np.array([0.1, 0.2]), np.array([[1e300]])]
-        got = ctx.quantize_many(arrays)
-        for g, a in zip(got, arrays):
-            _assert_bit_identical(g, a)
-
-
 class TestCollectorParity:
-    """Telemetry must not notice the batching: same per-site element
-    totals whether the cube is panelled, batched, or monolithic."""
+    """Telemetry must not notice the panelling: same per-site element
+    totals whether the cube is panelled or built whole."""
 
     def _counts(self, collector):
         return {site: {name: c.total for name, c in fmts.items()}
                 for site, fmts in collector.snapshot().items()}
 
-    def test_blocked_and_batched_count_like_serial(self, monkeypatch):
+    def test_blocked_counts_like_monolithic(self):
         rng = np.random.default_rng(23)
-        pairs = [_operands(rng, 6, 5, 4, "posit16es1") for _ in range(3)]
+        # a 40³ cube exceeds one panel's budget, so it really is tiled
+        pairs = [_operands(rng, *s, "posit16es1")
+                 for s in ((6, 5, 4), (40, 40, 40), (1, 7, 3))]
 
-        serial = Collector()
-        ctx = FPContext("posit16es1", collector=serial)
-        monkeypatch.setattr(gemm_kernels, "_ENABLED", False)
+        whole = Collector()
+        ctx = FPContext("posit16es1", collector=whole)
+        for A, B in pairs:
+            _monolithic_gemm(ctx, A, B)
+
+        blocked = Collector()
+        ctx = FPContext("posit16es1", collector=blocked)
         for A, B in pairs:
             ctx.gemm(A, B)
 
-        batched = Collector()
-        ctx = FPContext("posit16es1", collector=batched)
-        monkeypatch.setattr(gemm_kernels, "_ENABLED", True)
-        ctx.gemm_many(pairs)
-
-        assert self._counts(serial) == self._counts(batched)
+        assert self._counts(whole) == self._counts(blocked)
 
 
 def _assert_same_value(got, want):
@@ -181,14 +126,6 @@ class TestOracleConformance:
     ORACLE_FORMATS = ("posit8es0", "posit16es1", "bf16", "fp8e4m3",
                       "posit32es2")
 
-    @pytest.mark.parametrize("fmt", ORACLE_FORMATS)
-    def test_quantize_many_is_correctly_rounded(self, fmt):
-        rng = np.random.default_rng(29)
-        vals = adversarial_values(rng, fmt, n_random=40)
-        got = FPContext(fmt).quantize_many([vals])[0]
-        want = np.array([ref_round(fmt, float(v)) for v in vals])
-        _assert_same_value(got, want)
-
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("fmt", ORACLE_FORMATS)
     def test_gemm_matches_oracle_schedule(self, fmt, order):
@@ -202,15 +139,3 @@ class TestOracleConformance:
               for j in range(B.shape[1])] for i in range(A.shape[0])])
         _assert_same_value(got, want)
 
-    @pytest.mark.parametrize("fmt", ORACLE_FORMATS)
-    def test_gemm_many_matches_oracle_schedule(self, fmt):
-        rng = np.random.default_rng(37)
-        contract = format_contract(fmt)
-        ctx = FPContext(fmt)
-        pairs = [_operands(rng, 2, 3, 2, fmt) for _ in range(3)]
-        got = ctx.gemm_many(pairs)
-        for g, (A, B) in zip(got, pairs):
-            want = np.array(
-                [[ref_dot(fmt, A[i], B[:, j], contract=contract)
-                  for j in range(B.shape[1])] for i in range(A.shape[0])])
-            _assert_same_value(g, want)

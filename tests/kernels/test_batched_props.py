@@ -1,11 +1,7 @@
-"""Property tests: the batched APIs are element-identical to the loops.
+"""Property tests: ``FPContext.gemm`` folds each output lane as ``dot``.
 
-Hypothesis drives ``FPContext.quantize_many`` / ``gemm_many`` against
-their scalar formulations across every registered paper format, the
-directed IEEE rounding modes, and adversarial operand patterns (NaR,
-±0, the minpos flush region, the maxpos overflow threshold) — the
-batching must be invisible at the bit level no matter how the batch is
-shaped or which special values it carries.
+Hypothesis drives the blocked GEMM against per-lane rounded dots across
+every registered paper format and the directed IEEE rounding modes.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.arith.context import FPContext
 from repro.formats.rounding_modes import DirectedIEEEFormat
-from tests.strategies import ALL_FORMAT_NAMES, finite_floats
+from tests.strategies import ALL_FORMAT_NAMES
 
 #: every registered paper format plus the three directed IEEE modes
 FORMATS = tuple(ALL_FORMAT_NAMES) + tuple(
@@ -25,22 +21,6 @@ FORMATS = tuple(ALL_FORMAT_NAMES) + tuple(
     for mode in ("toward_zero", "down", "up"))
 
 _ids = [f if isinstance(f, str) else f.name for f in FORMATS]
-
-
-def _edge_values(fmt) -> list[float]:
-    """NaR/NaN, ±0, the minpos flush region, the maxpos threshold."""
-    f = FPContext(fmt).fmt
-    return [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
-            f.min_positive, -f.min_positive, f.min_positive / 2,
-            f.max_value, -f.max_value, f.max_value * 1.0000001]
-
-
-def _elements(fmt):
-    return st.one_of(
-        st.floats(min_value=-1e25, max_value=1e25, allow_nan=False,
-                  allow_infinity=False),
-        st.sampled_from(_edge_values(fmt)),
-        finite_floats)
 
 
 def _assert_same(got, want):
@@ -54,66 +34,8 @@ def _assert_same(got, want):
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
-class TestQuantizeManyProps:
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_element_identical_to_scalar_loop(self, fmt, data):
-        ctx = FPContext(fmt)
-        n_arrays = data.draw(st.integers(0, 5), label="n_arrays")
-        arrays = [
-            np.asarray(data.draw(
-                st.lists(_elements(fmt), min_size=0, max_size=20),
-                label=f"array{i}"))
-            for i in range(n_arrays)]
-        got = ctx.quantize_many(arrays)
-        want = [ctx.round(a) for a in arrays]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same(g, w)
-
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_shapes_survive_the_round_trip(self, fmt, data):
-        ctx = FPContext(fmt)
-        shapes = data.draw(st.lists(
-            st.tuples(st.integers(1, 4), st.integers(1, 4)),
-            min_size=1, max_size=4), label="shapes")
-        rng = np.random.default_rng(data.draw(
-            st.integers(0, 2 ** 16), label="seed"))
-        arrays = [rng.standard_normal(s) for s in shapes]
-        got = ctx.quantize_many(arrays)
-        for g, a in zip(got, arrays):
-            assert g.shape == a.shape
-            _assert_same(g, ctx.round(a))
-
-
-@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
 class TestGemmManyProps:
-    @given(data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_element_identical_to_scalar_loop(self, fmt, data):
-        order = data.draw(st.sampled_from(("pairwise", "sequential")),
-                          label="order")
-        ctx = FPContext(fmt, sum_order=order)
-        n_pairs = data.draw(st.integers(1, 4), label="n_pairs")
-        # a couple of shape groups so batching actually groups
-        shapes = data.draw(st.lists(
-            st.sampled_from(((2, 3, 2), (3, 1, 4), (1, 2, 1))),
-            min_size=n_pairs, max_size=n_pairs), label="shapes")
-        pairs = []
-        for i, (m, k, n) in enumerate(shapes):
-            A = np.asarray(data.draw(
-                st.lists(_elements(fmt), min_size=m * k, max_size=m * k),
-                label=f"A{i}")).reshape(m, k)
-            B = np.asarray(data.draw(
-                st.lists(_elements(fmt), min_size=k * n, max_size=k * n),
-                label=f"B{i}")).reshape(k, n)
-            pairs.append((A, B))
-        got = ctx.gemm_many(pairs)
-        want = [ctx.gemm(A, B) for A, B in pairs]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same(g, w)
+    """GEMM properties across the format zoo."""
 
     @given(seed=st.integers(0, 2 ** 16))
     @settings(max_examples=10, deadline=None)

@@ -4,18 +4,22 @@ The contract (:mod:`repro.kernels.segment`): the compact O(nnz) fold
 must reproduce the padded ELL rounded pairwise reduction **bit for
 bit** — on every sparsity shape, every format family, and every edge
 product (NaR, ±0, infinities).  These tests hold the two routes
-byte-identical and pin the mode-selection knob.
+byte-identical and pin the input-driven route choice; they force a
+route by patching :data:`~repro.kernels.segment.PAD_RATIO`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.arith import CSRMatrix, ELLMatrix, FPContext
 from repro.arith.summation import rounded_sum_last_axis
+from repro.kernels import segment
 from repro.kernels.segment import (PAD_RATIO, SegmentPlan, segmented_fold,
-                                   sparse_mode, use_segmented)
+                                   use_segmented)
 
 FORMATS = ("fp16", "bf16", "fp32", "posit16es2", "posit32es2",
            "takum16", "takum32", "takum_log16")
@@ -37,8 +41,12 @@ def _ragged_spd(rng, n=40, skew=False):
     return A
 
 
-def _force(monkeypatch, mode):
-    monkeypatch.setenv("REPRO_SPARSE", mode)
+#: the PAD_RATIO that forces each CSR matvec route
+ROUTES = {"padded": math.inf, "segmented": 0.0, "auto": PAD_RATIO}
+
+
+def _force(monkeypatch, route):
+    monkeypatch.setattr(segment, "PAD_RATIO", ROUTES[route])
 
 
 class TestPlanInvariants:
@@ -160,7 +168,7 @@ class TestFoldByteIdentity:
 
 
 class TestMatvecRouting:
-    """The full FPContext.matvec path under the REPRO_SPARSE knob."""
+    """The full FPContext.matvec path on every forced route."""
 
     def _matvec_all_modes(self, monkeypatch, A, x, fname):
         ctx = FPContext(fname)
@@ -168,9 +176,9 @@ class TestMatvecRouting:
         csr = ctx.asarray(CSRMatrix.from_dense(A))
         ye = ctx.matvec(ell, x)
         outs = {}
-        for mode in ("ell", "segmented", "auto"):
-            _force(monkeypatch, mode)
-            outs[mode] = ctx.matvec(csr, x)
+        for route in ROUTES:
+            _force(monkeypatch, route)
+            outs[route] = ctx.matvec(csr, x)
         return ye, outs
 
     @pytest.mark.parametrize("fname", FORMATS)
@@ -178,12 +186,12 @@ class TestMatvecRouting:
         A = _ragged_spd(rng, n=35, skew=True)
         x = rng.standard_normal(35)
         ye, outs = self._matvec_all_modes(monkeypatch, A, x, fname)
-        for mode, yc in outs.items():
+        for route, yc in outs.items():
             assert ye.tobytes() == yc.tobytes(), \
-                f"mode={mode} diverges from ELL for {fname}"
+                f"route={route} diverges from ELL for {fname}"
 
     def test_sequential_order_uses_padded_path(self, monkeypatch, rng):
-        """Sequential folds cannot skip padding — the knob must yield."""
+        """Sequential folds cannot skip padding — any fill must yield."""
         assert not use_segmented(10, 10, 20, sum_order="sequential")
         _force(monkeypatch, "segmented")
         assert not use_segmented(10, 10, 20, sum_order="sequential")
@@ -204,29 +212,20 @@ class TestMatvecRouting:
         x = rng.standard_normal(A.shape[0])
         ye, outs = self._matvec_all_modes(monkeypatch, A, x,
                                           "posit32es2")
+        assert ye.tobytes() == outs["padded"].tobytes()
         assert ye.tobytes() == outs["auto"].tobytes()
         assert ye.tobytes() == outs["segmented"].tobytes()
 
 
-class TestModeKnob:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        assert sparse_mode() == "auto"
-
-    def test_bad_value_raises(self, monkeypatch):
-        _force(monkeypatch, "csr")
-        with pytest.raises(ValueError, match="REPRO_SPARSE"):
-            sparse_mode()
-
+class TestRouteChoice:
     def test_forced_modes(self, monkeypatch):
-        _force(monkeypatch, "ell")
+        _force(monkeypatch, "padded")
         assert not use_segmented(100, 100, 200)
         _force(monkeypatch, "segmented")
         assert use_segmented(100, 100, 200)
         assert use_segmented(4, 2, 8)  # even when padding is cheap
 
-    def test_auto_heuristic_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
+    def test_auto_heuristic_threshold(self):
         # padded cost n*k vs compact nnz: flips at PAD_RATIO
         assert not use_segmented(10, 3, 30)       # exactly dense rows
         assert not use_segmented(10, 3, 20)       # 1.5x: at threshold

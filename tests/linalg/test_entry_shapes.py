@@ -26,8 +26,15 @@ _EYE, _B4 = np.eye(3), np.ones(4)
     (lambda: _CTX.matvec(ELLMatrix.from_dense(_EYE), _B4),
      ["(3, 3)", "(4,)"]),
     (lambda: _CTX.matvec(_EYE, np.ones((3, 1))), ["(3, 3)", "(3, 1)"]),
+    (lambda: FPContext("posit16es1").gemm(np.ones(4), np.ones((4, 2))),
+     ["(4,)", "(4, 2)"]),
+    (lambda: FPContext("fp64").gemm(np.ones(4), np.ones((4, 2))),
+     ["(4,)", "(4, 2)"]),
+    (lambda: _CTX.gemm(np.ones((3, 4)), np.ones((5, 2))),
+     ["(3, 4)", "(5, 2)"]),
 ], ids=["chol-0d", "chol-rect", "lu-1d", "cg-b", "cg-rect", "cholsolve-b",
-        "bicgstab-b", "gmres-b", "matvec", "matvec-ell", "matvec-2d-x"])
+        "bicgstab-b", "gmres-b", "matvec", "matvec-ell", "matvec-2d-x",
+        "gemm-1d-A", "gemm-1d-A-exact", "gemm-inner"])
 def test_shape_errors_name_the_shapes(call, shapes):
     with pytest.raises(ValueError) as info:
         call()

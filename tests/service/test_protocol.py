@@ -102,16 +102,18 @@ class TestVersioning:
     def test_current_version_accepted(self):
         check_version(PROTOCOL_VERSION)            # no raise
 
-    @pytest.mark.parametrize("bad", [0, PROTOCOL_VERSION + 1, "1", None])
+    @pytest.mark.parametrize("bad", [0, 1, PROTOCOL_VERSION + 1, "1", None],
+                             ids=repr)
     def test_mismatch_rejected_with_hint(self, bad):
         with pytest.raises(ProtocolError, match="version mismatch") as e:
             check_version(bad)
         assert "upgrade" in e.value.hint
 
     def test_older_peer_hint_says_upgrade_client(self):
-        with pytest.raises(ProtocolError) as e:
-            check_version(0)
-        assert "upgrade the client" in e.value.hint
+        for old in (0, 1):               # 1 sent grouped quantize values
+            with pytest.raises(ProtocolError) as e:
+                check_version(old)
+            assert "upgrade the client" in e.value.hint
 
 
 class TestMalformedInput:
@@ -147,6 +149,13 @@ class TestMalformedInput:
                 '"experiments": ["fig6"], "request": 42}\n')
         with pytest.raises(ProtocolError, match="malformed run request"):
             decode(line)
+
+    def test_nested_quantize_values_rejected(self):
+        line = ('{"type": "submit-quantize", "id": "j", '
+                '"fmt": "fp16", "values": [[1.0, 2.0], [3.0]]}\n')
+        with pytest.raises(ProtocolError, match="malformed values") as e:
+            decode(line)
+        assert "flat list of numbers" in e.value.hint
 
     def test_missing_required_field(self):
         with pytest.raises(ProtocolError, match="malformed"):
