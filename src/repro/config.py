@@ -32,7 +32,10 @@ import os
 from dataclasses import dataclass
 
 __all__ = ["RunScale", "SCALES", "current_scale", "scale_from_env",
-           "jobs_from_env"]
+           "jobs_from_env", "env_switch"]
+
+_SWITCH_ON = ("on", "1", "yes", "true")
+_SWITCH_OFF = ("off", "0", "no", "false", "disabled")
 
 
 @dataclass(frozen=True)
@@ -131,3 +134,22 @@ def jobs_from_env(default: int = 1) -> int:
     if jobs < 1:
         raise ValueError(f"REPRO_JOBS={jobs} must be >= 1 (or 'auto')")
     return jobs
+
+
+def env_switch(name: str) -> bool:
+    """An on/off environment switch such as ``REPRO_CACHE``.
+
+    Unset or empty means on.  The value is compared case-insensitively
+    with surrounding spaces stripped: ``on``/``1``/``yes``/``true``
+    turn the switch on, ``off``/``0``/``no``/``false``/``disabled``
+    turn it off, and anything else raises ``ValueError`` so a typo
+    never silently keeps a cache or table path running.
+    """
+    raw = os.environ.get(name, "").strip().lower()
+    if not raw or raw in _SWITCH_ON:
+        return True
+    if raw in _SWITCH_OFF:
+        return False
+    raise ValueError(
+        f"{name}={raw!r} is not a switch value (use one of "
+        f"{', '.join(_SWITCH_ON)} or {', '.join(_SWITCH_OFF)})")

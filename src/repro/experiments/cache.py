@@ -10,25 +10,25 @@ results are cached on disk under ``results/.cache/`` keyed by
 where the *code fingerprint* hashes every ``*.py`` file in the
 installed ``repro`` package.  Editing any source file therefore
 invalidates the whole cache — conservative, but it can never serve a
-stale result after a code change.  Entries are pickled payloads with a
-sha256 **checksum footer**, written atomically (see
-:mod:`repro.resilience.atomic`), so a sweep killed mid-write never
-leaves a corrupt entry that shadows a real one — and a truncated or
-bit-rotted entry is *detected* (not merely "happens to unpickle
+stale result after a code change.  Entries are pickled payloads sealed
+with a sha256 **checksum footer** (magic ``RPRCv1``) by
+:func:`repro.resilience.atomic.write_sealed`, written atomically, so a
+sweep killed mid-write never leaves a corrupt entry that shadows a real
+one — and a truncated or bit-rotted entry is *detected* by
+:func:`~repro.resilience.atomic.unseal` (not merely "happens to unpickle
 badly"), discarded and recomputed, never fatal.
 
 Writes are ENOSPC-safe: a cache store that fails with a full disk
-(``ENOSPC``/``EDQUOT``) disables the cache with a single warning
-instead of failing the cell — results keep flowing through the
-in-process memo, only persistence stops.  The disablement is a
-**cooldown, not a latch**: after ``REPRO_CACHE_REARM_S`` seconds
-(default 60) the next :func:`cache_enabled` check re-arms persistence,
-and the next store either succeeds (the disk drained) or re-disables
-in a single syscall.  A one-sweep CLI run never notices; a long-lived
-parent — the experiment service of :mod:`repro.service`, where one
-client's full-disk episode must not disable persistence for every
-later client — heals automatically.  :func:`reset_cache_stats` still
-re-arms immediately at sweep boundaries.  The process-level chaos
+disables the cache with a single warning instead of failing the cell —
+results keep flowing through the in-process memo, only persistence
+stops.  The disablement is a **cooldown, not a latch**: after
+``_REARM_S`` seconds (60) the next :func:`cache_enabled` check re-arms
+persistence, and the next store either succeeds (the disk drained) or
+re-disables in a single syscall.  A one-sweep CLI run never notices; a
+long-lived parent — the experiment service of :mod:`repro.service`,
+where one client's full-disk episode must not disable persistence for
+every later client — heals automatically.  :func:`reset_cache_stats`
+still re-arms immediately at sweep boundaries.  The process-level chaos
 harness (:mod:`repro.supervise.chaos`, ``REPRO_CHAOS=enospc:p``)
 injects exactly this failure to keep the path tested.
 
@@ -38,7 +38,6 @@ Disable with ``REPRO_CACHE=off`` (benchmarking cold paths, debugging).
 from __future__ import annotations
 
 import contextlib
-import errno
 import hashlib
 import os
 import pickle
@@ -47,8 +46,10 @@ import time
 from typing import Any
 
 from ..analysis.reporting import results_dir
-from ..resilience.atomic import atomic_open
+from ..config import env_switch
+from ..resilience.atomic import unseal, write_sealed
 from ..supervise.chaos import maybe_chaos_enospc
+from ..telemetry.counters import Counters
 
 __all__ = ["CacheStats", "ResultCache", "result_cache", "cache_enabled",
            "cache_stats", "cache_disabled_reason", "code_fingerprint",
@@ -58,11 +59,8 @@ __all__ = ["CacheStats", "ResultCache", "result_cache", "cache_enabled",
 #: subdirectory of the results dir that holds cache entries
 CACHE_DIR_NAME = ".cache"
 
-#: entry format: pickled payload + _FOOTER_MAGIC + sha256(payload)
+#: sealed-record magic of an entry: pickled payload + magic + sha256
 _FOOTER_MAGIC = b"RPRCv1"
-_FOOTER_LEN = len(_FOOTER_MAGIC) + hashlib.sha256().digest_size
-
-_FALSEY = frozenset({"off", "0", "no", "false", "disabled"})
 
 _fingerprint: str | None = None
 
@@ -73,26 +71,10 @@ _disabled_reason: str | None = None
 _disabled_at: float | None = None
 
 #: seconds a full-disk disablement lasts before the next check re-arms
-_REARM_ENV = "REPRO_CACHE_REARM_S"
-_REARM_DEFAULT_S = 60.0
+_REARM_S = 60.0
 
 
-def _rearm_after_s() -> float:
-    """The re-probe cooldown (``REPRO_CACHE_REARM_S``, default 60s)."""
-    raw = os.environ.get(_REARM_ENV, "").strip()
-    if not raw:
-        return _REARM_DEFAULT_S
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{_REARM_ENV}={raw!r} is not a number of "
-                         f"seconds") from None
-    if value < 0:
-        raise ValueError(f"{_REARM_ENV}={value} must be >= 0")
-    return value
-
-
-class CacheStats:
+class CacheStats(Counters):
     """Process-wide cache traffic counters (``--cache-stats``).
 
     Counted at the :class:`ResultCache` layer, so every consumer —
@@ -107,32 +89,12 @@ class CacheStats:
     __slots__ = ("hits", "misses", "stores", "invalidations",
                  "write_errors", "rearms")
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.write_errors = 0
-        self.rearms = 0
-
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
     def as_dict(self) -> dict[str, int]:
-        return {"lookups": self.lookups, "hits": self.hits,
-                "misses": self.misses, "stores": self.stores,
-                "invalidations": self.invalidations,
-                "write_errors": self.write_errors,
-                "rearms": self.rearms}
-
-    def __repr__(self) -> str:
-        return (f"<CacheStats {self.hits} hits / {self.lookups} lookups, "
-                f"{self.stores} stores, "
-                f"{self.invalidations} invalidations>")
+        return {"lookups": self.lookups, **super().as_dict()}
 
 
 _STATS = CacheStats()
@@ -160,28 +122,29 @@ def reset_cache_stats() -> CacheStats:
 def cache_enabled() -> bool:
     """False when ``REPRO_CACHE`` opts out — or a write error opted us out.
 
-    The second case is runtime degradation: a store that hit
-    ``ENOSPC``/``EDQUOT`` disabled on-disk caching (see
-    :func:`cache_disabled_reason`), because every subsequent write
-    would fail the same way and each cell's result is still available
-    through the in-process memo.  The disablement expires after the
-    ``REPRO_CACHE_REARM_S`` cooldown (default 60s): this check then
-    re-arms persistence and the next store re-probes the disk — one
-    failed syscall if it is still full, a working cache if it drained.
-    Per-process lifetimes (the experiment service) therefore recover
-    without a sweep boundary.
+    The second case is runtime degradation: a store that hit a full
+    disk disabled on-disk caching (see :func:`cache_disabled_reason`),
+    because every subsequent write would fail the same way and each
+    cell's result is still available through the in-process memo.  The
+    disablement expires after the ``_REARM_S`` cooldown (60s): this
+    check then re-arms persistence and the next store re-probes the
+    disk — one failed syscall if it is still full, a working cache if
+    it drained.  Per-process lifetimes (the experiment service)
+    therefore recover without a sweep boundary.  A ``REPRO_CACHE``
+    value that is no on/off spelling raises ``ValueError`` (see
+    :func:`repro.config.env_switch`).
     """
     global _disabled_reason, _disabled_at
     if _disabled_reason is not None:
         if (_disabled_at is None
-                or time.monotonic() - _disabled_at < _rearm_after_s()):
+                or time.monotonic() - _disabled_at < _REARM_S):
             return False
         _disabled_reason = None
         _disabled_at = None
         _STATS.rearms += 1
         print("!! result cache re-armed after cooldown; next store "
               "re-probes the disk", file=sys.stderr)
-    return os.environ.get("REPRO_CACHE", "on").strip().lower() not in _FALSEY
+    return env_switch("REPRO_CACHE")
 
 
 def cache_disabled_reason() -> str | None:
@@ -197,7 +160,7 @@ def _disable_cache(reason: str) -> None:
         _disabled_at = time.monotonic()
         print(f"!! result cache disabled: {reason} (cells keep "
               f"completing; only persistence stops; re-probing in "
-              f"{_rearm_after_s():g}s)", file=sys.stderr)
+              f"{_REARM_S:g}s)", file=sys.stderr)
 
 
 def iter_source_files(pkg_root: str):
@@ -271,13 +234,7 @@ class ResultCache:
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-            if (len(blob) <= _FOOTER_LEN
-                    or blob[-_FOOTER_LEN:-32] != _FOOTER_MAGIC
-                    or hashlib.sha256(blob[:-_FOOTER_LEN]).digest()
-                    != blob[-32:]):
-                raise ValueError("cache entry truncated or corrupt "
-                                 "(checksum footer mismatch)")
-            entry = pickle.loads(blob[:-_FOOTER_LEN])
+            entry = pickle.loads(unseal(blob, _FOOTER_MAGIC))
             if entry.get("cell") != cell_id:  # hash collision / tamper
                 raise ValueError("cache entry does not match its key")
             _STATS.hits += 1
@@ -301,19 +258,16 @@ class ResultCache:
         payload = pickle.dumps({"cell": cell_id, "scale": scale_name,
                                 "value": value},
                                protocol=pickle.HIGHEST_PROTOCOL)
-        try:
+
+        def chunks():
+            # the chaos point fires inside the write, like a real ENOSPC
             maybe_chaos_enospc(cell_id)
-            with atomic_open(path, "wb") as fh:
-                fh.write(payload)
-                fh.write(_FOOTER_MAGIC)
-                fh.write(hashlib.sha256(payload).digest())
-        except OSError as exc:
-            if exc.errno in (errno.ENOSPC, errno.EDQUOT):
-                _STATS.write_errors += 1
-                _disable_cache(f"{exc.strerror or 'disk full'} while "
-                               f"writing {path}")
-                return None
-            raise
+            yield payload
+        if not write_sealed(path, chunks(), _FOOTER_MAGIC):
+            _STATS.write_errors += 1
+            _disable_cache(f"No space left on device (or quota exceeded) "
+                           f"while writing {path}")
+            return None
         _STATS.stores += 1
         return path
 

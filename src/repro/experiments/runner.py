@@ -305,8 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     # ---- Telemetry: cache counters + optional trace session ----------
     stats = reset_cache_stats()
     from ..kernels.matcache import matrix_cache
-    from ..kernels.tabcache import table_cache_enabled, table_stats
-    matrix_cache().reset_stats()
+    from ..kernels.lut import lut_enabled
+    from ..kernels.tabcache import table_stats
+    matrix_cache().counters.reset()
     table_stats().reset()
     if args.trace and jobs != 1:
         print(f"note: --trace forces --jobs 1 (was {jobs}); worker "
@@ -416,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         **mstats})
     tstats = table_stats().as_dict()
     manifest.record_section("table_cache", {
-        "scale": scale.name, "enabled": table_cache_enabled(),
+        "scale": scale.name, "enabled": lut_enabled(),
         **tstats})
     if args.cache_stats:
         s = stats.as_dict()
@@ -432,8 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"table cache: {tstats['hits']} hits, "
               f"{tstats['misses']} misses, {tstats['builds']} builds, "
               f"{tstats['invalidations']} invalidations"
-              + ("" if table_cache_enabled()
-                 else " [REPRO_TABLE_CACHE=off]"))
+              + ("" if lut_enabled() else " [REPRO_LUT=off]"))
 
     total_s = time.time() - sweep_t0
     if bench:

@@ -15,11 +15,12 @@ conformance suites hold them to that):
     :func:`lut.rounding_table` and :func:`lut.two_level_table`.
 :mod:`repro.kernels.tabcache`
     Persistent on-disk table store under ``results/.cache/tables/``:
-    the dense and two-level LUT arrays are serialized with a checksum
-    footer and mmap-loaded back, keyed by (format key, code
-    fingerprint), so pool workers and the long-lived service build
-    posit32/takum32 tables once per machine instead of once per
-    process.  ``REPRO_TABLE_CACHE=off`` opts out.
+    the dense and two-level LUT arrays are written as sealed records
+    (:func:`repro.resilience.atomic.write_sealed`, the checksum footer
+    the result cache uses too) and mmap-loaded back, keyed by (format
+    key, code fingerprint), so pool workers and the long-lived service
+    build posit32/takum32 tables once per machine instead of once per
+    process.
 :mod:`repro.kernels.gemm`
     Blocked rounded GEMM: the rank-1 term cube is tiled into (i, j)
     panels quantized once each, preserving the summation schedule

@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 import threading
 from typing import Callable, Hashable
 
 import numpy as np
+
+from ..config import env_switch
 
 __all__ = ["RoundingTable", "TwoLevelTable", "lut_enabled",
            "max_eligible_n", "rounding_table", "two_level_table",
@@ -82,8 +83,7 @@ _INT64_MIN = np.int64(np.iinfo(np.int64).min)
 _TABLES: dict[Hashable, "RoundingTable"] = {}
 _TABLES2: dict[Hashable, "TwoLevelTable"] = {}
 
-_ENABLED = os.environ.get("REPRO_LUT", "").strip().lower() not in (
-    "off", "0", "no", "false")
+_ENABLED = env_switch("REPRO_LUT")
 
 
 def lut_enabled() -> bool:

@@ -14,56 +14,48 @@ rebuild would produce (derivations are deterministic), and solvers
 treat their inputs as read-only, as they already must for the memoized
 ``suite_systems`` arrays.
 
-Knobs: ``REPRO_MATRIX_CACHE=off`` disables caching (every lookup
-builds), ``REPRO_MATRIX_CACHE_SIZE`` bounds the entry count (default
-64).  Misses are traced as ``matrix.derive`` spans through the ambient
-tracer; hit/miss/eviction counts surface in the sweep manifest and
-``--cache-stats``.
+``REPRO_MATRIX_CACHE=off`` disables caching (every lookup builds); each
+process keeps at most 64 entries.  Misses are traced as
+``matrix.derive`` spans through the ambient tracer; hit/miss/eviction
+counts surface in the sweep manifest and ``--cache-stats``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
+from ..config import env_switch
+from ..telemetry.counters import Counters
 from ..telemetry.trace import span
 
-__all__ = ["MatrixCache", "matrix_cache", "matrix_cache_enabled",
-           "reset_matrix_cache"]
+__all__ = ["MatrixCache", "MatrixCacheStats", "matrix_cache",
+           "matrix_cache_enabled", "reset_matrix_cache"]
 
 _DEFAULT_CAPACITY = 64
 
 
 def matrix_cache_enabled() -> bool:
     """True unless disabled via ``REPRO_MATRIX_CACHE=off``."""
-    return os.environ.get("REPRO_MATRIX_CACHE", "").strip().lower() \
-        not in ("off", "0", "no", "false")
+    return env_switch("REPRO_MATRIX_CACHE")
 
 
-def _capacity_from_env() -> int:
-    raw = os.environ.get("REPRO_MATRIX_CACHE_SIZE", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _DEFAULT_CAPACITY
+class MatrixCacheStats(Counters):
+    """Lookup counters of one :class:`MatrixCache`."""
+
+    __slots__ = ("hits", "misses", "evictions")
 
 
 class MatrixCache:
     """A bounded LRU of derived-matrix objects with hit/miss counters."""
 
-    def __init__(self, capacity: int | None = None,
+    def __init__(self, capacity: int = _DEFAULT_CAPACITY,
                  enabled: bool | None = None):
-        self.capacity = _capacity_from_env() if capacity is None \
-            else max(1, int(capacity))
+        self.capacity = max(1, int(capacity))
         self.enabled = matrix_cache_enabled() if enabled is None \
             else bool(enabled)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counters = MatrixCacheStats()
 
     def get_or_build(self, key: Hashable,
                      builder: Callable[[], Any]) -> Any:
@@ -75,50 +67,27 @@ class MatrixCache:
         if not self.enabled:
             return builder()
         if key in self._entries:
-            self.hits += 1
+            self.counters.hits += 1
             self._entries.move_to_end(key)
             return self._entries[key]
         with span("matrix.derive", key="/".join(map(str, key))
                   if isinstance(key, tuple) else str(key)):
             value = builder()
-        self.misses += 1
+        self.counters.misses += 1
         self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self.counters.evictions += 1
         return value
 
     def stats(self) -> dict[str, int]:
         """Counters plus current size, manifest-ready."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries)}
-
-    def snapshot(self) -> tuple[int, int, int]:
-        """Counter snapshot for delta accounting across a cell."""
-        return (self.hits, self.misses, self.evictions)
-
-    def delta_since(self, snap: tuple[int, int, int]) -> dict[str, int]:
-        """Counter movement since :meth:`snapshot` (worker → parent)."""
-        return {"hits": self.hits - snap[0],
-                "misses": self.misses - snap[1],
-                "evictions": self.evictions - snap[2]}
-
-    def absorb(self, delta: dict[str, int] | None) -> None:
-        """Fold a worker's counter delta into this (parent) cache."""
-        if not delta:
-            return
-        self.hits += int(delta.get("hits", 0))
-        self.misses += int(delta.get("misses", 0))
-        self.evictions += int(delta.get("evictions", 0))
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = 0
+        return {**self.counters.as_dict(), "entries": len(self._entries)}
 
     def clear(self) -> None:
         """Drop entries and counters (tests)."""
         self._entries.clear()
-        self.reset_stats()
+        self.counters.reset()
 
 
 _CACHE: MatrixCache | None = None
@@ -133,6 +102,6 @@ def matrix_cache() -> MatrixCache:
 
 
 def reset_matrix_cache() -> None:
-    """Drop the singleton so the next use re-reads the env knobs."""
+    """Drop the singleton so the next use re-reads ``REPRO_MATRIX_CACHE``."""
     global _CACHE
     _CACHE = None

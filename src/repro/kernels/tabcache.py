@@ -18,19 +18,20 @@ File format (all little-endian, numpy-native):
 * one UTF-8 JSON header line (``format`` registry name, ``kind``,
   ``key`` repr, per-array dtype/shape/offset metadata),
 * the raw C-contiguous array bytes at 64-byte-aligned offsets,
-* the :mod:`repro.experiments.cache` checksum-footer discipline —
-  magic + sha256 over everything before it — so a truncated or
-  bit-rotted file is *detected*, dropped, and rebuilt, never trusted.
+* the sealed-record footer of :mod:`repro.resilience.atomic` shared
+  with the result cache — magic ``RPRTv1`` + sha256 over everything
+  before it — so a truncated or bit-rotted file is *detected*,
+  dropped, and rebuilt, never trusted.
 
 Only the arrays are persisted.  The callables a table carries (the
 trusted reference rounder, the affine step/post hooks) are re-bound
 from the live format object at load time, so a cache file can never
 smuggle stale behaviour past the code fingerprint.
 
-Writes are atomic (:func:`repro.resilience.atomic.atomic_open`) and
+Writes are atomic (:func:`repro.resilience.atomic.write_sealed`) and
 ENOSPC-tolerant: a full disk counts a ``write_error`` and the build
-proceeds uncached.  ``REPRO_TABLE_CACHE=off`` disables the cache (read
-per call); counters surface in the sweep manifest and
+proceeds uncached.  ``REPRO_LUT=off`` builds no tables, so the store
+stays untouched; counters surface in the sweep manifest and
 ``--cache-stats``, and :func:`preload_cached` lets pool workers warm
 every table the machine has already built before their first cell.
 """
@@ -38,7 +39,6 @@ every table the machine has already built before their first cell.
 from __future__ import annotations
 
 import contextlib
-import errno
 import hashlib
 import json
 import mmap
@@ -47,7 +47,10 @@ from typing import Hashable
 
 import numpy as np
 
-__all__ = ["TableCacheStats", "table_cache_enabled", "table_stats",
+from ..resilience import atomic
+from ..telemetry.counters import Counters
+
+__all__ = ["TableCacheStats", "table_stats",
            "load_arrays", "store_arrays", "preload_cached",
            "table_cache_dir", "entry_path", "clear_table_cache",
            "TABLE_DIR_NAME", "SUFFIX"]
@@ -57,77 +60,24 @@ TABLE_DIR_NAME = "tables"
 
 SUFFIX = ".rpt"
 
-#: footer discipline shared with the result cache (RPRCv1), distinct
-#: magic so a table file can never be mistaken for a pickle entry
+#: sealed-record magic, distinct from the result cache's (RPRCv1) so a
+#: table file can never be mistaken for a pickle entry
 _FOOTER_MAGIC = b"RPRTv1"
-_FOOTER_LEN = len(_FOOTER_MAGIC) + hashlib.sha256().digest_size
 
 _ALIGN = 64
 
-_FALSEY = ("off", "0", "no", "false", "disabled")
 
-
-def table_cache_enabled() -> bool:
-    """True unless disabled via ``REPRO_TABLE_CACHE=off`` (per call)."""
-    return os.environ.get("REPRO_TABLE_CACHE", "").strip().lower() \
-        not in _FALSEY
-
-
-class TableCacheStats:
+class TableCacheStats(Counters):
     """Process-wide table-cache counters (``--cache-stats``).
 
     ``hits`` are mmap loads, ``misses`` are lookups that found no
-    usable file, ``builds`` count the bisection builds (after a miss,
-    or with the cache disabled), ``invalidations`` count corrupt files
-    dropped on read, and
-    ``write_errors`` count stores the disk refused.  The
-    snapshot/delta/absorb trio mirrors :class:`.matcache.MatrixCache`
-    so pool workers report their traffic to the parent.
+    usable file, ``builds`` count the bisection builds that follow a
+    miss, ``invalidations`` count corrupt files dropped on read, and
+    ``write_errors`` count stores the disk refused.
     """
 
     __slots__ = ("hits", "misses", "builds", "invalidations",
                  "write_errors")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.invalidations = 0
-        self.write_errors = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "builds": self.builds,
-                "invalidations": self.invalidations,
-                "write_errors": self.write_errors}
-
-    def snapshot(self) -> tuple[int, int, int, int, int]:
-        return (self.hits, self.misses, self.builds, self.invalidations,
-                self.write_errors)
-
-    def delta_since(self, snap) -> dict[str, int]:
-        return {"hits": self.hits - snap[0],
-                "misses": self.misses - snap[1],
-                "builds": self.builds - snap[2],
-                "invalidations": self.invalidations - snap[3],
-                "write_errors": self.write_errors - snap[4]}
-
-    def absorb(self, delta: dict[str, int] | None) -> None:
-        if not delta:
-            return
-        self.hits += int(delta.get("hits", 0))
-        self.misses += int(delta.get("misses", 0))
-        self.builds += int(delta.get("builds", 0))
-        self.invalidations += int(delta.get("invalidations", 0))
-        self.write_errors += int(delta.get("write_errors", 0))
-
-    def __repr__(self) -> str:
-        return (f"<TableCacheStats {self.hits} hits / "
-                f"{self.hits + self.misses} lookups, "
-                f"{self.builds} builds>")
 
 
 _STATS = TableCacheStats()
@@ -162,14 +112,10 @@ def store_arrays(kind: str, key: Hashable, fmt_name: str,
                  arrays: dict[str, np.ndarray]) -> str | None:
     """Persist named arrays for (kind, key); returns the path or None.
 
-    A full disk (``ENOSPC``/``EDQUOT``) is tolerated — the table keeps
+    A full disk is tolerated (a ``write_error``) — the table keeps
     working from memory, only persistence is skipped.
     """
-    if not table_cache_enabled():
-        return None
-    from ..resilience.atomic import atomic_open
     metas = []
-    offset = 0
     blobs = []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
@@ -177,40 +123,28 @@ def store_arrays(kind: str, key: Hashable, fmt_name: str,
                       "shape": list(arr.shape), "offset": None,
                       "nbytes": arr.nbytes})
         blobs.append(arr.tobytes())
-    header_stub = json.dumps({"version": 1, "kind": kind,
-                              "format": fmt_name, "key": repr(key),
-                              "arrays": metas}, sort_keys=True)
+
+    def header_line() -> bytes:
+        return json.dumps({"version": 1, "kind": kind, "format": fmt_name,
+                           "key": repr(key), "arrays": metas},
+                          sort_keys=True).encode()
     # reserve generous room for the offsets we fill in below, then pad
     # the header line itself to an aligned length
-    head_len = len(header_stub.encode()) + 16 * len(metas) + _ALIGN
+    head_len = len(header_line()) + 16 * len(metas) + _ALIGN
     head_len += (-head_len - 1) % _ALIGN + 1  # +1 for the newline
     offset = head_len
     for meta, blob in zip(metas, blobs):
         meta["offset"] = offset
         offset += len(blob) + (-len(blob)) % _ALIGN
-    header = json.dumps({"version": 1, "kind": kind, "format": fmt_name,
-                         "key": repr(key), "arrays": metas},
-                        sort_keys=True).encode()
+    header = header_line()
     header = header + b" " * (head_len - 1 - len(header)) + b"\n"
-    digest = hashlib.sha256()
+    chunks = [header]
+    for blob in blobs:
+        chunks += [blob, b"\0" * ((-len(blob)) % _ALIGN)]
     path = entry_path(kind, key)
-    try:
-        with atomic_open(path, "wb") as fh:
-            digest.update(header)
-            fh.write(header)
-            for blob in blobs:
-                pad = b"\0" * ((-len(blob)) % _ALIGN)
-                digest.update(blob)
-                digest.update(pad)
-                fh.write(blob)
-                fh.write(pad)
-            fh.write(_FOOTER_MAGIC)
-            fh.write(digest.digest())
-    except OSError as exc:
-        if exc.errno in (errno.ENOSPC, errno.EDQUOT):
-            _STATS.write_errors += 1
-            return None
-        raise
+    if not atomic.write_sealed(path, chunks, _FOOTER_MAGIC):
+        _STATS.write_errors += 1
+        return None
     return path
 
 
@@ -231,37 +165,32 @@ def load_arrays(kind: str, key: Hashable) -> dict[str, np.ndarray] | None:
     byte is trusted; a corrupt file is deleted (counted as an
     invalidation) so the caller rebuilds and re-stores it.
     """
-    if not table_cache_enabled():
-        return None
     path = entry_path(kind, key)
     try:
         with open(path, "rb") as fh:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError):
+            # mmap refuses empty files; unseal rejects b"" instead
+            mm = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                  if os.fstat(fh.fileno()).st_size else b"")
+    except OSError:
         _STATS.misses += 1
         return None
     try:
-        if (len(mm) <= _FOOTER_LEN
-                or mm[-_FOOTER_LEN:-32] != _FOOTER_MAGIC
-                or hashlib.sha256(
-                    memoryview(mm)[:len(mm) - _FOOTER_LEN]).digest()
-                != mm[-32:]):
-            raise ValueError("table cache file truncated or corrupt "
-                             "(checksum footer mismatch)")
-        head = json.loads(mm[:mm.find(b"\n")].decode())
+        body = atomic.unseal(mm, _FOOTER_MAGIC)
+        head = json.loads(bytes(body[:mm.find(b"\n")]))
         if head.get("kind") != kind or head.get("key") != repr(key):
             raise ValueError("table cache file does not match its key")
         out = {}
         for meta in head["arrays"]:
-            arr = np.frombuffer(mm, dtype=np.dtype(meta["dtype"]),
+            arr = np.frombuffer(body, dtype=np.dtype(meta["dtype"]),
                                 count=int(np.prod(meta["shape"],
                                                   dtype=np.int64)),
                                 offset=meta["offset"])
             out[meta["name"]] = arr.reshape(meta["shape"])
     except Exception:
-        out = None  # release any frombuffer views before closing
-        with contextlib.suppress(BufferError):
-            mm.close()
+        out = body = None  # release any buffer views before closing
+        if isinstance(mm, mmap.mmap):
+            with contextlib.suppress(BufferError):
+                mm.close()
         with contextlib.suppress(OSError):
             os.unlink(path)
         _STATS.misses += 1
@@ -285,7 +214,7 @@ def preload_cached() -> int:
     non-fatal).
     """
     from .lut import lut_enabled
-    if not (table_cache_enabled() and lut_enabled()):
+    if not lut_enabled():
         return 0
     try:
         names = sorted(os.listdir(table_cache_dir()))

@@ -47,11 +47,9 @@ from typing import Any, Callable, Sequence
 from ..config import RunScale
 from ..experiments import common
 from ..experiments.engine import CellOutcome
-from ..kernels import tabcache
-from ..kernels.matcache import matrix_cache
 from ..resilience.isolation import backoff_delays, jittered
 from ..telemetry.trace import span
-from .worker import worker_main
+from .worker import cache_counters, worker_main
 
 __all__ = ["CrashRecord", "SupervisedPool", "SupervisionReport"]
 
@@ -394,9 +392,8 @@ class SupervisedPool:
                 continue
             _, _worker, cell, status, value, duration, error, delta = \
                 message
-            matrix_cache().absorb(delta)
-            if isinstance(delta, dict):
-                tabcache.table_stats().absorb(delta.get("tables"))
+            for name, counters in cache_counters().items():
+                counters.absorb(delta.get(name))
             handle.cell = None
             handle.term_sent_at = None
             if status == "completed":

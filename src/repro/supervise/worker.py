@@ -40,11 +40,23 @@ import time
 
 from ..config import SCALES
 from ..experiments import common, engine
+from ..experiments.cache import cache_stats
 from ..kernels import tabcache
 from ..kernels.matcache import matrix_cache
 from .chaos import chaos_worker_entry
 
-__all__ = ["worker_main"]
+__all__ = ["worker_main", "cache_counters"]
+
+
+def cache_counters() -> dict:
+    """This process's counters of the three caches, by delta key.
+
+    A worker ships ``delta_since`` of each after every cell and the
+    parent absorbs each into its own, so a pooled sweep reports the
+    same cache traffic as a serial one.
+    """
+    return {"results": cache_stats(), "matrix": matrix_cache().counters,
+            "tables": tabcache.table_stats()}
 
 
 def worker_main(conn, worker: str, heartbeat_interval: float = 1.0) -> None:
@@ -111,8 +123,8 @@ def worker_main(conn, worker: str, heartbeat_interval: float = 1.0) -> None:
             # before any compute time is sunk
             chaos_worker_entry(cell.cell_id, int(attempt))
             scale = SCALES[scale_name]
-            snap = matrix_cache().snapshot()
-            tsnap = tabcache.table_stats().snapshot()
+            snaps = {name: counters.snapshot()
+                     for name, counters in cache_counters().items()}
             # resolved through the module so tests can monkeypatch
             # engine.compute_cell and have forked workers see it
             status, value, duration, error = engine._run_cell_guarded(
@@ -121,10 +133,8 @@ def worker_main(conn, worker: str, heartbeat_interval: float = 1.0) -> None:
                 # worker-side persistence: survives a dying parent
                 common.store_cell(cell, scale, value)
             current["cell"] = None
-            delta = matrix_cache().delta_since(snap)
-            # table-cache traffic rides in the same delta dict (the
-            # matrix-cache absorb ignores unknown keys)
-            delta["tables"] = tabcache.table_stats().delta_since(tsnap)
+            delta = {name: counters.delta_since(snaps[name])
+                     for name, counters in cache_counters().items()}
             send(("result", worker, cell, status, value, duration,
                   error, delta))
     finally:

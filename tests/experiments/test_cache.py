@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro.experiments.cache as cache_mod
 from repro.config import SCALES
 from repro.experiments import common
 from repro.experiments.cache import (CACHE_DIR_NAME, ResultCache,
@@ -16,6 +19,21 @@ from repro.experiments.cache import (CACHE_DIR_NAME, ResultCache,
                                      code_fingerprint, result_cache,
                                      reset_cache_stats)
 from repro.experiments.common import Cell, cell_value, clear_cache
+from repro.kernels.matcache import matrix_cache_enabled
+
+#: every on/off switch read per call, with its reader
+SWITCHES = {"REPRO_CACHE": cache_enabled,
+            "REPRO_MATRIX_CACHE": matrix_cache_enabled}
+
+
+def _lut_enabled_in_subprocess(value: str) -> subprocess.CompletedProcess:
+    """``lut.lut_enabled()`` under ``REPRO_LUT=value`` (read at import)."""
+    env = dict(os.environ, REPRO_LUT=value,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "from repro.kernels import lut; print(lut.lut_enabled())"],
+        env=env, capture_output=True, text=True)
 
 
 @pytest.fixture(autouse=True)
@@ -102,51 +120,22 @@ class TestResultCache:
 
 class TestChecksumFooter:
     """Entries carry sha256 footers: damage is detected, not inferred
-    from unpickling luck."""
+    from unpickling luck (every damage case, for both sealed formats,
+    is in ``tests/resilience/test_sealed.py``)."""
 
     def test_entry_ends_with_magic_and_checksum(self, tmp_path):
         import hashlib
 
-        from repro.experiments.cache import _FOOTER_LEN, _FOOTER_MAGIC
+        from repro.experiments.cache import _FOOTER_MAGIC
+        footer_len = len(_FOOTER_MAGIC) + 32
         cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
         cache.put("cg:a:fp32", "small", {"x": 1.5})
         with open(cache.entry_path("cg:a:fp32", "small"), "rb") as fh:
             blob = fh.read()
-        payload = blob[:-_FOOTER_LEN]
-        assert blob[-_FOOTER_LEN:-32] == _FOOTER_MAGIC
+        payload = blob[:-footer_len]
+        assert blob[-footer_len:-32] == _FOOTER_MAGIC
         assert blob[-32:] == hashlib.sha256(payload).digest()
         assert pickle.loads(payload)["value"] == {"x": 1.5}
-
-    def test_single_flipped_byte_is_detected(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
-        cache.put("cg:a:fp32", "small", list(range(50)))
-        path = cache.entry_path("cg:a:fp32", "small")
-        with open(path, "r+b") as fh:
-            fh.seek(10)
-            byte = fh.read(1)
-            fh.seek(10)
-            fh.write(bytes([byte[0] ^ 0xFF]))
-        assert cache.get("cg:a:fp32", "small") == (False, None)
-        assert not os.path.exists(path)
-
-    def test_footerless_legacy_entry_is_invalidated(self, tmp_path):
-        # a bare pickle (pre-footer format) must be dropped, not served
-        cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
-        path = cache.entry_path("cg:a:fp32", "small")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump({"cell": "cg:a:fp32", "scale": "small",
-                         "value": 7}, fh)
-        assert cache.get("cg:a:fp32", "small") == (False, None)
-        assert cache_stats().invalidations == 1
-
-    def test_truncation_inside_the_footer_is_detected(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
-        cache.put("cg:a:fp32", "small", 7)
-        path = cache.entry_path("cg:a:fp32", "small")
-        with open(path, "r+b") as fh:
-            fh.truncate(os.path.getsize(path) - 1)
-        assert cache.get("cg:a:fp32", "small") == (False, None)
 
 
 class TestEnospcDegradation:
@@ -193,9 +182,9 @@ class TestEnospcDegradation:
                                                     full_disk,
                                                     monkeypatch):
         """A long-lived process (the experiment service) recovers once
-        the ``REPRO_CACHE_REARM_S`` cooldown expires — no
-        reset_cache_stats() required."""
-        monkeypatch.setenv("REPRO_CACHE_REARM_S", "0")
+        the ``_REARM_S`` cooldown expires — no reset_cache_stats()
+        required."""
+        monkeypatch.setattr(cache_mod, "_REARM_S", 0.0)
         cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
         cache.put("cg:a:fp32", "small", 1)
         assert cache_disabled_reason() is not None
@@ -210,7 +199,7 @@ class TestEnospcDegradation:
     def test_still_full_disk_redisables_after_rearm(self, tmp_path,
                                                     full_disk,
                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_REARM_S", "0")
+        monkeypatch.setattr(cache_mod, "_REARM_S", 0.0)
         cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
         cache.put("cg:a:fp32", "small", 1)
         assert cache_disabled_reason() is not None
@@ -224,31 +213,19 @@ class TestEnospcDegradation:
 
     def test_disabled_until_cooldown_expires(self, tmp_path, full_disk,
                                              monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_REARM_S", "3600")
+        monkeypatch.setattr(cache_mod, "_REARM_S", 3600.0)
         cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
         cache.put("cg:a:fp32", "small", 1)
         monkeypatch.delenv("REPRO_CHAOS")
         assert not cache_enabled()               # cooldown still running
         assert cache_stats().rearms == 0
 
-    def test_bad_rearm_env_is_rejected(self, monkeypatch, full_disk,
-                                       tmp_path):
-        from repro.experiments.cache import _rearm_after_s
-        monkeypatch.setenv("REPRO_CACHE_REARM_S", "soon")
-        with pytest.raises(ValueError, match="not a number"):
-            _rearm_after_s()
-        monkeypatch.setenv("REPRO_CACHE_REARM_S", "-5")
-        with pytest.raises(ValueError, match="must be >= 0"):
-            _rearm_after_s()
-        monkeypatch.delenv("REPRO_CACHE_REARM_S")
-        assert _rearm_after_s() == 60.0
-
     def test_other_oserrors_still_raise(self, tmp_path, monkeypatch):
-        import repro.experiments.cache as cache_mod
+        import repro.resilience.atomic as atomic
 
         def explode(path, mode):
             raise PermissionError("not a full disk")
-        monkeypatch.setattr(cache_mod, "atomic_open", explode)
+        monkeypatch.setattr(atomic, "atomic_open", explode)
         cache = ResultCache(str(tmp_path / "c"), fingerprint="f1")
         with pytest.raises(PermissionError):
             cache.put("cg:a:fp32", "small", 1)
@@ -262,8 +239,29 @@ class TestCacheEnv:
     @pytest.mark.parametrize("value", ["off", "0", "no", "FALSE",
                                        " disabled "])
     def test_opt_out_spellings(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_CACHE", value)
-        assert not cache_enabled()
+        for name, enabled in SWITCHES.items():
+            monkeypatch.setenv(name, value)
+            assert not enabled(), name
+        proc = _lut_enabled_in_subprocess(value)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("value", ["on", "1", "Yes", " TRUE ", ""])
+    def test_opt_in_spellings(self, monkeypatch, value):
+        for name, enabled in SWITCHES.items():
+            monkeypatch.setenv(name, value)
+            assert enabled(), name
+
+    @pytest.mark.parametrize("name", [*SWITCHES, "REPRO_LUT"])
+    def test_unknown_value_raises(self, monkeypatch, name):
+        if name == "REPRO_LUT":
+            proc = _lut_enabled_in_subprocess("of")
+            assert proc.returncode != 0
+            assert "REPRO_LUT='of'" in proc.stderr
+            return
+        monkeypatch.setenv(name, "of")
+        with pytest.raises(ValueError, match=f"{name}='of'.*disabled"):
+            SWITCHES[name]()
 
     def test_off_disables_disk_layer(self, _isolated, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")

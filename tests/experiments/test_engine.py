@@ -176,6 +176,25 @@ class TestByteIdenticalArtifacts:
             parallel = fh.read()
         assert serial == parallel and serial.count(b"\n") > 1
 
+    def test_pooled_cache_counters_match_serial(self, tmp_path,
+                                                monkeypatch):
+        """Workers store the results, and their counter deltas reach
+        the parent: the manifest's cache section is the same."""
+        from repro.resilience.manifest import MANIFEST_NAME, RunManifest
+        _register_mini(monkeypatch)
+        sections = {}
+        for jobs in ("1", "2"):
+            clear_cache()
+            results = tmp_path / f"jobs{jobs}"
+            monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+            assert main(["zz-mini", "--jobs", jobs]) == 0
+            sections[jobs] = RunManifest(
+                str(results / MANIFEST_NAME)).load().get_section("cache")
+        cells = len(_mini_cells(SMALL))
+        assert sections["1"]["stores"] == cells
+        for key in ("stores", "misses", "lookups"):
+            assert sections["2"][key] == sections["1"][key], key
+
 
 class TestCellGranularResume:
     """A killed sweep re-executes only the cells that never finished."""

@@ -39,7 +39,7 @@ class TestMatrixCache:
         cache.get_or_build("b", object)
         cache.get_or_build("a", object)       # refresh a
         cache.get_or_build("c", object)       # evicts b, not a
-        assert cache.evictions == 1
+        assert cache.counters.evictions == 1
         assert cache.get_or_build("a", object) is a     # still cached
         rebuilt = []
         cache.get_or_build("b", lambda: rebuilt.append(1) or object())
@@ -63,24 +63,23 @@ class TestMatrixCache:
 
     def test_delta_and_absorb(self):
         worker = MatrixCache(capacity=4, enabled=True)
-        snap = worker.snapshot()
+        snap = worker.counters.snapshot()
         worker.get_or_build("k", object)
         worker.get_or_build("k", object)
-        delta = worker.delta_since(snap)
+        delta = worker.counters.delta_since(snap)
         assert delta == {"hits": 1, "misses": 1, "evictions": 0}
         parent = MatrixCache(capacity=4, enabled=True)
-        parent.absorb(delta)
-        parent.absorb(None)                     # tolerated
-        assert parent.hits == 1 and parent.misses == 1
+        parent.counters.absorb(delta)
+        parent.counters.absorb(None)            # tolerated
+        assert parent.counters.hits == 1 and parent.counters.misses == 1
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_MATRIX_CACHE", "off")
-        monkeypatch.setenv("REPRO_MATRIX_CACHE_SIZE", "3")
         assert not matrix_cache_enabled()
         reset_matrix_cache()
         cache = matrix_cache()
         assert cache.enabled is False
-        assert cache.capacity == 3
+        assert cache.capacity == 64
 
     def test_singleton_identity(self):
         assert matrix_cache() is matrix_cache()
@@ -114,6 +113,6 @@ class TestCellWiring:
         matrix_cache().clear()
         cold = _compute_cell(cell, scale)
         warm = _compute_cell(cell, scale)      # rescale now a hit
-        assert matrix_cache().hits >= 1
+        assert matrix_cache().counters.hits >= 1
         assert np.float64(cold) == np.float64(warm) or (
             np.isnan(cold) and np.isnan(warm))

@@ -23,7 +23,6 @@ from repro.kernels import lut, tabcache
 def tabenv(tmp_path, monkeypatch):
     """Isolated table store + clean in-memory caches and counters."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_TABLE_CACHE", raising=False)
     lut.clear_tables()
     tabcache.table_stats().reset()
     yield tmp_path
@@ -95,12 +94,13 @@ class TestStoreLoad:
         assert _stats().invalidations == 1
 
     def test_disabled_by_env(self, tabenv, monkeypatch):
-        monkeypatch.setenv("REPRO_TABLE_CACHE", "off")
-        assert not tabcache.table_cache_enabled()
-        assert tabcache.store_arrays("dense", ("o",), "f",
-                                     _sample_arrays()) is None
-        assert tabcache.load_arrays("dense", ("o",)) is None
+        """``REPRO_LUT=off`` (toggled in-process) never touches the
+        store: no table is built, loaded or written."""
+        monkeypatch.setattr(lut, "_ENABLED", False)
+        PositFormat(10, 0).round(np.linspace(0.1, 1.0, 50))
+        PositFormat(32, 2).round(np.linspace(0.1, 1.0, 5000))
         assert _stats().snapshot() == (0, 0, 0, 0, 0)
+        assert not os.path.isdir(tabcache.table_cache_dir())
 
     def test_enospc_is_tolerated(self, tabenv, monkeypatch):
         import repro.resilience.atomic as atomic
@@ -200,7 +200,9 @@ class TestPreload:
         assert tabcache.preload_cached() == 0
 
     def test_preload_disabled(self, tabenv, monkeypatch):
-        monkeypatch.setenv("REPRO_TABLE_CACHE", "off")
+        PositFormat(10, 0)._lut_table()  # seeds the store
+        lut.clear_tables()
+        monkeypatch.setattr(lut, "_ENABLED", False)  # REPRO_LUT=off
         assert tabcache.preload_cached() == 0
 
     def test_preload_empty_dir(self, tabenv):
