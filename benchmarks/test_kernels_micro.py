@@ -99,12 +99,12 @@ def test_context_ops(name, n):
 
 @pytest.mark.parametrize("mname", kbench.SPARSE_MATRICES)
 def test_sparse_matvec(mname, monkeypatch):
-    """ELL vs padded-CSR vs segmented-CSR at full matrix dimension.
+    """Padded vs segmented CSR route at full matrix dimension.
 
-    Correctness guard first: all three routes must agree bit-for-bit
-    on the benchmarked system before their timings are committed.
+    Correctness guard first: both routes must agree bit-for-bit on the
+    benchmarked system before their timings are committed.
     """
-    from repro.arith import CSRMatrix, ELLMatrix, FPContext
+    from repro.arith import CSRMatrix, FPContext
     from repro.config import SCALES
     from repro.matrices import load_matrix
 
@@ -113,20 +113,18 @@ def test_sparse_matvec(mname, monkeypatch):
     x = rng.standard_normal(A.shape[0])
     for fname in kbench.SPARSE_FORMATS:
         ctx = FPContext(fname)
-        ell = ctx.asarray(ELLMatrix.from_dense(A))
         csr = ctx.asarray(CSRMatrix.from_dense(A))
-        want = ctx.matvec(ell, x)
         # PAD_RATIO = inf forces the padded route, 0 the segmented one
-        for ratio in (math.inf, 0.0):
-            monkeypatch.setattr(segment, "PAD_RATIO", ratio)
-            np.testing.assert_array_equal(
-                want.view(np.int64), ctx.matvec(csr, x).view(np.int64))
+        monkeypatch.setattr(segment, "PAD_RATIO", math.inf)
+        want = ctx.matvec(csr, x)
+        monkeypatch.setattr(segment, "PAD_RATIO", 0.0)
+        np.testing.assert_array_equal(
+            want.view(np.int64), ctx.matvec(csr, x).view(np.int64))
     entries = kbench.sparse_microbench(matrices=(mname,))
     for key, entry in entries.items():
         entry["seconds"] = round(entry["seconds"], 9)
-        for extra in ("padded_s", "ell_s"):
-            if extra in entry:
-                entry[extra] = round(entry[extra], 9)
+        if "padded_s" in entry:
+            entry["padded_s"] = round(entry["padded_s"], 9)
         assert entry["seconds"] > 0
     _RESULTS.update(entries)
 

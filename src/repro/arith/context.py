@@ -28,7 +28,7 @@ from ..kernels import gemm as _gemm_kernels
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold, use_segmented
 from .shapes import require_conformant, require_product
-from .sparse import CSRMatrix, ELLMatrix
+from .sparse import CSRMatrix
 from .summation import SUM_ORDERS, rounded_sum_last_axis
 
 __all__ = ["FPContext", "INSTRUMENT_KINDS", "get_active_injector",
@@ -217,12 +217,10 @@ class FPContext:
     def asarray(self, x):
         """Convert to a float64 array holding format-representable values.
 
-        :class:`~repro.arith.sparse.ELLMatrix` and
         :class:`~repro.arith.sparse.CSRMatrix` inputs come back as
-        quantized sparse matrices (padding entries are exact zeros
-        either way).
+        quantized CSR matrices sharing the input's pattern caches.
         """
-        if isinstance(x, (ELLMatrix, CSRMatrix)):
+        if isinstance(x, CSRMatrix):
             # sparse storage is not fault-instrumented (padding zeros
             # would absorb a rate-proportional share of the hits)
             return x if self._exact else x.quantized(
@@ -315,17 +313,16 @@ class FPContext:
     def matvec(self, A, x) -> np.ndarray:
         """Rounded matrix-vector product (row-wise rounded dots).
 
-        Accepts a dense array, an :class:`ELLMatrix` or a
-        :class:`CSRMatrix`; the sparse paths round one product per
-        stored entry and reduce over the padded row width instead of
-        the full dimension.  The CSR path quantizes the products in
-        compact form and either scatters them into the padded shape or
-        folds them segmented in O(nnz), chosen from the matrix's fill
-        (:func:`repro.kernels.segment.use_segmented`) — both
-        bit-identical to the ELL path.  Collector sites carry the
-        layout (``matvec.mul`` dense, ``matvec.ell.*`` /
-        ``matvec.csr.*`` sparse); the ``matvec`` injector site is
-        layout-independent.
+        Accepts a dense array or a :class:`CSRMatrix`.  The CSR path
+        rounds one product per stored entry and reduces over the padded
+        row width instead of the full dimension (the padded-row
+        semantics of :mod:`repro.arith.sparse`).  It quantizes the
+        products in compact form and either scatters them into the
+        padded shape or folds them segmented in O(nnz), chosen from the
+        matrix's fill (:func:`repro.kernels.segment.use_segmented`);
+        both routes give the same bits.  Collector sites carry the
+        layout (``matvec.mul`` dense, ``matvec.csr.*`` sparse); the
+        ``matvec`` injector site is layout-independent.
         """
         x = np.asarray(x, dtype=np.float64)
         require_conformant(A, x)
@@ -337,8 +334,7 @@ class FPContext:
                 np.take(x, A.indices, out=ext[:-1])
                 with np.errstate(invalid="ignore", over="ignore"):
                     np.multiply(A.data, ext[:-1], out=ext[:-1])
-                    # the shared padding product, exactly as the ELL
-                    # padding slots compute it: 0.0 * x[0]
+                    # the shared padding product: 0.0 * x[0]
                     ext[-1] = 0.0 * x[0] if x.size else 0.0
                 products = self._quantize("matvec.csr.mul", ext)
             finally:
@@ -352,22 +348,6 @@ class FPContext:
             return self.inject("matvec",
                                rounded_sum_last_axis(
                                    products[A.slot_map()], rnd,
-                                   self.sum_order))
-        if isinstance(A, ELLMatrix):
-            if self._exact:
-                return self.inject("matvec", A.matvec64(x))
-            gath = _SCRATCH.take(A.cols.shape)
-            try:
-                np.take(x, A.cols, out=gath)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    np.multiply(A.data, gath, out=gath)
-                products = self._quantize("matvec.ell.mul", gath)
-            finally:
-                _SCRATCH.give(gath)
-            return self.inject("matvec",
-                               rounded_sum_last_axis(
-                                   products,
-                                   self._rnd_for("matvec.ell.sum"),
                                    self.sum_order))
         A = np.asarray(A, dtype=np.float64)
         if self._exact:

@@ -170,10 +170,9 @@ def grid_cells(scale: RunScale,
                names: tuple[str, ...] | None = None) -> tuple[Cell, ...]:
     """Cells of the extended solver grid: one per (solver, matrix, fmt).
 
-    Every grid cell runs the rescaled system through the CSR layout —
-    bit-identical to ELL (see :mod:`repro.arith.sparse`), so the grid
-    shares solver semantics with the Fig. 6/7 sweeps while exercising
-    the compact layout end to end.
+    Every grid cell runs the rescaled system through the CSR layout,
+    the same one the full-scale Fig. 6/7 sweeps use; rescaled CG cells
+    and grid cells share one cached CSR matrix per system.
     """
     unknown = [s for s in solvers if s not in GRID_SOLVERS]
     if unknown:
@@ -199,7 +198,7 @@ def compute_cell(cell: Cell, scale: RunScale) -> Any:
 
 def _compute_cell(cell: Cell, scale: RunScale) -> Any:
     spec, A, b = suite_systems(scale, names=(cell.matrix,))[0]
-    # Derived matrices (rescalings, ELL packing) depend only on the
+    # Derived matrices (rescalings, CSR packing) depend only on the
     # system and the derivation parameters — never on the cell's format
     # (except Higham's, which keys on it) — so adjacent cells of a sweep
     # share them through the per-worker cache.  Solvers treat inputs as
@@ -212,11 +211,11 @@ def _compute_cell(cell: Cell, scale: RunScale) -> Any:
                 lambda: scale_to_inf_norm(A, b))
             A, b = ss.A, ss.b
         if cell.option("sparse"):
-            from ..arith.sparse import ELLMatrix
+            from ..arith.sparse import CSRMatrix
             A = cache.get_or_build(
-                ("ell", cell.matrix, scale.name,
+                ("csr", cell.matrix, scale.name,
                  bool(cell.option("rescaled"))),
-                lambda: ELLMatrix.from_dense(A))
+                lambda: CSRMatrix.from_dense(A))
         return conjugate_gradient(
             FPContext(cell.fmt), A, b, rtol=cell.option("rtol", 1e-5),
             max_iterations=scale.cg_max_iterations)
@@ -361,7 +360,7 @@ def run_cg_suite(scale: RunScale, rescaled: bool = False,
     Returns ``{matrix: {format: CGResult}}``.  With ``rescaled=True``
     the power-of-two ∞-norm scaling of §V-B is applied first.  With
     ``sparse`` (default: automatic at the ``full`` scale) the matvecs
-    run through the ELL layout — same rounded operations on the
+    run through the CSR layout — same rounded operations on the
     nonzeros, ~80× faster at n ≈ 1000.
     """
     if sparse is None:

@@ -5,7 +5,7 @@ extends the comparison along both axes at once: three Krylov methods
 (CG, BiCGSTAB, restarted GMRES) × the format zoo (the paper's posits,
 the takum pair, and the IEEE ladder) over the Table-I suite.  Systems
 are rescaled into the golden zone per §V-B and the matvecs run through
-the CSR layout (bit-identical to ELL, see :mod:`repro.arith.sparse`).
+the CSR layout (the padded-row semantics of :mod:`repro.arith.sparse`).
 
 Every run decomposes into :class:`~repro.experiments.common.Cell`
 units (kind ``"grid"``), so the runner's ``--jobs`` pool, the

@@ -27,7 +27,7 @@ conformance suites hold them to that):
     bit-for-bit.
 :mod:`repro.kernels.segment`
     The compact CSR matvec reduction: a segmented rounded pairwise
-    fold over the O(nnz) product array reproducing the padded ELL tree
+    fold over the O(nnz) product array reproducing the padded-row tree
     bit-for-bit, so skewed matrices stop paying the (n, k) scatter.
     The route follows the matrix's fill (``segment.use_segmented``).
 :mod:`repro.kernels.scratch`
@@ -35,8 +35,8 @@ conformance suites hold them to that):
     quantize pipeline (``posit_round``, ``FPContext``, the summation
     folds) stops churning temporaries on every small-vector CG step.
 :mod:`repro.kernels.matcache`
-    A per-worker LRU over derived matrices (rescaled systems, ELL
-    conversions, Higham scalings) so sweep cells sharing a matrix stop
+    A per-worker LRU over derived matrices (rescaled systems, CSR
+    packs, Higham scalings) so sweep cells sharing a matrix stop
     re-deriving it; hit/miss counts surface through the telemetry
     manifest.  ``REPRO_MATRIX_CACHE=off`` disables it.
 :mod:`repro.kernels.bench`

@@ -66,7 +66,7 @@ SPARSE_MATRICES = ("1138_bus", "arrow_496")
 SPARSE_FORMATS = ("fp16", "posit32es2")
 #: the :data:`repro.kernels.segment.PAD_RATIO` that forces each CSR
 #: matvec route; ``auto`` keeps the module's own input-driven choice
-_ROUTE_PAD_RATIO = {"ell": math.inf, "segmented": 0.0}
+_ROUTE_PAD_RATIO = {"padded": math.inf, "segmented": 0.0}
 
 
 def measure(fn: Callable[[], object], repeats: int = 5,
@@ -106,7 +106,7 @@ def _selected(key: str, only: tuple[str, ...] | None) -> bool:
 
 @contextlib.contextmanager
 def _sparse_route(mode: str):
-    """Pin the CSR matvec route (``ell`` = padded) for the block."""
+    """Pin the CSR matvec route for the block."""
     from . import segment
 
     saved = segment.PAD_RATIO
@@ -177,8 +177,7 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
 
     for key, entry in kernels.items():
         entry["seconds"] = round(entry["seconds"], 9)
-        for extra in ("bitwise_s", "padded_s", "ell_s",
-                      "cold_s", "warm_s"):
+        for extra in ("bitwise_s", "padded_s", "cold_s", "warm_s"):
             if extra in entry:
                 entry[extra] = round(entry[extra], 9)
     return kernels
@@ -189,15 +188,15 @@ def sparse_microbench(matrices: tuple[str, ...] = SPARSE_MATRICES,
                       repeats: int = 5,
                       only: tuple[str, ...] | None = None
                       ) -> dict[str, dict]:
-    """Sparse matvec entries: ELL vs padded-CSR vs segmented-CSR.
+    """Sparse matvec entries: padded vs segmented CSR route.
 
     Matrices run at their full published dimension (the ``full`` run
     scale) so the skewed arrow keeps its adversarial pad ratio; each
     CSR route is forced through ``segment.PAD_RATIO`` and the
-    segmented entry records its speedup over both alternatives.
+    segmented entry records its speedup over the padded one.
     """
     from ..arith.context import FPContext
-    from ..arith.sparse import CSRMatrix, ELLMatrix
+    from ..arith.sparse import CSRMatrix
     from ..config import SCALES
     from ..matrices import load_matrix
 
@@ -206,43 +205,31 @@ def sparse_microbench(matrices: tuple[str, ...] = SPARSE_MATRICES,
     for mname in matrices:
         keys = [f"sparse/matvec/{mname}/{f}/{lay}"
                 for f in formats
-                for lay in ("ell", "csr_padded", "csr_segmented")]
+                for lay in ("csr_padded", "csr_segmented")]
         if not any(_selected(k, only) for k in keys):
             continue
         A = load_matrix(mname, SCALES["full"])
         x = rng.standard_normal(A.shape[0])
-        ell = ELLMatrix.from_dense(A)
         csr = CSRMatrix.from_dense(A)
         for fname in formats:
             ctx = FPContext(fname)
-            ellq = ctx.asarray(ell)
             csrq = ctx.asarray(csr)
             base = f"sparse/matvec/{mname}/{fname}"
             secs: dict[str, float] = {}
-            for lay, mat, mode in (("ell", ellq, "ell"),
-                                   ("csr_padded", csrq, "ell"),
-                                   ("csr_segmented", csrq,
-                                    "segmented")):
-                key = f"{base}/{lay}"
+            for mode in ("padded", "segmented"):
+                key = f"{base}/csr_{mode}"
                 if not _selected(key, only):
                     continue
                 with _sparse_route(mode):
-                    ctx.matvec(mat, x)  # warm plan / slot map
-                    secs[lay] = measure(lambda: ctx.matvec(mat, x),
-                                        repeats)
-                kernels[key] = {"seconds": secs[lay]}
-            seg = f"{base}/csr_segmented"
-            if "csr_segmented" in secs:
-                entry = kernels[seg]
-                if "csr_padded" in secs:
-                    entry["padded_s"] = secs["csr_padded"]
-                    entry["speedup_vs_padded"] = round(
-                        secs["csr_padded"] / secs["csr_segmented"],
-                        3)
-                if "ell" in secs:
-                    entry["ell_s"] = secs["ell"]
-                    entry["speedup_vs_ell"] = round(
-                        secs["ell"] / secs["csr_segmented"], 3)
+                    ctx.matvec(csrq, x)  # warm plan / slot map
+                    secs[mode] = measure(lambda: ctx.matvec(csrq, x),
+                                         repeats)
+                kernels[key] = {"seconds": secs[mode]}
+            if len(secs) == 2:
+                kernels[f"{base}/csr_segmented"].update(
+                    padded_s=secs["padded"],
+                    speedup_vs_padded=round(
+                        secs["padded"] / secs["segmented"], 3))
     return kernels
 
 
@@ -317,7 +304,7 @@ def run_sparse_grid_smoke(mode: str) -> float:
     ``full`` run scale (the only scale where the arrow keeps its
     published 96× pad ratio — smaller scales cap the dimension and
     flatten the skew).  *mode* pins the CSR route for the run, so
-    ``ell`` replays the padded baseline on the same machine and
+    ``padded`` replays the padded baseline on the same machine and
     ``auto`` times the input-driven (here segmented) route.
     """
     from ..config import SCALES
@@ -374,10 +361,10 @@ def main(argv: list[str] | None = None) -> int:
             entry["speedup"] = round(args.sweep_baseline / seconds, 3)
         sweeps["fig06_smoke"] = entry
     if args.sparse_sweep:
-        baseline = min(run_sparse_grid_smoke("ell") for _ in range(3))
+        baseline = min(run_sparse_grid_smoke("padded") for _ in range(3))
         seconds = min(run_sparse_grid_smoke("auto") for _ in range(3))
         sweeps["sparse_grid_smoke"] = {
-            "baseline_ell_s": round(baseline, 3),
+            "baseline_padded_s": round(baseline, 3),
             "current_s": round(seconds, 3),
             "speedup": round(baseline / seconds, 3)}
     if sweeps:

@@ -2,7 +2,7 @@
 
 A sweep's cells re-derive the same inputs over and over: every CG cell
 for a given matrix re-applies the power-of-two rescaling and re-packs
-the ELL layout, every Higham-rescaled IR cell re-runs Algorithm 4 —
+the CSR layout, every Higham-rescaled IR cell re-runs Algorithm 4 —
 once per *format*, although the derivation depends only on the matrix
 (and, for Higham, the format's dynamic range).  The derivations are
 pure functions of ``(matrix name, scale, parameters)``, so each process

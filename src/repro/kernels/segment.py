@@ -2,15 +2,15 @@
 
 The padded CSR matvec (:meth:`repro.arith.sparse.CSRMatrix.slot_map`)
 scatters the ``nnz + 1`` quantized products into the full ``(n, k)``
-ELL shape before folding, so one long row inflates every row to its
+padded shape before folding, so one long row inflates every row to its
 width: an arrow matrix with a single dense row pays O(n²) per
 application.  This module folds the compact product array directly,
-reproducing the ELL tree **bit for bit** without ever materializing the
+reproducing the padded tree **bit for bit** without ever materializing the
 padded view.
 
 Why skipping the padding preserves every bit
 --------------------------------------------
-The ELL fold (:func:`repro.arith.summation._fold_pairwise`) pairs slot
+The padded fold (:func:`repro.arith.summation._fold_pairwise`) pairs slot
 ``j`` with slot ``j + m`` (``m = k // 2``) at every level and copies an
 odd leftover slot un-rounded.  Stored entries occupy a prefix of each
 padded row; padding slots all hold the one shared padding product
@@ -191,7 +191,7 @@ def segmented_fold(products: np.ndarray, plan: SegmentPlan,
     *products* is the quantized length ``nnz + 1`` array (pad scalar at
     the sentinel slot, as :meth:`FPContext.matvec` builds it); *rnd* is
     the reduction rounder.  Returns a fresh ``(n,)`` float64 array
-    bit-identical to the padded ELL pairwise fold.
+    bit-identical to the padded pairwise fold.
     """
     cur = np.asarray(products, dtype=np.float64)
     for lvl in plan.levels:

@@ -103,11 +103,11 @@ def conjugate_gradient(ctx: FPContext, A: np.ndarray, b: np.ndarray,
 
     Notes
     -----
-    *A* may be a dense array or an
-    :class:`~repro.arith.sparse.ELLMatrix` (the padded-row sparse
-    layout), which makes full-scale suite runs tractable.
+    *A* may be a dense array or a
+    :class:`~repro.arith.sparse.CSRMatrix`, which makes full-scale
+    suite runs tractable.
     """
-    from ..arith.sparse import CSRMatrix, ELLMatrix
+    from ..arith.sparse import CSRMatrix
     trace = maybe_trace("cg", ctx.fmt.name, trace)
     require_system(A, b)
     A = ctx.asarray(A)
@@ -116,7 +116,7 @@ def conjugate_gradient(ctx: FPContext, A: np.ndarray, b: np.ndarray,
 
     minv = None
     if jacobi:
-        diag = (A.diagonal() if isinstance(A, (ELLMatrix, CSRMatrix))
+        diag = (A.diagonal() if isinstance(A, CSRMatrix)
                 else np.diag(np.asarray(A)))
         if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
             raise ValueError("Jacobi preconditioning requires a positive "

@@ -61,7 +61,7 @@ def condition_number_2(A: np.ndarray) -> float:
 
 
 def _apply64(A, x: np.ndarray) -> np.ndarray:
-    """Exact float64 ``A @ x`` for dense arrays or ELL operators."""
+    """Exact float64 ``A @ x`` for dense arrays or CSR operators."""
     if hasattr(A, "matvec64"):
         return A.matvec64(x)
     return np.asarray(A, dtype=np.float64) @ x
@@ -72,7 +72,7 @@ def relative_backward_error(A, x: np.ndarray,
     """The paper's error metric: ``‖b − Ax‖₂ / ‖b‖₂``.
 
     *A* may be a dense array or any operator with a ``matvec64``
-    method (e.g. :class:`repro.arith.sparse.ELLMatrix`).  Returns inf
+    method (e.g. :class:`repro.arith.sparse.CSRMatrix`).  Returns inf
     when the solution contains non-finite entries.
     """
     x = np.asarray(x, dtype=np.float64)

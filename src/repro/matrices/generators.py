@@ -218,7 +218,7 @@ def arrow_powerlaw_spd(n: int, norm2: float = 1.0, alpha: float = 1.6,
 
     Row 0 couples to every variable (the arrow head) and row ``i``
     draws ``~(n-1)·(i+1)^-alpha`` extra partners, so the row-length
-    distribution is maximally *skewed*: the padded ELL width equals the
+    distribution is maximally *skewed*: the padded row width equals the
     dimension while the average degree stays small.  This is the
     adversarial shape for padded sparse layouts — the fixture the
     segmented CSR fold (:mod:`repro.kernels.segment`) is benchmarked

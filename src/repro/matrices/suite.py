@@ -94,7 +94,7 @@ TABLE3_ROWS: tuple[str, ...] = (
 #: in grids and benches but never part of ``SUITE_ORDER``, so every
 #: default sweep (and its golden digest) is untouched.  ``arrow_496``
 #: is the skewed-row stress shape for the segmented CSR path: one dense
-#: arrow row drives the padded ELL width to n while the mean degree
+#: arrow row drives the padded row width to n while the mean degree
 #: stays ~5 (properties measured from the deterministic construction).
 EXTRA_SUITE: dict[str, MatrixSpec] = {
     "arrow_496": MatrixSpec("arrow_496", 1.3e3, 496, 1.9e4, 2554,

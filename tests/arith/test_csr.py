@@ -1,10 +1,12 @@
-"""CSR sparse layout tests: construction plus ELL bit-identity.
+"""CSR sparse layout tests: construction, pattern caches, and the
+padded-row (ELL) bit-identity.
 
 The load-bearing property is the differential one — for every suite
-matrix and every format family the CSR emulated matvec must be
-*bit-identical* to the ELL emulated matvec, because experiments treat
-layout as an implementation detail (caches key on it, results must
-not).
+matrix and every format family the CSR emulated matvec, on every
+route, must be *bit-identical* to the padded-row (ELLPACK) evaluation
+that :mod:`tests.sparse_reference` writes out from the dense matrix,
+because experiments treat the route as an implementation detail
+(caches key on it, results must not).
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.arith import CSRMatrix, ELLMatrix, FPContext
+from repro.arith import CSRMatrix, FPContext
 from repro.kernels import segment
+from repro.linalg import conjugate_gradient
+from tests.sparse_reference import padded_row_matvec
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "matrices",
                            "fixtures")
@@ -50,11 +54,6 @@ class TestConstruction:
         import scipy.sparse
         A = _sparse_spd(rng)
         C = CSRMatrix.from_scipy(scipy.sparse.csr_matrix(A))
-        assert np.array_equal(C.to_dense(), A)
-
-    def test_from_ell(self, rng):
-        A = _sparse_spd(rng)
-        C = CSRMatrix.from_ell(ELLMatrix.from_dense(A))
         assert np.array_equal(C.to_dense(), A)
 
     def test_shape_and_nnz(self, rng):
@@ -101,52 +100,55 @@ class TestConstruction:
                               np.arange(C.nnz))
 
     def test_quantized_shares_slot_map(self, rng):
+        """A map built by one quantized copy serves the source and
+        every other copy (the caches hang off the pattern)."""
         ctx = FPContext("fp16")
         C = CSRMatrix.from_dense(_sparse_spd(rng))
-        C.slot_map()
         Cq = ctx.asarray(C)
-        assert Cq._slots is C._slots
+        slots = Cq.slot_map()
+        assert C.slot_map() is slots
+        assert FPContext("posit32es2").asarray(C).slot_map() is slots
         assert np.array_equal(np.asarray(ctx.round(Cq.data)), Cq.data)
 
-    def test_slot_map_not_pinned_on_skewed_shapes(self, rng):
-        """Satellite fix: skewed matrices must not cache the (n, k) map."""
-        from repro.kernels.segment import PAD_RATIO
-        C = CSRMatrix.from_dense(_skewed(rng))
-        assert C.n * C.row_width > PAD_RATIO * C.nnz
-        slots = C.slot_map()
-        assert slots.shape == (C.n, C.row_width)  # still usable...
-        assert C._slots is None                   # ...but never pinned
-
-    def test_drop_slot_map(self, rng):
-        C = CSRMatrix.from_dense(_sparse_spd(rng))
-        C.slot_map()
-        assert C._slots is not None
-        C.drop_slot_map()
-        assert C._slots is None
-        assert C.slot_map().shape == (C.n, C.row_width)  # rebuilds
-
     def test_quantized_shares_segment_plan(self, rng):
-        ctx = FPContext("fp16")
         C = CSRMatrix.from_dense(_skewed(rng))
-        plan = C.segment_plan()
-        Cq = ctx.asarray(C)
-        assert Cq.segment_plan() is plan  # pattern-only, format-free
+        plan = FPContext("fp16").asarray(C).segment_plan()
+        assert C.segment_plan() is plan  # pattern-only, format-free
+        assert FPContext("takum16").asarray(C).segment_plan() is plan
+
+    def test_fp64_cg_builds_slot_map_once(self, rng, monkeypatch):
+        """The exact context evaluates every matvec through the padded
+        rows (:meth:`CSRMatrix.matvec64`); on a skewed pattern it must
+        keep the ``(n, k)`` map, not rebuild it per iteration."""
+        maps = []
+        slot_map = CSRMatrix.slot_map
+        monkeypatch.setattr(CSRMatrix, "slot_map", lambda self: (
+            maps.append(slot_map(self)) or maps[-1]))
+        A = _skewed(rng, n=40)
+        C = CSRMatrix.from_dense(A)
+        assert C.n * C.row_width > segment.PAD_RATIO * C.nnz
+        res = conjugate_gradient(FPContext("fp64"), C, A @ np.ones(40))
+        assert res.iterations >= 2
+        assert len(maps) >= res.iterations
+        assert all(m is maps[0] for m in maps)
 
 
 class TestELLBitIdentity:
+    """CSR against the padded-row (ELL) reference, route chosen by input."""
+
     FORMATS = ("fp16", "bf16", "fp32", "fp64", "posit16es2",
                "posit32es2", "takum16", "takum32", "takum_log16")
 
     def _assert_identical(self, A, x, formats=FORMATS):
-        ell = ELLMatrix.from_dense(A)
         csr = CSRMatrix.from_dense(A)
-        assert ell.matvec64(x).tobytes() == csr.matvec64(x).tobytes()
+        assert csr.matvec64(x).tobytes() == \
+            padded_row_matvec(FPContext("fp64"), A, x).tobytes()
         for fname in formats:
             ctx = FPContext(fname)
-            ye = ctx.matvec(ctx.asarray(ell), x)
+            ye = padded_row_matvec(ctx, A, x)
             yc = ctx.matvec(ctx.asarray(csr), x)
             assert ye.tobytes() == yc.tobytes(), \
-                f"CSR != ELL bitwise for {fname}"
+                f"CSR != padded-row reference bitwise for {fname}"
 
     def test_random_spd(self, rng):
         A = _sparse_spd(rng)
@@ -157,22 +159,17 @@ class TestELLBitIdentity:
         self._assert_identical(A, rng.standard_normal(30))
 
     def test_negative_leading_x(self, rng):
-        """ELL padding products are ``0.0 * x[0]`` — sign matters."""
+        """Padding products are ``0.0 * x[0]`` — sign matters."""
         A = _sparse_spd(rng, n=20, per_row=3)
         x = -np.abs(rng.standard_normal(20))
         self._assert_identical(A, x, formats=("fp16", "takum16"))
 
     def test_nan_leading_x(self, rng):
-        """NaN in x[0] poisons ELL padding products identically."""
+        """NaN in x[0] poisons the padding products identically."""
         A = _sparse_spd(rng, n=20, per_row=3)
         x = rng.standard_normal(20)
         x[0] = np.nan
-        ell = ELLMatrix.from_dense(A)
-        csr = CSRMatrix.from_dense(A)
-        ctx = FPContext("fp16")
-        ye = ctx.matvec(ctx.asarray(ell), x)
-        yc = ctx.matvec(ctx.asarray(csr), x)
-        assert ye.tobytes() == yc.tobytes()
+        self._assert_identical(A, x, formats=("fp16",))
 
     @pytest.mark.parametrize("name", ("bcsstk02", "lund_b", "494_bus"))
     def test_suite_matrices(self, name, rng):
@@ -185,11 +182,11 @@ class TestELLBitIdentity:
 class TestSkewedFixture:
     """The committed arrow/power-law Matrix Market fixture.
 
-    The adversarial shape for the padded layouts: one dense arrow row
-    drives the ELL width to n while most rows hold a handful of
-    entries, so the CSR matvec is routed through the
-    segmented fold — which must stay byte-identical to ELL across the
-    format zoo, including NaR and signed-zero edge products.
+    The adversarial shape for the padded route: one dense arrow row
+    drives the row width to n while most rows hold a handful of
+    entries, so the CSR matvec is routed through the segmented fold —
+    which must stay byte-identical to the padded-row reference across
+    the format zoo, including NaR and signed-zero edge products.
     """
 
     FORMATS = ("fp16", "bf16", "fp32", "posit16es2", "posit32es2",
@@ -216,17 +213,16 @@ class TestSkewedFixture:
         assert use_segmented(C.n, C.row_width, C.nnz)
 
     def _assert_identical(self, A, S, x, monkeypatch):
-        ell = ELLMatrix.from_dense(A)
         csr = CSRMatrix.from_scipy(S)
         for fname in self.FORMATS:
             ctx = FPContext(fname)
-            ye = ctx.matvec(ctx.asarray(ell), x)
+            ye = padded_row_matvec(ctx, A, x)
             # force padded, segmented, then the input-driven choice
             for ratio in (math.inf, 0.0, segment.PAD_RATIO):
                 monkeypatch.setattr(segment, "PAD_RATIO", ratio)
                 yc = ctx.matvec(ctx.asarray(csr), x)
                 assert ye.tobytes() == yc.tobytes(), \
-                    f"CSR(PAD_RATIO={ratio}) != ELL bitwise for {fname}"
+                    f"CSR(PAD_RATIO={ratio}) != reference for {fname}"
 
     def test_byte_identity_across_formats(self, fixture_pair, rng,
                                           monkeypatch):
@@ -250,31 +246,36 @@ class TestSkewedFixture:
         self._assert_identical(A, S, x, monkeypatch)
 
     def test_cg_solves_fixture_identically(self, fixture_pair):
-        from repro.linalg import conjugate_gradient
         from repro.matrices import right_hand_side
         A, S = fixture_pair
         b = right_hand_side(A)
         ctx = FPContext("posit32es2")
-        re_ = conjugate_gradient(ctx, ELLMatrix.from_dense(A), b)
+        re_ = _cg_on_reference(ctx, A, b)
         rc = conjugate_gradient(ctx, CSRMatrix.from_scipy(S), b)
         assert re_.iterations == rc.iterations
         assert np.array_equal(re_.x, rc.x)
 
 
+def _cg_on_reference(ctx, A, b):
+    """CG whose every matvec is the padded-row reference on dense *A*."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FPContext, "matvec",
+                   lambda self, _, x: padded_row_matvec(self, A, x))
+        return conjugate_gradient(ctx, CSRMatrix.from_dense(A), b)
+
+
 class TestCGIntegration:
     def test_cg_on_csr_matches_ell_bitwise(self, rng):
-        from repro.linalg import conjugate_gradient
         A = _sparse_spd(rng, n=60, per_row=4)
         b = A @ np.ones(60)
         for fmt in ("fp32", "posit32es2", "takum32"):
             ctx = FPContext(fmt)
-            re_ = conjugate_gradient(ctx, ELLMatrix.from_dense(A), b)
+            re_ = _cg_on_reference(ctx, A, b)
             rc = conjugate_gradient(ctx, CSRMatrix.from_dense(A), b)
             assert re_.iterations == rc.iterations
             assert np.array_equal(re_.x, rc.x)
 
     def test_jacobi_on_csr(self, rng):
-        from repro.linalg import conjugate_gradient
         A = _sparse_spd(rng, n=50, per_row=4)
         b = A @ np.ones(50)
         res = conjugate_gradient(FPContext("posit32es2"),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import SCALES
 from repro.experiments.common import (Cell, _compute_cell, cg_cells,
-                                      clear_cache)
+                                      clear_cache, grid_cells)
 from repro.kernels import matcache
 from repro.kernels.matcache import (MatrixCache, matrix_cache,
                                     matrix_cache_enabled,
@@ -88,7 +88,7 @@ class TestMatrixCache:
 class TestCellWiring:
     """Cells sharing a matrix reuse its derived forms, bit-identically."""
 
-    def test_rescale_and_ell_shared_across_formats(self):
+    def test_rescale_and_csr_shared_across_formats(self):
         scale = SCALES["smoke"]
         cells = cg_cells(scale, rescaled=True, sparse=True,
                          formats=("fp32", "posit32es2"),
@@ -101,9 +101,32 @@ class TestCellWiring:
         first = dict(cache.stats())
         _compute_cell(cells[1], scale)
         second = cache.stats()
-        assert first["misses"] >= 2           # rescale + ELL built once
+        assert first["misses"] >= 2           # rescale + CSR built once
         assert second["misses"] == first["misses"]
         assert second["hits"] >= first["hits"] + 2
+
+    def test_one_segment_plan_per_matrix(self, monkeypatch):
+        """Two formats' CG cells and a grid cell on one system share
+        the cached CSR matrix, and its quantized copies share one
+        lazily built segment plan."""
+        from repro.kernels import segment
+        monkeypatch.setattr(segment, "PAD_RATIO", 0.0)  # force segmented
+        builds = []
+        from_csr = segment.SegmentPlan.from_csr
+        monkeypatch.setattr(segment.SegmentPlan, "from_csr", staticmethod(
+            lambda *args: builds.append(args) or from_csr(*args)))
+        scale = SCALES["smoke"]
+        cells = cg_cells(scale, rescaled=True, sparse=True,
+                         formats=("fp32", "posit32es2"),
+                         names=("bcsstk01",)) + grid_cells(
+            scale, solvers=("cg",), formats=("takum32",),
+            names=("bcsstk01",))
+        clear_cache()
+        matrix_cache().clear()
+        for cell in cells:
+            _compute_cell(cell, scale)
+        assert len(builds) == 1
+        assert matrix_cache().stats()["misses"] == 2  # rescale + CSR
 
     def test_cached_cell_value_is_bit_identical_to_cold(self):
         scale = SCALES["smoke"]

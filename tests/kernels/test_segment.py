@@ -1,11 +1,13 @@
-"""Segmented CSR fold: plan invariants + byte-identity with the ELL tree.
+"""Segmented CSR fold: plan invariants + byte-identity with the padded
+(ELL) tree.
 
 The contract (:mod:`repro.kernels.segment`): the compact O(nnz) fold
-must reproduce the padded ELL rounded pairwise reduction **bit for
+must reproduce the padded-row rounded pairwise reduction **bit for
 bit** — on every sparsity shape, every format family, and every edge
-product (NaR, ±0, infinities).  These tests hold the two routes
-byte-identical and pin the input-driven route choice; they force a
-route by patching :data:`~repro.kernels.segment.PAD_RATIO`.
+product (NaR, ±0, infinities).  These tests hold both CSR routes to the
+explicit padded-row reference (:mod:`tests.sparse_reference`) and pin
+the input-driven route choice; they force a route by patching
+:data:`~repro.kernels.segment.PAD_RATIO`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.arith import CSRMatrix, ELLMatrix, FPContext
+from repro.arith import CSRMatrix, FPContext
 from repro.arith.summation import rounded_sum_last_axis
 from repro.kernels import segment
 from repro.kernels.segment import (PAD_RATIO, SegmentPlan, segmented_fold,
                                    use_segmented)
+from tests.sparse_reference import padded_row_matvec
 
 FORMATS = ("fp16", "bf16", "fp32", "posit16es2", "posit32es2",
            "takum16", "takum32", "takum_log16")
@@ -105,7 +108,8 @@ class TestPlanInvariants:
 
 
 class TestFoldByteIdentity:
-    """segmented_fold vs the padded scatter, same products array."""
+    """segmented_fold and the padded scatter of one products array,
+    both against the padded-row reference."""
 
     def _products(self, ctx, C, x):
         ext = np.empty(C.nnz + 1)
@@ -125,10 +129,13 @@ class TestFoldByteIdentity:
             rnd = ctx._rnd_for("matvec.csr.sum")
             with np.errstate(invalid="ignore", over="ignore"):
                 got = segmented_fold(products, plan, rnd)
-                want = rounded_sum_last_axis(products[Cq.slot_map()],
-                                             rnd, "pairwise")
+                padded = rounded_sum_last_axis(products[Cq.slot_map()],
+                                               rnd, "pairwise")
+            want = padded_row_matvec(ctx, A, x)
             assert got.tobytes() == want.tobytes(), \
-                f"segmented != padded bitwise for {fname}"
+                f"segmented != reference bitwise for {fname}"
+            assert padded.tobytes() == want.tobytes(), \
+                f"padded != reference bitwise for {fname}"
 
     def test_random_ragged(self, rng):
         for trial in range(5):
@@ -172,9 +179,8 @@ class TestMatvecRouting:
 
     def _matvec_all_modes(self, monkeypatch, A, x, fname):
         ctx = FPContext(fname)
-        ell = ctx.asarray(ELLMatrix.from_dense(A))
         csr = ctx.asarray(CSRMatrix.from_dense(A))
-        ye = ctx.matvec(ell, x)
+        ye = padded_row_matvec(ctx, A, x)
         outs = {}
         for route in ROUTES:
             _force(monkeypatch, route)
@@ -188,7 +194,7 @@ class TestMatvecRouting:
         ye, outs = self._matvec_all_modes(monkeypatch, A, x, fname)
         for route, yc in outs.items():
             assert ye.tobytes() == yc.tobytes(), \
-                f"route={route} diverges from ELL for {fname}"
+                f"route={route} diverges from the reference for {fname}"
 
     def test_sequential_order_uses_padded_path(self, monkeypatch, rng):
         """Sequential folds cannot skip padding — any fill must yield."""
@@ -199,7 +205,7 @@ class TestMatvecRouting:
         x = rng.standard_normal(30)
         for fname in ("fp16", "posit16es2"):
             ctx = FPContext(fname, sum_order="sequential")
-            ye = ctx.matvec(ctx.asarray(ELLMatrix.from_dense(A)), x)
+            ye = padded_row_matvec(ctx, A, x)
             yc = ctx.matvec(ctx.asarray(CSRMatrix.from_dense(A)), x)
             assert ye.tobytes() == yc.tobytes()
 
