@@ -22,14 +22,15 @@ import time
 import numpy as np
 
 from ..formats.base import NumberFormat
-from ..formats.native import FLOAT64
+from ..formats.native import FLOAT64, NativeIEEEFormat
 from ..formats.registry import get_format
 from ..kernels import gemm as _gemm_kernels
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold, use_segmented
+from ..kernels.zeroplan import plan_for
 from .shapes import require_conformant, require_product
 from .sparse import CSRMatrix
-from .summation import SUM_ORDERS, rounded_sum_last_axis
+from .summation import SUM_ORDERS, round_at, rounded_sum_last_axis
 
 __all__ = ["FPContext", "INSTRUMENT_KINDS", "get_active_injector",
            "get_instrument", "set_active_injector", "set_instrument"]
@@ -146,6 +147,8 @@ class FPContext:
         self.collector = collector
         self._exact = self.fmt == FLOAT64
         self._rnd = _identity if self._exact else self.fmt.round
+        # a dtype cast rounds as fast as a zero plan's gather would
+        self._use_plans = not isinstance(self.fmt, NativeIEEEFormat)
 
     # -- basics ---------------------------------------------------------
     @property
@@ -294,8 +297,9 @@ class FPContext:
         if self._exact:
             # float64 reference still sums in a well-defined order
             return float(np.sum(x))
-        return float(rounded_sum_last_axis(x, self._rnd_for("sum"),
-                                           self.sum_order))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return float(rounded_sum_last_axis(x, self._rnd_for("sum"),
+                                               self.sum_order))
 
     def dot(self, x, y) -> float:
         """Rounded inner product: round every product, round every add."""
@@ -305,9 +309,9 @@ class FPContext:
             return float(self.inject("dot", float(x @ y)))
         with np.errstate(invalid="ignore", over="ignore"):
             products = self._ewise("dot.mul", np.multiply, x, y)
-        out = float(rounded_sum_last_axis(products,
-                                          self._rnd_for("dot.sum"),
-                                          self.sum_order))
+            out = float(rounded_sum_last_axis(products,
+                                              self._rnd_for("dot.sum"),
+                                              self.sum_order))
         return float(self.inject("dot", out))
 
     def matvec(self, A, x) -> np.ndarray:
@@ -320,49 +324,83 @@ class FPContext:
         products in compact form and either scatters them into the
         padded shape or folds them segmented in O(nnz), chosen from the
         matrix's fill (:func:`repro.kernels.segment.use_segmented`);
-        both routes give the same bits.  Collector sites carry the
-        layout (``matvec.mul`` dense, ``matvec.csr.*`` sparse); the
-        ``matvec`` injector site is layout-independent.
+        both routes give the same bits.
+
+        The dense path rounds every product and every partial sum of
+        the fold.  A read-only dense operand that owns its data (the
+        Krylov solvers freeze their quantized copy) gets a cached
+        zero-structure plan (:mod:`repro.kernels.zeroplan`): with a
+        finite *x*, only products with a nonzero matrix entry and only
+        fold slots with two structurally nonzero addends are rounded,
+        since every other entry is already a fixed point.  The float64
+        multiply and adds still cover every slot, so the bits equal
+        the whole-array route's.  Writeable arrays and views, formats
+        that round by a NumPy dtype cast, and contexts with a collector
+        (which sees every partial sum) take the whole-array route.
+
+        Collector sites carry the layout (``matvec.mul`` dense,
+        ``matvec.csr.*`` sparse); the ``matvec`` injector site is
+        layout-independent.
         """
         x = np.asarray(x, dtype=np.float64)
         require_conformant(A, x)
         if isinstance(A, CSRMatrix):
             if self._exact:
                 return self.inject("matvec", A.matvec64(x))
+            rnd = self._rnd_for("matvec.csr.sum")
             ext = _SCRATCH.take((A.nnz + 1,))
             try:
-                np.take(x, A.indices, out=ext[:-1])
                 with np.errstate(invalid="ignore", over="ignore"):
+                    np.take(x, A.indices, out=ext[:-1])
                     np.multiply(A.data, ext[:-1], out=ext[:-1])
                     # the shared padding product: 0.0 * x[0]
                     ext[-1] = 0.0 * x[0] if x.size else 0.0
-                products = self._quantize("matvec.csr.mul", ext)
+                    products = np.asarray(
+                        self._quantize("matvec.csr.mul", ext))
+                    if use_segmented(A.n, A.row_width, A.nnz,
+                                     self.sum_order):
+                        out = segmented_fold(products, A.segment_plan(),
+                                             rnd)
+                    else:
+                        out = rounded_sum_last_axis(products[A.slot_map()],
+                                                    rnd, self.sum_order)
             finally:
                 _SCRATCH.give(ext)
-            products = np.asarray(products)
-            rnd = self._rnd_for("matvec.csr.sum")
-            if use_segmented(A.n, A.row_width, A.nnz, self.sum_order):
-                return self.inject("matvec",
-                                   segmented_fold(products,
-                                                  A.segment_plan(), rnd))
-            return self.inject("matvec",
-                               rounded_sum_last_axis(
-                                   products[A.slot_map()], rnd,
-                                   self.sum_order))
+            return self.inject("matvec", out)
         A = np.asarray(A, dtype=np.float64)
         if self._exact:
             return self.inject("matvec", A @ x)
+        plan = self._zero_plan(A, x)
+        rnd = self._rnd_for("matvec.sum")
         buf = _SCRATCH.take(A.shape)
         try:
             with np.errstate(invalid="ignore", over="ignore"):
                 np.multiply(A, x[np.newaxis, :], out=buf)
-            products = self._quantize("matvec.mul", buf)
+                if plan is None:
+                    products = self._quantize("matvec.mul", buf)
+                    at = None
+                else:
+                    products = self._quantize_at("matvec.mul", buf,
+                                                 plan.products)
+                    at = plan.fold_levels(self.sum_order)
+                out = rounded_sum_last_axis(products, rnd, self.sum_order,
+                                            at=at)
         finally:
             _SCRATCH.give(buf)
-        return self.inject("matvec",
-                           rounded_sum_last_axis(
-                               products, self._rnd_for("matvec.sum"),
-                               self.sum_order))
+        return self.inject("matvec", out)
+
+    def _zero_plan(self, A: np.ndarray, x: np.ndarray):
+        """The dense operand's zero-structure plan, or None for the
+        whole-array route (see :meth:`matvec`)."""
+        if not self._use_plans:
+            return None
+        if self.collector is not None or \
+                _INSTRUMENTS["collector"] is not None:
+            return None
+        plan = plan_for(A)
+        if plan is None or not np.isfinite(x).all():
+            return None
+        return plan
 
     def _quantize_at(self, site: str, exact: np.ndarray, ix):
         """Round *exact* at the entries *ix* only (all of it for None).
@@ -379,8 +417,7 @@ class FPContext:
         if col is None:
             col = _INSTRUMENTS["collector"]
         out = exact if col is None else exact.copy()
-        if ix.size:
-            np.put(out, ix, self._rnd(np.take(exact, ix)))
+        round_at(out, ix, self._rnd)
         if col is not None:
             col.record(site, exact, out, self.fmt)
         return out

@@ -30,6 +30,11 @@ conformance suites hold them to that):
     fold over the O(nnz) product array reproducing the padded-row tree
     bit-for-bit, so skewed matrices stop paying the (n, k) scatter.
     The route follows the matrix's fill (``segment.use_segmented``).
+:mod:`repro.kernels.zeroplan`
+    Zero-structure plans for the dense rounded matvec: a frozen
+    operand's zero pattern says which products and fold partial sums
+    are already fixed points of ``round``, so only the rest are
+    rounded.  Plans are cached per operand and evicted with it.
 :mod:`repro.kernels.scratch`
     Shape-keyed, thread-local pools of reusable ndarray buffers, so the
     quantize pipeline (``posit_round``, ``FPContext``, the summation
@@ -52,7 +57,7 @@ eager submodule imports here would create a cycle.
 from __future__ import annotations
 
 __all__ = ["bench", "gemm", "lut", "matcache", "scratch", "segment",
-           "tabcache"]
+           "tabcache", "zeroplan"]
 
 
 def __getattr__(name: str):

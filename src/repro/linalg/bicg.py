@@ -17,6 +17,7 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..arith.shapes import require_system
+from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
 from .norms import relative_backward_error
 
@@ -65,8 +66,8 @@ def bicg(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-5,
     """
     trace = maybe_trace("bicg", ctx.fmt.name, trace, always=True)
     require_system(A, b)
-    A = ctx.asarray(A)
-    At = np.ascontiguousarray(A.T)
+    A = freeze(ctx.asarray(A))
+    At = freeze(np.ascontiguousarray(A.T))
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
     n = b.shape[0]
     x = np.zeros(n)
@@ -115,7 +116,7 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     """BiCGSTAB with per-op-rounded arithmetic."""
     trace = maybe_trace("bicgstab", ctx.fmt.name, trace, always=True)
     require_system(A, b)
-    A = ctx.asarray(A)
+    A = freeze(ctx.asarray(A))
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
     n = b.shape[0]
     x = np.zeros(n)

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..arith.shapes import require_system
+from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
 from .norms import relative_backward_error
 
@@ -110,7 +111,7 @@ def conjugate_gradient(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     from ..arith.sparse import CSRMatrix
     trace = maybe_trace("cg", ctx.fmt.name, trace)
     require_system(A, b)
-    A = ctx.asarray(A)
+    A = freeze(ctx.asarray(A))
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
     n = b.shape[0]
 

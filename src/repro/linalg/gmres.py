@@ -21,6 +21,7 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..arith.shapes import require_system
+from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
 
 __all__ = ["GMRESResult", "gmres"]
@@ -51,7 +52,7 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     """
     trace = maybe_trace("gmres", ctx.fmt.name, trace)
     require_system(A, b)
-    A = ctx.asarray(A)
+    A = freeze(ctx.asarray(A))
     b = ctx.asarray(np.asarray(b, dtype=np.float64))
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)

@@ -1,0 +1,153 @@
+"""Which dense operands get a cached zero-structure plan, and for how long.
+
+A plan is valid only while its operand's zero pattern cannot change,
+so :func:`repro.kernels.zeroplan.plan_for` serves one only to a frozen
+array (read-only, owning its data), keeps it while the array lives,
+and never hands it to another array.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import numpy as np
+import pytest
+
+from repro.arith import CSRMatrix, FPContext
+from repro.config import SCALES
+from repro.kernels import zeroplan
+from repro.linalg import (bicg, bicgstab, conjugate_gradient, gmres,
+                          qr_factor, qr_solve)
+from repro.matrices.suite import load_matrix, right_hand_side
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count plan builds."""
+    made = []
+
+    class Counting(zeroplan.ZeroPlan):
+        __slots__ = ()
+
+        def __init__(self, A):
+            made.append(id(A))
+            super().__init__(A)
+    monkeypatch.setattr(zeroplan, "ZeroPlan", Counting)
+    return made
+
+
+def _sparse(n: int = 12, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A[rng.random((n, n)) < 0.7] = 0.0
+    return A
+
+
+def test_writeable_arrays_and_views_get_no_plan(builds):
+    ctx = FPContext("posit32es2")
+    x = np.ones(12)
+    A = _sparse()
+    frozen = zeroplan.freeze(A.copy())
+    for operand in (A, frozen[:, :], frozen.T, A[::1, ::1]):
+        assert zeroplan.plan_for(operand) is None
+        ctx.matvec(operand, x)
+        assert id(operand) not in zeroplan._PLANS
+    assert builds == []
+
+
+def test_qr_per_call_copies_get_no_plan(builds):
+    A = load_matrix("bcsstk01", SCALES["smoke"])
+    ctx = FPContext("posit32es2")
+    qr_solve(ctx, qr_factor(ctx, A), right_hand_side(A))
+    assert builds == []
+
+
+@pytest.mark.parametrize("solver, plans", [
+    (conjugate_gradient, 1), (bicg, 2), (bicgstab, 1), (gmres, 1)])
+def test_a_solve_builds_each_operand_plan_once(solver, plans, builds):
+    """bicg freezes A and its contiguous transpose: two plans."""
+    A = load_matrix("nos1", SCALES["small"])
+    solver(FPContext("posit32es2"), A, right_hand_side(A),
+           max_iterations=20)
+    assert len(builds) == plans
+
+
+def test_native_cast_solve_builds_no_plan(builds):
+    A = load_matrix("nos1", SCALES["small"])
+    conjugate_gradient(FPContext("fp32"), A, right_hand_side(A),
+                       max_iterations=20)
+    assert builds == []
+
+
+def test_back_to_back_solves_leave_no_plans_alive(builds):
+    ctx = FPContext("posit16es1")
+    gc.collect()
+    before = len(zeroplan._PLANS)
+    for seed in range(200):
+        A = _sparse(8, seed) + 8.0 * np.eye(8)
+        A = A + A.T
+        conjugate_gradient(ctx, A, np.ones(8), max_iterations=3)
+    gc.collect()
+    assert len(builds) == 200
+    assert len(zeroplan._PLANS) == before
+
+
+def _reused_id(dead_id: int, n: int) -> np.ndarray | None:
+    """A new frozen (n, n) array at *dead_id*, if the allocator gives one."""
+    keep = []
+    for _ in range(200):
+        B = zeroplan.freeze(np.ones((n, n)))
+        if id(B) == dead_id:
+            return B
+        keep.append(B)
+    return None
+
+
+@pytest.mark.parametrize("evict", [True, False],
+                         ids=["weakref", "stale-entry"])
+def test_reused_id_never_gets_the_old_plan(evict, monkeypatch):
+    """With eviction disabled the stale entry stays in the cache; the
+    lookup still sees that it belongs to a dead array."""
+    if not evict:
+        monkeypatch.setattr(zeroplan, "_evict", lambda key: None)
+    n = 6
+    for _ in range(20):
+        A = zeroplan.freeze(np.zeros((n, n)))
+        old = zeroplan.plan_for(A)
+        dead = id(A)
+        del A
+        B = _reused_id(dead, n)
+        if B is not None:
+            break
+    else:
+        pytest.skip("the allocator never reused an id")
+    plan = zeroplan.plan_for(B)
+    assert plan is not old
+    assert plan.products is None  # B is all ones: every product rounds
+    ctx = FPContext("posit16es1")
+    x = np.arange(1.0, n + 1)
+    assert ctx.matvec(B, x).tobytes() == ctx.matvec(B.copy(), x).tobytes()
+    zeroplan._PLANS.pop(dead, None)
+
+
+def test_making_a_frozen_array_writeable_drops_its_plan(builds):
+    ctx = FPContext("posit32es2")
+    x = np.arange(1.0, 13.0)
+    A = zeroplan.freeze(np.eye(12))
+    ctx.matvec(A, x)
+    assert id(A) in zeroplan._PLANS
+    A.setflags(write=True)
+    ctx.matvec(A, x)
+    assert id(A) not in zeroplan._PLANS
+    A[3, 7] = 1.0 / 3.0  # a new nonzero the old plan would not round
+    zeroplan.freeze(A)
+    assert ctx.matvec(A, x).tobytes() == ctx.matvec(A.copy(), x).tobytes()
+    assert len(builds) == 2
+
+
+def test_exact_context_and_csr_pass_through():
+    csr = CSRMatrix.from_dense(np.eye(3))
+    assert zeroplan.freeze(csr) is csr
+    A = zeroplan.freeze(np.eye(3))
+    FPContext("fp64").matvec(A, np.ones(3))
+    assert id(A) not in zeroplan._PLANS
