@@ -125,35 +125,28 @@ class NumberFormat(abc.ABC):
 
 
 class TableRoundedFormat(NumberFormat):
-    """A format that rounds through the tables of :mod:`repro.kernels.lut`.
+    """A format that rounds through a :class:`repro.kernels.lut.TwoLevelTable`.
 
-    Subclasses provide the reference rounder ``_round_impl(arr)``, the
-    cached-table accessors ``_lut_table()`` / ``_two_level_table()``
-    and ``_lut_max_n``, the largest array the dense table serves (-1
-    when the format has none).  :meth:`round` is then the one tier
-    dispatch shared by every table-driven format:
+    Subclasses provide the reference rounder ``_round_impl(arr)`` and
+    the cached-table accessor ``_two_level_table()``.  :meth:`round` is
+    then the one tier dispatch shared by every table-driven format:
 
-    * a Python float or 0-d value → the table's ``round_scalar``
-      (dense table when the format has one, else two-level);
+    * a Python float or 0-d value → the table's ``round_scalar``;
     * a 1-D array of at most :data:`lut.TINY_N` elements → a
       ``tolist()`` loop over ``round_scalar``;
-    * up to ``_lut_max_n`` elements → the dense table;
-    * anything larger → the two-level table.
+    * anything larger → the table's ``round_array``.
 
-    Every tier reads the same tables, so the result is the same bits
+    Every tier reads the same table, so the result is the same bits
     whichever one runs.  ``REPRO_LUT=off`` sends every call, scalars
     included, to ``_round_impl``.
     """
 
-    _lut_max_n: int = -1
     _round_scalar = None
 
     def _scalar_rounder(self):
         rs = self._round_scalar
         if rs is None:
-            table = (self._lut_table() if self._lut_max_n > 0
-                     else self._two_level_table())
-            rs = self._round_scalar = table.round_scalar
+            rs = self._round_scalar = self._two_level_table().round_scalar
         return rs
 
     def round(self, x):
@@ -171,6 +164,4 @@ class TableRoundedFormat(NumberFormat):
             rs = self._scalar_rounder()
             return np.array([rs(v) for v in arr.tolist()],
                             dtype=np.float64)
-        if arr.size <= self._lut_max_n:
-            return self._lut_table().round_array(arr)
         return self._two_level_table().round_array(arr)

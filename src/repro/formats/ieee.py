@@ -61,24 +61,11 @@ class IEEEFormat(TableRoundedFormat):
         # smallest positive subnormal: 2**(emin - (p-1))
         self._tiny = float(np.ldexp(1.0, self.emin - (precision - 1)))
         self._eps = float(np.ldexp(1.0, 1 - precision))
-        self._lut_max_n = (lut.max_eligible_n(self.nbits)
-                           if self.nbits <= lut.MAX_TABLE_BITS else -1)
-        self._table = None
         self._table2 = None
 
     #: per-bucket rounding ufunc of the two-level affine path
     #: (directed-mode subclasses replace it per instance)
     _affine_step = staticmethod(np.rint)
-
-    def _lut_table(self) -> "lut.RoundingTable":
-        if self._table is None:
-            self._table = lut.rounding_table(
-                self._key(),
-                lambda: np.array([self.from_bits(p)
-                                  for p in range(1 << self.nbits)],
-                                 dtype=np.float64),
-                self._round_impl, fmt_name=self.name)
-        return self._table
 
     def _two_level_spec(self
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,7 +73,7 @@ class IEEEFormat(TableRoundedFormat):
         ``2**(max(s, emin) - (p-1))`` is a function of the frexp
         exponent alone and :meth:`_round_impl`'s scale/rint/unscale is
         exactly the per-bucket affine step, with overflow handled by
-        the *post* hook.  The dense table therefore only ever sees
+        the *post* hook.  The tail table therefore only ever sees
         non-finite inputs, which it delegates to the reference."""
         e = np.arange(lut.FREXP_E_LO, lut.FREXP_E_LO + lut.FREXP_E_TABLE,
                       dtype=np.int64)

@@ -8,8 +8,7 @@ import numpy as np
 
 from ..kernels import lut
 from ..posit.codec import PositConfig, decode_float, encode, posit_config
-from ..posit.rounding import (_posit_round_impl, posit_decode_array,
-                              posit_two_level_spec)
+from ..posit.rounding import _posit_round_impl, posit_two_level_spec
 from .base import TableRoundedFormat
 
 __all__ = ["PositFormat", "POSIT8_0", "POSIT16_1", "POSIT16_2",
@@ -19,7 +18,7 @@ __all__ = ["PositFormat", "POSIT8_0", "POSIT16_1", "POSIT16_2",
 class PositFormat(TableRoundedFormat):
     """A posit(nbits, es) arithmetic format.
 
-    Quantization goes through the bit-identical rounding tables of
+    Quantization goes through the bit-identical rounding table of
     :mod:`repro.kernels.lut` (see :class:`TableRoundedFormat` for the
     tiers), or with ``REPRO_LUT=off`` through the vectorized bitwise
     kernel of :mod:`repro.posit.rounding`.  Note the two
@@ -35,9 +34,6 @@ class PositFormat(TableRoundedFormat):
         self.es = es
         self.name = f"posit{nbits}es{es}"
         self.display_name = f"Posit({nbits}, {es})"
-        self._lut_max_n = (lut.max_eligible_n(nbits)
-                           if nbits <= lut.MAX_TABLE_BITS else -1)
-        self._table = None
         self._table2 = None
 
     @property
@@ -51,16 +47,6 @@ class PositFormat(TableRoundedFormat):
 
     #: the reference rounder of the table dispatch
     _round_impl = _bitwise_round
-
-    def _lut_table(self) -> "lut.RoundingTable":
-        if self._table is None:
-            cfg = self._cfg
-            self._table = lut.rounding_table(
-                self._key(),
-                lambda: posit_decode_array(
-                    np.arange(cfg.npat, dtype=np.int64), cfg),
-                self._bitwise_round, fmt_name=self.name)
-        return self._table
 
     def _two_level_table(self) -> "lut.TwoLevelTable":
         if self._table2 is None:

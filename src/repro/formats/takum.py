@@ -44,9 +44,8 @@ Rounding routes, mirroring :class:`~repro.formats.posit_format.PositFormat`:
 * linear, nbits >= 13: vectorized per-binade granule kernel (every
   in-range binade stores >= 1 mantissa bit, so rint's half-even on the
   scaled mantissa equals pattern-space ties-to-even), with the
-  searchsorted tables of :mod:`repro.kernels.lut` layered on top —
-  dense for <= 16 bits on small arrays, exponent-bucketed two-level
-  otherwise;
+  exponent-bucketed two-level table of :mod:`repro.kernels.lut`
+  layered on top;
 * linear, nbits <= 12: exact dense table (the truncated-C regimes make
   the binade granule trick unsound there);
 * takum-log, nbits <= 16: exact dense table of correctly rounded
@@ -194,10 +193,6 @@ class TakumFormat(TableRoundedFormat):
                              else nbits <= 12)
         self._exact: tuple | None = None
         self._images: dict[int, float] = {}
-        self._lut_max_n = (lut.max_eligible_n(nbits)
-                           if not log and 13 <= nbits <= lut.MAX_TABLE_BITS
-                           else -1)
-        self._table = None
         self._table2 = None
         self._maxpos = self._decode_mag(self._max_mag)
         self._minpos = self._decode_mag(1)
@@ -313,20 +308,10 @@ class TakumFormat(TableRoundedFormat):
             out[bad] = np.nan  # NaR
         return out
 
-    def _lut_table(self) -> "lut.RoundingTable":
-        if self._table is None:
-            self._table = lut.rounding_table(
-                self._key(),
-                lambda: np.array([self.from_bits(p)
-                                  for p in range(self._npat)],
-                                 dtype=np.float64),
-                self._round_impl, fmt_name=self.name)
-        return self._table
-
     def _two_level_spec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every in-range binade is affine (p >= 1 mantissa bits for
         nbits >= 13); the sub-minpos / above-maxpos buckets saturate, so
-        the dense lane only needs the clamp targets plus bracketing
+        the tail table only needs the clamp targets plus bracketing
         neighbours."""
         fast, g = self._granule_tables()
         v2 = self._decode_mag(2)

@@ -5,22 +5,21 @@ reference kernels they accelerate (the golden-digest and oracle
 conformance suites hold them to that):
 
 :mod:`repro.kernels.lut`
-    Table-driven rounding: for narrow formats (≤ 2¹⁶ patterns) a sorted
-    representable-value table plus bisection-probed decision boundaries,
-    rounding via ``np.searchsorted`` instead of the ~20-op bitwise
-    chain; for posit32/fp32-class widths a two-level exponent-bucketed
-    table (:class:`lut.TwoLevelTable`).  Python floats and 1-D arrays
-    of at most :data:`lut.TINY_N` elements skip NumPy dispatch through
-    each table's pure-Python ``round_scalar``.  See
-    :func:`lut.rounding_table` and :func:`lut.two_level_table`.
+    Table-driven rounding: one two-level exponent-bucketed table per
+    format (:class:`lut.TwoLevelTable`) — a per-binade granule step on
+    uniform buckets and a small sorted tail table with
+    bisection-probed decision boundaries elsewhere — instead of the
+    ~20-op bitwise chain.  Python floats and 1-D arrays of at most
+    :data:`lut.TINY_N` elements skip NumPy dispatch through the
+    table's pure-Python ``round_scalar``.  See
+    :func:`lut.two_level_table`.
 :mod:`repro.kernels.tabcache`
     Persistent on-disk table store under ``results/.cache/tables/``:
-    the dense and two-level LUT arrays are written as sealed records
+    each format's table arrays are written as a sealed record
     (:func:`repro.resilience.atomic.write_sealed`, the checksum footer
     the result cache uses too) and mmap-loaded back, keyed by (format
     key, code fingerprint), so pool workers and the long-lived service
-    build posit32/takum32 tables once per machine instead of once per
-    process.
+    build each table once per machine instead of once per process.
 :mod:`repro.kernels.gemm`
     Blocked rounded GEMM: the rank-1 term cube is tiled into (i, j)
     panels quantized once each, preserving the summation schedule

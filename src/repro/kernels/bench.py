@@ -52,8 +52,8 @@ __all__ = ["measure", "microbench", "sparse_microbench",
            "QUANTIZE_FORMATS", "CONTEXT_FORMATS", "QUANTIZE_SIZES",
            "CONTEXT_SIZES", "SPARSE_MATRICES", "SPARSE_FORMATS"]
 
-#: quantize coverage: the paper's narrow actors (LUT-eligible) plus the
-#: wide posits that exercise the bitwise kernel only
+#: quantize coverage: the paper's narrow actors plus the wide posits,
+#: each timed against its reference rounder
 QUANTIZE_FORMATS = ("posit8es0", "posit16es1", "posit16es2", "bf16",
                     "fp8e4m3", "posit32es2", "posit32es3")
 QUANTIZE_SIZES = (32, 128, 1024, 65536)

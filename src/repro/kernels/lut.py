@@ -1,20 +1,15 @@
-"""Table-driven rounding: one-level tables for narrow formats and
-two-level (exponent-bucketed) tables toward posit32/fp32 emulation.
+"""Table-driven rounding: one exponent-bucketed table per format.
 
 The reference rounders (the posit bitwise kernel, the IEEE softfloat
-emulation) spend ~20 C-level calls per invocation.  For a format whose
-representable set fits in a table — posit(≤16, ·), fp16-class emulated
-IEEE, bfloat16, the FP8 minifloats — rounding is a single
-``np.searchsorted`` over precomputed **decision boundaries** plus one
-``take`` (:class:`RoundingTable`).  Wider formats (posit32es2/es3,
-emulated binary32) cannot enumerate 2³² patterns, but their value sets
-are *piecewise uniform*: within one power-of-two bucket the spacing is
-constant except in the tapered/clamp/overflow extremes.
-:class:`TwoLevelTable` exploits that — a first level indexed by the
-frexp exponent yields the bucket's granule (uniform regions round with
-one divide/rint/multiply) and the few non-uniform buckets fall through
-to a second-level dense :class:`RoundingTable` covering only those
-regions' values.
+emulation) spend ~20 C-level calls per invocation.  Every table-rounded
+format — posit8 to posit32, emulated IEEE from the FP8 minifloats to
+binary32, linear takum16/32 — has a *piecewise uniform* value set:
+within one power-of-two bucket the spacing is constant except in the
+tapered/clamp/overflow extremes.  :class:`TwoLevelTable` exploits that:
+a first level indexed by the frexp exponent yields the bucket's granule
+(uniform regions round with one divide/step/multiply), and the few
+non-uniform buckets fall through to a second-level
+:class:`RoundingTable`, the *tail*, covering only those regions' values.
 
 Correctness by construction
 ---------------------------
@@ -22,25 +17,24 @@ Decision boundaries are *not* arithmetic midpoints: posit rounding in
 the tapered regimes rounds the extended bit pattern, so the value-space
 boundary between two adjacent posits is a pattern-space midpoint
 (geometric-ish), and IEEE ties-to-even picks sides by pattern parity.
-Rather than re-deriving each format's tie rules, the table is built by
-**bisection against the trusted reference rounder**: for every adjacent
-value pair the build binary-searches, in the monotone integer ordering
-of float64, for the smallest double the reference rounds *up*.  The
-resulting table reproduces the reference bit-for-bit for every float64
-input — no tie logic exists to get wrong — and the test suite verifies
-every pattern and every boundary neighbourhood exhaustively.
+Rather than re-deriving each format's tie rules, the tail table is
+built by **bisection against the trusted reference rounder**: for every
+adjacent value pair the build binary-searches, in the monotone integer
+ordering of float64, for the smallest double the reference rounds *up*.
+The resulting table reproduces the reference bit-for-bit for every
+float64 input — no tie logic exists to get wrong — and the test suite
+verifies every pattern and every boundary neighbourhood exhaustively
+for every format of at most 16 bits.
 
-Size crossover
---------------
+Tiers
+-----
 Every NumPy call costs microseconds before it touches an element, so a
 Python float or a 1-D array of at most :data:`TINY_N` elements rounds
-through each table's pure-Python ``round_scalar`` (``bisect`` over the
-same boundaries, ``math.frexp`` for the bucket).  Binary search over a
-64 K-entry table is cache-unfriendly, so narrow formats take the dense
-table only up to :func:`max_eligible_n` elements and the two-level
-table above it.  Every tier reads the same arrays, so switching is
-free; :class:`repro.formats.base.TableRoundedFormat` is the one
-dispatch.  ``REPRO_LUT=off`` disables the tables entirely.
+through the table's pure-Python ``round_scalar`` (``math.frexp`` for
+the bucket, ``bisect`` over the tail's boundaries); larger arrays take
+``round_array``.  Both read the same arrays, so switching is free;
+:class:`repro.formats.base.TableRoundedFormat` is the one dispatch.
+``REPRO_LUT=off`` disables the tables entirely.
 """
 
 from __future__ import annotations
@@ -55,10 +49,11 @@ import numpy as np
 from ..config import env_switch
 
 __all__ = ["RoundingTable", "TwoLevelTable", "lut_enabled",
-           "max_eligible_n", "rounding_table", "two_level_table",
-           "MAX_TABLE_BITS", "FREXP_E_LO", "FREXP_E_TABLE", "TINY_N"]
+           "two_level_table", "MAX_TABLE_BITS", "FREXP_E_LO",
+           "FREXP_E_TABLE", "TINY_N", "WORKSPACE_BUDGET"]
 
-#: widest format a one-level dense table is built for (2**16 patterns)
+#: widest format whose whole value set an exact enumeration table holds
+#: (2**16 patterns; the takum-log formats round through one)
 MAX_TABLE_BITS = 16
 
 #: frexp exponents of finite nonzero doubles span [-1073, 1024]; every
@@ -68,9 +63,14 @@ FREXP_E_TABLE = 2098
 
 #: 1-D arrays up to this size round element by element through
 #: ``round_scalar``: the largest size at which that loop beats the
-#: array tables for every format (crossovers measured per format in
+#: array path for every format (crossovers measured per format in
 #: docs/performance.md, "Rounding tiers")
 TINY_N = 8
+
+#: bytes of ``round_array`` workspace one thread keeps between calls,
+#: however many distinct shapes it rounds (least recently used shapes
+#: are dropped first)
+WORKSPACE_BUDGET = 16 << 20
 
 #: the pure-Python twin of each NumPy step ufunc of the two-level
 #: affine path (all return ints, so ``0`` flags a signed-zero result)
@@ -79,9 +79,8 @@ _SCALAR_STEPS = {np.rint: round, np.trunc: math.trunc,
 
 _INT64_MIN = np.int64(np.iinfo(np.int64).min)
 
-#: process-wide table caches, keyed by the format's identity key
-_TABLES: dict[Hashable, "RoundingTable"] = {}
-_TABLES2: dict[Hashable, "TwoLevelTable"] = {}
+#: process-wide table cache, keyed by the format's identity key
+_CACHE: dict[Hashable, "TwoLevelTable"] = {}
 
 _ENABLED = env_switch("REPRO_LUT")
 
@@ -89,16 +88,6 @@ _ENABLED = env_switch("REPRO_LUT")
 def lut_enabled() -> bool:
     """True unless disabled via ``REPRO_LUT=off`` (read at import)."""
     return _ENABLED
-
-
-def max_eligible_n(nbits: int) -> int:
-    """Largest array size the table path should handle for *nbits*.
-
-    Above this, binary search over the table loses to the bitwise
-    kernel (measured crossover; small tables stay cache-resident much
-    longer than the 64 K ones).
-    """
-    return 1024 if nbits <= 8 else 256
 
 
 def _keys_from_floats(v: np.ndarray) -> np.ndarray:
@@ -132,10 +121,10 @@ class RoundingTable:
         self.values = values
         self.boundaries = boundaries
         self._reference = reference
-        # zero-copy sequence views for the scalar tier: indexing yields
-        # Python floats, so ``bisect`` runs without NumPy dispatch
-        self._value_seq = memoryview(np.ascontiguousarray(values))
-        self._boundary_seq = memoryview(np.ascontiguousarray(boundaries))
+        # Python-float copies for the scalar tier, so ``bisect`` runs
+        # without NumPy dispatch (a tail holds at most a few dozen values)
+        self._value_seq = values.tolist()
+        self._boundary_seq = boundaries.tolist()
 
     @classmethod
     def build(cls, candidates: np.ndarray,
@@ -173,15 +162,16 @@ class RoundingTable:
         """Round a float64 array; always returns a fresh array."""
         idx = np.searchsorted(self.boundaries, arr, side="right")
         out = self.values.take(idx)
-        zero = out == 0.0
-        if zero.any():
+        if np.count_nonzero(out) != out.size:
             # the table stores one zero; restore the input's zero sign
             # (x * 0.0 is ±0.0 with x's sign for every finite x)
+            zero = out == 0.0
             out[zero] = arr[zero] * 0.0
-        bad = ~np.isfinite(arr)
-        if bad.any():
+        fin = np.isfinite(arr)
+        if np.count_nonzero(fin) != fin.size:
             # NaN/±inf semantics differ per family (posit NaR vs IEEE
             # ±inf passthrough); the reference is authoritative
+            bad = ~fin
             out[bad] = self._reference(arr[bad])
         return out
 
@@ -194,42 +184,89 @@ class RoundingTable:
         return v if v else x * 0.0
 
 
+class _Workspace(threading.local):
+    """Per-thread ``round_array`` intermediates, one bundle per shape.
+
+    ``free`` maps shape → bundle in least-recently-used order (a taken
+    bundle is popped and re-inserted on return), and ``nbytes`` counts
+    the bytes it holds, never more than :data:`WORKSPACE_BUDGET`.  One
+    pool serves every table, since the intermediates depend on the
+    input's shape alone, so one budget bounds the thread's total.
+    """
+
+    #: bytes per element of one bundle: mantissa/quotient and granule
+    #: (float64), biased exponent (int32), finite mask (bool)
+    ITEM_BYTES = 8 + 8 + 4 + 1
+
+    def __init__(self):
+        self.free: dict[tuple, tuple] = {}
+        self.nbytes = 0
+
+    def take(self, shape: tuple) -> tuple:
+        ws = self.free.pop(shape, None)
+        if ws is None:
+            return (np.empty(shape), np.empty(shape),
+                    np.empty(shape, np.int32), np.empty(shape, np.bool_))
+        self.nbytes -= ws[0].size * self.ITEM_BYTES
+        return ws
+
+    def give(self, shape: tuple, ws: tuple) -> None:
+        size = ws[0].size * self.ITEM_BYTES
+        if size > WORKSPACE_BUDGET or shape in self.free:
+            return  # too big to keep, or a reentrant call's spare
+        self.free[shape] = ws
+        self.nbytes += size
+        while self.nbytes > WORKSPACE_BUDGET:
+            old = self.free.pop(next(iter(self.free)))
+            self.nbytes -= old[0].size * self.ITEM_BYTES
+
+
+_WORKSPACE = _Workspace()
+
+
 class TwoLevelTable:
-    """Exponent-bucketed rounding for formats too wide for one table.
+    """Exponent-bucketed rounding, the one table of every table format.
 
     Level 1 is a pair of :data:`FREXP_E_TABLE`-entry arrays indexed by
     the biased frexp exponent of the input: ``granules[e]`` is the
     uniform spacing of representable values in that bucket and
     ``affine[e]`` marks buckets where value rounding is exactly
-    ``step(x / g) * g`` (``step`` defaults to :func:`np.rint`,
-    round-half-even).  Level 2 is one dense :class:`RoundingTable`
-    restricted to the values of the *non*-affine buckets — the posit
-    tapered extremes, the sub-minpos/above-maxpos clamp zones, IEEE
-    overflow binades — which hold only a handful of values, so the
-    dense table stays tiny no matter how wide the format is.
+    ``post(step(x / g) * g)`` (``step`` is one of :func:`np.rint`
+    (round-half-even, the default), :func:`np.trunc`, :func:`np.floor`
+    and :func:`np.ceil`).  Level 2 is one :class:`RoundingTable`, the
+    *tail*, restricted to the values of the *non*-affine buckets — the
+    posit tapered extremes, the sub-minpos/above-maxpos clamp zones —
+    which hold only a handful of values, so the tail stays small no
+    matter how wide the format is.
 
-    Non-finite inputs always take the dense route (which delegates
-    them to the reference rounder), and an optional *post* hook lets
-    IEEE-style formats apply their overflow/saturation rule to the
-    affine result; *post_span* is the closed magnitude range the hook
-    leaves unchanged, which lets :meth:`round_scalar` skip it there.
+    The optional *post* hook is an IEEE-style overflow or saturation
+    rule; *post_span* is the closed magnitude range it leaves
+    unchanged.  Construction splits off the affine **post buckets**,
+    those whose result ``step(x / g) * g`` can leave *post_span* (an
+    emulated IEEE format's top binade and above, takum's two end
+    binades).  Everything else is the *fast* path, ``step(x / g) * g``
+    with no hook: in the rotated level-1 array the fast path reads,
+    post and tail buckets hold a NaN granule, so one finiteness check
+    on the result finds every lane that needs more — a post bucket
+    (``step``, then *post*), a tail bucket or a non-finite input (the
+    tail table, which delegates non-finite inputs to the reference).
+    Without a hook, up to :data:`TINY_N` such lanes take the tail's
+    ``round_scalar``, which costs less than its fixed NumPy calls
+    (a posit8 array of normal deviates has ~2.5 % tail lanes).
     Bit-identity with the reference is enforced by the conformance
-    suite (exhaustive for narrow formats, boundary-biased stratified
+    suite (exhaustive for ≤ 16-bit formats, boundary-biased stratified
     for posit32/binary32).
 
-    Every granule is a finite, non-zero power of two no smaller than
-    ``2**(e - 1024)`` in bucket ``e``, so ``x / g`` is exact or finite
-    garbage and cannot raise a floating-point flag.  Only
-    ``step(x / g) * g`` in the top bucket (``e = 1024``) can overflow,
-    by rounding up to ``2**1024``; :meth:`round_array` enters an
-    ``np.errstate`` only when that bucket is affine (emulated IEEE
-    formats; posit and takum clamp there through the dense table).
+    Every fast granule is a finite, non-zero power of two no smaller
+    than ``2**(e - 1024)`` in bucket ``e``, and no fast result leaves
+    the float64 range, so the fast path raises no floating-point flag
+    and enters no ``np.errstate``; only a post-bucket lane of the top
+    bucket (``e = 1024``) can overflow, by rounding up to ``2**1024``,
+    and the post path silences that.
     """
 
     def __init__(self, granules: np.ndarray, affine: np.ndarray,
-                 dense: RoundingTable,
-                 reference: Callable[[np.ndarray], np.ndarray],
-                 step: Callable = np.rint,
+                 tail: RoundingTable, step: Callable = np.rint,
                  post: Callable[[np.ndarray], np.ndarray] | None = None,
                  post_span: tuple[float, float] = (0.0, math.inf)):
         if granules.shape != (FREXP_E_TABLE,) \
@@ -238,26 +275,33 @@ class TwoLevelTable:
                 f"level-1 tables must have shape ({FREXP_E_TABLE},)")
         self.granules = np.ascontiguousarray(granules, dtype=np.float64)
         self.affine = np.ascontiguousarray(affine, dtype=np.bool_)
-        self.dense = dense
-        self._reference = reference
+        self.tail = tail
         self._step = step
+        self._scalar_step = _SCALAR_STEPS[step]
         self._post = post
-        # scalar tier: zero-copy views of level 1, as for the dense
-        # table; a step without a pure-Python twin sends scalars to
-        # round_array
-        self._granule_seq = memoryview(self.granules)
-        self._affine_seq = memoryview(self.affine)
-        self._scalar_step = _SCALAR_STEPS.get(step)
-        self._post_lo, self._post_hi = ((0.0, math.inf) if post is None
-                                        else post_span)
-        self._top_affine = bool(self.affine[-1])
-        # per-thread workspace bundles keyed by shape: one dict access
-        # hands out all five intermediates (vs. five pool take/gives)
-        self._ws = threading.local()
+        # |x| in [2**s, 2**(s+1)) rounds to a magnitude in [lo, hi]:
+        # [2**s, 2**(s+1)] when g <= 2**s, else [0, g]
+        s = np.arange(FREXP_E_LO, FREXP_E_LO + FREXP_E_TABLE) - 1
+        with np.errstate(over="ignore"):
+            edge = np.ldexp(1.0, s)
+            hi = np.maximum(2.0 * edge, self.granules)
+        lo = np.where(self.granules <= edge, edge, 0.0)
+        post_lo, post_hi = post_span if post is not None else (0.0, math.inf)
+        post_bucket = self.affine & ((lo < post_lo) | (hi > post_hi))
+        fast = self.affine & ~post_bucket
+        # the fast and the post path's granules, NaN in every other
+        # bucket, rotated so that ``take(frexp exponent, mode="wrap")``
+        # and a negative Python index both address the right bucket
+        self._fast_granules, self._post_granules = (
+            np.roll(np.where(mask, self.granules, np.nan), FREXP_E_LO)
+            for mask in (fast, post_bucket))
+        # scalar tier: zero-copy views, indexed by the frexp exponent
+        self._fast_seq = memoryview(self._fast_granules)
+        self._post_seq = memoryview(self._post_granules)
 
     @classmethod
     def build(cls, granules: np.ndarray, affine: np.ndarray,
-              dense_candidates: np.ndarray,
+              tail_candidates: np.ndarray,
               reference: Callable[[np.ndarray], np.ndarray],
               step: Callable = np.rint,
               post: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -265,81 +309,80 @@ class TwoLevelTable:
               ) -> "TwoLevelTable":
         """Assemble from a format's bucket spec and trusted rounder.
 
-        *dense_candidates* must contain every value an input from a
+        *tail_candidates* must contain every value an input from a
         non-affine bucket can round to (bracketing neighbours from the
-        adjacent affine buckets included); the dense boundaries are then
-        bisection-probed against *reference* exactly like the one-level
-        tables, so no clamp/overflow tie logic exists to get wrong.
+        adjacent affine buckets included); the tail boundaries are then
+        bisection-probed against *reference*, so no clamp/overflow tie
+        logic exists to get wrong.
         """
-        dense = RoundingTable.build(dense_candidates, reference)
-        return cls(granules, affine, dense, reference, step, post,
-                   post_span)
-
-    def _workspace(self, shape: tuple) -> tuple[list, tuple]:
-        stacks = getattr(self._ws, "stacks", None)
-        if stacks is None:
-            stacks = {}
-            self._ws.stacks = stacks
-        stack = stacks.setdefault(shape, [])
-        if stack:
-            return stack, stack.pop()
-        return stack, (np.empty(shape), np.empty(shape),
-                       np.empty(shape, np.int32),
-                       np.empty(shape, np.bool_),
-                       np.empty(shape, np.bool_))
+        tail = RoundingTable.build(tail_candidates, reference)
+        return cls(granules, affine, tail, step, post, post_span)
 
     def round_array(self, arr: np.ndarray) -> np.ndarray:
         """Round a float64 array; always returns a fresh array."""
-        stack, ws = self._workspace(arr.shape)
-        m, g, e, aff, fin = ws
+        shape = arr.shape
+        ws = _WORKSPACE.take(shape)
+        m, g, e, fin = ws
         try:
             np.frexp(arr, m, e)
-            np.subtract(e, np.int32(FREXP_E_LO), out=e)
-            self.granules.take(e, out=g)
-            self.affine.take(e, out=aff)
-            # uniform-bucket rounding; non-affine lanes compute garbage
-            # here and are overwritten below
+            self._fast_granules.take(e, out=g, mode="wrap")
+            # fast-bucket rounding; every other lane computes NaN here
+            # (or ±inf for an infinite input) and is overwritten below
             np.divide(arr, g, out=m)
             self._step(m, out=m)
-            if self._top_affine:
-                with np.errstate(over="ignore"):
-                    out = np.multiply(m, g)
-            else:
-                out = np.multiply(m, g)
-            np.isfinite(arr, out=fin)
-            np.logical_and(aff, fin, out=aff)
-            if self._post is not None:
-                out = self._post(out)
-            if not aff.all():
-                np.logical_not(aff, out=aff)
-                out[aff] = self.dense.round_array(arr[aff])
+            out = np.multiply(m, g)
+            np.isfinite(out, out=fin)
+            rest = fin.size - np.count_nonzero(fin)
+            if rest:
+                np.logical_not(fin, out=fin)
+                x = arr[fin]
+                if self._post is None and rest <= TINY_N:
+                    # a few tail lanes cost less through the scalar tier
+                    out[fin] = np.array([self.tail.round_scalar(v)
+                                         for v in x.tolist()])
+                else:
+                    out[fin] = self._round_rest(x)
             return out
         finally:
-            if len(stack) < 4:
-                stack.append(ws)
+            _WORKSPACE.give(shape, ws)
+
+    def _round_rest(self, x: np.ndarray) -> np.ndarray:
+        """Round the 1-D lanes the fast path left: post buckets as
+        ``post(step(x / g) * g)``, the rest through the tail table."""
+        out = self.tail.round_array(x)
+        if self._post is not None:
+            g = self._post_granules.take(np.frexp(x)[1], mode="wrap")
+            hook = ~np.isnan(g) & np.isfinite(x)
+            if hook.any():
+                g = g[hook]
+                with np.errstate(over="ignore"):
+                    r = self._step(x[hook] / g) * g
+                out[hook] = self._post(r)
+        return out
 
     def round_scalar(self, x: float) -> float:
         """:meth:`round_array` for one Python float, in pure Python.
 
-        Affine buckets compute ``step(x / g) * g`` with the step's
-        integer-valued twin (an integer 0 becomes the input's signed
-        zero, as ``rint(-0.3) * g`` is ``-0.0``); the dense remainder
-        and non-finite inputs take the dense table's scalar path.  A
-        result the *post* hook would change goes through
-        :meth:`round_array` instead.
+        Fast and post buckets compute ``step(x / g) * g`` with the
+        step's integer-valued twin (an integer 0 becomes the input's
+        signed zero, as ``rint(-0.3) * g`` is ``-0.0``; a result past
+        the float64 range is ``inf``, as in NumPy), and a post bucket
+        then applies *post*.  Tail buckets and non-finite inputs take
+        the tail table's scalar path.
         """
-        if math.isfinite(x):
-            i = math.frexp(x)[1] - FREXP_E_LO
-            if self._affine_seq[i]:
-                step = self._scalar_step
-                if step is not None:
-                    g = self._granule_seq[i]
-                    q = step(x / g)
-                    r = q * g if q else x * 0.0
-                    if self._post_lo <= abs(r) <= self._post_hi:
-                        return r
-                return float(self.round_array(np.array([x]))[0])
-        return self.dense.round_scalar(x)
+        if not math.isfinite(x):
+            return self.tail.round_scalar(x)
+        e = math.frexp(x)[1]
+        g = self._fast_seq[e]
+        if not math.isnan(g):
+            q = self._scalar_step(x / g)
+            return q * g if q else x * 0.0
+        g = self._post_seq[e]
+        if math.isnan(g):
+            return self.tail.round_scalar(x)
+        q = self._scalar_step(x / g)
+        r = q * g if q else x * 0.0
+        return float(self._post(np.array([r]))[0])
 
 
 def two_level_table(key: Hashable,
@@ -349,24 +392,26 @@ def two_level_table(key: Hashable,
                     post: Callable[[np.ndarray], np.ndarray] | None = None,
                     post_span: tuple[float, float] = (0.0, math.inf),
                     fmt_name: str = "") -> TwoLevelTable:
-    """The cached two-level table for *key*, building it on first use.
+    """The cached table for *key*, building it on first use.
 
-    *spec_fn* returns ``(granules, affine, dense_candidates)``; *key*
-    follows the same contract as :func:`rounding_table`; *step*, *post*
-    and *post_span* are as for :class:`TwoLevelTable`.  First use
-    consults the persistent store of :mod:`.tabcache` before paying the
-    bisection build; *fmt_name* (the registry name) is written into
-    stored files so :func:`.tabcache.preload_cached` can warm them.
+    *key* must capture everything that determines the rounding function
+    (format class, parameters, rounding mode) — formats pass their
+    ``_key()`` identity tuple.  *spec_fn* returns ``(granules, affine,
+    tail_candidates)``; *step*, *post* and *post_span* are as for
+    :class:`TwoLevelTable`.  First use consults the persistent store of
+    :mod:`.tabcache` before paying the bisection build; *fmt_name* (the
+    registry name) is written into stored files so
+    :func:`.tabcache.preload_cached` can warm them.
     """
-    table = _TABLES2.get(key)
+    table = _CACHE.get(key)
     if table is None:
         from . import tabcache
-        arrs = tabcache.load_arrays("two_level", key)
+        arrs = tabcache.load_arrays(key)
         if arrs is not None:
-            dense = RoundingTable(arrs["values"], arrs["boundaries"],
-                                  reference)
+            tail = RoundingTable(arrs["values"], arrs["boundaries"],
+                                 reference)
             table = TwoLevelTable(arrs["granules"], arrs["affine"],
-                                  dense, reference, step=step, post=post,
+                                  tail, step=step, post=post,
                                   post_span=post_span)
         else:
             granules, affine, candidates = spec_fn()
@@ -375,43 +420,19 @@ def two_level_table(key: Hashable,
                                         post_span=post_span)
             tabcache.table_stats().builds += 1
             tabcache.store_arrays(
-                "two_level", key, fmt_name,
+                key, fmt_name,
                 {"granules": table.granules, "affine": table.affine,
-                 "values": table.dense.values,
-                 "boundaries": table.dense.boundaries})
-        _TABLES2[key] = table
+                 "values": table.tail.values,
+                 "boundaries": table.tail.boundaries})
+        _CACHE[key] = table
     return table
 
 
-def rounding_table(key: Hashable,
-                   values_fn: Callable[[], np.ndarray],
-                   reference: Callable[[np.ndarray], np.ndarray],
-                   fmt_name: str = "") -> RoundingTable:
-    """The cached table for *key*, building it on first use.
-
-    *key* must capture everything that determines the rounding function
-    (format class, parameters, rounding mode) — formats pass their
-    ``_key()`` identity tuple.  Like :func:`two_level_table`, first use
-    tries the persistent :mod:`.tabcache` store before building.
-    """
-    table = _TABLES.get(key)
-    if table is None:
-        from . import tabcache
-        arrs = tabcache.load_arrays("dense", key)
-        if arrs is not None:
-            table = RoundingTable(arrs["values"], arrs["boundaries"],
-                                  reference)
-        else:
-            table = RoundingTable.build(values_fn(), reference)
-            tabcache.table_stats().builds += 1
-            tabcache.store_arrays(
-                "dense", key, fmt_name,
-                {"values": table.values, "boundaries": table.boundaries})
-        _TABLES[key] = table
-    return table
+# benchmarks/e2e/layers.py wraps ``lut.rounding_table`` by name; this
+# alias is its only reason to exist (delete both together)
+rounding_table = two_level_table
 
 
 def clear_tables() -> None:
     """Drop every cached table (tests)."""
-    _TABLES.clear()
-    _TABLES2.clear()
+    _CACHE.clear()

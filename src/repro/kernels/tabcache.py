@@ -1,22 +1,21 @@
 """Persistent on-disk cache for the rounding tables of :mod:`.lut`.
 
-Building the two-level posit32/takum32 tables means bisection-probing
-thousands of decision boundaries against the bitwise reference rounder
-— cheap next to a sweep, expensive next to a worker's startup.  Every
-process historically paid it once per table; a supervised pool of N
-workers paid it N times, and the long-lived experiment service paid it
-again on every restart.  This module makes the build once-per-machine:
-tables are serialized under ``results/.cache/tables/`` keyed by
+Building a format's two-level table means bisection-probing its tail's
+decision boundaries against the reference rounder — milliseconds per
+format, paid once per process: a supervised pool of N workers paid it
+N times, and the long-lived experiment service again on every restart.
+This module makes the build once-per-machine: each table's arrays are
+serialized under ``results/.cache/tables/`` keyed by
 
-    sha256(kind, format identity key, code fingerprint)
+    sha256(format identity key, code fingerprint)
 
 and loaded back by ``mmap`` — the arrays are zero-copy views into the
 page cache, so concurrent workers share one physical copy.
 
 File format (all little-endian, numpy-native):
 
-* one UTF-8 JSON header line (``format`` registry name, ``kind``,
-  ``key`` repr, per-array dtype/shape/offset metadata),
+* one UTF-8 JSON header line (``format`` registry name, ``key`` repr,
+  per-array dtype/shape/offset metadata),
 * the raw C-contiguous array bytes at 64-byte-aligned offsets,
 * the sealed-record footer of :mod:`repro.resilience.atomic` shared
   with the result cache — magic ``RPRTv1`` + sha256 over everything
@@ -95,8 +94,8 @@ def table_cache_dir() -> str:
     return os.path.join(results_dir(), CACHE_DIR_NAME, TABLE_DIR_NAME)
 
 
-def entry_path(kind: str, key: Hashable) -> str:
-    """The file a (kind, format key) pair serializes to.
+def entry_path(key: Hashable) -> str:
+    """The file a format key's table serializes to.
 
     The code fingerprint joins the hash, so any source edit makes every
     old file unreachable — conservative, like the result cache, and it
@@ -104,13 +103,13 @@ def entry_path(kind: str, key: Hashable) -> str:
     """
     from ..experiments.cache import code_fingerprint
     digest = hashlib.sha256(
-        f"{kind}\n{key!r}\n{code_fingerprint()}".encode()).hexdigest()
+        f"{key!r}\n{code_fingerprint()}".encode()).hexdigest()
     return os.path.join(table_cache_dir(), digest + SUFFIX)
 
 
-def store_arrays(kind: str, key: Hashable, fmt_name: str,
+def store_arrays(key: Hashable, fmt_name: str,
                  arrays: dict[str, np.ndarray]) -> str | None:
-    """Persist named arrays for (kind, key); returns the path or None.
+    """Persist named arrays for *key*; returns the path or None.
 
     A full disk is tolerated (a ``write_error``) — the table keeps
     working from memory, only persistence is skipped.
@@ -125,7 +124,7 @@ def store_arrays(kind: str, key: Hashable, fmt_name: str,
         blobs.append(arr.tobytes())
 
     def header_line() -> bytes:
-        return json.dumps({"version": 1, "kind": kind, "format": fmt_name,
+        return json.dumps({"version": 1, "format": fmt_name,
                            "key": repr(key), "arrays": metas},
                           sort_keys=True).encode()
     # reserve generous room for the offsets we fill in below, then pad
@@ -141,7 +140,7 @@ def store_arrays(kind: str, key: Hashable, fmt_name: str,
     chunks = [header]
     for blob in blobs:
         chunks += [blob, b"\0" * ((-len(blob)) % _ALIGN)]
-    path = entry_path(kind, key)
+    path = entry_path(key)
     if not atomic.write_sealed(path, chunks, _FOOTER_MAGIC):
         _STATS.write_errors += 1
         return None
@@ -158,14 +157,14 @@ def _read_header(path: str) -> dict | None:
         return None
 
 
-def load_arrays(kind: str, key: Hashable) -> dict[str, np.ndarray] | None:
-    """mmap-load the arrays for (kind, key), or None on miss.
+def load_arrays(key: Hashable) -> dict[str, np.ndarray] | None:
+    """mmap-load the arrays for *key*, or None on miss.
 
     The whole file is checksum-verified against the footer before any
     byte is trusted; a corrupt file is deleted (counted as an
     invalidation) so the caller rebuilds and re-stores it.
     """
-    path = entry_path(kind, key)
+    path = entry_path(key)
     try:
         with open(path, "rb") as fh:
             # mmap refuses empty files; unseal rejects b"" instead
@@ -177,7 +176,7 @@ def load_arrays(kind: str, key: Hashable) -> dict[str, np.ndarray] | None:
     try:
         body = atomic.unseal(mm, _FOOTER_MAGIC)
         head = json.loads(bytes(body[:mm.find(b"\n")]))
-        if head.get("kind") != kind or head.get("key") != repr(key):
+        if head.get("key") != repr(key):
             raise ValueError("table cache file does not match its key")
         out = {}
         for meta in head["arrays"]:
@@ -233,16 +232,10 @@ def preload_cached() -> int:
             fmt = get_format(head.get("format", ""))
         except Exception:
             continue
-        kind = head.get("kind")
-        if entry_path(kind, fmt._key()) != path:
+        if entry_path(fmt._key()) != path:
             continue  # stale fingerprint or foreign key: leave it be
         try:
-            if kind == "dense" and hasattr(fmt, "_lut_table"):
-                fmt._lut_table()
-            elif kind == "two_level" and hasattr(fmt, "_two_level_table"):
-                fmt._two_level_table()
-            else:
-                continue
+            fmt._two_level_table()
             warmed += 1
         except Exception:  # pragma: no cover - defensive: never block a worker
             continue

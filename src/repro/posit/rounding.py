@@ -90,14 +90,14 @@ def posit_two_level_spec(cfg: PositConfig
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bucket spec for a :class:`repro.kernels.lut.TwoLevelTable`.
 
-    Returns ``(granules, affine, dense_candidates)``.  The affine
+    Returns ``(granules, affine, tail_candidates)``.  The affine
     buckets are exactly the fast region of :func:`posit_round` — scales
     storing at least one fraction bit, where posits are uniformly
     spaced and ``rint(x/g)*g`` equals pattern rounding (rint is
     sign-symmetric, so the signed form needs no abs/copysign).  The
-    dense candidates enumerate every posit value of the tapered
+    tail candidates enumerate every posit value of the tapered
     extremes below/above that region, bracketed by the first value
-    inside it, so dense-lane inputs can round to any value they are
+    inside it, so tail-lane inputs can round to any value they are
     able to reach.
     """
     _, _, fast, g = _granule_tables(cfg)
@@ -116,7 +116,7 @@ def posit_two_level_spec(cfg: PositConfig
         ])
     else:
         # no uniformly-spaced region (very narrow formats): the whole
-        # value set becomes the dense table
+        # value set becomes the tail table
         pats = np.arange(int(npat))
     vals = posit_decode_array(pats, cfg)
     candidates = np.concatenate([vals, -vals])

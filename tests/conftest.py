@@ -25,25 +25,6 @@ except ImportError:  # pragma: no cover
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _warm_rounding_tables():
-    """Pre-build the ≤16-bit rounding tables once per session.
-
-    Table construction is lazy and costs ~250 ms for a 16-bit format —
-    enough to blow a hypothesis deadline if the first `fmt.round` call
-    happens to land inside a timed example.
-    """
-    from repro.formats.registry import available_formats, get_format
-    from repro.kernels import lut
-
-    if lut.lut_enabled():
-        for name in available_formats():
-            fmt = get_format(name)
-            if getattr(fmt, "_lut_max_n", -1) > 0:
-                fmt._lut_table()
-    yield
-
-
-@pytest.fixture(scope="session", autouse=True)
 def _results_dir(tmp_path_factory):
     """Keep test artifacts (CSVs, result cache) out of the repo tree.
 

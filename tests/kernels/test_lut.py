@@ -1,9 +1,10 @@
 """Table-driven rounding: exhaustive equivalence with the bitwise kernels.
 
-The acceptance bar from the issue: for every registered format with
-≤ 16 bits, the LUT must agree with the reference rounder on **every
-pattern value and every decision-boundary neighbourhood** — compared
-bit-for-bit (signbit of zeros included), not just by value.
+The acceptance bar: for every table format with ≤ 16 bits, ``round``
+must agree with the reference rounder on **every pattern value and
+every decision-boundary neighbourhood** — compared bit-for-bit (signbit
+of zeros included), not just by value.  The probes come from a
+test-local table over every bit pattern (:mod:`tests.table_reference`).
 """
 
 from __future__ import annotations
@@ -17,24 +18,19 @@ import pytest
 
 from repro.formats.ieee import IEEEFormat
 from repro.formats.posit_format import PositFormat
-from repro.formats.registry import available_formats, get_format
+from repro.formats.registry import get_format
 from repro.formats.rounding_modes import DirectedIEEEFormat
 from repro.kernels import lut
+from tests.table_reference import full_table, registered_narrow_formats
 
 
 def _hooked_formats():
-    """Every registered format that carries a rounding table."""
-    fmts = []
-    for canonical in available_formats():
-        f = get_format(canonical)
-        if getattr(f, "_lut_max_n", -1) > 0:
-            fmts.append(f)
-    # dynamic registrations and a directed mode widen the sweep
-    fmts.append(get_format("posit12es0"))
-    fmts.append(get_format("ieee10p5e4"))
-    fmts.append(DirectedIEEEFormat(8, 4, "toward_zero"))
-    fmts.append(DirectedIEEEFormat(8, 4, "up"))
-    return fmts
+    """Every registered ≤ 16-bit table format, plus the dynamic
+    registrations and directed modes that widen the sweep."""
+    return registered_narrow_formats() + [
+        get_format("posit12es0"), get_format("ieee10p5e4"),
+        DirectedIEEEFormat(8, 4, "toward_zero"),
+        DirectedIEEEFormat(8, 4, "up")]
 
 
 def _reference(fmt):
@@ -59,7 +55,7 @@ def _assert_bit_identical(got, want):
                          ids=lambda f: f.name)
 class TestExhaustiveEquivalence:
     def test_every_pattern_and_boundary_neighbourhood(self, fmt):
-        table = fmt._lut_table()
+        table = full_table(fmt)
         ref = _reference(fmt)
         bnd = table.boundaries[np.isfinite(table.boundaries)]
         with np.errstate(over="ignore"):
@@ -70,17 +66,16 @@ class TestExhaustiveEquivalence:
                 np.nextafter(bnd, np.inf),
             ])
         probes = np.concatenate([probes, -probes])
-        _assert_bit_identical(table.round_array(probes),
-                              ref(probes.copy()))
+        _assert_bit_identical(fmt.round(probes), ref(probes.copy()))
 
     def test_specials_and_zero_signs(self, fmt):
-        table = fmt._lut_table()
+        values = full_table(fmt).values
         ref = _reference(fmt)
-        tiny = np.min(np.abs(table.values[table.values != 0.0]))
+        tiny = np.min(np.abs(values[values != 0.0]))
         probes = np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
                            5e-324, -5e-324, 1e308, -1e308,
                            tiny / 4, -tiny / 4])
-        got = table.round_array(probes)
+        got = fmt.round(probes)
         want = ref(probes.copy())
         _assert_bit_identical(got, want)
         assert np.signbit(got[1]) == np.signbit(want[1])
@@ -90,7 +85,7 @@ class TestExhaustiveEquivalence:
         rng = np.random.default_rng(zlib.crc32(fmt.name.encode()))
         probes = rng.standard_normal(5000) * \
             10.0 ** rng.integers(-40, 40, 5000)
-        _assert_bit_identical(fmt._lut_table().round_array(probes),
+        _assert_bit_identical(fmt.round(probes),
                               _reference(fmt)(probes.copy()))
 
 
@@ -105,22 +100,26 @@ def _spy_scalar_tier(monkeypatch, fmt) -> list:
 
 class TestDispatch:
     def test_small_arrays_take_the_table(self, monkeypatch):
-        """Up to TINY_N elements take the scalar tier (over the dense
-        table); one more takes the dense table's array path."""
-        fmt = get_format("posit16es1")
-        table = fmt._lut_table()
-        assert fmt._scalar_rounder().__self__ is table
-        calls = []
-        orig = table.round_array
-        monkeypatch.setattr(table, "round_array",
-                            lambda arr: calls.append(arr.size) or
-                            orig(arr))
-        scalars = _spy_scalar_tier(monkeypatch, fmt)
+        """Up to TINY_N elements take the scalar tier over the
+        two-level table; every larger array takes its array path."""
         assert lut.TINY_N == 8
-        fmt.round(np.linspace(0.1, 1.0, 8))
-        assert calls == [] and len(scalars) == 8
-        fmt.round(np.linspace(0.1, 1.0, 9))
-        assert calls == [9] and len(scalars) == 8
+        for name in ("posit8es0", "posit16es1", "bf16", "fp8e4m3",
+                     "takum16"):
+            fmt = get_format(name)
+            table = fmt._two_level_table()
+            assert fmt._scalar_rounder().__self__ is table
+            calls = []
+            orig = table.round_array
+            monkeypatch.setattr(table, "round_array",
+                                lambda arr, calls=calls, orig=orig:
+                                calls.append(arr.size) or orig(arr))
+            scalars = _spy_scalar_tier(monkeypatch, fmt)
+            fmt.round(np.linspace(0.1, 1.0, 8))
+            assert calls == [] and len(scalars) == 8, name
+            for n in (9, 256, 257, 1025):
+                fmt.round(np.linspace(0.1, 1.0, n))
+            assert calls == [9, 256, 257, 1025], name
+            assert len(scalars) == 8, name
 
     @pytest.mark.parametrize("name", ["posit16es1", "posit32es2", "bf16",
                                       "takum32"])
@@ -140,20 +139,19 @@ class TestDispatch:
         np.testing.assert_array_equal(fmt.round(x), ref(x.copy()))
         assert calls == [1, 1, 1, 8]
 
-    def test_large_arrays_fall_back_to_bitwise(self, monkeypatch):
-        fmt = get_format("posit16es1")
-        table = fmt._lut_table()
-        monkeypatch.setattr(
-            table, "round_array",
-            lambda arr: pytest.fail("LUT used above crossover"))
-        n = lut.max_eligible_n(fmt.nbits) + 1
-        out = fmt.round(np.linspace(0.1, 1.0, n))
-        assert out.shape == (n,)
-
     def test_wide_formats_never_build_tables(self):
-        assert get_format("posit32es2")._lut_max_n == -1
-        assert get_format("fp64").__class__.__name__ == \
-            "NativeIEEEFormat"  # native casts are not hooked at all
+        """Native casts (fp32, fp64) round without any table."""
+        lut.clear_tables()
+        try:
+            for name in ("fp32", "fp64"):
+                fmt = get_format(name)
+                assert fmt.__class__.__name__ == "NativeIEEEFormat"
+                for n in (1, 9, 300):
+                    fmt.round(np.linspace(0.1, 1.0, n))
+                fmt.round(0.3)
+            assert lut._CACHE == {}
+        finally:
+            lut.clear_tables()
 
     def test_scalar_round_matches_array_round(self):
         fmt = get_format("posit16es2")
@@ -166,14 +164,14 @@ class TestDispatch:
     def test_table_cache_is_keyed_and_shared(self):
         lut.clear_tables()
         try:
-            a = PositFormat(10, 1)._lut_table()
-            b = PositFormat(10, 1)._lut_table()
-            c = PositFormat(10, 2)._lut_table()
+            a = PositFormat(10, 1)._two_level_table()
+            b = PositFormat(10, 1)._two_level_table()
+            c = PositFormat(10, 2)._two_level_table()
             assert a is b
             assert a is not c
             # directed modes key on the mode too
-            d = DirectedIEEEFormat(8, 4, "down")._lut_table()
-            e = DirectedIEEEFormat(8, 4, "up")._lut_table()
+            d = DirectedIEEEFormat(8, 4, "down")._two_level_table()
+            e = DirectedIEEEFormat(8, 4, "up")._two_level_table()
             assert d is not e
         finally:
             lut.clear_tables()
@@ -188,7 +186,7 @@ class TestDispatch:
             "x = np.linspace(0.1, 1.0, 8)\n"
             "out = fmt.round(x)\n"
             "np.testing.assert_array_equal(out, fmt._bitwise_round(x))\n"
-            "assert fmt._table is None  # table never built\n"
+            "assert fmt._table2 is None  # table never built\n"
         )
         env = dict(os.environ, REPRO_LUT="off",
                    PYTHONPATH=os.pathsep.join(sys.path))
@@ -203,11 +201,15 @@ class TestBuildContract:
                                     lambda a: a)
 
     def test_ieee_and_posit_tables_have_full_pattern_coverage(self):
+        """Every pattern value is a fixed point of the format's table."""
         p = get_format("posit8es0")
-        assert p._lut_table().values.size == 255  # 256 minus NaR
+        vals = full_table(p).values
+        assert vals.size == 255  # 256 minus NaR
+        _assert_bit_identical(p.round(vals), vals)
         f = get_format("fp8e4m3")
         assert isinstance(f, IEEEFormat)
-        vals = f._lut_table().values
-        # ±inf bracket the table; extremes of the finite range present
+        vals = full_table(f).values
+        # ±inf bracket the value set; extremes of the finite range present
         assert np.isneginf(vals[0]) and np.isposinf(vals[-1])
         assert f.max_value in vals and f.min_positive in vals
+        _assert_bit_identical(f.round(vals), vals)

@@ -5,8 +5,9 @@ elements rounds through each table's pure-Python ``round_scalar``
 (native fp16/fp32: one scalar cast).  Both must reproduce the array
 path bit for bit — compared as int64 views, NaN matched by class — on
 the inputs where rounding can tip: signed zeros, subnormals, ±inf,
-NaN, ±max, every dense-table boundary with its float64 neighbours, and
-a boundary-biased random sample.
+NaN, ±max, every decision boundary with its float64 neighbours (of the
+table's tail and, for ≤ 16-bit formats, of a full-enumeration table),
+and a boundary-biased random sample.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.formats.registry import get_format
 from repro.formats.rounding_modes import (DirectedIEEEFormat,
                                           StochasticRounding)
 from repro.kernels import lut
+from tests.table_reference import full_table
 
 _REGISTERED = ("posit8es0", "posit16es1", "posit16es2", "posit32es2",
                "posit32es3", "takum16", "takum32", "bf16", "fp8e4m3",
@@ -55,14 +57,11 @@ def _assert_bit_identical(got, want, probes):
                     f"{probes[i]!r}: got {got[i]!r}, want {want[i]!r}")
 
 
-def _array_rounders(fmt):
-    """The array paths the scalar tier must reproduce."""
+def _array_rounder(fmt):
+    """The array path the scalar tier must reproduce."""
     if isinstance(fmt, NativeIEEEFormat):
-        return {"cast": fmt.round}  # arrays never take the scalar cast
-    out = {"two_level": fmt._two_level_table().round_array}
-    if fmt._lut_max_n > 0:
-        out["dense"] = fmt._lut_table().round_array
-    return out
+        return fmt.round  # arrays never take the scalar cast
+    return fmt._two_level_table().round_array
 
 
 def _specials(fmt) -> np.ndarray:
@@ -77,8 +76,8 @@ def _specials(fmt) -> np.ndarray:
 
 
 def _boundaries(fmt) -> np.ndarray:
-    """Every dense-table decision boundary (for natives: the midpoint
-    between adjacent values) with its float64 neighbours."""
+    """Every decision boundary (for natives: the midpoint between
+    adjacent values) with its float64 neighbours."""
     if isinstance(fmt, NativeIEEEFormat):
         if fmt.nbits == 16:  # every finite positive pattern
             v = np.arange(0x7C00, dtype=np.uint16).view(np.float16)
@@ -89,9 +88,9 @@ def _boundaries(fmt) -> np.ndarray:
         nxt = np.nextafter(v, v.dtype.type(np.inf))
         b = (v.astype(np.float64) + nxt.astype(np.float64)) / 2.0
     else:
-        tables = [fmt._two_level_table().dense]
-        if fmt._lut_max_n > 0:
-            tables.append(fmt._lut_table())
+        tables = [fmt._two_level_table().tail]
+        if fmt.nbits <= lut.MAX_TABLE_BITS:
+            tables.append(full_table(fmt))
         b = np.concatenate([t.boundaries for t in tables])
         b = b[np.isfinite(b)]
     with np.errstate(over="ignore"):
@@ -139,9 +138,8 @@ class TestScalarTier:
         probes = _probes(fmt)
         got = [fmt.round(v) for v in probes.tolist()]
         assert all(type(v) is float for v in got)
-        for round_array in _array_rounders(fmt).values():
-            _assert_bit_identical(np.array(got),
-                                  round_array(probes.copy()), probes)
+        _assert_bit_identical(np.array(got),
+                              _array_rounder(fmt)(probes.copy()), probes)
 
     def test_zero_d_inputs_match_python_floats(self, fmt):
         probes = _specials(fmt)
@@ -160,8 +158,8 @@ class TestScalarTier:
         assert all(o.shape == c.shape and o.dtype == np.float64
                    for o, c in zip(outs, chunks))
         got = np.concatenate(outs)
-        for round_array in _array_rounders(fmt).values():
-            _assert_bit_identical(got, round_array(probes.copy()), probes)
+        _assert_bit_identical(got, _array_rounder(fmt)(probes.copy()),
+                              probes)
 
 
 def test_empty_array_keeps_its_shape_and_dtype():
@@ -177,24 +175,20 @@ def _two_level_formats():
 
 @pytest.mark.parametrize("fmt", _two_level_formats())
 def test_every_table_scalar_path(fmt):
-    """Both tables' ``round_scalar``, not only the one the dispatch
-    picks (the two-level one of a 16-bit format included)."""
+    """The table's ``round_scalar`` called directly, not through the
+    dispatch."""
     probes = _probes(fmt)
-    tables = [fmt._two_level_table()]
-    if fmt._lut_max_n > 0:
-        tables.append(fmt._lut_table())
-    for table in tables:
-        got = np.array([table.round_scalar(v) for v in probes.tolist()])
-        _assert_bit_identical(got, table.round_array(probes.copy()),
-                              probes)
+    table = fmt._two_level_table()
+    got = np.array([table.round_scalar(v) for v in probes.tolist()])
+    _assert_bit_identical(got, table.round_array(probes.copy()), probes)
 
 
 @pytest.mark.parametrize("fmt", _two_level_formats())
 def test_two_level_round_array_raises_no_flag(fmt):
     """No input from any frexp bucket raises a floating-point flag.
 
-    round_array enters no errstate for posit and takum; emulated IEEE
-    formats silence only the top bucket's overflow to 2**1024."""
+    The fast path enters no errstate; the post path silences only the
+    top bucket's overflow to 2**1024 (emulated IEEE formats)."""
     e = np.arange(lut.FREXP_E_LO, lut.FREXP_E_LO + lut.FREXP_E_TABLE)
     rng = np.random.default_rng(3)
     with np.errstate(over="ignore"):

@@ -42,9 +42,9 @@ def _stats():
 class TestStoreLoad:
     def test_roundtrip_bytes_dtypes_shapes(self, tabenv):
         arrays = _sample_arrays()
-        path = tabcache.store_arrays("dense", ("k", 1), "fake", arrays)
+        path = tabcache.store_arrays(("k", 1), "fake", arrays)
         assert path is not None and os.path.exists(path)
-        out = tabcache.load_arrays("dense", ("k", 1))
+        out = tabcache.load_arrays(("k", 1))
         assert out is not None and _stats().hits == 1
         for name, arr in arrays.items():
             assert out[name].dtype == arr.dtype
@@ -52,45 +52,43 @@ class TestStoreLoad:
             assert out[name].tobytes() == arr.tobytes()
 
     def test_miss_before_store(self, tabenv):
-        assert tabcache.load_arrays("dense", ("nope",)) is None
+        assert tabcache.load_arrays(("nope",)) is None
         assert _stats().misses == 1 and _stats().invalidations == 0
 
     def test_keys_do_not_collide(self, tabenv):
-        tabcache.store_arrays("dense", ("a",), "f",
+        tabcache.store_arrays(("a",), "f",
                               {"v": np.zeros(3)})
-        assert tabcache.load_arrays("dense", ("b",)) is None
-        assert tabcache.load_arrays("two_level", ("a",)) is None
+        assert tabcache.load_arrays(("b",)) is None
 
     def test_corrupt_file_invalidated_and_rebuilt(self, tabenv):
         arrays = _sample_arrays()
-        path = tabcache.store_arrays("dense", ("c",), "f", arrays)
+        path = tabcache.store_arrays(("c",), "f", arrays)
         raw = bytearray(open(path, "rb").read())
         raw[len(raw) // 2] ^= 0xFF  # bit-rot in the payload
         open(path, "wb").write(bytes(raw))
-        assert tabcache.load_arrays("dense", ("c",)) is None
+        assert tabcache.load_arrays(("c",)) is None
         assert _stats().invalidations == 1
         assert not os.path.exists(path)  # dropped, not trusted
-        assert tabcache.store_arrays("dense", ("c",), "f",
+        assert tabcache.store_arrays(("c",), "f",
                                      arrays) == path
-        assert tabcache.load_arrays("dense", ("c",)) is not None
+        assert tabcache.load_arrays(("c",)) is not None
 
     def test_truncated_file_invalidated(self, tabenv):
-        path = tabcache.store_arrays("dense", ("t",), "f",
+        path = tabcache.store_arrays(("t",), "f",
                                      _sample_arrays())
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(size - 7)
-        assert tabcache.load_arrays("dense", ("t",)) is None
+        assert tabcache.load_arrays(("t",)) is None
         assert _stats().invalidations == 1
 
-    def test_kind_mismatch_rejected(self, tabenv):
+    def test_key_mismatch_rejected(self, tabenv):
         """A file copied over another entry's path must not be served."""
         import shutil
-        src = tabcache.store_arrays("dense", ("x",), "f",
-                                    _sample_arrays())
-        dst = tabcache.entry_path("two_level", ("x",))
+        src = tabcache.store_arrays(("x",), "f", _sample_arrays())
+        dst = tabcache.entry_path(("y",))
         shutil.copyfile(src, dst)
-        assert tabcache.load_arrays("two_level", ("x",)) is None
+        assert tabcache.load_arrays(("y",)) is None
         assert _stats().invalidations == 1
 
     def test_disabled_by_env(self, tabenv, monkeypatch):
@@ -109,7 +107,7 @@ class TestStoreLoad:
             raise OSError(errno.ENOSPC, "disk full")
 
         monkeypatch.setattr(atomic, "atomic_open", _full)
-        out = tabcache.store_arrays("dense", ("d",), "f",
+        out = tabcache.store_arrays(("d",), "f",
                                     _sample_arrays())
         assert out is None and _stats().write_errors == 1
 
@@ -121,12 +119,12 @@ class TestStoreLoad:
 
         monkeypatch.setattr(atomic, "atomic_open", _denied)
         with pytest.raises(OSError):
-            tabcache.store_arrays("dense", ("d",), "f",
+            tabcache.store_arrays(("d",), "f",
                                   _sample_arrays())
 
     def test_clear_table_cache(self, tabenv):
-        tabcache.store_arrays("dense", ("a",), "f", _sample_arrays())
-        tabcache.store_arrays("dense", ("b",), "f", _sample_arrays())
+        tabcache.store_arrays(("a",), "f", _sample_arrays())
+        tabcache.store_arrays(("b",), "f", _sample_arrays())
         assert tabcache.clear_table_cache() == 2
         assert os.listdir(tabcache.table_cache_dir()) == []
 
@@ -134,14 +132,15 @@ class TestStoreLoad:
 class TestLutIntegration:
     """Cold build -> warm mmap load, byte-identical rounding."""
 
-    def test_dense_table_cold_then_warm(self, tabenv, rng):
-        cold = PositFormat(10, 0)._lut_table()
+    def test_narrow_table_cold_then_warm(self, tabenv, rng):
+        cold = PositFormat(10, 0)._two_level_table()
         assert _stats().builds == 1 and _stats().hits == 0
         lut.clear_tables()
-        warm = PositFormat(10, 0)._lut_table()
+        warm = PositFormat(10, 0)._two_level_table()
         assert _stats().builds == 1 and _stats().hits == 1
-        assert warm.values.tobytes() == cold.values.tobytes()
-        assert warm.boundaries.tobytes() == cold.boundaries.tobytes()
+        assert warm.tail.values.tobytes() == cold.tail.values.tobytes()
+        assert warm.tail.boundaries.tobytes() == \
+            cold.tail.boundaries.tobytes()
         probes = rng.standard_normal(2000) * \
             10.0 ** rng.integers(-20, 20, 2000)
         assert warm.round_array(probes).tobytes() == \
@@ -162,15 +161,15 @@ class TestLutIntegration:
 
     def test_corrupt_table_file_rebuilds_identically(self, tabenv, rng):
         fmt = PositFormat(10, 1)
-        cold = fmt._lut_table()
-        path = tabcache.entry_path("dense", fmt._key())
+        cold = fmt._two_level_table()
+        path = tabcache.entry_path(fmt._key())
         raw = bytearray(open(path, "rb").read())
         raw[-1] ^= 0x01  # clobber the checksum
         open(path, "wb").write(bytes(raw))
         lut.clear_tables()
-        rebuilt = PositFormat(10, 1)._lut_table()
+        rebuilt = PositFormat(10, 1)._two_level_table()
         assert _stats().invalidations == 1 and _stats().builds == 2
-        assert rebuilt.values.tobytes() == cold.values.tobytes()
+        assert rebuilt.tail.values.tobytes() == cold.tail.values.tobytes()
 
 
 class TestPreload:
@@ -178,21 +177,21 @@ class TestPreload:
         from repro.formats.registry import get_format
         if not lut.lut_enabled():
             pytest.skip("REPRO_LUT=off")
-        PositFormat(10, 0)._lut_table()  # seeds the store
+        PositFormat(10, 0)._two_level_table()  # seeds the store
         lut.clear_tables()
         fmt = get_format("posit10es0")
-        monkeypatch.setattr(fmt, "_table", None)
+        monkeypatch.setattr(fmt, "_table2", None)
         hits_before = _stats().hits
         assert tabcache.preload_cached() == 1
         assert _stats().hits == hits_before + 1
-        assert fmt._table is not None
+        assert fmt._table2 is not None
 
     def test_preload_skips_stale_fingerprints(self, tabenv):
         import shutil
         if not lut.lut_enabled():
             pytest.skip("REPRO_LUT=off")
-        src = tabcache.entry_path("dense", PositFormat(10, 0)._key())
-        PositFormat(10, 0)._lut_table()
+        src = tabcache.entry_path(PositFormat(10, 0)._key())
+        PositFormat(10, 0)._two_level_table()
         # simulate a file written by older code: same header, wrong hash
         shutil.move(src, os.path.join(tabcache.table_cache_dir(),
                                       "0" * 64 + tabcache.SUFFIX))
@@ -200,7 +199,7 @@ class TestPreload:
         assert tabcache.preload_cached() == 0
 
     def test_preload_disabled(self, tabenv, monkeypatch):
-        PositFormat(10, 0)._lut_table()  # seeds the store
+        PositFormat(10, 0)._two_level_table()  # seeds the store
         lut.clear_tables()
         monkeypatch.setattr(lut, "_ENABLED", False)  # REPRO_LUT=off
         assert tabcache.preload_cached() == 0

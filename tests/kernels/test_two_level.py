@@ -1,12 +1,13 @@
 """Two-level LUT: exhaustive equivalence with the bitwise kernels.
 
-The two-level (exponent-bucketed) tables extend table-driven rounding
-past the 16-bit dense-table ceiling, so their acceptance bar mirrors
-``tests/kernels/test_lut.py``: for every hooked format that fits a
-dense value enumeration (≤ 16 bits) the two-level path must agree with
-the reference rounder on **every representable value, every rounding
+The two-level (exponent-bucketed) table is the one rounding table of
+every table format, so its acceptance bar mirrors
+``tests/kernels/test_lut.py``: for every format whose value set can be
+enumerated (≤ 16 bits) the two-level path must agree with the
+reference rounder on **every representable value, every rounding
 decision boundary, and both float64 neighbours of each** — compared
-bit-for-bit.  The wide formats the tables were actually built for
+bit-for-bit, with the values taken from a test-local table over every
+bit pattern (:mod:`tests.table_reference`).  The wide formats
 (posit32es2/es3, binary32) cannot be enumerated; they get
 boundary-biased stratified sampling, with the full-depth sweep behind
 the ``tier2`` marker like the oracle conformance suites.
@@ -18,15 +19,15 @@ import numpy as np
 import pytest
 
 from repro.formats.posit_format import PositFormat
-from repro.formats.registry import available_formats, get_format
+from repro.formats.registry import get_format
 from repro.formats.rounding_modes import DirectedIEEEFormat
 from repro.kernels import lut
+from tests.table_reference import full_table, registered_narrow_formats
 
 
 def _enumerable_formats():
-    """Every hooked ≤16-bit format (dense table == full enumeration)."""
-    fmts = [f for f in (get_format(n) for n in available_formats())
-            if getattr(f, "_lut_max_n", -1) > 0]
+    """Every ≤ 16-bit table format (full enumeration possible)."""
+    fmts = registered_narrow_formats()
     fmts.append(get_format("posit12es0"))
     fmts.append(get_format("ieee10p5e4"))
     fmts.append(DirectedIEEEFormat(8, 4, "toward_zero"))
@@ -85,26 +86,41 @@ def _boundary_probes(values: np.ndarray) -> np.ndarray:
                          ids=lambda f: f.name)
 class TestExhaustiveTwoLevel:
     def test_every_value_boundary_and_neighbourhood(self, fmt):
-        table2 = fmt._two_level_table()
         ref = _reference(fmt)
-        # the one-level table's values enumerate every finite pattern
-        probes = _boundary_probes(fmt._lut_table().values)
+        # the full table's values enumerate every finite pattern
+        probes = _boundary_probes(full_table(fmt).values)
         probes = np.concatenate([probes, -probes])
-        _assert_bit_identical(table2.round_array(probes),
-                              ref(probes.copy()), probes)
+        _assert_bit_identical(fmt.round(probes), ref(probes.copy()),
+                              probes)
 
     def test_specials_and_zero_signs(self, fmt):
-        table2 = fmt._two_level_table()
         ref = _reference(fmt)
-        vals = fmt._lut_table().values
+        vals = full_table(fmt).values
         tiny = np.min(np.abs(vals[(vals != 0.0) & np.isfinite(vals)]))
         probes = np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
                            5e-324, -5e-324, 1e308, -1e308,
                            tiny / 4, -tiny / 4])
-        got = table2.round_array(probes)
+        got = fmt.round(probes)
         want = ref(probes.copy())
         _assert_bit_identical(got, want, probes)
         assert np.signbit(got[1]) == np.signbit(want[1])
+
+    def test_few_slow_lanes_among_fast_ones(self, fmt):
+        """0 to TINY_N + 2 lanes outside the fast buckets (tail, post,
+        non-finite) in an array of fast ones: the scalar and the vector
+        route for the remaining lanes give the reference's bits."""
+        ref = _reference(fmt)
+        vals = full_table(fmt).values
+        vals = vals[np.isfinite(vals)]
+        rng = np.random.default_rng(fmt.nbits)
+        slow = np.concatenate([
+            vals[:4], vals[-4:], vals[:4] / 3, vals[-4:] * 1.5,
+            [np.inf, -np.inf, np.nan, 5e-324, -5e-324]])
+        for k in range(lut.TINY_N + 3):
+            x = rng.uniform(0.75, 1.5, 64) * rng.choice([-1.0, 1.0], 64)
+            x[rng.choice(64, k, replace=False)] = rng.choice(slow, k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _assert_bit_identical(fmt.round(x), ref(x.copy()), x)
 
 
 def _stratified_probes(fmt, per_decade: int, seed: int) -> np.ndarray:
@@ -161,23 +177,25 @@ def test_wide_formats_stratified_deep(fobj):
 
 class TestTwoLevelDispatch:
     def test_above_crossover_takes_two_level(self, monkeypatch):
-        fmt = get_format("posit16es1")
-        table2 = fmt._two_level_table()
-        calls = []
-        orig = table2.round_array
-        monkeypatch.setattr(table2, "round_array",
-                            lambda arr: calls.append(arr.size) or
-                            orig(arr))
-        n = lut.max_eligible_n(fmt.nbits) + 1
-        fmt.round(np.linspace(0.1, 1.0, n))
-        assert calls == [n]
+        """Every ≤ 16-bit array above TINY_N takes the two-level
+        table's array path, at any size (no dense tier)."""
+        for fmt in registered_narrow_formats():
+            table2 = fmt._two_level_table()
+            calls = []
+            orig = table2.round_array
+            monkeypatch.setattr(table2, "round_array",
+                                lambda arr, calls=calls, orig=orig:
+                                calls.append(arr.size) or orig(arr))
+            sizes = (lut.TINY_N + 1, 256, 257, 1025)
+            for n in sizes:
+                fmt.round(np.linspace(0.1, 1.0, n))
+            assert calls == list(sizes), fmt.name
 
     def test_wide_formats_dispatch_two_level_at_any_size(self,
                                                          monkeypatch):
         """Up to TINY_N elements take the two-level table's scalar
         tier; one more takes its array path."""
         fmt = get_format("posit32es2")
-        assert fmt._lut_max_n == -1  # no dense table for 32 bits
         table2 = fmt._two_level_table()
         assert fmt._scalar_rounder().__self__ is table2
         calls = []
@@ -227,3 +245,48 @@ class TestTwoLevelDispatch:
             t.join()
         for r in results:
             np.testing.assert_array_equal(r, want)
+
+
+class TestWorkspace:
+    """The per-thread ``round_array`` workspace pool."""
+
+    @staticmethod
+    def _retained():
+        ws = lut._WORKSPACE
+        held = sum(a.nbytes for bundle in ws.free.values()
+                   for a in bundle)
+        assert held == ws.nbytes
+        return held
+
+    def test_distinct_shapes_stay_within_the_budget(self):
+        fmt = get_format("posit16es1")
+        rng = np.random.default_rng(5)
+        sizes = np.arange(lut.TINY_N + 1, lut.TINY_N + 2201)
+        assert lut._Workspace.ITEM_BYTES * sizes.sum() \
+            > 2 * lut.WORKSPACE_BUDGET
+        for n in rng.permutation(sizes):
+            fmt.round(rng.uniform(0.1, 3.0, n))
+            assert self._retained() <= lut.WORKSPACE_BUDGET
+        # 2-D shapes count too
+        for n in range(1, 200):
+            fmt.round(rng.uniform(0.1, 3.0, (n, 3)))
+        assert self._retained() <= lut.WORKSPACE_BUDGET
+
+    def test_recent_shapes_are_reused(self, monkeypatch):
+        fmt = get_format("bf16")
+        x = np.linspace(0.1, 3.0, 300)
+        fmt.round(x)
+        assert (300,) in lut._WORKSPACE.free
+        calls = []
+        real_empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k:
+                            calls.append(a) or real_empty(*a, **k))
+        fmt.round(x)
+        assert calls == []
+
+    def test_oversized_arrays_are_not_kept(self):
+        fmt = get_format("posit16es1")
+        n = lut.WORKSPACE_BUDGET // lut._Workspace.ITEM_BYTES + 1
+        fmt.round(np.full(n, 0.5))
+        assert (n,) not in lut._WORKSPACE.free
+        assert self._retained() <= lut.WORKSPACE_BUDGET

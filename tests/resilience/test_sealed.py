@@ -3,8 +3,8 @@
 The result cache (``RPRCv1`` pickles) and the rounding-table store
 (``RPRTv1`` mmap files) share :func:`repro.resilience.atomic.write_sealed`
 and :func:`~repro.resilience.atomic.unseal`.  Every damage case below
-runs against a result entry, a dense table and a two-level table, and
-must give a counted miss, delete the file, and rebuild a bit-identical
+runs against a result entry and two rounding tables (a narrow and a
+32-bit format's), and must give a counted miss, delete the file, and rebuild a bit-identical
 value; a full disk must skip the write and count a ``write_error``.
 """
 
@@ -69,16 +69,17 @@ class _ResultEntry:
 
 
 class _Table:
-    """One rounding table of *kind*, built through the LUT accessor of
-    a fresh ``PositFormat(*params)`` (format objects memoize tables)."""
+    """One rounding table, built through the table accessor of a fresh
+    ``PositFormat(*params)`` (format objects memoize tables)."""
 
     magic = tabcache._FOOTER_MAGIC
     other_magic = rcache._FOOTER_MAGIC
+    names = ("granules", "affine", "values", "boundaries")
 
-    def __init__(self, kind: str, params: tuple[int, int]):
-        self.kind, self.params = kind, params
+    def __init__(self, params: tuple[int, int]):
+        self.params = params
         self.key = PositFormat(*params)._key()
-        self.path = tabcache.entry_path(kind, self.key)
+        self.path = tabcache.entry_path(self.key)
 
     def stats(self):
         return tabcache.table_stats()
@@ -86,35 +87,31 @@ class _Table:
     def build(self) -> bytes:
         """Fetch the table as a fresh process would (store, else build)."""
         lut.clear_tables()
-        fmt = PositFormat(*self.params)
-        if self.kind == "dense":
-            table = fmt._lut_table()
-            parts = (table.values, table.boundaries)
-        else:
-            table = fmt._two_level_table()
-            parts = (table.granules, table.affine, table.dense.values,
-                     table.dense.boundaries)
+        table = PositFormat(*self.params)._two_level_table()
+        parts = (table.granules, table.affine, table.tail.values,
+                 table.tail.boundaries)
         return b"".join(a.tobytes() for a in parts)
 
     def load(self):
-        arrays = tabcache.load_arrays(self.kind, self.key)
-        names = (("values", "boundaries") if self.kind == "dense"
-                 else ("granules", "affine", "values", "boundaries"))
+        arrays = tabcache.load_arrays(self.key)
         return None if arrays is None else b"".join(
-            arrays[name].tobytes() for name in names)
+            arrays[name].tobytes() for name in self.names)
 
     def store(self):
-        return tabcache.store_arrays(self.kind, self.key, "f",
+        return tabcache.store_arrays(self.key, "f",
                                      {"values": np.zeros(3)})
 
 
+# the "dense" id predates the one-table store: it now names the table
+# of a narrow format (posit10es1, the formats that once also held a
+# dense table), "two_level" that of a 32-bit one
 @pytest.fixture(params=["result", "dense", "two_level"])
 def target(request, tmp_path):
     if request.param == "result":
         return _ResultEntry(tmp_path)
     if request.param == "dense":
-        return _Table("dense", (10, 1))
-    return _Table("two_level", (32, 2))
+        return _Table((10, 1))
+    return _Table((32, 2))
 
 
 def _rewrite(path, fn):
