@@ -28,7 +28,7 @@ from ..kernels import gemm as _gemm_kernels
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold, use_segmented
 from ..kernels.zeroplan import plan_for
-from .shapes import require_conformant, require_product
+from .shapes import require_conformant, require_lanes, require_product
 from .sparse import CSRMatrix
 from .summation import SUM_ORDERS, round_at, rounded_sum_last_axis
 
@@ -301,18 +301,31 @@ class FPContext:
             return float(rounded_sum_last_axis(x, self._rnd_for("sum"),
                                                self.sum_order))
 
-    def dot(self, x, y) -> float:
-        """Rounded inner product: round every product, round every add."""
+    def dot(self, x, y):
+        """Rounded inner product: round every product, round every add.
+
+        Two ``(n,)`` vectors give a float.  Two ``(B, n)`` lane stacks
+        give the ``(B,)`` array of their row dots, each with the bits of
+        its own 1-D call: products round elementwise and the fold runs
+        along the last axis, one tree per row.  The float64 context
+        keeps one BLAS ``x @ y`` per row for the same reason.
+        """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
+        if x.shape != y.shape or not 0 < x.ndim < 3:
+            require_lanes(x, y)
         if self._exact:
-            return float(self.inject("dot", float(x @ y)))
+            if x.ndim == 1:
+                return float(self.inject("dot", float(x @ y)))
+            return self.inject("dot", np.array([xk @ yk for xk, yk
+                                                in zip(x, y)]))
         with np.errstate(invalid="ignore", over="ignore"):
             products = self._ewise("dot.mul", np.multiply, x, y)
-            out = float(rounded_sum_last_axis(products,
-                                              self._rnd_for("dot.sum"),
-                                              self.sum_order))
-        return float(self.inject("dot", out))
+            out = rounded_sum_last_axis(products, self._rnd_for("dot.sum"),
+                                        self.sum_order)
+        if x.ndim == 1:
+            return float(self.inject("dot", float(out)))
+        return self.inject("dot", out)
 
     def matvec(self, A, x) -> np.ndarray:
         """Rounded matrix-vector product (row-wise rounded dots).
@@ -338,12 +351,19 @@ class FPContext:
         that round by a NumPy dtype cast, and contexts with a collector
         (which sees every partial sum) take the whole-array route.
 
+        A dense ``(B, n, n)`` stack with *x* of shape ``(B, n)`` runs B
+        lanes in one call and returns ``(B, n)``, each row with the bits
+        of its own ``(n, n)`` call: products round elementwise, the fold
+        runs per row, a frozen stack's plan decides the half-share rule
+        per lane (:class:`~repro.kernels.zeroplan.ZeroPlan`), and the
+        float64 context keeps one BLAS ``A @ x`` per lane.
+
         Collector sites carry the layout (``matvec.mul`` dense,
         ``matvec.csr.*`` sparse); the ``matvec`` injector site is
         layout-independent.
         """
         x = np.asarray(x, dtype=np.float64)
-        require_conformant(A, x)
+        require_conformant(A, x, lanes=not isinstance(A, CSRMatrix))
         if isinstance(A, CSRMatrix):
             if self._exact:
                 return self.inject("matvec", A.matvec64(x))
@@ -369,13 +389,16 @@ class FPContext:
             return self.inject("matvec", out)
         A = np.asarray(A, dtype=np.float64)
         if self._exact:
-            return self.inject("matvec", A @ x)
+            if A.ndim == 2:
+                return self.inject("matvec", A @ x)
+            return self.inject("matvec", np.stack([Ak @ xk for Ak, xk
+                                                   in zip(A, x)]))
         plan = self._zero_plan(A, x)
         rnd = self._rnd_for("matvec.sum")
         buf = _SCRATCH.take(A.shape)
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                np.multiply(A, x[np.newaxis, :], out=buf)
+                np.multiply(A, x[..., np.newaxis, :], out=buf)
                 if plan is None:
                     products = self._quantize("matvec.mul", buf)
                     at = None

@@ -33,7 +33,7 @@ import numpy as np
 from ..arith.context import FPContext
 from ..config import RunScale, current_scale
 from ..kernels.matcache import matrix_cache
-from ..linalg.cg import conjugate_gradient
+from ..linalg.cg import conjugate_gradient, conjugate_gradient_lanes
 from ..linalg.cholesky import cholesky_solve
 from ..errors import FactorizationError
 from ..linalg.ir import IRResult, iterative_refinement
@@ -50,7 +50,8 @@ __all__ = [
     "GRID_SOLVERS", "GRID_FORMATS",
     "ExperimentResult", "Cell",
     "cg_cells", "cholesky_cells", "ir_cells", "grid_cells",
-    "compute_cell", "cell_value", "store_cell", "has_cell",
+    "compute_cell", "compute_lanes", "lane_key",
+    "cell_value", "store_cell", "has_cell",
     "suite_systems",
     "run_cg_suite", "run_cholesky_suite", "run_ir_suite",
     "run_solver_grid",
@@ -196,29 +197,73 @@ def compute_cell(cell: Cell, scale: RunScale) -> Any:
         return _compute_cell(cell, scale)
 
 
+def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
+    """The key under which *cell* may run as a lane of a lockstep solve.
+
+    Cells with equal keys run as lanes of one
+    :func:`~repro.linalg.cg.conjugate_gradient_lanes` call
+    (:func:`compute_lanes`).  The key holds what the solve's shape and
+    arithmetic depend on: the kind, the format, the solver options and
+    the order n of the system at *scale*.  Rescaling only picks the
+    system a lane solves, so it is left out.  None (the cell runs
+    alone) for every kind but dense CG, and for a matrix the suite
+    does not know or cannot build.
+    """
+    if (cell.kind != "cg" or cell.option("sparse")
+            or (cell.matrix not in SUITE_ORDER
+                and cell.matrix not in EXTRA_SUITE)):
+        return None
+    try:
+        n = suite_systems(scale, names=(cell.matrix,))[0][1].shape[0]
+    except Exception:
+        return None  # the cell's own run reports the failure
+    return ("cg", cell.fmt,
+            tuple(o for o in cell.options if o[0] != "rescaled"), n)
+
+
+def compute_lanes(cells, scale: RunScale) -> list:
+    """The payloads of cells sharing a :func:`lane_key`, computed as
+    lanes of one lockstep CG solve; each has the bits
+    :func:`compute_cell` gives the cell alone."""
+    first = cells[0]
+    return conjugate_gradient_lanes(
+        FPContext(first.fmt), [_cg_system(c, scale) for c in cells],
+        rtol=first.option("rtol", 1e-5),
+        max_iterations=scale.cg_max_iterations)
+
+
+def _cg_system(cell: Cell, scale: RunScale):
+    """The ``(A, b)`` a CG cell solves: rescaled and CSR-packed as its
+    options ask."""
+    _, A, b = suite_systems(scale, names=(cell.matrix,))[0]
+    cache = matrix_cache()
+    if cell.option("rescaled"):
+        ss = cache.get_or_build(
+            ("cg.rescale", cell.matrix, scale.name),
+            lambda: scale_to_inf_norm(A, b))
+        A, b = ss.A, ss.b
+    if cell.option("sparse"):
+        from ..arith.sparse import CSRMatrix
+        A = cache.get_or_build(
+            ("csr", cell.matrix, scale.name,
+             bool(cell.option("rescaled"))),
+            lambda: CSRMatrix.from_dense(A))
+    return A, b
+
+
 def _compute_cell(cell: Cell, scale: RunScale) -> Any:
-    spec, A, b = suite_systems(scale, names=(cell.matrix,))[0]
     # Derived matrices (rescalings, CSR packing) depend only on the
     # system and the derivation parameters — never on the cell's format
     # (except Higham's, which keys on it) — so adjacent cells of a sweep
     # share them through the per-worker cache.  Solvers treat inputs as
     # read-only (they already share the memoized suite arrays).
-    cache = matrix_cache()
     if cell.kind == "cg":
-        if cell.option("rescaled"):
-            ss = cache.get_or_build(
-                ("cg.rescale", cell.matrix, scale.name),
-                lambda: scale_to_inf_norm(A, b))
-            A, b = ss.A, ss.b
-        if cell.option("sparse"):
-            from ..arith.sparse import CSRMatrix
-            A = cache.get_or_build(
-                ("csr", cell.matrix, scale.name,
-                 bool(cell.option("rescaled"))),
-                lambda: CSRMatrix.from_dense(A))
+        A, b = _cg_system(cell, scale)
         return conjugate_gradient(
             FPContext(cell.fmt), A, b, rtol=cell.option("rtol", 1e-5),
             max_iterations=scale.cg_max_iterations)
+    spec, A, b = suite_systems(scale, names=(cell.matrix,))[0]
+    cache = matrix_cache()
     if cell.kind == "chol":
         if cell.option("rescaled"):
             ss = cache.get_or_build(

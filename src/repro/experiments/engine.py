@@ -18,6 +18,12 @@ two new powers:
   unfinished cells.
 * cells already present (in-process memo or disk cache) are reported
   as ``cached`` and never recomputed.
+* on the serial path, cells that share a
+  :func:`~repro.experiments.common.lane_key` (dense CG cells of one
+  format, one set of solver options and one system order) run as lanes
+  of one lockstep solve, so every rounding call serves all of them.
+  Each cell is still stored and reported on its own (see
+  :func:`_execute_lanes`).
 
 Cell payloads are deterministic functions of ``(cell, scale)``; the
 serial and parallel paths therefore produce bit-identical results, and
@@ -35,10 +41,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..arith.context import INSTRUMENT_KINDS, get_instrument
 from ..config import RunScale
 from ..errors import ExperimentTimeout
 from ..resilience.isolation import backoff_delays, time_limit
-from .common import Cell, compute_cell, has_cell, store_cell
+from .common import (Cell, compute_cell, compute_lanes, has_cell, lane_key,
+                     store_cell)
 
 __all__ = ["CellOutcome", "execute_cells", "execute_request"]
 
@@ -147,9 +155,15 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
                   f"finishing remaining cells serially", file=sys.stderr)
         todo = [c for c in todo if c not in outcomes]
 
-    for cell in todo:
-        settle(_execute_serial(cell, scale, timeout, retries, backoff,
-                               sleep))
+    groups = (_lane_groups(todo, scale) if pool is None and jobs == 1
+              else [[cell] for cell in todo])
+    for group in groups:
+        if len(group) > 1:
+            _execute_lanes(group, scale, timeout, retries, backoff, sleep,
+                           settle)
+        else:
+            settle(_execute_serial(group[0], scale, timeout, retries,
+                                   backoff, sleep))
 
     return [outcomes[cell] for cell in dict.fromkeys(cells)]
 
@@ -171,6 +185,57 @@ def execute_request(cells: Sequence[Cell], request, *,
         backoff=request.backoff, grace=request.grace,
         max_worker_deaths=request.max_worker_deaths,
         on_outcome=on_outcome, on_report=on_report, pool=pool)
+
+
+def _lane_groups(todo: list[Cell], scale: RunScale) -> list[list[Cell]]:
+    """*todo* split into lane groups, in the order of each group's
+    first cell.  Every cell is a group of its own while an instrument
+    (injector, collector or tracer) is active: they observe single
+    solves."""
+    if len(todo) < 2 or any(get_instrument(kind) is not None
+                            for kind in INSTRUMENT_KINDS):
+        return [[cell] for cell in todo]
+    groups: dict[object, list[Cell]] = {}
+    for cell in todo:
+        key = lane_key(cell, scale)
+        groups.setdefault(cell if key is None else key, []).append(cell)
+    return list(groups.values())
+
+
+def _execute_lanes(cells: list[Cell], scale: RunScale,
+                   timeout: float | None, retries: int, backoff: float,
+                   sleep: Callable[[float], None],
+                   settle: Callable[[CellOutcome], None]) -> None:
+    """Run one lane group as a single solve, then store and settle each
+    cell on its own.
+
+    The group runs under the sum of its cells' budgets.  Each cell's
+    duration is the group's wall time split in proportion to its
+    lane's iterations (evenly when none iterated), so the durations
+    sum to the group's time.  A group that raises or runs out of time
+    reruns its cells one by one through :func:`_execute_serial`, which
+    gives each cell the status, retries and backoff of a run alone.
+    """
+    budget = None if timeout is None else timeout * len(cells)
+    t0 = time.perf_counter()
+    try:
+        with time_limit(budget, label=f"{len(cells)} lanes"):
+            values = compute_lanes(cells, scale)
+    except Exception as exc:
+        print(f"!! lane group of {len(cells)} cell(s) failed "
+              f"({type(exc).__name__}: {exc}); running them one by one",
+              file=sys.stderr)
+        for cell in cells:
+            settle(_execute_serial(cell, scale, timeout, retries, backoff,
+                                   sleep))
+        return
+    wall = time.perf_counter() - t0
+    weights = [getattr(value, "iterations", 0) for value in values]
+    total = sum(weights)
+    for cell, value, weight in zip(cells, values, weights):
+        store_cell(cell, scale, value)
+        share = weight / total if total else 1.0 / len(cells)
+        settle(CellOutcome(cell, "completed", wall * share))
 
 
 def _execute_serial(cell: Cell, scale: RunScale, timeout: float | None,

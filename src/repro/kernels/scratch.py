@@ -19,6 +19,10 @@ Contract
 * Rounders and context methods **always return freshly-allocated
   arrays**; scratch buffers only ever hold intermediate values and are
   given back before the call returns.
+* A thread's pool retains at most :data:`SCRATCH_BUDGET` bytes, however
+  many distinct shapes pass through it (lockstep CG lanes make a new
+  ``(B, n, n)`` shape each time a lane finishes); the least recently
+  returned shapes are dropped first.
 """
 
 from __future__ import annotations
@@ -27,11 +31,28 @@ import threading
 
 import numpy as np
 
-__all__ = ["ScratchPool"]
+__all__ = ["SCRATCH_BUDGET", "ScratchPool"]
 
-#: retained buffers per (shape, dtype) key — bounds pool memory while
-#: covering the deepest legitimate nesting (context op → fold → rounder)
+#: retained buffers per (shape, dtype) key — covers the deepest
+#: legitimate nesting (context op → fold → rounder)
 _MAX_PER_KEY = 8
+
+#: bytes one thread's pool keeps between calls, over all its keys:
+#: room for the largest buffer a small-scale sweep reuses every step
+#: (a six-lane n = 96 matvec product stack, 442 KB).  A larger buffer
+#: is allocated per call, which costs little next to filling it
+SCRATCH_BUDGET = 1 << 19
+
+
+class _Buffers:
+    """One thread's retained buffers: key → nonempty LIFO stack, keys
+    oldest first, and the bytes they hold."""
+
+    __slots__ = ("stacks", "nbytes")
+
+    def __init__(self):
+        self.stacks: dict[tuple, list] = {}
+        self.nbytes = 0
 
 
 class ScratchPool:
@@ -50,27 +71,60 @@ class ScratchPool:
     def __init__(self) -> None:
         self._local = threading.local()
 
+    def _state(self) -> _Buffers:
+        state = getattr(self._local, "state", None)
+        if state is None:
+            state = self._local.state = _Buffers()
+        return state
+
     def _buffers(self) -> dict:
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:
-            buffers = {}
-            self._local.buffers = buffers
-        return buffers
+        return self._state().stacks
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this thread's pool currently retains."""
+        return self._state().nbytes
 
     def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A writable buffer of the given shape/dtype, contents arbitrary."""
-        stack = self._buffers().get((shape, np.dtype(dtype).char))
-        if stack:
-            return stack.pop()
-        return np.empty(shape, dtype=dtype)
+        local = getattr(self._local, "state", None) or self._state()
+        key = (shape, "d" if dtype is np.float64 else np.dtype(dtype).char)
+        stack = local.stacks.get(key)
+        if stack is None:
+            return np.empty(shape, dtype=dtype)
+        buf = stack.pop()
+        if not stack:
+            del local.stacks[key]
+        local.nbytes -= buf.nbytes
+        return buf
 
     def give(self, arr: np.ndarray) -> None:
         """Return a buffer obtained from :meth:`take` to the pool."""
+        size = arr.nbytes
+        if size > SCRATCH_BUDGET:
+            return
+        local = getattr(self._local, "state", None) or self._state()
         key = (arr.shape, arr.dtype.char)
-        stack = self._buffers().setdefault(key, [])
-        if len(stack) < _MAX_PER_KEY:
+        stacks = local.stacks
+        stack = stacks.get(key)
+        if stack is None:
+            # take() drops a key it empties, so a key in steady use
+            # re-enters here at the recently-used end
+            stacks[key] = [arr]
+        elif len(stack) < _MAX_PER_KEY:
             stack.append(arr)
+        else:
+            return
+        local.nbytes += size
+        while local.nbytes > SCRATCH_BUDGET:
+            oldest = next(iter(stacks))
+            old = stacks[oldest]
+            local.nbytes -= old.pop(0).nbytes
+            if not old:
+                del stacks[oldest]
 
     def clear(self) -> None:
         """Drop every retained buffer (tests / memory pressure)."""
-        self._buffers().clear()
+        local = self._state()
+        local.stacks.clear()
+        local.nbytes = 0

@@ -39,6 +39,14 @@ needs rounding, the entry is None and the whole array is rounded,
 because gather and scatter cost more per element than rounding in
 place.  A plan whose entries are all None is the whole-array route.
 
+A frozen ``(B, m, n)`` lane stack
+(:func:`repro.linalg.cg.conjugate_gradient_lanes`) gets one plan that
+applies the rule per lane: each lane's indices are the ones its own
+``(m, n)`` plan would hold (every index of the lane where that plan
+rounds the whole array), offset to the lane's slice of the stack.  The
+stack then rounds exactly the entries its lanes would round one by one;
+a rule applied to the whole stack would round a different set.
+
 Which operands get a plan
 -------------------------
 A plan is valid only while its operand's zero pattern cannot change,
@@ -68,6 +76,18 @@ def _subset(mask: np.ndarray):
     return None if 2 * ix.size > mask.size else ix
 
 
+def _lane_subset(mask: np.ndarray):
+    """:func:`_subset` decided per lane (axis 0) of a stacked mask,
+    as flat indices into the whole stack; None when every lane is
+    past half."""
+    lanes = [_subset(lane) for lane in mask]
+    if all(ix is None for ix in lanes):
+        return None
+    size = mask[0].size
+    return np.concatenate([(np.arange(size) if ix is None else ix)
+                           + k * size for k, ix in enumerate(lanes)])
+
+
 class ZeroPlan:
     """Where a dense matvec's products and partial sums can change.
 
@@ -75,13 +95,16 @@ class ZeroPlan:
     :meth:`fold_levels` gives one entry per fold step, indexing that
     step's partial sums (pairwise: the ``(m, k // 2)`` level; sequential:
     the ``(m,)`` accumulator).  None means "round the whole array".
+    A ``(B, m, n)`` lane stack's arrays index the stacked shapes and
+    decide the half-share rule per lane.
     """
 
-    __slots__ = ("products", "_live", "_levels")
+    __slots__ = ("products", "_live", "_levels", "_subset")
 
     def __init__(self, A: np.ndarray):
         live = A != 0  # NaN and ±inf entries count as nonzero
-        self.products = _subset(live)
+        self._subset = _lane_subset if A.ndim == 3 else _subset
+        self.products = self._subset(live)
         self._live = live
         self._levels: dict[str, tuple] = {}
 
@@ -91,11 +114,11 @@ class ZeroPlan:
         if levels is None:
             build = (_pairwise_levels if order == "pairwise"
                      else _sequential_levels)
-            levels = self._levels[order] = build(self._live)
+            levels = self._levels[order] = build(self._live, self._subset)
         return levels
 
 
-def _pairwise_levels(live: np.ndarray) -> tuple:
+def _pairwise_levels(live: np.ndarray, subset) -> tuple:
     """Mirror of ``summation._fold_pairwise``: slot ``j`` pairs with
     ``j + k // 2``; an odd leftover slot is carried unrounded."""
     levels = []
@@ -103,7 +126,7 @@ def _pairwise_levels(live: np.ndarray) -> tuple:
         k = live.shape[-1]
         m = k // 2
         a, b = live[..., :m], live[..., m:2 * m]
-        levels.append(_subset(a & b))
+        levels.append(subset(a & b))
         nxt = a | b
         if k & 1:
             nxt = np.concatenate([nxt, live[..., -1:]], axis=-1)
@@ -111,13 +134,13 @@ def _pairwise_levels(live: np.ndarray) -> tuple:
     return tuple(levels)
 
 
-def _sequential_levels(live: np.ndarray) -> tuple:
+def _sequential_levels(live: np.ndarray, subset) -> tuple:
     """Mirror of ``summation._fold_sequential``: column ``j`` is added
     into the running accumulator."""
     levels = []
     acc = live[..., 0]
     for j in range(1, live.shape[-1]):
-        levels.append(_subset(acc & live[..., j]))
+        levels.append(subset(acc & live[..., j]))
         acc = acc | live[..., j]
     return tuple(levels)
 

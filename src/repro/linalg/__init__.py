@@ -2,7 +2,7 @@
 GMRES and mixed-precision iterative refinement."""
 
 from .bicg import BiCGResult, bicg, bicgstab, iterate_dynamic_range
-from .cg import CGResult, conjugate_gradient
+from .cg import CGResult, conjugate_gradient, conjugate_gradient_lanes
 from .cholesky import CholeskyResult, cholesky_factor, cholesky_solve
 from .gmres import GMRESResult, gmres
 from .ir import IRResult, iterative_refinement, lower_precision_storage
@@ -13,7 +13,7 @@ from .norms import (condition_number_2, factorization_backward_error,
                     relative_backward_error, two_norm)
 
 __all__ = [
-    "CGResult", "conjugate_gradient",
+    "CGResult", "conjugate_gradient", "conjugate_gradient_lanes",
     "BiCGResult", "bicg", "bicgstab", "iterate_dynamic_range",
     "CholeskyResult", "cholesky_factor", "cholesky_solve",
     "GMRESResult", "gmres",

@@ -14,10 +14,22 @@ The implementation follows the paper exactly:
 The returned record carries both the computed and the true final
 residuals so experiments can quantify the premature-convergence effect
 the paper mentions (§IV-C).
+
+Lockstep lanes
+--------------
+:func:`conjugate_gradient_lanes` solves B dense systems of one order n
+as *lanes* of a single run: the state is stacked as ``(B, n)``, the
+scalars as ``(B,)``, and every context call serves all live lanes.
+Both entry points run the one iteration body :func:`_iterate`.  Each
+lane keeps its own convergence, divergence, breakdown and budget
+outcome and leaves the stack when it settles.  Rounding is elementwise
+and every fold runs per row, so each lane's result has the bits of its
+own :func:`conjugate_gradient` call (``docs/performance.md`` §10).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +40,7 @@ from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
 from .norms import relative_backward_error
 
-__all__ = ["CGResult", "conjugate_gradient"]
+__all__ = ["CGResult", "conjugate_gradient", "conjugate_gradient_lanes"]
 
 
 @dataclass
@@ -108,76 +120,270 @@ def conjugate_gradient(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     :class:`~repro.arith.sparse.CSRMatrix`, which makes full-scale
     suite runs tractable.
     """
-    from ..arith.sparse import CSRMatrix
     trace = maybe_trace("cg", ctx.fmt.name, trace)
     require_system(A, b)
-    A = freeze(ctx.asarray(A))
-    b = ctx.asarray(np.asarray(b, dtype=np.float64))
-    n = b.shape[0]
+    system = _System(ctx, A, b, rtol, divergence_factor, jacobi)
+    if system.rz is None:
+        return CGResult(True, False, 0, 0.0, 0.0, system.x, trace=trace)
+    state = _State.single([system], 0, record_history, trace)
+    _iterate(ctx, state, max_iterations)
+    return state.results[0]
 
-    minv = None
-    if jacobi:
-        diag = (A.diagonal() if isinstance(A, CSRMatrix)
-                else np.diag(np.asarray(A)))
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            raise ValueError("Jacobi preconditioning requires a positive "
-                             "finite diagonal")
-        minv = ctx.div(1.0, diag)
 
-    x = np.zeros(n, dtype=np.float64)  # line 1: x0 = 0
-    r = b.copy()                       # r0 = b
-    z = ctx.mul(minv, r) if jacobi else r
-    p = np.array(z, dtype=np.float64, copy=True)  # p0 = z0
+def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
+                             max_iterations: int = 5000,
+                             divergence_factor: float = 1e8,
+                             jacobi: bool = False) -> list[CGResult]:
+    """Solve several dense SPD systems of one order as lockstep lanes.
 
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return CGResult(True, False, 0, 0.0, 0.0, x, trace=trace)
-    threshold = rtol * norm_b
-    blowup = divergence_factor * norm_b
+    *systems* is a sequence of ``(A, b)`` pairs, every ``A`` a dense
+    ``(n, n)`` array with the same n.  Returns one :class:`CGResult`
+    per system, in order, each with the bits of
+    ``conjugate_gradient(ctx, A, b, ...)`` under the same options.
+    Lanes record no residual history and no trace; run a system alone
+    for those.
+    """
+    from ..arith.sparse import CSRMatrix
+    sizes = []
+    for A, b in systems:
+        if isinstance(A, CSRMatrix):
+            raise ValueError("CG lanes take dense systems only")
+        sizes.append(require_system(A, b))
+    if len(set(sizes)) > 1:
+        raise ValueError(f"CG lanes need systems of one order, got "
+                         f"orders {sorted(set(sizes))}")
+    prepared = [_System(ctx, A, b, rtol, divergence_factor, jacobi)
+                for A, b in systems]
+    results = [CGResult(True, False, 0, 0.0, 0.0, s.x)
+               if s.rz is None else None for s in prepared]
+    live = [k for k, s in enumerate(prepared) if s.rz is not None]
+    if live:
+        state = _State.lanes(prepared, live)
+        _iterate(ctx, state, max_iterations)
+        for k in live:
+            results[k] = state.results[k]
+    return results
 
-    rz = ctx.dot(r, z)  # ⟨r, z⟩ (= ⟨r, r⟩ unpreconditioned)
-    rr = rz if not jacobi else ctx.dot(r, r)
-    history: list[float] = []
+
+class _System:
+    """One quantized system after CG's set-up (line 1: x0 = 0, r0 = b,
+    p0 = z0), with its own ``‖b‖`` and thresholds.  ``rz`` is None when
+    ``b = 0`` (solved by x0, no iteration runs)."""
+
+    def __init__(self, ctx, A, b, rtol, divergence_factor, jacobi):
+        from ..arith.sparse import CSRMatrix
+        self.A = A = freeze(ctx.asarray(A))
+        self.b = b = ctx.asarray(np.asarray(b, dtype=np.float64))
+        self.minv = None
+        if jacobi:
+            diag = (A.diagonal() if isinstance(A, CSRMatrix)
+                    else np.diag(np.asarray(A)))
+            if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+                raise ValueError("Jacobi preconditioning requires a "
+                                 "positive finite diagonal")
+            self.minv = ctx.div(1.0, diag)
+        self.x = np.zeros(b.shape[0], dtype=np.float64)
+        self.r = b.copy()
+        self.z = ctx.mul(self.minv, self.r) if jacobi else self.r
+        self.p = np.array(self.z, dtype=np.float64, copy=True)
+        self.norm_b = float(np.linalg.norm(b))
+        self.rz = self.rr = None
+        if self.norm_b == 0.0:
+            return
+        self.threshold = rtol * self.norm_b
+        self.blowup = divergence_factor * self.norm_b
+        # ⟨r, z⟩ (= ⟨r, r⟩ unpreconditioned)
+        self.rz = ctx.dot(self.r, self.z)
+        self.rr = self.rz if not jacobi else ctx.dot(self.r, self.r)
+
+
+class _State:
+    """The live state of one run: one system on 1-D vectors with float
+    scalars, or lanes on ``(B, n)`` stacks with ``(B,)`` scalars, row k
+    belonging to system ``ids[k]``.
+
+    :meth:`retire` settles whatever a check flags and drops settled
+    lanes from every stacked field, so later steps round live lanes
+    only.  The last live lane leaves the stack too: it goes on as a
+    single run, whose 1-D vectors and float scalars round through the
+    formats' cheapest tiers.
+    """
+
+    #: per-lane fields: the operands, the iterate state and the
+    #: intermediates a check may need after a lane leaves
+    FIELDS = ("A", "minv", "x", "r", "z", "p", "Ap", "rz", "rr", "pAp",
+              "rz_new", "rr_new", "res_norm", "threshold", "blowup")
+
+    __slots__ = FIELDS + ("systems", "ids", "stacked", "history", "trace",
+                          "results")
+
+    def __init__(self, systems, ids, stacked, history=None, trace=None):
+        self.systems, self.ids, self.stacked = systems, ids, stacked
+        self.history, self.trace = history, trace
+        self.results: dict[int, CGResult] = {}
+        self.Ap = self.pAp = self.rz_new = self.rr_new = None
+        self.res_norm = None
+
+    @classmethod
+    def single(cls, systems: list, k: int, record_history: bool = False,
+               trace=None):
+        state = cls(systems, [k], False,
+                    [] if record_history else None, trace)
+        for name in ("A", "minv", "x", "r", "z", "p", "rz", "rr",
+                     "threshold", "blowup"):
+            setattr(state, name, getattr(systems[k], name))
+        return state
+
+    @classmethod
+    def lanes(cls, systems: list, ids: list):
+        if len(ids) == 1:
+            return cls.single(systems, ids[0])
+        live = [systems[k] for k in ids]
+        state = cls(systems, ids, True)
+        state.A = freeze(np.stack([s.A for s in live]))
+        state.minv = (None if live[0].minv is None
+                      else np.stack([s.minv for s in live]))
+        for name in ("x", "r", "z", "p"):
+            setattr(state, name, np.stack([getattr(s, name) for s in live]))
+        for name in ("rz", "rr", "threshold", "blowup"):
+            setattr(state, name,
+                    np.array([getattr(s, name) for s in live]))
+        for s in live:
+            s.A = None  # the stack holds it; a settling lane copies its row
+        return state
+
+    def observe(self, iterations: int) -> None:
+        """History and trace of a single run (lanes record neither)."""
+        if self.history is None and self.trace is None:
+            return
+        norm_b = self.systems[self.ids[0]].norm_b
+        if self.history is not None:
+            self.history.append(self.res_norm / norm_b)
+        if self.trace is not None:
+            self.trace.iteration(iterations, residual=self.res_norm / norm_b,
+                                 vectors=(self.x, self.r, self.p))
+
+    def retire(self, iterations: int, flags, rr, *,
+               converged: bool = False, diverged: bool = False) -> bool:
+        """Settle the run or lanes *flags* marks, reporting the computed
+        residual from *rr* (a field name); True when none is left."""
+        if not self.stacked:
+            if not flags:
+                return False
+            k = self.ids[0]
+            self.results[k] = _finish(
+                self.A, self.systems[k].b, self.x, iterations,
+                getattr(self, rr),
+                self.systems[k].norm_b, self.history or [], self.trace,
+                converged=converged, diverged=diverged)
+            return True
+        if flags is True:
+            flags = np.ones(len(self.ids), dtype=bool)
+        elif not flags.any():
+            return False
+        rr = getattr(self, rr)
+        for row in np.flatnonzero(flags):
+            k = self.ids[row]
+            self.results[k] = _finish(
+                self.A[row].copy(), self.systems[k].b, self.x[row].copy(),
+                iterations, float(rr[row]), self.systems[k].norm_b, [],
+                None, converged=converged, diverged=diverged)
+        rows = np.flatnonzero(~flags)
+        if rows.size == 0:
+            return True
+        self.ids = [self.ids[row] for row in rows]
+        if rows.size > 1:
+            for name in self.FIELDS:
+                value = getattr(self, name)
+                if value is not None:
+                    setattr(self, name, value[rows])
+            freeze(self.A)
+            return False
+        # the last lane: 1-D vectors (owning their data, so its matrix
+        # gets its own cached plan) and float scalars
+        row = rows[0]
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, float(value[row]) if value.ndim == 1
+                        else value[row].copy())
+        freeze(self.A)
+        self.stacked = False
+        return False
+
+
+# Shape-generic pieces of the iteration body: a single run's scalars
+# are Python floats (np.float64 in the float64 context), a lane run's
+# are (B,) arrays.
+
+def _per_lane(scalar):
+    """*scalar* shaped to scale each row of a lane stack."""
+    return scalar[:, np.newaxis] if isinstance(scalar, np.ndarray) \
+        else scalar
+
+
+def _breakdown(pAp):
+    """``pAp`` is non-finite or zero."""
+    if isinstance(pAp, np.ndarray):
+        return ~np.isfinite(pAp) | (pAp == 0.0)
+    return not math.isfinite(pAp) or pAp == 0.0
+
+
+def _nonfinite(a, b):
+    """``a`` or ``b`` is non-finite."""
+    if isinstance(a, np.ndarray):
+        return ~(np.isfinite(a) & np.isfinite(b))
+    return not (math.isfinite(a) and math.isfinite(b))
+
+
+def _root(rr):
+    """``√max(rr, 0)`` of a float, or of each lane's value."""
+    if isinstance(rr, np.ndarray):
+        return np.sqrt(np.maximum(rr, 0.0))
+    return float(np.sqrt(max(rr, 0.0)))
+
+
+def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
+    """Paper Algorithm 1, lines 2-7, until every lane of *st* settles.
+
+    The one CG iteration body: on a single run every check is a bool,
+    on lanes a ``(B,)`` mask, and a lane meeting several checks in one
+    step settles at the first, as the single run would return there.
+    """
     iterations = 0
-
     for iterations in range(1, max_iterations + 1):
-        Ap = ctx.matvec(A, p)
-        pAp = ctx.dot(p, Ap)
-        if not np.isfinite(pAp) or pAp == 0.0:
-            return _finish(A, b, x, iterations, rr, norm_b, history, trace,
-                           diverged=True)
-        alpha = ctx.div(rz, pAp)                     # line 3
-        x = ctx.axpy(alpha, p, x)                    # line 4
-        r = ctx.axpy(-alpha, Ap, r)                  # line 5 (recurrence)
-        z = ctx.mul(minv, r) if jacobi else r
-        rz_new = ctx.dot(r, z)
-        rr_new = rz_new if not jacobi else ctx.dot(r, r)
-        if not np.isfinite(rr_new) or not np.isfinite(rz_new):
-            return _finish(A, b, x, iterations, rr_new, norm_b, history, trace,
-                           diverged=True)
+        st.Ap = ctx.matvec(st.A, st.p)
+        st.pAp = ctx.dot(st.p, st.Ap)
+        if st.retire(iterations, _breakdown(st.pAp), "rr", diverged=True):
+            return
+        alpha = _per_lane(ctx.div(st.rz, st.pAp))     # line 3
+        st.x = ctx.axpy(alpha, st.p, st.x)            # line 4
+        st.r = ctx.axpy(-alpha, st.Ap, st.r)          # line 5 (recurrence)
+        st.z = st.r if st.minv is None else ctx.mul(st.minv, st.r)
+        st.rz_new = ctx.dot(st.r, st.z)
+        st.rr_new = (st.rz_new if st.minv is None
+                     else ctx.dot(st.r, st.r))
+        if st.retire(iterations, _nonfinite(st.rr_new, st.rz_new),
+                     "rr_new", diverged=True):
+            return
 
-        res_norm = float(np.sqrt(max(rr_new, 0.0)))
-        if record_history:
-            history.append(res_norm / norm_b)
-        if trace is not None:
-            trace.iteration(iterations, residual=res_norm / norm_b,
-                            vectors=(x, r, p))
-        if res_norm <= threshold:
-            return _finish(A, b, x, iterations, rr_new, norm_b, history, trace,
-                           converged=True)
-        if res_norm >= blowup:
-            return _finish(A, b, x, iterations, rr_new, norm_b, history, trace,
-                           diverged=True)
+        st.res_norm = _root(st.rr_new)
+        if not st.stacked:
+            st.observe(iterations)
+        if st.retire(iterations, st.res_norm <= st.threshold, "rr_new",
+                     converged=True):
+            return
+        if st.retire(iterations, st.res_norm >= st.blowup, "rr_new",
+                     diverged=True):
+            return
+        if st.retire(iterations, st.rz == 0.0, "rr_new", diverged=True):
+            return
+        beta = _per_lane(ctx.div(st.rz_new, st.rz))    # line 6
+        st.p = ctx.axpy(beta, st.p, st.z)              # line 7
+        st.rz = st.rz_new
+        st.rr = st.rr_new
 
-        if rz == 0.0:
-            return _finish(A, b, x, iterations, rr_new, norm_b, history, trace,
-                           diverged=True)
-        beta = ctx.div(rz_new, rz)                   # line 6
-        p = ctx.axpy(beta, p, z)                     # line 7
-        rz = rz_new
-        rr = rr_new
-
-    return _finish(A, b, x, iterations, rr, norm_b, history, trace)
+    st.retire(iterations, True, "rr")
 
 
 def _finish(A, b, x, iterations, rr, norm_b, history, trace, *,

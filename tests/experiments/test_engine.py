@@ -29,9 +29,12 @@ def _isolated(tmp_path, monkeypatch):
 
 
 def _fake_compute(monkeypatch, fn):
-    """Replace the cell payload computation seen by the serial engine."""
+    """Replace the cell payload computation seen by the serial engine:
+    cells run alone and lane groups both compute through *fn*."""
     monkeypatch.setattr(engine, "compute_cell", fn)
     monkeypatch.setattr(common, "compute_cell", fn)
+    monkeypatch.setattr(engine, "compute_lanes",
+                        lambda cells, scale: [fn(c, scale) for c in cells])
 
 
 class TestExecuteCellsSerial:
@@ -296,3 +299,216 @@ class TestRunnerCellIntegration:
     def test_jobs_zero_rejected(self, capsys):
         assert main(["table1", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+# -- lane groups -------------------------------------------------------------
+
+#: dense CG cells that share one lane key at small scale (n = 96),
+#: plain and rescaled, plus a cell of another order and a Cholesky cell
+LANE_NAMES = ("nos1", "nos2")
+
+
+def _lane_cells(scale):
+    return (common.cg_cells(scale, formats=("fp32",), names=LANE_NAMES)
+            + common.cg_cells(scale, formats=("fp32",), names=LANE_NAMES,
+                              rescaled=True))
+
+
+def _lane_run(scale=None, quiet=False):
+    from repro.analysis.reporting import write_csv
+    scale = scale or SMALL
+    rows = [(c.cell_id, cell_value(c, scale).iterations)
+            for c in _lane_cells(scale)]
+    path = write_csv("zz_lanes.csv", ("cell", "iterations"), rows)
+    return ExperimentResult("zz-lanes", "lanes", "lane sweep", path)
+
+
+def _spy(monkeypatch, name):
+    """Record the cell ids each call of ``engine.<name>`` receives."""
+    calls = []
+    real = getattr(engine, name)
+
+    def spy(cells, scale):
+        ids = ([c.cell_id for c in cells] if isinstance(cells, list)
+               else cells.cell_id)
+        calls.append(ids)
+        return real(cells, scale)
+    monkeypatch.setattr(engine, name, spy)
+    return calls
+
+
+def _one_group(monkeypatch):
+    """Every CG cell shares one lane key."""
+    monkeypatch.setattr(engine, "lane_key", lambda cell, scale: "one")
+
+
+class TestLaneGroups:
+    """Serial sweeps solve same-key dense CG cells as lanes of one
+    solve, and still store and report each cell on its own."""
+
+    def test_one_solve_per_group_one_outcome_per_cell(self, monkeypatch):
+        from benchmarks.e2e.child import canonical
+        lanes = _spy(monkeypatch, "compute_lanes")
+        alone = _spy(monkeypatch, "compute_cell")
+        stored = []
+        real_store = engine.store_cell
+        monkeypatch.setattr(engine, "store_cell",
+                            lambda c, s, v: stored.append(c)
+                            or real_store(c, s, v))
+        other = Cell("cg", "bcsstk01", "fp32", _lane_cells(SMALL)[0].options)
+        chol = cholesky_cells(SMALL, formats=("fp32",), names=("nos1",))[0]
+        grouped = list(_lane_cells(SMALL))
+        cells = [grouped[0], other, *grouped[1:3], chol, grouped[3]]
+        seen = []
+        outcomes = execute_cells(cells, SMALL, on_outcome=seen.append)
+
+        assert lanes == [[c.cell_id for c in grouped]]
+        assert alone == [other.cell_id, chol.cell_id]
+        # groups run in order of their first cell; each cell settles
+        # and is stored exactly once
+        assert [o.cell for o in seen] == [*grouped, other, chol]
+        assert stored == [*grouped, other, chol]
+        assert [o.status for o in outcomes] == ["completed"] * 6
+        assert all(o.attempts == 1 for o in outcomes)
+        for cell in grouped:
+            assert result_cache().contains(cell.cell_id, SMALL.name)
+            assert canonical(cell_value(cell, SMALL)) == \
+                canonical(common.compute_cell(cell, SMALL))
+
+    def test_durations_split_by_iterations(self, monkeypatch):
+        from types import SimpleNamespace
+        _one_group(monkeypatch)
+        ticks = iter([10.0, 13.0])
+        monkeypatch.setattr(engine, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(engine, "compute_lanes", lambda cells, scale: [
+            SimpleNamespace(iterations=i) for i in (1, 2, 0, 3)])
+        cells = [Cell("cg", f"m{i}", "fp32") for i in range(4)]
+        durations = [o.duration for o in execute_cells(cells, SMALL)]
+        assert durations == pytest.approx([0.5, 1.0, 0.0, 1.5])
+        assert sum(durations) == pytest.approx(3.0)
+
+    def test_durations_split_evenly_without_iterations(self, monkeypatch):
+        from types import SimpleNamespace
+        _one_group(monkeypatch)
+        ticks = iter([0.0, 2.0])
+        monkeypatch.setattr(engine, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(engine, "compute_lanes",
+                            lambda cells, scale: [0] * len(cells))
+        cells = [Cell("cg", f"m{i}", "fp32") for i in range(4)]
+        assert [o.duration for o in execute_cells(cells, SMALL)] == \
+            pytest.approx([0.5] * 4)
+
+    def test_raising_group_reruns_its_cells_alone(self, monkeypatch,
+                                                  capsys):
+        _one_group(monkeypatch)
+
+        def broken_lanes(cells, scale):
+            raise RuntimeError("lane bug")
+        monkeypatch.setattr(engine, "compute_lanes", broken_lanes)
+
+        def alone(cell, scale):
+            if cell.matrix == "bad":
+                raise ValueError("permanently broken")
+            return 7
+        monkeypatch.setattr(engine, "compute_cell", alone)
+        naps = []
+        outcomes = execute_cells([Cell("cg", "ok", "fp32"),
+                                  Cell("cg", "bad", "fp32")], SMALL,
+                                 retries=1, backoff=0.5, sleep=naps.append)
+        assert [o.status for o in outcomes] == ["completed", "failed"]
+        assert [o.attempts for o in outcomes] == [1, 2]
+        assert naps == [0.5]
+        assert "permanently broken" in outcomes[1].error
+        assert "lane bug" in capsys.readouterr().err
+        assert cell_value(Cell("cg", "ok", "fp32"), SMALL) == 7
+
+    def test_timed_out_group_reruns_its_cells_alone(self, monkeypatch):
+        import time as _time
+        _one_group(monkeypatch)
+
+        def stuck_lanes(cells, scale):
+            _time.sleep(10.0)
+        monkeypatch.setattr(engine, "compute_lanes", stuck_lanes)
+
+        def alone(cell, scale):
+            if cell.matrix == "slow":
+                _time.sleep(10.0)
+            return 1
+        monkeypatch.setattr(engine, "compute_cell", alone)
+        t0 = _time.monotonic()
+        outcomes = execute_cells([Cell("cg", "ok", "fp32"),
+                                  Cell("cg", "slow", "fp32")], SMALL,
+                                 timeout=0.2, retries=3,
+                                 sleep=lambda _s: None)
+        # the group's budget (2 × 0.2 s), then each cell's own
+        assert _time.monotonic() - t0 < 5.0
+        assert [o.status for o in outcomes] == ["completed", "timeout"]
+        assert [o.attempts for o in outcomes] == [1, 1]
+
+    @pytest.mark.parametrize("kind", ["injector", "collector", "tracer"])
+    def test_no_groups_while_an_instrument_is_active(self, monkeypatch,
+                                                     kind):
+        from repro.arith.context import set_instrument
+        _one_group(monkeypatch)
+
+        def no_lanes(cells, scale):  # pragma: no cover - must not run
+            raise AssertionError("grouped under an instrument")
+        monkeypatch.setattr(engine, "compute_lanes", no_lanes)
+        computed = []
+        monkeypatch.setattr(engine, "compute_cell",
+                            lambda cell, scale: computed.append(cell) or 1)
+        cells = [Cell("cg", f"m{i}", "fp32") for i in range(3)]
+        previous = set_instrument(kind, object())
+        try:
+            outcomes = execute_cells(cells, SMALL)
+        finally:
+            set_instrument(kind, previous)
+        assert computed == cells
+        assert [o.status for o in outcomes] == ["completed"] * 3
+
+    def test_pool_forms_no_groups(self, monkeypatch):
+        def no_groups(todo, scale):  # pragma: no cover - must not run
+            raise AssertionError("grouped on the pool path")
+        monkeypatch.setattr(engine, "_lane_groups", no_groups)
+        _fake_compute(monkeypatch, lambda cell, scale: 3)
+        cells = [Cell("cg", f"m{i}", "fp32") for i in range(3)]
+        outcomes = execute_cells(cells, SMALL, jobs=2)
+        assert [o.status for o in outcomes] == ["completed"] * 3
+
+    def test_resume_recomputes_only_lost_lane_cells(self, _isolated,
+                                                    monkeypatch):
+        from repro.experiments import runner
+        from repro.resilience.manifest import MANIFEST_NAME, RunManifest
+        monkeypatch.setitem(
+            runner.EXPERIMENTS, "zz-lanes",
+            ExperimentSpec(id="zz-lanes", title="lane sweep",
+                           runner=_lane_run, module="tests.fake.lanes",
+                           artifact="zz_lanes.csv", cells=_lane_cells))
+        assert main(["zz-lanes"]) == 0
+        with open(_isolated / "zz_lanes.csv", "rb") as fh:
+            first = fh.read()
+
+        cells = _lane_cells(SMALL)
+        lost = [cells[1], cells[2]]
+        cache = result_cache()
+        for cell in lost:
+            os.unlink(cache.entry_path(cell.cell_id, SMALL.name))
+        manifest_path = os.path.join(str(_isolated), MANIFEST_NAME)
+        manifest = RunManifest(manifest_path).load()
+        del manifest.data["runs"]["zz-lanes"]
+        manifest.save()
+        os.unlink(_isolated / "zz_lanes.csv")
+        clear_cache()
+
+        lanes = _spy(monkeypatch, "compute_lanes")
+        alone = _spy(monkeypatch, "compute_cell")
+        assert main(["zz-lanes", "--resume"]) == 0
+        assert lanes == [[c.cell_id for c in lost]] and alone == []
+        with open(_isolated / "zz_lanes.csv", "rb") as fh:
+            assert fh.read() == first
+        manifest = RunManifest(manifest_path).load()
+        for cell in cells:
+            assert manifest.get_cell(cell.cell_id)["status"] == \
+                ("completed" if cell in lost else "cached")

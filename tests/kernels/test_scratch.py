@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 
-from repro.kernels.scratch import ScratchPool, _MAX_PER_KEY
+from repro.kernels.scratch import SCRATCH_BUDGET, ScratchPool, _MAX_PER_KEY
 
 
 class TestScratchPool:
@@ -65,3 +65,48 @@ class TestScratchPool:
         t.start()
         t.join()
         assert seen["theirs"] is not mine
+
+
+class TestByteBudget:
+    """Distinct shapes (a lane stack shrinking as lanes finish makes a
+    new one each time) must not grow a pool without bound."""
+
+    @staticmethod
+    def _held(pool: ScratchPool) -> int:
+        return sum(buf.nbytes for stack in pool._buffers().values()
+                   for buf in stack)
+
+    def test_many_distinct_shapes_stay_under_the_budget(self):
+        pool = ScratchPool()
+        for n in range(1, 2001):
+            pool.give(pool.take((n, 3)))
+            assert self._held(pool) == pool.nbytes <= SCRATCH_BUDGET
+        # 2000 shapes of up to 48 KB would hold ~48 MB unbounded
+        assert len(pool._buffers()) < 2000
+
+    def test_warm_shape_keeps_its_buffer(self):
+        pool = ScratchPool()
+        warm = pool.take((64,))
+        pool.give(warm)
+        for n in range(1, 2001):
+            pool.give(pool.take((n, 7)))
+            buf = pool.take((64,))
+            assert buf is warm
+            pool.give(buf)
+
+    def test_least_recently_returned_shape_goes_first(self):
+        pool = ScratchPool()
+        half = SCRATCH_BUDGET // 2 // 8        # float64 elements
+        old, new = pool.take((half,)), pool.take((half - 1,))
+        pool.give(old)
+        pool.give(new)
+        pool.give(pool.take((16,)))             # over budget: drop `old`
+        assert pool.take((half,)) is not old
+        assert pool.take((half - 1,)) is new
+
+    def test_buffer_over_the_budget_is_not_kept(self):
+        pool = ScratchPool()
+        big = pool.take((SCRATCH_BUDGET // 8 + 1,))
+        pool.give(big)
+        assert pool.nbytes == 0
+        assert pool.take(big.shape) is not big

@@ -7,7 +7,8 @@ import pytest
 
 from repro.arith import CSRMatrix, FPContext
 from repro.linalg import (bicgstab, cholesky_factor, cholesky_solve,
-                          conjugate_gradient, gmres, lu_factor)
+                          conjugate_gradient, conjugate_gradient_lanes,
+                          gmres, lu_factor)
 
 _CTX = FPContext("posit32es2")
 _EYE, _B4 = np.eye(3), np.ones(4)
@@ -26,6 +27,24 @@ _EYE, _B4 = np.eye(3), np.ones(4)
     (lambda: _CTX.matvec(CSRMatrix.from_dense(_EYE), _B4),
      ["(3, 3)", "(4,)"]),
     (lambda: _CTX.matvec(_EYE, np.ones((3, 1))), ["(3, 3)", "(3, 1)"]),
+    (lambda: _CTX.matvec(np.ones((2, 3, 3)), np.ones((3, 3))),
+     ["(2, 3, 3)", "(3, 3)"]),
+    (lambda: _CTX.matvec(np.ones((2, 3, 3)), np.ones(3)),
+     ["(2, 3, 3)", "(3,)"]),
+    (lambda: FPContext("fp64").matvec(np.ones((2, 3, 3)), np.ones((2, 4))),
+     ["(2, 3, 3)", "(2, 4)"]),
+    (lambda: _CTX.matvec(CSRMatrix.from_dense(_EYE), np.ones((2, 3))),
+     ["(3, 3)", "(2, 3)"]),
+    (lambda: _CTX.dot(np.ones(3), _B4), ["(3,)", "(4,)"]),
+    (lambda: _CTX.dot(np.ones((2, 3)), np.ones((3, 2))),
+     ["(2, 3)", "(3, 2)"]),
+    (lambda: FPContext("fp64").dot(np.ones((2, 3)), np.ones(3)),
+     ["(2, 3)", "(3,)"]),
+    (lambda: _CTX.dot(np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+     ["(2, 2, 2)"]),
+    (lambda: _CTX.dot(np.float64(1.0), np.float64(2.0)), ["()"]),
+    (lambda: conjugate_gradient_lanes(_CTX, [(_EYE, _B4)]),
+     ["(3, 3)", "(4,)"]),
     (lambda: FPContext("posit16es1").gemm(np.ones(4), np.ones((4, 2))),
      ["(4,)", "(4, 2)"]),
     (lambda: FPContext("fp64").gemm(np.ones(4), np.ones((4, 2))),
@@ -34,6 +53,9 @@ _EYE, _B4 = np.eye(3), np.ones(4)
      ["(3, 4)", "(5, 2)"]),
 ], ids=["chol-0d", "chol-rect", "lu-1d", "cg-b", "cg-rect", "cholsolve-b",
         "bicgstab-b", "gmres-b", "matvec", "matvec-csr", "matvec-2d-x",
+        "matvec-lanes-B", "matvec-lanes-1d-x", "matvec-lanes-exact-n",
+        "matvec-csr-lanes", "dot", "dot-lanes", "dot-lanes-exact",
+        "dot-3d", "dot-0d", "cg-lanes-b",
         "gemm-1d-A", "gemm-1d-A-exact", "gemm-inner"])
 def test_shape_errors_name_the_shapes(call, shapes):
     with pytest.raises(ValueError) as info:

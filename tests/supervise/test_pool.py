@@ -41,6 +41,8 @@ def _isolated(tmp_path, monkeypatch):
 def _fake_compute(monkeypatch, fn):
     monkeypatch.setattr(engine, "compute_cell", fn)
     monkeypatch.setattr(common, "compute_cell", fn)
+    monkeypatch.setattr(engine, "compute_lanes",
+                        lambda cells, scale: [fn(c, scale) for c in cells])
 
 
 def _crash_once_compute(monkeypatch, marker_dir, *, sig=None):
