@@ -203,15 +203,25 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
     Cells with equal keys run as lanes of one
     :func:`~repro.linalg.cg.conjugate_gradient_lanes` call
     (:func:`compute_lanes`).  The key holds what the solve's shape and
-    arithmetic depend on: the kind, the format, the solver options and
-    the order n of the system at *scale*.  Rescaling only picks the
-    system a lane solves, so it is left out.  None (the cell runs
-    alone) for every kind but dense CG, and for a matrix the suite
-    does not know or cannot build.
+    arithmetic depend on:
+
+    * a dense CG cell: the kind, the format, the solver options and
+      the order n of the system at *scale* (dense lanes share one n);
+      rescaling only picks the system a lane solves, so it is left out;
+    * a CSR CG cell (``sparse``) and an X13 grid cell of the ``cg``
+      solver: ``("cg-csr", format, rtol)``, with no n, since CSR lanes
+      may be ragged.  Both make the same ``conjugate_gradient(ctx,
+      A_csr, b, rtol, max_iterations=scale.cg_max_iterations)`` call.
+
+    None (the cell runs alone) for every other cell, and for a matrix
+    the suite does not know or (dense) cannot build.
     """
-    if (cell.kind != "cg" or cell.option("sparse")
-            or (cell.matrix not in SUITE_ORDER
-                and cell.matrix not in EXTRA_SUITE)):
+    if cell.matrix not in SUITE_ORDER and cell.matrix not in EXTRA_SUITE:
+        return None
+    if (cell.kind == "grid" and cell.option("solver") == "cg") or \
+            (cell.kind == "cg" and cell.option("sparse")):
+        return ("cg-csr", cell.fmt, float(cell.option("rtol", 1e-5)))
+    if cell.kind != "cg":
         return None
     try:
         n = suite_systems(scale, names=(cell.matrix,))[0][1].shape[0]
@@ -223,8 +233,8 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
 
 def compute_lanes(cells, scale: RunScale) -> list:
     """The payloads of cells sharing a :func:`lane_key`, computed as
-    lanes of one lockstep CG solve; each has the bits
-    :func:`compute_cell` gives the cell alone."""
+    lanes of one lockstep CG solve (ragged for CSR cells); each has
+    the bits :func:`compute_cell` gives the cell alone."""
     first = cells[0]
     return conjugate_gradient_lanes(
         FPContext(first.fmt), [_cg_system(c, scale) for c in cells],
@@ -233,21 +243,21 @@ def compute_lanes(cells, scale: RunScale) -> list:
 
 
 def _cg_system(cell: Cell, scale: RunScale):
-    """The ``(A, b)`` a CG cell solves: rescaled and CSR-packed as its
-    options ask."""
+    """The ``(A, b)`` a CG or grid cell solves: rescaled and CSR-packed
+    as its options ask (a grid cell always is both)."""
     _, A, b = suite_systems(scale, names=(cell.matrix,))[0]
+    grid = cell.kind == "grid"
+    rescaled = grid or bool(cell.option("rescaled"))
     cache = matrix_cache()
-    if cell.option("rescaled"):
+    if rescaled:
         ss = cache.get_or_build(
             ("cg.rescale", cell.matrix, scale.name),
             lambda: scale_to_inf_norm(A, b))
         A, b = ss.A, ss.b
-    if cell.option("sparse"):
+    if grid or cell.option("sparse"):
         from ..arith.sparse import CSRMatrix
-        A = cache.get_or_build(
-            ("csr", cell.matrix, scale.name,
-             bool(cell.option("rescaled"))),
-            lambda: CSRMatrix.from_dense(A))
+        A = cache.get_or_build(("csr", cell.matrix, scale.name, rescaled),
+                               lambda: CSRMatrix.from_dense(A))
     return A, b
 
 
@@ -276,15 +286,9 @@ def _compute_cell(cell: Cell, scale: RunScale) -> Any:
         except FactorizationError:
             return np.inf
     if cell.kind == "grid":
-        from ..arith.sparse import CSRMatrix
         from ..linalg.bicg import bicgstab
         from ..linalg.gmres import gmres
-        ss = cache.get_or_build(
-            ("cg.rescale", cell.matrix, scale.name),
-            lambda: scale_to_inf_norm(A, b))
-        A, b = ss.A, ss.b
-        A = cache.get_or_build(("csr", cell.matrix, scale.name, True),
-                               lambda: CSRMatrix.from_dense(A))
+        A, b = _cg_system(cell, scale)
         ctx = FPContext(cell.fmt)
         rtol = cell.option("rtol", 1e-5)
         cap = scale.cg_max_iterations

@@ -19,11 +19,12 @@ two new powers:
 * cells already present (in-process memo or disk cache) are reported
   as ``cached`` and never recomputed.
 * on the serial path, cells that share a
-  :func:`~repro.experiments.common.lane_key` (dense CG cells of one
-  format, one set of solver options and one system order) run as lanes
-  of one lockstep solve, so every rounding call serves all of them.
-  Each cell is still stored and reported on its own (see
-  :func:`_execute_lanes`).
+  :func:`~repro.experiments.common.lane_key` run as lanes of one
+  lockstep solve, so every rounding call serves all of them: dense CG
+  cells of one format, one set of solver options and one system order,
+  and (ragged lanes of any orders) the CSR CG cells and X13 grid CG
+  cells of one format and tolerance.  Each cell is still stored and
+  reported on its own (see :func:`_execute_lanes`).
 
 Cell payloads are deterministic functions of ``(cell, scale)``; the
 serial and parallel paths therefore produce bit-identical results, and

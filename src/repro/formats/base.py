@@ -132,8 +132,9 @@ class TableRoundedFormat(NumberFormat):
     then the one tier dispatch shared by every table-driven format:
 
     * a Python float or 0-d value → the table's ``round_scalar``;
-    * a 1-D array of at most :data:`lut.TINY_N` elements → a
-      ``tolist()`` loop over ``round_scalar``;
+    * an array of any shape with at most :data:`lut.TINY_N` elements
+      → a ``tolist()`` loop over ``round_scalar`` on the raveled
+      array, reshaped back;
     * anything larger → the table's ``round_array``.
 
     Every tier reads the same table, so the result is the same bits
@@ -160,8 +161,8 @@ class TableRoundedFormat(NumberFormat):
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim == 0:
             return self._scalar_rounder()(float(arr))
-        if arr.ndim == 1 and arr.size <= lut.TINY_N:
+        if arr.size <= lut.TINY_N:
             rs = self._scalar_rounder()
-            return np.array([rs(v) for v in arr.tolist()],
-                            dtype=np.float64)
+            return np.array([rs(v) for v in arr.ravel().tolist()],
+                            dtype=np.float64).reshape(arr.shape)
         return self._two_level_table().round_array(arr)

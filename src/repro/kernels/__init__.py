@@ -9,7 +9,7 @@ conformance suites hold them to that):
     format (:class:`lut.TwoLevelTable`) — a per-binade granule step on
     uniform buckets and a small sorted tail table with
     bisection-probed decision boundaries elsewhere — instead of the
-    ~20-op bitwise chain.  Python floats and 1-D arrays of at most
+    ~20-op bitwise chain.  Python floats and arrays of at most
     :data:`lut.TINY_N` elements skip NumPy dispatch through the
     table's pure-Python ``round_scalar``.  See
     :func:`lut.two_level_table`.

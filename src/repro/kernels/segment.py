@@ -24,11 +24,10 @@ facts make the compact fold exact:
    live counts fully describe every level.
 2. **Padding is a fixed point.**  For ``p`` in ``{+0.0, -0.0, NaN}``,
    ``p + p`` is bit-identical to ``p`` in IEEE float64 and every
-   supported rounder maps a representable value to itself — so the
-   padding-padding pairs of a level all equal the level's padding
-   scalar, computed once per level instead of once per slot.  (The one
-   level-to-level change is defensively computed anyway: the fold
-   carries a real pad slot through the tree, one extra lane per level.)
+   supported rounder maps a value it returned to itself — so every
+   padding-padding pair of every level equals ``p`` again.  The fold
+   never computes one: each level copies the pad slot un-rounded into
+   the next.
 3. **Mixed pairs are computed, not skipped.**  ``rnd(v + p)`` can
    differ from ``v`` (``-0.0 + 0.0 = +0.0``; any ``v + NaN`` is NaN),
    so pairs joining a live value to a padding slot gather the pad slot
@@ -47,6 +46,18 @@ padding slot re-rounds the accumulator (``rnd(acc + p)`` rewrites
 Route selection (:func:`use_segmented`) depends on the input alone: a
 pairwise context takes the segmented fold once the padded view would
 hold more than :data:`PAD_RATIO` slots per stored entry.
+
+Ragged lanes
+------------
+Nothing above needs every row to share one width or one pad.  The
+plan builder takes a width per row and a pad slot per row, so the
+block-diagonal stack of several CSR matrices
+(:class:`repro.arith.sparse.CSRStack`) folds each row through the tree
+of its own matrix's width, padded with its own matrix's
+``rnd(0.0 * x[0])``: one plan, one call per level, and every lane's
+bits.  With full rows and no pad slot the same builder gives the
+per-lane pairwise sums of vectors laid end to end
+(:class:`LaneSegments`, the ragged lane dot).
 """
 
 from __future__ import annotations
@@ -55,18 +66,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scratch import ScratchPool
-
-__all__ = ["SegmentPlan", "segmented_fold", "use_segmented", "PAD_RATIO"]
+__all__ = ["LaneSegments", "SegmentPlan", "segmented_fold", "use_segmented",
+           "PAD_RATIO"]
 
 #: a CSR matvec switches to the segmented fold when the padded (n, k)
 #: view holds more than this many slots per stored entry — near-uniform
 #: rows stay on the rectangular padded gather, skewed ones go compact
 PAD_RATIO = 1.5
-
-_SCRATCH = ScratchPool()
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def use_segmented(n: int, row_width: int, nnz: int,
@@ -86,10 +92,10 @@ class _Level(NamedTuple):
     """One fold level: gather/scatter indices over compact live slots.
 
     ``left``/``right`` index the level's input array (length
-    ``size_in + 1``, pad scalar at ``size_in``); ``dst`` indexes the
-    output array (length ``size_out + 1``).  The final lane of each is
-    the pad-pad pair feeding the next level's pad slot.  ``lo_src`` /
-    ``lo_dst`` copy the odd-width leftovers un-rounded.
+    ``size_in + pads``, pad slots from ``size_in`` on); ``dst`` indexes
+    the output array (length ``size_out + pads``).  ``lo_src`` /
+    ``lo_dst`` copy the odd-width leftovers and then the pad slots
+    un-rounded.
     """
 
     left: np.ndarray
@@ -104,75 +110,88 @@ class _Level(NamedTuple):
 class SegmentPlan:
     """Precomputed index plan for the segmented rounded pairwise fold.
 
-    Depends only on the sparsity pattern (``indptr`` + row width), so a
-    matrix and its quantized copies share one plan.  Total index
-    storage is O(nnz): level ``ℓ`` holds ~3 int64 per pair it folds and
-    every pair consumes at least one live slot.
+    Depends only on the sparsity pattern (``indptr``, the padded row
+    widths and which pad slot each row reads), so a matrix and its
+    quantized copies share one plan.  Total index storage is O(nnz):
+    level ``ℓ`` holds ~3 int64 per pair it folds and every pair
+    consumes at least one live slot.
     """
 
-    __slots__ = ("n", "row_width", "levels", "final_src")
+    __slots__ = ("n", "row_width", "pads", "levels", "final_src")
 
-    def __init__(self, n: int, row_width: int, levels: list[_Level],
-                 final_src: np.ndarray):
+    def __init__(self, n: int, row_width: int, pads: int,
+                 levels: list[_Level], final_src: np.ndarray):
         self.n = n
         self.row_width = row_width
+        self.pads = pads
         self.levels = levels
         self.final_src = final_src
 
     @classmethod
-    def from_csr(cls, indptr: np.ndarray, row_width: int) -> "SegmentPlan":
-        """Build the plan for a CSR pattern with the given padded width."""
+    def from_csr(cls, indptr: np.ndarray, row_width, row_pad=None,
+                 pads: int = 1) -> "SegmentPlan":
+        """Build the plan for a CSR pattern.
+
+        *row_width* is the padded width k of every row, or an ``(n,)``
+        array giving each row its own width (at least its count), so
+        that each row folds through the tree of its own k.  The
+        products array holds the ``nnz`` stored products followed by
+        *pads* pad slots; row ``i`` pads with slot ``row_pad[i]``
+        (default 0).  ``pads=0`` takes full rows only (count = width),
+        which never read a pad: the plan of a plain pairwise sum per
+        row.
+        """
         indptr = np.asarray(indptr, dtype=np.int64)
         n = indptr.size - 1
         counts = np.diff(indptr)
+        widths = np.maximum(1, np.broadcast_to(
+            np.asarray(row_width, dtype=np.int64), (n,))).copy()
+        row_pad = (np.zeros(n, dtype=np.int64) if row_pad is None
+                   else np.asarray(row_pad, dtype=np.int64))
+        if np.any(counts > widths) or \
+                (pads == 0 and np.any(counts < widths)):
+            raise ValueError("every row needs count <= width, and "
+                             "count == width without pad slots")
+        pad_slots = np.arange(pads, dtype=np.int64)
         in_off = indptr
-        k = max(1, int(row_width))
         levels: list[_Level] = []
-        while k > 1:
-            m = k // 2
-            odd = k & 1
+        while widths.max(initial=1) > 1:
+            m = widths // 2
+            odd = widths & 1
             folds = np.minimum(counts, m)
-            if odd:
-                leftover = counts == k
-                counts_next = folds + leftover
-            else:
-                leftover = None
-                counts_next = folds
+            leftover = (odd == 1) & (counts == widths)
+            counts_next = folds + leftover
             out_off = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts_next, out=out_off[1:])
             t_in = int(in_off[-1])
             t_out = int(out_off[-1])
-            nfold = int(folds.sum())
             fold_off = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(folds, out=fold_off[1:])
             rows = np.repeat(np.arange(n, dtype=np.int64), folds)
-            j = np.arange(nfold, dtype=np.int64) - fold_off[rows]
-            left = np.empty(nfold + 1, dtype=np.int64)
-            right = np.empty(nfold + 1, dtype=np.int64)
-            dst = np.empty(nfold + 1, dtype=np.int64)
+            j = np.arange(int(fold_off[-1]), dtype=np.int64) - fold_off[rows]
             base = in_off[rows]
-            np.add(base, j, out=left[:-1])
-            jm = j + m
-            np.copyto(right[:-1], np.where(jm < counts[rows],
-                                           base + jm, t_in))
-            np.add(out_off[rows], j, out=dst[:-1])
-            left[-1] = right[-1] = t_in
-            dst[-1] = t_out
-            if odd and leftover is not None and leftover.any():
-                lo_rows = np.nonzero(leftover)[0]
-                # a full odd row folds exactly m pairs, so its leftover
-                # lands right after them: a prefix again
-                lo_src = in_off[lo_rows] + (k - 1)
-                lo_dst = out_off[lo_rows] + m
-            else:
-                lo_src = lo_dst = _EMPTY
+            jm = j + m[rows]
+            left = base + j
+            right = np.where(jm < counts[rows], base + jm,
+                             t_in + row_pad[rows])
+            dst = out_off[rows] + j
+            # a full odd row folds exactly m pairs, so its leftover
+            # lands right after them: a prefix again.  Leftovers and
+            # the pad slots (fixed points, fact 2) are copied un-rounded
+            lo_rows = np.flatnonzero(leftover)
+            lo_src = np.concatenate([in_off[lo_rows] + widths[lo_rows] - 1,
+                                     t_in + pad_slots])
+            lo_dst = np.concatenate([out_off[lo_rows] + m[lo_rows],
+                                     t_out + pad_slots])
             levels.append(_Level(left, right, dst, lo_src, lo_dst,
                                  t_in, t_out))
             counts = counts_next
             in_off = out_off
-            k = m + odd
-        final_src = np.where(counts > 0, in_off[:-1], int(in_off[-1]))
-        return cls(n, max(1, int(row_width)), levels, final_src)
+            widths = m + odd
+        final_src = np.where(counts > 0, in_off[:-1],
+                             int(in_off[-1]) + row_pad)
+        width = int(np.max(row_width, initial=1))
+        return cls(n, width, pads, levels, final_src)
 
     @property
     def nbytes(self) -> int:
@@ -184,39 +203,72 @@ class SegmentPlan:
         return total
 
 
+class LaneSegments:
+    """The layout of B lanes' vectors laid end to end in one flat array.
+
+    Lane ``ℓ`` owns ``flat[offsets[ℓ]:offsets[ℓ + 1]]``, of its own
+    length ``sizes[ℓ]`` (at least 1).  :meth:`plan` is the per-lane
+    sum plan (one row per lane, count = width = its size, no pad), so
+    a segmented fold of a flat products array gives each lane the
+    pairwise tree of its own 1-D sum.
+    """
+
+    __slots__ = ("sizes", "offsets", "_plan")
+
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if self.sizes.ndim != 1 or np.any(self.sizes < 1):
+            raise ValueError("lane sizes must be a 1-D list of positive "
+                             "lengths")
+        self.offsets = np.zeros(self.sizes.size + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=self.offsets[1:])
+        self._plan = None
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    @property
+    def total(self) -> int:
+        """N, the length of the flat array."""
+        return int(self.offsets[-1])
+
+    def plan(self) -> SegmentPlan:
+        """The cached per-lane sum plan."""
+        if self._plan is None:
+            self._plan = SegmentPlan.from_csr(self.offsets, self.sizes,
+                                              pads=0)
+        return self._plan
+
+    def lane(self, flat: np.ndarray, k: int) -> np.ndarray:
+        """Lane *k*'s part of *flat* (a view)."""
+        return flat[self.offsets[k]:self.offsets[k + 1]]
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """One value per lane, repeated over that lane's entries."""
+        return np.repeat(values, self.sizes)
+
+
 def segmented_fold(products: np.ndarray, plan: SegmentPlan,
                    rnd) -> np.ndarray:
     """Fold the extended product array through the plan's tree.
 
-    *products* is the quantized length ``nnz + 1`` array (pad scalar at
-    the sentinel slot, as :meth:`FPContext.matvec` builds it); *rnd* is
-    the reduction rounder.  Returns a fresh ``(n,)`` float64 array
-    bit-identical to the padded pairwise fold.
+    *products* is the quantized length ``nnz + plan.pads`` array (pad
+    products in the trailing slots, as :meth:`FPContext.matvec` builds
+    it); *rnd* is the reduction rounder.  Returns a fresh ``(n,)``
+    float64 array bit-identical to the padded pairwise fold of each
+    row at its own width.
     """
     cur = np.asarray(products, dtype=np.float64)
     for lvl in plan.levels:
-        width = lvl.left.size
-        a = _SCRATCH.take((width,))
-        b = _SCRATCH.take((width,))
-        try:
-            np.take(cur, lvl.left, out=a)
-            np.take(cur, lvl.right, out=b)
-            np.add(a, b, out=a)
-            folded = rnd(a)
-            if folded is a:  # pass-through rounder: detach from scratch
-                folded = a.copy()
-        finally:
-            _SCRATCH.give(b)
-            _SCRATCH.give(a)
-        nxt = _SCRATCH.take((lvl.size_out + 1,))
+        # fresh arrays: the levels are small, and allocating one costs
+        # less than a scratch pool's bookkeeping
+        pairs = cur.take(lvl.left)
+        pairs += cur.take(lvl.right)
+        folded = rnd(pairs)
+        nxt = np.empty(lvl.size_out + plan.pads)
         nxt[lvl.dst] = folded
         if lvl.lo_src.size:
             # odd leftovers are copied un-rounded, as the padded fold does
-            nxt[lvl.lo_dst] = cur[lvl.lo_src]
-        if cur is not products:
-            _SCRATCH.give(cur)
+            nxt[lvl.lo_dst] = cur.take(lvl.lo_src)
         cur = nxt
-    out = np.take(cur, plan.final_src)
-    if cur is not products:
-        _SCRATCH.give(cur)
-    return out
+    return cur.take(plan.final_src)

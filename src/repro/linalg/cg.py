@@ -17,14 +17,19 @@ the paper mentions (§IV-C).
 
 Lockstep lanes
 --------------
-:func:`conjugate_gradient_lanes` solves B dense systems of one order n
-as *lanes* of a single run: the state is stacked as ``(B, n)``, the
-scalars as ``(B,)``, and every context call serves all live lanes.
-Both entry points run the one iteration body :func:`_iterate`.  Each
-lane keeps its own convergence, divergence, breakdown and budget
-outcome and leaves the stack when it settles.  Rounding is elementwise
-and every fold runs per row, so each lane's result has the bits of its
-own :func:`conjugate_gradient` call (``docs/performance.md`` §10).
+:func:`conjugate_gradient_lanes` solves B systems as *lanes* of a
+single run: the scalars are stacked as ``(B,)`` and every context call
+serves all live lanes.  Dense systems of one order n stack their
+vectors as ``(B, n)`` rows (``docs/performance.md`` §10).  CSR systems
+may differ in order (*ragged* lanes, §11): their vectors lie end to end
+in one ``(N,)`` array, the operator is the lanes' block-diagonal
+:class:`~repro.arith.sparse.CSRStack`, and every fold is segmented so
+that each lane keeps its own tree and padding product.  Both entry
+points run the one iteration body :func:`_iterate`.  Each lane keeps
+its own convergence, divergence, breakdown and budget outcome and
+leaves the stack when it settles.  Rounding is elementwise and every
+fold runs per lane, so each lane's result has the bits of its own
+:func:`conjugate_gradient` call.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..arith.shapes import require_system
+from ..arith.sparse import CSRMatrix, CSRStack
+from ..kernels.lut import release_workspace
 from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
 from .norms import relative_backward_error
@@ -134,23 +141,28 @@ def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
                              max_iterations: int = 5000,
                              divergence_factor: float = 1e8,
                              jacobi: bool = False) -> list[CGResult]:
-    """Solve several dense SPD systems of one order as lockstep lanes.
+    """Solve several SPD systems as lockstep lanes.
 
-    *systems* is a sequence of ``(A, b)`` pairs, every ``A`` a dense
-    ``(n, n)`` array with the same n.  Returns one :class:`CGResult`
-    per system, in order, each with the bits of
-    ``conjugate_gradient(ctx, A, b, ...)`` under the same options.
-    Lanes record no residual history and no trace; run a system alone
-    for those.
+    *systems* is a sequence of ``(A, b)`` pairs: every ``A`` a dense
+    ``(n, n)`` array with one n, or every ``A`` a
+    :class:`~repro.arith.sparse.CSRMatrix` of any order (ragged
+    lanes).  Returns one :class:`CGResult` per system, in order, each
+    with the bits of ``conjugate_gradient(ctx, A, b, ...)`` under the
+    same options.  A sequential-order context solves CSR systems one
+    by one: its padded folds have no ragged form.  Lanes record no
+    residual history and no trace; run a system alone for those.
     """
-    from ..arith.sparse import CSRMatrix
-    sizes = []
-    for A, b in systems:
-        if isinstance(A, CSRMatrix):
-            raise ValueError("CG lanes take dense systems only")
-        sizes.append(require_system(A, b))
-    if len(set(sizes)) > 1:
-        raise ValueError(f"CG lanes need systems of one order, got "
+    sparse = [isinstance(A, CSRMatrix) for A, _ in systems]
+    if any(sparse) and not all(sparse):
+        raise ValueError("CG lanes take all-dense or all-CSR systems, "
+                         "not a mix of dense and CSR")
+    sizes = [require_system(A, b) for A, b in systems]
+    if any(sparse) and ctx.sum_order != "pairwise":
+        return [conjugate_gradient(ctx, A, b, rtol, max_iterations,
+                                   divergence_factor, jacobi=jacobi)
+                for A, b in systems]
+    if not any(sparse) and len(set(sizes)) > 1:
+        raise ValueError(f"dense CG lanes need systems of one order, got "
                          f"orders {sorted(set(sizes))}")
     prepared = [_System(ctx, A, b, rtol, divergence_factor, jacobi)
                 for A, b in systems]
@@ -171,7 +183,6 @@ class _System:
     ``b = 0`` (solved by x0, no iteration runs)."""
 
     def __init__(self, ctx, A, b, rtol, divergence_factor, jacobi):
-        from ..arith.sparse import CSRMatrix
         self.A = A = freeze(ctx.asarray(A))
         self.b = b = ctx.asarray(np.asarray(b, dtype=np.float64))
         self.minv = None
@@ -199,27 +210,34 @@ class _System:
 
 class _State:
     """The live state of one run: one system on 1-D vectors with float
-    scalars, or lanes on ``(B, n)`` stacks with ``(B,)`` scalars, row k
-    belonging to system ``ids[k]``.
+    scalars, or lanes with ``(B,)`` scalars, row k belonging to system
+    ``ids[k]``.  Dense lanes stack their vectors as ``(B, n)`` rows;
+    ragged CSR lanes lay them end to end in one ``(N,)`` array
+    (``segments``) and solve against the lanes' block-diagonal
+    :class:`~repro.arith.sparse.CSRStack`.
 
     :meth:`retire` settles whatever a check flags and drops settled
     lanes from every stacked field, so later steps round live lanes
-    only.  The last live lane leaves the stack too: it goes on as a
-    single run, whose 1-D vectors and float scalars round through the
-    formats' cheapest tiers.
+    only; a CSR stack and its plans are rebuilt from the lanes left.
+    The last live lane leaves the stack too: it goes on as a single
+    run on its own matrix, whose 1-D vectors and float scalars round
+    through the formats' cheapest tiers.
     """
 
-    #: per-lane fields: the operands, the iterate state and the
-    #: intermediates a check may need after a lane leaves
-    FIELDS = ("A", "minv", "x", "r", "z", "p", "Ap", "rz", "rr", "pAp",
-              "rz_new", "rr_new", "res_norm", "threshold", "blowup")
+    #: per-lane fields: the iterate state and the intermediates a check
+    #: may need after a lane leaves (the operand ``A`` is kept apart)
+    VECTORS = ("minv", "x", "r", "z", "p", "Ap")
+    SCALARS = ("rz", "rr", "pAp", "rz_new", "rr_new", "res_norm",
+               "threshold", "blowup")
 
-    __slots__ = FIELDS + ("systems", "ids", "stacked", "history", "trace",
-                          "results")
+    __slots__ = VECTORS + SCALARS + ("A", "systems", "ids", "stacked",
+                                     "segments", "history", "trace",
+                                     "results")
 
     def __init__(self, systems, ids, stacked, history=None, trace=None):
         self.systems, self.ids, self.stacked = systems, ids, stacked
         self.history, self.trace = history, trace
+        self.segments = None
         self.results: dict[int, CGResult] = {}
         self.Ap = self.pAp = self.rz_new = self.rr_new = None
         self.res_norm = None
@@ -240,17 +258,45 @@ class _State:
             return cls.single(systems, ids[0])
         live = [systems[k] for k in ids]
         state = cls(systems, ids, True)
-        state.A = freeze(np.stack([s.A for s in live]))
-        state.minv = (None if live[0].minv is None
-                      else np.stack([s.minv for s in live]))
-        for name in ("x", "r", "z", "p"):
-            setattr(state, name, np.stack([getattr(s, name) for s in live]))
+        if isinstance(live[0].A, CSRMatrix):
+            # each lane keeps its own matrix for its finish
+            state.A = CSRStack.of([s.A for s in live])
+            state.segments = state.A.segments
+            join = np.concatenate
+        else:
+            state.A = freeze(np.stack([s.A for s in live]))
+            join = np.stack
+            # the stack holds the matrices; a settling lane copies its row
+            for s in live:
+                s.A = None
+        for name in ("minv", "x", "r", "z", "p"):
+            values = [getattr(s, name) for s in live]
+            setattr(state, name, None if values[0] is None else join(values))
         for name in ("rz", "rr", "threshold", "blowup"):
             setattr(state, name,
                     np.array([getattr(s, name) for s in live]))
-        for s in live:
-            s.A = None  # the stack holds it; a settling lane copies its row
         return state
+
+    def per_lane(self, scalar):
+        """*scalar* shaped to scale each lane's entries of a vector."""
+        if not self.stacked:
+            return scalar
+        if self.segments is not None:
+            return self.segments.expand(scalar)
+        return scalar[:, np.newaxis]
+
+    def _lane(self, vector, row: int):
+        """Lane *row*'s part of a stacked vector."""
+        if self.segments is None:
+            return vector[row]
+        return self.segments.lane(vector, row)
+
+    def _matrix(self, row: int):
+        """Lane *row*'s own matrix: a CSR lane's, or a copy of a dense
+        stack's row."""
+        if self.segments is None:
+            return self.A[row].copy()
+        return self.A.lanes[row]
 
     def observe(self, iterations: int) -> None:
         """History and trace of a single run (lanes record neither)."""
@@ -285,42 +331,48 @@ class _State:
         for row in np.flatnonzero(flags):
             k = self.ids[row]
             self.results[k] = _finish(
-                self.A[row].copy(), self.systems[k].b, self.x[row].copy(),
-                iterations, float(rr[row]), self.systems[k].norm_b, [],
-                None, converged=converged, diverged=diverged)
+                self._matrix(row), self.systems[k].b,
+                self._lane(self.x, row).copy(), iterations, float(rr[row]),
+                self.systems[k].norm_b, [], None,
+                converged=converged, diverged=diverged)
         rows = np.flatnonzero(~flags)
+        if self.segments is not None:
+            # no later step rounds the old stack's array sizes again
+            release_workspace()
         if rows.size == 0:
             return True
         self.ids = [self.ids[row] for row in rows]
-        if rows.size > 1:
-            for name in self.FIELDS:
+        if rows.size == 1:
+            # the last lane: 1-D vectors (owning their data, so a dense
+            # matrix gets its own cached plan) and float scalars
+            row = rows[0]
+            self.A = freeze(self._matrix(row))
+            self._select(lambda v: self._lane(v, row).copy(),
+                         lambda v: float(v[row]))
+            self.stacked = False
+            self.segments = None
+        elif self.segments is None:
+            self.A = freeze(self.A[rows])
+            self._select(lambda v: v[rows], lambda v: v[rows])
+        else:
+            keep = self.segments.expand(~flags)
+            self.A = CSRStack.of([self.A.lanes[row] for row in rows])
+            self.segments = self.A.segments
+            self._select(lambda v: v[keep], lambda v: v[rows])
+        return False
+
+    def _select(self, vector, scalar) -> None:
+        """Replace every per-lane field by *vector* or *scalar* of it."""
+        for names, pick in ((self.VECTORS, vector), (self.SCALARS, scalar)):
+            for name in names:
                 value = getattr(self, name)
                 if value is not None:
-                    setattr(self, name, value[rows])
-            freeze(self.A)
-            return False
-        # the last lane: 1-D vectors (owning their data, so its matrix
-        # gets its own cached plan) and float scalars
-        row = rows[0]
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, float(value[row]) if value.ndim == 1
-                        else value[row].copy())
-        freeze(self.A)
-        self.stacked = False
-        return False
+                    setattr(self, name, pick(value))
 
 
 # Shape-generic pieces of the iteration body: a single run's scalars
 # are Python floats (np.float64 in the float64 context), a lane run's
 # are (B,) arrays.
-
-def _per_lane(scalar):
-    """*scalar* shaped to scale each row of a lane stack."""
-    return scalar[:, np.newaxis] if isinstance(scalar, np.ndarray) \
-        else scalar
-
 
 def _breakdown(pAp):
     """``pAp`` is non-finite or zero."""
@@ -353,16 +405,16 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         st.Ap = ctx.matvec(st.A, st.p)
-        st.pAp = ctx.dot(st.p, st.Ap)
+        st.pAp = ctx.dot(st.p, st.Ap, segments=st.segments)
         if st.retire(iterations, _breakdown(st.pAp), "rr", diverged=True):
             return
-        alpha = _per_lane(ctx.div(st.rz, st.pAp))     # line 3
+        alpha = st.per_lane(ctx.div(st.rz, st.pAp))   # line 3
         st.x = ctx.axpy(alpha, st.p, st.x)            # line 4
         st.r = ctx.axpy(-alpha, st.Ap, st.r)          # line 5 (recurrence)
         st.z = st.r if st.minv is None else ctx.mul(st.minv, st.r)
-        st.rz_new = ctx.dot(st.r, st.z)
+        st.rz_new = ctx.dot(st.r, st.z, segments=st.segments)
         st.rr_new = (st.rz_new if st.minv is None
-                     else ctx.dot(st.r, st.r))
+                     else ctx.dot(st.r, st.r, segments=st.segments))
         if st.retire(iterations, _nonfinite(st.rr_new, st.rz_new),
                      "rr_new", diverged=True):
             return
@@ -378,7 +430,7 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
             return
         if st.retire(iterations, st.rz == 0.0, "rr_new", diverged=True):
             return
-        beta = _per_lane(ctx.div(st.rz_new, st.rz))    # line 6
+        beta = st.per_lane(ctx.div(st.rz_new, st.rz))  # line 6
         st.p = ctx.axpy(beta, st.p, st.z)              # line 7
         st.rz = st.rz_new
         st.rr = st.rr_new

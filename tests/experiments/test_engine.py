@@ -11,7 +11,7 @@ from repro.experiments import common, engine
 from repro.experiments.cache import result_cache
 from repro.experiments.common import (Cell, ExperimentResult,
                                       cell_value, cholesky_cells,
-                                      clear_cache)
+                                      clear_cache, grid_cells)
 from repro.experiments.engine import execute_cells
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.runner import main
@@ -314,13 +314,27 @@ def _lane_cells(scale):
                               rescaled=True))
 
 
-def _lane_run(scale=None, quiet=False):
-    from repro.analysis.reporting import write_csv
-    scale = scale or SMALL
-    rows = [(c.cell_id, cell_value(c, scale).iterations)
-            for c in _lane_cells(scale)]
-    path = write_csv("zz_lanes.csv", ("cell", "iterations"), rows)
-    return ExperimentResult("zz-lanes", "lanes", "lane sweep", path)
+def _csr_lane_cells(scale):
+    """CSR CG cells and X13 grid CG cells of one format: one ragged
+    lane group (nos1 and nos2 differ in order at small scale)."""
+    return (common.cg_cells(scale, formats=("fp32",), names=LANE_NAMES,
+                            sparse=True)
+            + grid_cells(scale, solvers=("cg",), formats=("fp32",),
+                         names=LANE_NAMES))
+
+
+def _sweep(exp_id, cells_fn):
+    """A fake experiment: one CSV row of iterations per cell."""
+    def run(scale=None, quiet=False):
+        from repro.analysis.reporting import write_csv
+        scale = scale or SMALL
+        rows = [(c.cell_id, cell_value(c, scale).iterations)
+                for c in cells_fn(scale)]
+        path = write_csv(f"{exp_id}.csv", ("cell", "iterations"), rows)
+        return ExperimentResult(exp_id, "lanes", "lane sweep", path)
+    return ExperimentSpec(id=exp_id, title="lane sweep", runner=run,
+                          module="tests.fake.lanes",
+                          artifact=f"{exp_id}.csv", cells=cells_fn)
 
 
 def _spy(monkeypatch, name):
@@ -479,36 +493,85 @@ class TestLaneGroups:
 
     def test_resume_recomputes_only_lost_lane_cells(self, _isolated,
                                                     monkeypatch):
-        from repro.experiments import runner
-        from repro.resilience.manifest import MANIFEST_NAME, RunManifest
-        monkeypatch.setitem(
-            runner.EXPERIMENTS, "zz-lanes",
-            ExperimentSpec(id="zz-lanes", title="lane sweep",
-                           runner=_lane_run, module="tests.fake.lanes",
-                           artifact="zz_lanes.csv", cells=_lane_cells))
-        assert main(["zz-lanes"]) == 0
-        with open(_isolated / "zz_lanes.csv", "rb") as fh:
-            first = fh.read()
+        _check_resume(_isolated, monkeypatch, "zz_lanes", _lane_cells)
 
-        cells = _lane_cells(SMALL)
-        lost = [cells[1], cells[2]]
-        cache = result_cache()
-        for cell in lost:
-            os.unlink(cache.entry_path(cell.cell_id, SMALL.name))
-        manifest_path = os.path.join(str(_isolated), MANIFEST_NAME)
-        manifest = RunManifest(manifest_path).load()
-        del manifest.data["runs"]["zz-lanes"]
-        manifest.save()
-        os.unlink(_isolated / "zz_lanes.csv")
-        clear_cache()
+    def test_csr_and_grid_cg_cells_form_one_group_per_format(self):
+        formats = ("fp32", "posit32es2")
+        csr = common.cg_cells(SMALL, formats=formats, names=LANE_NAMES,
+                              sparse=True)
+        grid = grid_cells(SMALL, formats=formats, names=LANE_NAMES)
+        other_rtol = common.cg_cells(SMALL, formats=("fp32",), rtol=1e-3,
+                                     names=LANE_NAMES, sparse=True)
+        groups = engine._lane_groups(list(csr + grid + other_rtol), SMALL)
+        lanes = [g for g in groups if len(g) > 1]
+        assert [[c.cell_id for c in g] for g in lanes] == [
+            [c.cell_id for c in csr + grid
+             if c.fmt == fmt and c.option("solver", "cg") == "cg"]
+            for fmt in formats] + [[c.cell_id for c in other_rtol]]
+        assert {common.lane_key(g[0], SMALL) for g in lanes} == {
+            ("cg-csr", "fp32", 1e-5), ("cg-csr", "posit32es2", 1e-5),
+            ("cg-csr", "fp32", 1e-3)}
+        # BiCGSTAB and GMRES grid cells never join a group
+        alone = [g[0] for g in groups if len(g) == 1]
+        assert sorted(c.cell_id for c in alone) == sorted(
+            c.cell_id for c in grid if c.option("solver") != "cg")
+        assert all(common.lane_key(c, SMALL) is None for c in alone)
 
-        lanes = _spy(monkeypatch, "compute_lanes")
+    def test_raising_ragged_group_runs_its_cells_one_by_one(
+            self, monkeypatch, capsys):
+        from benchmarks.e2e.child import canonical
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("ragged lane bug")
+        monkeypatch.setattr(common, "conjugate_gradient_lanes", broken)
         alone = _spy(monkeypatch, "compute_cell")
-        assert main(["zz-lanes", "--resume"]) == 0
-        assert lanes == [[c.cell_id for c in lost]] and alone == []
-        with open(_isolated / "zz_lanes.csv", "rb") as fh:
-            assert fh.read() == first
-        manifest = RunManifest(manifest_path).load()
+        cells = list(_csr_lane_cells(SMALL))
+        outcomes = execute_cells(cells, SMALL)
+        assert [o.status for o in outcomes] == ["completed"] * len(cells)
+        assert alone == [c.cell_id for c in cells]
+        assert "ragged lane bug" in capsys.readouterr().err
         for cell in cells:
-            assert manifest.get_cell(cell.cell_id)["status"] == \
-                ("completed" if cell in lost else "cached")
+            assert canonical(cell_value(cell, SMALL)) == \
+                canonical(common.compute_cell(cell, SMALL))
+
+    def test_resume_recomputes_only_lost_ragged_lane_cells(
+            self, _isolated, monkeypatch):
+        _check_resume(_isolated, monkeypatch, "zz_csr_lanes",
+                      _csr_lane_cells)
+
+
+def _check_resume(results_dir, monkeypatch, exp_id, cells_fn):
+    """Run a lane sweep, lose two of its cells and the manifest entry,
+    and resume: only the lost cells run, as one lane group, and the CSV
+    comes back byte for byte."""
+    from repro.experiments import runner
+    from repro.resilience.manifest import MANIFEST_NAME, RunManifest
+    monkeypatch.setitem(runner.EXPERIMENTS, exp_id,
+                        _sweep(exp_id, cells_fn))
+    csv = results_dir / f"{exp_id}.csv"
+    assert main([exp_id]) == 0
+    with open(csv, "rb") as fh:
+        first = fh.read()
+
+    cells = cells_fn(SMALL)
+    lost = [cells[1], cells[2]]
+    cache = result_cache()
+    for cell in lost:
+        os.unlink(cache.entry_path(cell.cell_id, SMALL.name))
+    manifest_path = os.path.join(str(results_dir), MANIFEST_NAME)
+    manifest = RunManifest(manifest_path).load()
+    del manifest.data["runs"][exp_id]
+    manifest.save()
+    os.unlink(csv)
+    clear_cache()
+
+    lanes = _spy(monkeypatch, "compute_lanes")
+    alone = _spy(monkeypatch, "compute_cell")
+    assert main([exp_id, "--resume"]) == 0
+    assert lanes == [[c.cell_id for c in lost]] and alone == []
+    with open(csv, "rb") as fh:
+        assert fh.read() == first
+    manifest = RunManifest(manifest_path).load()
+    for cell in cells:
+        assert manifest.get_cell(cell.cell_id)["status"] == \
+            ("completed" if cell in lost else "cached")

@@ -1,8 +1,8 @@
 """The scalar and tiny-array rounding tier against the array tables.
 
-A Python float, a 0-d value or a 1-D array of at most ``lut.TINY_N``
-elements rounds through each table's pure-Python ``round_scalar``
-(native fp16/fp32: one scalar cast).  Both must reproduce the array
+A Python float, a 0-d value or an array of any shape with at most
+``lut.TINY_N`` elements rounds through each table's pure-Python
+``round_scalar`` (native fp16/fp32: one scalar cast).  Both must reproduce the array
 path bit for bit — compared as int64 views, NaN matched by class — on
 the inputs where rounding can tip: signed zeros, subnormals, ±inf,
 NaN, ±max, every decision boundary with its float64 neighbours (of the
@@ -171,6 +171,27 @@ def test_empty_array_keeps_its_shape_and_dtype():
 def _two_level_formats():
     return [p for p in _formats()
             if not isinstance(p.values[0], NativeIEEEFormat)]
+
+
+@pytest.mark.parametrize("fmt", _two_level_formats())
+@pytest.mark.parametrize("shape", [(1, 1), (4, 1), (8, 1), (2, 2, 2),
+                                   (0,)])
+def test_tiny_tier_takes_any_shape(fmt, shape, monkeypatch):
+    """An array of at most TINY_N elements, whatever its shape, rounds
+    through the scalar loop (a lane stack's last fold levels are
+    ``(B, 1)``) with the array path's bits and its own shape."""
+    table = fmt._two_level_table()
+    x = np.array([np.nan, -0.0, np.inf, 0.0, -np.inf, 1.0 / 3.0,
+                  -fmt.max_value * 3.0, fmt.min_positive / 3.0])
+    x = x[:int(np.prod(shape))].reshape(shape)
+    want = table.round_array(x.copy())
+
+    def no_array_path(arr):  # pragma: no cover - must not run
+        raise AssertionError(f"{arr.shape} took the array path")
+    monkeypatch.setattr(table, "round_array", no_array_path)
+    got = fmt.round(x)
+    assert got.shape == shape and got.dtype == np.float64
+    _assert_bit_identical(got.ravel(), want.ravel(), x.ravel())
 
 
 @pytest.mark.parametrize("fmt", _two_level_formats())

@@ -1,8 +1,9 @@
 """Lockstep CG lanes give every lane the bits of its own solve.
 
 :func:`repro.linalg.cg.conjugate_gradient_lanes` runs B dense systems of
-one order as lanes of one iteration body; each lane must come out as
-``conjugate_gradient`` gives it alone, payload for payload (compared as
+one order, or CSR systems of any orders (ragged lanes), as lanes of one
+iteration body; each lane must come out as ``conjugate_gradient`` gives
+it alone, payload for payload (compared as
 ``benchmarks.e2e.child.canonical`` text: flags, counts and every float
 as ``float.hex``), whatever the other lanes do.
 """
@@ -107,6 +108,113 @@ def test_every_cg_small_cell_matches_its_run_alone():
             assert canonical(value) == canonical(alone), cell.cell_id
 
 
+def test_every_sparse_full_cell_matches_its_run_alone():
+    """The full-scale CSR benchmark grid (Fig. 6/7 CG and the X13 grid's
+    CG column over four suite matrices), grouped by lane key as the
+    serial engine groups it: one ragged group per format."""
+    scale = SCALES["full"]
+    names = ("bcsstk02", "bcsstk22", "lund_b", "nos5")
+    cells = (common.cg_cells(scale, names=names)
+             + common.grid_cells(scale, solvers=("cg",), names=names))
+    groups: dict = {}
+    for cell in cells:
+        groups.setdefault(common.lane_key(cell, scale), []).append(cell)
+    assert None not in groups
+    assert sorted(len(g) for g in groups.values()) == [4] * 7 + [8] * 2
+    for group in groups.values():
+        for cell, value in zip(group, common.compute_lanes(group, scale)):
+            alone = common.compute_cell(cell, scale)
+            assert canonical(value) == canonical(alone), cell.cell_id
+
+
+#: solver options shared by every lane of the ragged adversarial group
+RAGGED_OPTS = {"max_iterations": 30, "divergence_factor": 1e4}
+
+
+def _ragged_adversarial():
+    """(name, A, b) CSR lanes of different orders and row patterns,
+    each ending its own way under :data:`RAGGED_OPTS`."""
+    rng = np.random.default_rng(11)
+    # an arrow: one full row and column on a dominant diagonal
+    arrow = np.diag(np.full(17, 20.0))
+    arrow[0, 1:] = arrow[1:, 0] = rng.uniform(0.5, 1.0, 16)
+    arrow_b = rng.standard_normal(17)
+    arrow_b[0] = -1.5                # p0 = b: x[0] < 0, a -0.0 pad
+    holes = random_dense_spd(11, kappa=30.0, seed=5)
+    holes[rng.random((11, 11)) < 0.6] = 0.0
+    holes = holes + holes.T + np.diag(np.full(11, 8.0))
+    holes[[3, 8], :] = 0.0           # empty rows: a singular system
+    lanes = [
+        # full rows: the padded route's case when alone
+        ("padded", random_dense_spd(9, kappa=50.0, seed=2),
+         np.linspace(-1.0, 1.0, 9)),
+        ("skewed", arrow, arrow_b),
+        # one entry per row, three eigenvalues: done in three steps
+        ("single-entry", np.diag(np.resize([1.0, 2.0, 4.0], 5)),
+         rng.standard_normal(5)),
+        ("empty-rows", holes, rng.standard_normal(11)),
+        ("breakdown", np.zeros((6, 6)), np.ones(6)),   # pAp == 0
+        ("zero-rhs", np.eye(4), np.zeros(4)),          # 0 iterations
+        ("budget", random_dense_spd(23, kappa=1e7, seed=3),
+         rng.standard_normal(23)),
+        ("one-by-one", np.array([[3.0]]), np.array([-2.0])),
+    ]
+    return [(name, CSRMatrix.from_dense(A), b) for name, A, b in lanes]
+
+
+@pytest.mark.parametrize("fmt", ["fp64", "fp32", "posit32es2",
+                                 "posit16es1", "takum16", "bf16"])
+def test_ragged_adversarial_lanes_match_their_own_solves(fmt):
+    lanes = _ragged_adversarial()
+    got = conjugate_gradient_lanes(FPContext(fmt),
+                                   [(A, b) for _, A, b in lanes],
+                                   **RAGGED_OPTS)
+    for (name, A, b), res in zip(lanes, got):
+        alone = conjugate_gradient(FPContext(fmt), A, b, **RAGGED_OPTS)
+        assert canonical(res) == canonical(alone), name
+
+
+def test_ragged_adversarial_lanes_reach_the_intended_ends():
+    lanes = _ragged_adversarial()
+    got = dict(zip([name for name, _, _ in lanes],
+                   conjugate_gradient_lanes(
+                       FPContext("posit32es2"),
+                       [(A, b) for _, A, b in lanes], **RAGGED_OPTS)))
+    assert got["breakdown"].diverged and got["breakdown"].iterations == 1
+    assert got["zero-rhs"].converged and got["zero-rhs"].iterations == 0
+    assert got["single-entry"].converged and \
+        got["single-entry"].iterations <= 4
+    assert got["one-by-one"].converged and \
+        got["one-by-one"].iterations == 1
+    assert (not got["budget"].converged and not got["budget"].diverged
+            and got["budget"].iterations == RAGGED_OPTS["max_iterations"])
+    # lanes leave at many different steps
+    assert len({r.iterations for r in got.values()}) >= 5
+
+
+@pytest.mark.parametrize("fmt", ["fp64", "posit32es2", "fp16"])
+def test_jacobi_csr_lanes_match(fmt):
+    systems = [(CSRMatrix.from_dense(random_dense_spd(n, kappa=100.0,
+                                                      seed=n) * n),
+                np.linspace(1.0, 2.0, n)) for n in (5, 12, 8)]
+    got = conjugate_gradient_lanes(FPContext(fmt), systems, jacobi=True)
+    for (A, b), res in zip(systems, got):
+        alone = conjugate_gradient(FPContext(fmt), A, b, jacobi=True)
+        assert canonical(res) == canonical(alone)
+
+
+def test_sequential_context_solves_csr_lanes_one_by_one():
+    systems = [(A, b) for _, A, b in _ragged_adversarial()]
+    got = conjugate_gradient_lanes(
+        FPContext("posit16es1", sum_order="sequential"), systems,
+        **RAGGED_OPTS)
+    for (A, b), res in zip(systems, got):
+        alone = conjugate_gradient(
+            FPContext("posit16es1", sum_order="sequential"), A, b,
+            **RAGGED_OPTS)
+        assert canonical(res) == canonical(alone)
+
+
 def test_lanes_leave_their_inputs_alone():
     A = random_dense_spd(N, kappa=10.0, seed=1)
     b = np.ones(N)
@@ -130,9 +238,10 @@ def test_lanes_reject_mixed_orders_and_sparse_systems():
     with pytest.raises(ValueError, match="one order"):
         conjugate_gradient_lanes(ctx, [(np.eye(3), np.ones(3)),
                                        (np.eye(4), np.ones(4))])
-    with pytest.raises(ValueError, match="dense"):
+    with pytest.raises(ValueError, match="dense and CSR"):
         conjugate_gradient_lanes(
-            ctx, [(CSRMatrix.from_dense(np.eye(3)), np.ones(3))])
+            ctx, [(CSRMatrix.from_dense(np.eye(3)), np.ones(3)),
+                  (np.eye(3), np.ones(3))])
 
 
 # -- the context's lane ops ---------------------------------------------
