@@ -29,13 +29,6 @@ __all__ = ["run", "DEFAULT_MATRICES"]
 DEFAULT_MATRICES = ("662_bus", "bcsstk02", "nos5", "lund_a", "bcsstk08")
 
 
-def _cg_with_peaks(ctx, A, b, max_iterations):
-    """CG wrapped to expose the same telemetry shape as bicg()."""
-    res = conjugate_gradient(ctx, A, b, max_iterations=max_iterations,
-                             record_history=True)
-    return res
-
-
 @experiment("ext-bicg", "X3: BiCG iterate growth",
             artifact="ext_bicg.csv")
 def run(scale: RunScale | None = None, quiet: bool = False
@@ -61,7 +54,7 @@ def _run(scale: RunScale | None = None, quiet: bool = False,
         per = {}
         for fmt in ("fp32", "posit32es2"):
             ctx = FPContext(fmt)
-            cg_res = _cg_with_peaks(ctx, ss.A, ss.b, cap)
+            cg_res = conjugate_gradient(ctx, ss.A, ss.b, max_iterations=cap)
             bi = bicg(ctx, ss.A, ss.b, max_iterations=cap)
             st = bicgstab(ctx, ss.A, ss.b, max_iterations=cap)
             per[fmt] = {"cg": cg_res, "bicg": bi, "bicgstab": st}

@@ -1,8 +1,8 @@
 """Golden-file regression tests for the paper artifacts (smoke scale).
 
-Four small experiment CSVs — fig6 (CG iterations), fig8 (Cholesky
-backward error), table2 (naive IR) and the X13 solver × format grid —
-are regenerated at
+Five small experiment CSVs — fig6 (CG iterations), fig8 (Cholesky
+backward error), table2 (naive IR), the X13 solver × format grid and
+X3 (CG vs BiCG vs BiCGSTAB) — are regenerated at
 ``SCALES["smoke"]`` and compared column-by-column against checked-in
 digests.  Floats are canonicalized to 10 significant digits before
 hashing, so the comparison tolerates formatting drift but catches any
@@ -12,8 +12,8 @@ To refresh after an *intentional* behaviour change::
 
     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/experiments/test_golden.py
 
-and commit the updated ``golden/smoke_digests.json`` together with the
-change that explains it.
+and commit the updated ``golden/*.json`` together with the change that
+explains it.
 """
 
 from __future__ import annotations
@@ -28,15 +28,22 @@ from pathlib import Path
 import pytest
 
 from repro.config import SCALES
-from repro.experiments import (common, ext_solver_grid, fig06_cg,
-                               fig08_cholesky, table02_ir_naive)
+from repro.experiments import (common, ext_bicg, ext_solver_grid,
+                               fig06_cg, fig08_cholesky, table02_ir_naive)
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "smoke_digests.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "smoke_digests.json"
 
 _EXPERIMENTS = (fig06_cg, fig08_cholesky, table02_ir_naive,
-                ext_solver_grid)
+                ext_solver_grid, ext_bicg)
 ARTIFACTS = ("fig06_cg.csv", "fig08_cholesky.csv",
-             "table02_ir_naive.csv", "ext_solver_grid.csv")
+             "table02_ir_naive.csv", "ext_solver_grid.csv", "ext_bicg.csv")
+#: the digest file of each artifact.  ``smoke_digests.json`` holds the
+#: cell-decomposed experiments only: ``benchmarks/e2e`` checks a smoke
+#: sweep's CSVs against every entry in it, and X3 is not in that sweep.
+GOLDEN_FILES = {name: (GOLDEN_DIR / "ext_bicg_digests.json"
+                       if name == "ext_bicg.csv" else GOLDEN_PATH)
+                for name in ARTIFACTS}
 
 
 def _canon(value: str) -> str:
@@ -64,7 +71,7 @@ def column_digests(csv_path: str) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def smoke_csvs(tmp_path_factory):
-    """Run the three experiments once at smoke scale, isolated results."""
+    """Run the experiments once at smoke scale, isolated results."""
     tmp = tmp_path_factory.mktemp("golden-results")
     saved = os.environ.get("REPRO_RESULTS_DIR")
     os.environ["REPRO_RESULTS_DIR"] = str(tmp)
@@ -101,18 +108,23 @@ def test_smoke_columns_match_golden(smoke_csvs):
     got = {name: column_digests(path)
            for name, path in sorted(smoke_csvs.items())}
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(
-            json.dumps(got, indent=2, sort_keys=True) + "\n")
-    assert GOLDEN_PATH.exists(), \
-        "no golden digests checked in; run once with REPRO_UPDATE_GOLDEN=1"
-    want = json.loads(GOLDEN_PATH.read_text())
+        for path in set(GOLDEN_FILES.values()):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(
+                {name: got[name] for name in ARTIFACTS
+                 if GOLDEN_FILES[name] == path},
+                indent=2, sort_keys=True) + "\n")
+    missing = sorted({p.name for p in GOLDEN_FILES.values()
+                      if not p.exists()})
+    assert not missing, (f"no golden digests checked in ({missing}); "
+                         "run once with REPRO_UPDATE_GOLDEN=1")
     mismatches = []
     for name in ARTIFACTS:
+        want = json.loads(GOLDEN_FILES[name].read_text()).get(name, {})
         for col, digest in got[name].items():
-            if want.get(name, {}).get(col) != digest:
+            if want.get(col) != digest:
                 mismatches.append(f"{name}:{col}")
-        for col in set(want.get(name, {})) - set(got[name]):
+        for col in set(want) - set(got[name]):
             mismatches.append(f"{name}:{col} (column removed)")
     assert not mismatches, (
         "golden drift in " + ", ".join(mismatches)
