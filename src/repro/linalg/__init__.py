@@ -1,7 +1,11 @@
 """Format-parameterized linear solvers: CG, BiCG(STAB), Cholesky, LU,
-GMRES and mixed-precision iterative refinement."""
+GMRES and mixed-precision iterative refinement.
 
-from .bicg import BiCGResult, bicg, bicgstab, iterate_dynamic_range
+The four Krylov solvers share one set-up and one finish, and CG's
+lockstep lane state, in :mod:`repro.linalg.lanes`.
+"""
+
+from .bicg import BiCGResult, bicg, bicgstab
 from .cg import CGResult, conjugate_gradient, conjugate_gradient_lanes
 from .cholesky import CholeskyResult, cholesky_factor, cholesky_solve
 from .gmres import GMRESResult, gmres
@@ -14,7 +18,7 @@ from .norms import (condition_number_2, factorization_backward_error,
 
 __all__ = [
     "CGResult", "conjugate_gradient", "conjugate_gradient_lanes",
-    "BiCGResult", "bicg", "bicgstab", "iterate_dynamic_range",
+    "BiCGResult", "bicg", "bicgstab",
     "CholeskyResult", "cholesky_factor", "cholesky_solve",
     "GMRESResult", "gmres",
     "IRResult", "iterative_refinement", "lower_precision_storage",

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arith.context import FPContext
-from ..arith.shapes import require_system
+from ..arith.sparse import CSRMatrix
 from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .norms import relative_backward_error
+from .lanes import System, finish
 
-__all__ = ["BiCGResult", "bicg", "bicgstab", "iterate_dynamic_range"]
+__all__ = ["BiCGResult", "bicg", "bicgstab"]
 
 
 @dataclass
@@ -63,19 +63,23 @@ def bicg(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-5,
 
     For symmetric A this is mathematically CG run with an extra shadow
     sequence; its iterates are the ones the paper warns can grow large.
+    *A* is dense: the shadow sequence needs ``Aᵀ``, which the CSR
+    layout does not provide.
     """
+    if isinstance(A, CSRMatrix):
+        raise TypeError("bicg needs A's transpose, which a CSRMatrix does "
+                        "not provide; pass A as a dense array")
     trace = maybe_trace("bicg", ctx.fmt.name, trace, always=True)
-    require_system(A, b)
-    A = freeze(ctx.asarray(A))
+    system = System(ctx, A, b, rtol, max_iterations)
+    if system.norm_b == 0.0:
+        return finish(BiCGResult, system, system.x, 0, 0.0, trace,
+                      converged=True)
+    A, b, norm_b, x = system.A, system.b, system.norm_b, system.x
     At = freeze(np.ascontiguousarray(A.T))
-    b = ctx.asarray(np.asarray(b, dtype=np.float64))
-    n = b.shape[0]
-    x = np.zeros(n)
     r = b.copy()
     rt = r.copy()
     p = r.copy()
     pt = rt.copy()
-    norm_b = float(np.linalg.norm(b)) or 1.0
     rho = ctx.dot(rt, r)
     res = float(np.linalg.norm(r))
 
@@ -83,8 +87,8 @@ def bicg(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-5,
         Ap = ctx.matvec(A, p)
         denom = ctx.dot(pt, Ap)
         if denom == 0.0 or not np.isfinite(denom) or rho == 0.0:
-            return _bicg_finish(A, b, x, it, np.inf, norm_b, trace,
-                                diverged=True)
+            return finish(BiCGResult, system, x, it, np.inf, trace,
+                          diverged=True)
         alpha = ctx.div(rho, denom)
         x = ctx.add(x, ctx.mul(alpha, p))
         r = ctx.sub(r, ctx.mul(alpha, Ap))
@@ -94,20 +98,20 @@ def bicg(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-5,
         res = float(np.linalg.norm(r))
         trace.iteration(it, residual=res / norm_b, vectors=(x, r, p, pt))
         if not np.isfinite(res):
-            return _bicg_finish(A, b, x, it, np.inf, norm_b, trace,
-                                diverged=True)
+            return finish(BiCGResult, system, x, it, np.inf, trace,
+                          diverged=True)
         if res <= rtol * norm_b:
-            return _bicg_finish(A, b, x, it, res, norm_b, trace,
-                                converged=True)
+            return finish(BiCGResult, system, x, it, res, trace,
+                          converged=True)
         rho_new = ctx.dot(rt, r)
         if rho_new == 0.0 or not np.isfinite(rho_new):
-            return _bicg_finish(A, b, x, it, res, norm_b, trace,
-                                diverged=True)
+            return finish(BiCGResult, system, x, it, res, trace,
+                          diverged=True)
         beta = ctx.div(rho_new, rho)
         p = ctx.add(r, ctx.mul(beta, p))
         pt = ctx.add(rt, ctx.mul(beta, pt))
         rho = rho_new
-    return _bicg_finish(A, b, x, max_iterations, res, norm_b, trace)
+    return finish(BiCGResult, system, x, max_iterations, res, trace)
 
 
 def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
@@ -115,15 +119,14 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
              trace: SolverTrace | None = None) -> BiCGResult:
     """BiCGSTAB with per-op-rounded arithmetic."""
     trace = maybe_trace("bicgstab", ctx.fmt.name, trace, always=True)
-    require_system(A, b)
-    A = freeze(ctx.asarray(A))
-    b = ctx.asarray(np.asarray(b, dtype=np.float64))
-    n = b.shape[0]
-    x = np.zeros(n)
+    system = System(ctx, A, b, rtol, max_iterations)
+    if system.norm_b == 0.0:
+        return finish(BiCGResult, system, system.x, 0, 0.0, trace,
+                      converged=True)
+    A, b, norm_b, x = system.A, system.b, system.norm_b, system.x
     r = b.copy()
     r0 = r.copy()
     p = r.copy()
-    norm_b = float(np.linalg.norm(b)) or 1.0
     rho = ctx.dot(r0, r)
     res = float(np.linalg.norm(r))
 
@@ -131,8 +134,8 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
         Ap = ctx.matvec(A, p)
         denom = ctx.dot(r0, Ap)
         if denom == 0.0 or not np.isfinite(denom):
-            return _bicg_finish(A, b, x, it, res, norm_b, trace,
-                                diverged=True)
+            return finish(BiCGResult, system, x, it, res, trace,
+                          diverged=True)
         alpha = ctx.div(rho, denom)
         s = ctx.sub(r, ctx.mul(alpha, Ap))
         As = ctx.matvec(A, s)
@@ -144,35 +147,17 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
         res = float(np.linalg.norm(r))
         trace.iteration(it, residual=res / norm_b, vectors=(x, r, p, s))
         if not np.isfinite(res):
-            return _bicg_finish(A, b, x, it, np.inf, norm_b, trace,
-                                diverged=True)
+            return finish(BiCGResult, system, x, it, np.inf, trace,
+                          diverged=True)
         if res <= rtol * norm_b:
-            return _bicg_finish(A, b, x, it, res, norm_b, trace,
-                                converged=True)
+            return finish(BiCGResult, system, x, it, res, trace,
+                          converged=True)
         rho_new = ctx.dot(r0, r)
         if rho == 0.0 or omega == 0.0 or not np.isfinite(rho_new):
-            return _bicg_finish(A, b, x, it, res, norm_b, trace,
-                                diverged=True)
+            return finish(BiCGResult, system, x, it, res, trace,
+                          diverged=True)
         beta = ctx.mul(ctx.div(rho_new, rho), ctx.div(alpha, omega))
         p = ctx.add(r, ctx.mul(beta, ctx.sub(p, ctx.mul(omega, Ap))))
         rho = rho_new
-    return _bicg_finish(A, b, x, max_iterations, res, norm_b, trace)
+    return finish(BiCGResult, system, x, max_iterations, res, trace)
 
-
-def _bicg_finish(A, b, x, iterations, res, norm_b, trace, *,
-                 converged=False, diverged=False) -> BiCGResult:
-    rel = res / norm_b if np.isfinite(res) else np.inf
-    trace.event("finish", iter=iterations,
-                outcome=("converged" if converged else
-                         "breakdown" if diverged else "budget"),
-                residual=rel)
-    return BiCGResult(converged=converged, diverged=diverged,
-                      iterations=iterations, relative_residual=rel,
-                      true_relative_residual=relative_backward_error(
-                          A, x, b),
-                      x=x, trace=trace)
-
-
-def iterate_dynamic_range(result: BiCGResult) -> float:
-    """Convenience accessor for the paper's §VI quantity."""
-    return result.peak_dynamic_range

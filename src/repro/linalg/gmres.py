@@ -1,16 +1,10 @@
 """Restarted GMRES with rounded arithmetic.
 
-The paper notes (Table II discussion) that "a more sophisticated
-approach such as GMRES for solving the correction equation" would make
-the hard iterative-refinement failures less likely — the GMRES-IR
-scheme of Carson & Higham.  This module supplies that solver so the
-library can run the stronger refinement variant as an extension
-experiment, and doubles as a general non-symmetric iterative solver for
-the BiCG/iterate-growth studies.
-
-The Arnoldi process and the Givens-rotation least-squares update follow
-the textbook formulation; all floating-point work routes through the
-:class:`FPContext` so GMRES can itself be run in low precision.
+A general non-symmetric iterative solver, run beside CG and BiCGSTAB in
+the X13 solver × format grid.  The Arnoldi process and the
+Givens-rotation least-squares update follow the textbook formulation;
+all floating-point work routes through the :class:`FPContext` so GMRES
+can itself be run in low precision.
 """
 
 from __future__ import annotations
@@ -20,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arith.context import FPContext
-from ..arith.shapes import require_system
-from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
+from .lanes import System, finish
 
 __all__ = ["GMRESResult", "gmres"]
 
@@ -37,47 +30,35 @@ class GMRESResult:
     relative_residual: float  # computed (recurrence) estimate
 
 
-def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray,
-          x0: np.ndarray | None = None, rtol: float = 1e-8,
+def _result(*, x, converged, iterations, relative_residual, **_):
+    """The shared finish's values GMRES reports."""
+    return GMRESResult(x, converged, iterations, relative_residual)
+
+
+def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-8,
           restart: int = 50, max_iterations: int = 1000,
-          preconditioner_solve=None,
           trace: SolverTrace | None = None) -> GMRESResult:
-    """Solve ``Ax = b`` by restarted GMRES(restart) in the context format.
-
-    Parameters
-    ----------
-    preconditioner_solve:
-        Optional callable ``M_inv(v) -> vector`` applied on the left
-        (used by GMRES-IR where M is the low-precision factorization).
-    """
+    """Solve ``Ax = b`` by restarted GMRES(restart) in the context format,
+    starting from ``x = 0``."""
     trace = maybe_trace("gmres", ctx.fmt.name, trace)
-    require_system(A, b)
-    A = freeze(ctx.asarray(A))
-    b = ctx.asarray(np.asarray(b, dtype=np.float64))
-    n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-
-    def apply_op(v: np.ndarray) -> np.ndarray:
-        w = ctx.matvec(A, v)
-        return preconditioner_solve(w) if preconditioner_solve else w
-
-    rhs = preconditioner_solve(b) if preconditioner_solve else b
-    norm_rhs = float(np.linalg.norm(rhs))
-    if norm_rhs == 0.0:
-        return GMRESResult(x, True, 0, 0.0)
-
+    system = System(ctx, A, b, rtol, max_iterations, restart)
+    if system.norm_b == 0.0:
+        return finish(_result, system, system.x, 0, 0.0, trace,
+                      converged=True)
+    A, b, norm_b, x = system.A, system.b, system.norm_b, system.x
     total = 0
-    beta = np.inf
     while total < max_iterations:
-        r0 = ctx.sub(rhs, apply_op(x)) if total or x0 is not None else rhs
+        r0 = ctx.sub(b, ctx.matvec(A, x)) if total else b
         beta = ctx.norm2(r0)
         if not np.isfinite(beta):
-            return GMRESResult(x, False, total, np.inf)
-        if beta <= rtol * norm_rhs:
-            return GMRESResult(x, True, total, beta / norm_rhs)
+            return finish(_result, system, x, total, np.inf, trace,
+                          diverged=True)
+        if beta <= rtol * norm_b:
+            return finish(_result, system, x, total, beta, trace,
+                          converged=True)
 
         m = min(restart, max_iterations - total)
-        V = np.zeros((m + 1, n))
+        V = np.zeros((m + 1, len(b)))
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -87,7 +68,7 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray,
 
         k_done = 0
         for k in range(m):
-            w = apply_op(V[k])
+            w = ctx.matvec(A, V[k])
             # modified Gram-Schmidt, each dot and axpy rounded
             for j in range(k + 1):
                 hjk = ctx.dot(w, V[j])
@@ -118,9 +99,8 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray,
             k_done = k + 1
             total += 1
             if trace is not None:
-                trace.iteration(total,
-                                residual=abs(g[k + 1]) / norm_rhs)
-            if abs(g[k + 1]) <= rtol * norm_rhs or hk1 == 0.0:
+                trace.iteration(total, residual=abs(g[k + 1]) / norm_b)
+            if abs(g[k + 1]) <= rtol * norm_b or hk1 == 0.0:
                 break
 
         if k_done > 0:
@@ -130,10 +110,10 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray,
         else:
             break  # no progress possible
 
-        est = abs(g[k_done]) / norm_rhs
-        if est <= rtol:
-            return GMRESResult(x, True, total, est)
+        if abs(g[k_done]) / norm_b <= rtol:
+            return finish(_result, system, x, total, abs(g[k_done]), trace,
+                          converged=True)
 
-    r = rhs - apply_op(x)
-    final = float(np.linalg.norm(r)) / norm_rhs
-    return GMRESResult(x, final <= rtol, total, final)
+    final = float(np.linalg.norm(b - ctx.matvec(A, x)))
+    return finish(_result, system, x, total, final, trace,
+                  converged=final / norm_b <= rtol)

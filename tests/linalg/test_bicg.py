@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arith import FPContext
-from repro.linalg import bicg, bicgstab, relative_backward_error
+from repro.arith import CSRMatrix, FPContext
+from repro.linalg import (bicg, bicgstab, conjugate_gradient, gmres,
+                          relative_backward_error)
 
 
 class TestBiCG:
@@ -39,6 +40,11 @@ class TestBiCG:
         A, b, _ = spd_system
         res = bicg(fp64_ctx, A, b, rtol=1e-14, max_iterations=2)
         assert not res.converged and res.iterations == 2
+
+    def test_csr_rejected_at_entry(self, fp64_ctx):
+        """The shadow sequence needs Aᵀ, which CSRMatrix does not give."""
+        with pytest.raises(TypeError, match="CSRMatrix"):
+            bicg(fp64_ctx, CSRMatrix.from_dense(np.eye(4)), np.ones(4))
 
 
 class TestBiCGSTAB:
@@ -77,3 +83,16 @@ class TestPaperHypothesis:
         bi = bicg(ctx, A, b, rtol=1e-8)
         # nontrivial spread (decades); magnitude depends on the system
         assert bi.peak_dynamic_range > 0.1
+
+
+@pytest.mark.parametrize("solver", [conjugate_gradient, bicg, bicgstab,
+                                    gmres])
+def test_zero_rhs_is_solved_by_the_zero_start(solver):
+    """Every Krylov solver reports b = 0 alike: converged after no
+    iteration, with a zero residual."""
+    A = np.diag([2.0, 3.0, 5.0, 7.0])
+    res = solver(FPContext("posit32es2"), A, np.zeros(4))
+    assert res.converged and res.iterations == 0
+    assert res.relative_residual == 0.0
+    assert not getattr(res, "diverged", False)
+    assert np.array_equal(res.x, np.zeros(4))

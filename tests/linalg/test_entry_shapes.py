@@ -1,4 +1,5 @@
-"""Mismatched shapes fail at entry with a ValueError naming the shapes."""
+"""Mismatched shapes and bad budgets fail at entry with a ValueError
+naming the shapes or the parameter."""
 
 from __future__ import annotations
 
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.arith import CSRMatrix, FPContext
-from repro.linalg import (bicgstab, cholesky_factor, cholesky_solve,
+from repro.linalg import (bicg, bicgstab, cholesky_factor, cholesky_solve,
                           conjugate_gradient, conjugate_gradient_lanes,
                           gmres, lu_factor)
 
 _CTX = FPContext("posit32es2")
-_EYE, _B4 = np.eye(3), np.ones(4)
+_EYE, _B3, _B4 = np.eye(3), np.ones(3), np.ones(4)
 
 
 @pytest.mark.parametrize("call,shapes", [
@@ -21,6 +22,7 @@ _EYE, _B4 = np.eye(3), np.ones(4)
     (lambda: conjugate_gradient(_CTX, _EYE, _B4), ["(3, 3)", "(4,)"]),
     (lambda: conjugate_gradient(_CTX, np.ones((3, 4)), _B4), ["(3, 4)"]),
     (lambda: cholesky_solve(_CTX, _EYE, _B4), ["(3, 3)", "(4,)"]),
+    (lambda: bicg(_CTX, _EYE, _B4), ["(3, 3)", "(4,)"]),
     (lambda: bicgstab(_CTX, _EYE, _B4), ["(3, 3)", "(4,)"]),
     (lambda: gmres(_CTX, _EYE, _B4), ["(3, 3)", "(4,)"]),
     (lambda: _CTX.matvec(_EYE, _B4), ["(3, 3)", "(4,)"]),
@@ -51,14 +53,41 @@ _EYE, _B4 = np.eye(3), np.ones(4)
      ["(4,)", "(4, 2)"]),
     (lambda: _CTX.gemm(np.ones((3, 4)), np.ones((5, 2))),
      ["(3, 4)", "(5, 2)"]),
+    # bad budgets name the parameter
+    (lambda: conjugate_gradient(_CTX, _EYE, _B3, max_iterations=-1),
+     ["max_iterations"]),
+    (lambda: conjugate_gradient(_CTX, _EYE, _B3, rtol=-1e-5), ["rtol"]),
+    (lambda: conjugate_gradient_lanes(_CTX, [(_EYE, _B3)] * 2,
+                                      max_iterations=-1),
+     ["max_iterations"]),
+    (lambda: bicg(_CTX, _EYE, _B3, max_iterations=-1), ["max_iterations"]),
+    (lambda: bicg(_CTX, _EYE, _B3, rtol=-1e-5), ["rtol"]),
+    (lambda: bicgstab(_CTX, _EYE, _B3, max_iterations=-1),
+     ["max_iterations"]),
+    (lambda: bicgstab(_CTX, _EYE, _B3, rtol=-1e-5), ["rtol"]),
+    (lambda: gmres(_CTX, _EYE, _B3, max_iterations=-1), ["max_iterations"]),
+    (lambda: gmres(_CTX, _EYE, _B3, rtol=-1e-5), ["rtol"]),
+    (lambda: gmres(_CTX, _EYE, _B3, restart=0), ["restart"]),
 ], ids=["chol-0d", "chol-rect", "lu-1d", "cg-b", "cg-rect", "cholsolve-b",
-        "bicgstab-b", "gmres-b", "matvec", "matvec-csr", "matvec-2d-x",
-        "matvec-lanes-B", "matvec-lanes-1d-x", "matvec-lanes-exact-n",
-        "matvec-csr-lanes", "dot", "dot-lanes", "dot-lanes-exact",
-        "dot-3d", "dot-0d", "cg-lanes-b",
-        "gemm-1d-A", "gemm-1d-A-exact", "gemm-inner"])
+        "bicg-b", "bicgstab-b", "gmres-b", "matvec", "matvec-csr",
+        "matvec-2d-x", "matvec-lanes-B", "matvec-lanes-1d-x",
+        "matvec-lanes-exact-n", "matvec-csr-lanes", "dot", "dot-lanes",
+        "dot-lanes-exact", "dot-3d", "dot-0d", "cg-lanes-b",
+        "gemm-1d-A", "gemm-1d-A-exact", "gemm-inner",
+        "cg-budget", "cg-rtol", "cg-lanes-budget", "bicg-budget",
+        "bicg-rtol", "bicgstab-budget", "bicgstab-rtol", "gmres-budget",
+        "gmres-rtol", "gmres-restart"])
 def test_shape_errors_name_the_shapes(call, shapes):
     with pytest.raises(ValueError) as info:
         call()
     for shape in shapes:
         assert shape in str(info.value)
+
+
+def test_zero_budget_is_allowed():
+    """The budget check stops at negatives: 0 runs no iteration."""
+    res = gmres(_CTX, np.diag([2.0, 3.0, 5.0]), _B3, max_iterations=0)
+    assert not res.converged and res.iterations == 0
+    res = conjugate_gradient(_CTX, np.diag([2.0, 3.0, 5.0]), _B3,
+                             max_iterations=0)
+    assert not res.converged and res.iterations == 0
