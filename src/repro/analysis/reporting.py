@@ -110,8 +110,8 @@ def format_bar_chart(labels: Sequence[str], values: Sequence[float],
 def write_json(filename: str, payload) -> str:
     """Atomically write *payload* as JSON under ``results/``.
 
-    Used for machine-readable sidecars (``BENCH_experiments.json``)
-    that downstream tooling diffs across runs.
+    Used for machine-readable reports, such as the oracle conformance
+    report (``python -m repro.oracle.conformance``).
     """
     import json
 

@@ -25,8 +25,7 @@ warm) cache and writes its CSV atomically.
 Because cells persist as they finish, a sweep killed at any instant
 loses at most the cells in flight; ``--resume`` (or simply re-running)
 re-executes only unfinished cells, and a fully warm re-run of the
-whole suite is near-instant.  Per-experiment wall-clock is written to
-``results/BENCH_experiments.json`` to track the perf trajectory.
+whole suite is near-instant.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import sys
 import time
 from typing import Callable
 
-from ..analysis.reporting import results_dir, write_json
+from ..analysis.reporting import results_dir
 from ..config import SCALES, RunScale
 from ..errors import ExperimentTimeout
 from ..request import RunRequest
@@ -48,14 +47,10 @@ from .common import Cell, ExperimentResult
 from .engine import CellOutcome, execute_request
 from .registry import PAPER_ARTIFACTS, REGISTRY, get_experiment
 
-__all__ = ["EXPERIMENTS", "PAPER_ARTIFACTS", "BENCH_NAME", "main",
-           "run_experiment"]
+__all__ = ["EXPERIMENTS", "PAPER_ARTIFACTS", "main", "run_experiment"]
 
 #: experiment id → :class:`ExperimentSpec` (self-populating registry)
 EXPERIMENTS = REGISTRY
-
-#: per-experiment wall-clock sidecar written after every sweep
-BENCH_NAME = "BENCH_experiments.json"
 
 
 def run_experiment(exp_id: str, scale: RunScale | None = None,
@@ -292,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     scale = request.run_scale
     jobs = request.jobs
 
-    sweep_t0 = time.time()
     manifest = RunManifest(os.path.join(results_dir(),
                                         MANIFEST_NAME)).load()
 
@@ -324,8 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         session = session_cm.__enter__()
 
     failures: list[tuple[str, str]] = []
-    bench: dict[str, dict] = {}
-    outcomes: list[CellOutcome] = []
     try:
         # ---- Phase 1: the cell grid (shared, parallel, cached) --------
         owners = _gather_cells([e for e in ids if e not in skipped],
@@ -370,8 +362,6 @@ def main(argv: list[str] | None = None) -> int:
                                round(compute_s.get(eid, 0.0), 3)})
                 failures.append((eid, f"failed: {error}"))
                 print(f"----- {eid} failed: {error}", file=sys.stderr)
-                bench[eid] = {"status": "failed",
-                              "duration_s": round(time.time() - t0, 3)}
                 continue
             status, result, error, attempts = _run_protected(
                 eid, scale, args.timeout, args.retries, args.backoff)
@@ -383,10 +373,6 @@ def main(argv: list[str] | None = None) -> int:
                 extra={"cells": n_cells,
                        "cell_compute_s": round(compute_s.get(eid, 0.0),
                                                3)})
-            bench[eid] = {"status": status, "duration_s": round(dt, 3),
-                          "cells": n_cells,
-                          "cell_compute_s":
-                              round(compute_s.get(eid, 0.0), 3)}
             if status == "completed":
                 where = f" [csv: {csv_path}]" if csv_path else ""
                 print(f"----- {eid} done in {dt:.1f}s{where}")
@@ -434,26 +420,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{tstats['misses']} misses, {tstats['builds']} builds, "
               f"{tstats['invalidations']} invalidations"
               + ("" if lut_enabled() else " [REPRO_LUT=off]"))
-
-    total_s = time.time() - sweep_t0
-    if bench:
-        write_json(BENCH_NAME, {
-            "version": 1,
-            "scale": scale.name,
-            "jobs": jobs,
-            "total_s": round(total_s, 3),
-            "cells": {
-                "total": len(outcomes),
-                "computed": sum(1 for o in outcomes
-                                if o.status == "completed"),
-                "cached": sum(1 for o in outcomes
-                              if o.status == "cached"),
-                "failed": sum(1 for o in outcomes if not o.ok),
-                "compute_s": round(sum(o.duration for o in outcomes),
-                                   3),
-            },
-            "experiments": bench,
-        })
 
     if failures:
         print(f"\n{len(failures)}/{len(ids)} experiments did not "

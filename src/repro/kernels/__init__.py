@@ -44,8 +44,9 @@ conformance suites hold them to that):
     re-deriving it; hit/miss counts surface through the telemetry
     manifest.  ``REPRO_MATRIX_CACHE=off`` disables it.
 :mod:`repro.kernels.bench`
-    The kernel microbenchmark CLI behind ``benchmarks/BENCH_kernels.json``
-    (``python -m repro.kernels.bench``).
+    Kernel microbenchmarks, each fast path timed against its reference
+    in one process (``python -m repro.kernels.bench``); CI gates the
+    quantize and sparse speedups.
 
 The package ``__init__`` is deliberately lazy: :mod:`repro.arith.context`
 imports :mod:`repro.kernels.scratch` while :mod:`repro.kernels.matcache`

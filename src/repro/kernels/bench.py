@@ -1,54 +1,44 @@
-"""Kernel microbenchmarks and the ``BENCH_kernels.json`` trajectory.
+"""Kernel microbenchmarks: each fast path timed against its reference.
 
 Measures the primitives every experiment is built on — quantize, dot,
-matvec, rounded sum and blocked gemm — per format and size, and writes
-a bench payload (``kind: "kernels"``) that ``python -m repro.telemetry
-bench-diff`` compares against the committed
-``benchmarks/BENCH_kernels.json`` the same way experiment sweeps diff
-against ``BENCH_experiments.json``.
+matvec, rounded sum and blocked gemm — per format and size.  Quantize
+entries also time the format's bitwise/softfloat reference rounder and
+record ``speedup_vs_bitwise``; the segmented CSR matvec entries also
+time the padded route and record ``speedup_vs_padded``.  Both ratios
+are measured in one process on one host, so they compare across
+machines where absolute seconds do not; CI's ``bench`` job fails when
+one falls below its floor (``docs/performance.md`` §7).  Each timed
+pair is checked to agree bit for bit on the input it times.
 
-Timing protocol: each entry is the best of ``repeats`` timed loops
-(min over medians is too clever; min over loop averages is the
-standard microbench estimator robust to scheduler noise).  Quantize
-entries additionally time the format's bitwise/softfloat reference
-path, so the table-lookup speedup of :mod:`repro.kernels.lut` is
-visible per size — including the sizes above the crossover where both
-paths are the same code.
+Timing protocol: every callable runs in ``repeats`` rounds of one timed
+loop each (a loop lasts at least 10 ms), and a round visits every entry
+before the next round starts.  An entry's ``seconds`` is its best loop
+average, the standard microbench estimator robust to scheduler noise;
+a speedup is the median over rounds of the ratio of the two loops a
+round timed back to back.
 
-Run as a module::
+Run as a module (JSON on stdout)::
 
-    python -m repro.kernels.bench --output benchmarks/BENCH_kernels.json
-    python -m repro.kernels.bench --only sparse/,table_cache/
-    python -m repro.kernels.bench --sweep --sweep-baseline 5.68
-    python -m repro.kernels.bench --sparse-sweep
+    python -m repro.kernels.bench
+    python -m repro.kernels.bench --only quantize/,sparse/ --repeats 3
 
 ``--only`` restricts measurement to entries whose id starts with one
 of the comma-separated prefixes (the rest are skipped, not zeroed).
-``--sweep`` times the fig06 smoke sweep's cell compute (result cache
-off, serial) and records it under ``sweeps.fig06_smoke`` next to the
-optional same-machine baseline.  ``--sparse-sweep`` times the skewed
-solver-grid smoke sweep (CG × format zoo on the ``arrow_496`` extra)
-with the padded route pinned as its own same-machine baseline, so the
-committed ``sweeps.sparse_grid_smoke.speedup`` is the segmented
-engine's end-to-end ratchet.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 import time
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["measure", "microbench", "sparse_microbench",
-           "table_cache_bench", "run_fig06_smoke",
-           "run_sparse_grid_smoke", "main",
+__all__ = ["measure", "microbench", "main",
            "QUANTIZE_FORMATS", "CONTEXT_FORMATS", "QUANTIZE_SIZES",
            "CONTEXT_SIZES", "SPARSE_MATRICES", "SPARSE_FORMATS"]
 
@@ -65,7 +55,7 @@ CONTEXT_SIZES = (24, 96)
 SPARSE_MATRICES = ("1138_bus", "arrow_496")
 SPARSE_FORMATS = ("fp16", "posit32es2")
 #: the :data:`repro.kernels.segment.PAD_RATIO` that forces each CSR
-#: matvec route; ``auto`` keeps the module's own input-driven choice
+#: matvec route
 _ROUTE_PAD_RATIO = {"padded": math.inf, "segmented": 0.0}
 
 
@@ -73,22 +63,61 @@ def measure(fn: Callable[[], object], repeats: int = 5,
             loops: int | None = None,
             min_time: float = 0.01) -> float:
     """Best average seconds/call over *repeats* timed loops."""
-    if loops is None:
-        loops = 1
-        while True:
+    return float(_rounds({"": (fn,)}, repeats, loops, min_time)[""].min())
+
+
+def _rounds(jobs: dict[str, tuple[Callable[[], object], ...]],
+            repeats: int, loops: int | None = None,
+            min_time: float = 0.01) -> dict[str, np.ndarray]:
+    """Average seconds/call of each job's callables (columns) in each of
+    *repeats* rounds (rows).
+
+    A round times every callable of every job once, a job's callables
+    back to back.  So a job's rounds spread over the whole run, and a
+    slow spell of a shared host reaches one of them rather than all,
+    and reaches both sides of a speedup alike.
+    """
+    plan = [(key, i, fn, loops or _calibrate(fn, min_time))
+            for key, fns in jobs.items() for i, fn in enumerate(fns)]
+    out = {key: np.empty((repeats, len(fns))) for key, fns in jobs.items()}
+    for r in range(repeats):
+        for key, i, fn, n in plan:
+            fn()  # refill the caches and buffers other entries evicted
             t0 = time.perf_counter()
-            for _ in range(loops):
+            for _ in range(n):
                 fn()
-            if time.perf_counter() - t0 >= min_time or loops >= 65536:
-                break
-            loops *= 4
-    best = float("inf")
-    for _ in range(repeats):
+            out[key][r, i] = (time.perf_counter() - t0) / n
+    return out
+
+
+def _calibrate(fn: Callable[[], object], min_time: float) -> int:
+    """Loops per timing: the first power of 4 that runs *min_time*."""
+    fn()  # warm caches / tables outside the timer
+    loops = 1
+    while True:
         t0 = time.perf_counter()
         for _ in range(loops):
             fn()
-        best = min(best, (time.perf_counter() - t0) / loops)
-    return best
+        if time.perf_counter() - t0 >= min_time or loops >= 65536:
+            return loops
+        loops *= 4
+
+
+def _entry(t: np.ndarray, ref_field: str = "",
+           ratio_field: str = "") -> dict:
+    """One kernel entry from its rounds: the best seconds/call and, for
+    a (fast, reference) pair, the reference's best and the speedup.
+
+    The speedup is the median of the per-round ratios; a ratio of the
+    two minima would set one side's luckiest moment against the other
+    side's typical one.
+    """
+    entry = {"seconds": round(float(t[:, 0].min()), 9)}
+    if t.shape[1] == 2:
+        entry[ref_field] = round(float(t[:, 1].min()), 9)
+        entry[ratio_field] = round(float(np.median(t[:, 1] / t[:, 0])),
+                                   3)
+    return entry
 
 
 def _quantize_reference(fmt) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -100,21 +129,28 @@ def _quantize_reference(fmt) -> Callable[[np.ndarray], np.ndarray] | None:
     return None
 
 
+def _same_bits(key: str, got, want) -> None:
+    """Raise unless a fast path reproduced its reference bit for bit."""
+    if np.asarray(got).tobytes() != np.asarray(want).tobytes():
+        raise AssertionError(f"{key}: timed path differs from its "
+                             f"reference")
+
+
 def _selected(key: str, only: tuple[str, ...] | None) -> bool:
     return only is None or any(key.startswith(p) for p in only)
 
 
-@contextlib.contextmanager
-def _sparse_route(mode: str):
-    """Pin the CSR matvec route for the block."""
+def _routed(mode: str, fn: Callable[[], np.ndarray]
+            ) -> Callable[[], np.ndarray]:
+    """*fn* with the CSR matvec route pinned to *mode* on every call."""
     from . import segment
 
-    saved = segment.PAD_RATIO
-    segment.PAD_RATIO = _ROUTE_PAD_RATIO.get(mode, saved)
-    try:
-        yield
-    finally:
-        segment.PAD_RATIO = saved
+    ratio = _ROUTE_PAD_RATIO[mode]
+
+    def run() -> np.ndarray:
+        segment.PAD_RATIO = ratio
+        return fn()
+    return run
 
 
 def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
@@ -130,10 +166,10 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
     """
     from ..arith.context import FPContext
     from ..formats.registry import get_format
+    from . import segment
 
     rng = np.random.default_rng(12345)
-    kernels: dict[str, dict] = {}
-
+    quantize: dict[str, tuple] = {}
     for name in formats:
         fmt = get_format(name)
         ref = _quantize_reference(fmt)
@@ -142,15 +178,12 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
             x = rng.standard_normal(n)
             if not _selected(key, only):
                 continue
-            fmt.round(x)  # warm caches / tables outside the timer
-            entry = {"seconds": measure(lambda: fmt.round(x), repeats)}
+            quantize[key] = (partial(fmt.round, x),)
             if ref is not None:
-                ref(x)
-                entry["bitwise_s"] = measure(lambda: ref(x), repeats)
-                entry["speedup_vs_bitwise"] = round(
-                    entry["bitwise_s"] / entry["seconds"], 3)
-            kernels[key] = entry
+                _same_bits(key, fmt.round(x), ref(x))
+                quantize[key] += (partial(ref, x),)
 
+    ops: dict[str, tuple] = {}
     for name in ctx_formats:
         ctx = FPContext(name)
         for n in ctx_sizes:
@@ -163,37 +196,45 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
             v = np.asarray(ctx.asarray(v))
             A = np.asarray(ctx.asarray(A))
             B = np.asarray(ctx.asarray(rng.standard_normal((n, n))))
-            for op, fn in ((keys["dot"], lambda: ctx.dot(v, v)),
-                           (keys["matvec"], lambda: ctx.matvec(A, v)),
-                           (keys["sum"], lambda: ctx.sum(v)),
-                           (keys["gemm"], lambda: ctx.gemm(A, B))):
-                if not _selected(op, only):
-                    continue
-                fn()
-                kernels[op] = {"seconds": measure(fn, repeats)}
+            for key, fn in ((keys["dot"], partial(ctx.dot, v, v)),
+                            (keys["matvec"], partial(ctx.matvec, A, v)),
+                            (keys["sum"], partial(ctx.sum, v)),
+                            (keys["gemm"], partial(ctx.gemm, A, B))):
+                if _selected(key, only):
+                    ops[key] = (fn,)
 
-    kernels.update(sparse_microbench(repeats=repeats, only=only))
-    kernels.update(table_cache_bench(only=only))
+    timed = _rounds({**quantize, **ops}, repeats)
+    # the sparse set-up frees large arrays, and after that glibc serves
+    # 512 KB temporaries from its heap instead of fresh pages: built
+    # first, it would speed the n = 65536 bitwise references up ~3x
+    saved = segment.PAD_RATIO
+    try:
+        sparse = _sparse_jobs(only)
+        timed.update(_rounds(sparse, repeats))
+    finally:
+        segment.PAD_RATIO = saved
 
-    for key, entry in kernels.items():
-        entry["seconds"] = round(entry["seconds"], 9)
-        for extra in ("bitwise_s", "padded_s", "cold_s", "warm_s"):
-            if extra in entry:
-                entry[extra] = round(entry[extra], 9)
+    kernels = {key: _entry(timed[key], "bitwise_s", "speedup_vs_bitwise")
+               for key in quantize}
+    kernels.update((key, _entry(timed[key])) for key in ops)
+    for base in sparse:
+        for key, entry in (
+                (f"{base}/csr_padded", _entry(timed[base][:, 1:])),
+                (f"{base}/csr_segmented", _entry(
+                    timed[base], "padded_s", "speedup_vs_padded"))):
+            if _selected(key, only):
+                kernels[key] = entry
     return kernels
 
 
-def sparse_microbench(matrices: tuple[str, ...] = SPARSE_MATRICES,
-                      formats: tuple[str, ...] = SPARSE_FORMATS,
-                      repeats: int = 5,
-                      only: tuple[str, ...] | None = None
-                      ) -> dict[str, dict]:
-    """Sparse matvec entries: padded vs segmented CSR route.
+def _sparse_jobs(only: tuple[str, ...] | None
+                 ) -> dict[str, tuple[Callable, Callable]]:
+    """Sparse matvec jobs: the (segmented, padded) CSR routes per
+    ``sparse/matvec/<matrix>/<format>``.
 
     Matrices run at their full published dimension (the ``full`` run
     scale) so the skewed arrow keeps its adversarial pad ratio; each
-    CSR route is forced through ``segment.PAD_RATIO`` and the
-    segmented entry records its speedup over the padded one.
+    CSR route is forced through ``segment.PAD_RATIO``.
     """
     from ..arith.context import FPContext
     from ..arith.sparse import CSRMatrix
@@ -201,185 +242,43 @@ def sparse_microbench(matrices: tuple[str, ...] = SPARSE_MATRICES,
     from ..matrices import load_matrix
 
     rng = np.random.default_rng(67890)
-    kernels: dict[str, dict] = {}
-    for mname in matrices:
-        keys = [f"sparse/matvec/{mname}/{f}/{lay}"
-                for f in formats
-                for lay in ("csr_padded", "csr_segmented")]
-        if not any(_selected(k, only) for k in keys):
+    jobs: dict[str, tuple[Callable, Callable]] = {}
+    for mname in SPARSE_MATRICES:
+        wanted = [f for f in SPARSE_FORMATS if any(
+            _selected(f"sparse/matvec/{mname}/{f}/{lay}", only)
+            for lay in ("csr_padded", "csr_segmented"))]
+        if not wanted:
             continue
         A = load_matrix(mname, SCALES["full"])
         x = rng.standard_normal(A.shape[0])
         csr = CSRMatrix.from_dense(A)
-        for fname in formats:
+        for fname in wanted:
             ctx = FPContext(fname)
-            csrq = ctx.asarray(csr)
+            matvec = partial(ctx.matvec, ctx.asarray(csr), x)
             base = f"sparse/matvec/{mname}/{fname}"
-            secs: dict[str, float] = {}
-            for mode in ("padded", "segmented"):
-                key = f"{base}/csr_{mode}"
-                if not _selected(key, only):
-                    continue
-                with _sparse_route(mode):
-                    ctx.matvec(csrq, x)  # warm plan / slot map
-                    secs[mode] = measure(lambda: ctx.matvec(csrq, x),
-                                         repeats)
-                kernels[key] = {"seconds": secs[mode]}
-            if len(secs) == 2:
-                kernels[f"{base}/csr_segmented"].update(
-                    padded_s=secs["padded"],
-                    speedup_vs_padded=round(
-                        secs["padded"] / secs["segmented"], 3))
-    return kernels
-
-
-def table_cache_bench(only: tuple[str, ...] | None = None
-                      ) -> dict[str, dict]:
-    """Cold bisection build vs warm mmap load of the posit32es2 table.
-
-    Runs in a throwaway results dir so it never touches (or benefits
-    from) the machine's real table store; fresh format instances keep
-    the in-memory caches out of both timings.  The committed
-    ``speedup`` is the worker warm-start ratchet (≥ 5×).
-    """
-    key = "table_cache/posit32es2/two_level"
-    if not _selected(key, only):
-        return {}
-    import shutil
-    import tempfile
-
-    from ..formats.posit_format import PositFormat
-    from . import lut, tabcache
-
-    saved = os.environ.get("REPRO_RESULTS_DIR")
-    tmp = tempfile.mkdtemp(prefix="repro-tabbench-")
-    stats = tabcache.table_stats()
-    snap = stats.snapshot()
-    try:
-        os.environ["REPRO_RESULTS_DIR"] = tmp
-        lut.clear_tables()
-        t0 = time.perf_counter()
-        PositFormat(32, 2)._two_level_table()  # builds + stores
-        cold = time.perf_counter() - t0
-        lut.clear_tables()
-        t0 = time.perf_counter()
-        PositFormat(32, 2)._two_level_table()  # mmap loads
-        warm = time.perf_counter() - t0
-    finally:
-        lut.clear_tables()
-        if saved is None:
-            os.environ.pop("REPRO_RESULTS_DIR", None)
-        else:
-            os.environ["REPRO_RESULTS_DIR"] = saved
-        shutil.rmtree(tmp, ignore_errors=True)
-        # a bench must not skew the process-wide sweep counters
-        delta = stats.delta_since(snap)
-        for field, d in delta.items():
-            setattr(stats, field, getattr(stats, field) - d)
-    return {key: {"seconds": warm, "cold_s": cold, "warm_s": warm,
-                  "speedup": round(cold / warm, 3)}}
-
-
-def run_fig06_smoke() -> float:
-    """Cell-compute seconds of a cold, serial, cache-off fig06 sweep."""
-    from ..config import SCALES
-    from ..experiments.common import clear_cache, compute_cell
-    from ..experiments.registry import get_experiment
-    from .matcache import matrix_cache
-
-    scale = SCALES["smoke"]
-    cells = get_experiment("fig6").enumerate_cells(scale)
-    clear_cache()
-    matrix_cache().clear()
-    t0 = time.perf_counter()
-    for cell in cells:
-        compute_cell(cell, scale)
-    return time.perf_counter() - t0
-
-
-def run_sparse_grid_smoke(mode: str) -> float:
-    """Cell-compute seconds of the skewed solver-grid smoke sweep.
-
-    CG × the grid format zoo on the ``arrow_496`` extra at the
-    ``full`` run scale (the only scale where the arrow keeps its
-    published 96× pad ratio — smaller scales cap the dimension and
-    flatten the skew).  *mode* pins the CSR route for the run, so
-    ``padded`` replays the padded baseline on the same machine and
-    ``auto`` times the input-driven (here segmented) route.
-    """
-    from ..config import SCALES
-    from ..experiments.common import (clear_cache, compute_cell,
-                                      grid_cells)
-    from .matcache import matrix_cache
-
-    scale = SCALES["full"]
-    cells = grid_cells(scale, solvers=("cg",), names=("arrow_496",))
-    with _sparse_route(mode):
-        clear_cache()
-        matrix_cache().clear()
-        t0 = time.perf_counter()
-        for cell in cells:
-            compute_cell(cell, scale)
-        return time.perf_counter() - t0
+            jobs[base] = (_routed("segmented", matvec),
+                          _routed("padded", matvec))
+            _same_bits(base, jobs[base][0](), jobs[base][1]())
+    return jobs
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.kernels.bench",
-        description="kernel microbenchmarks -> BENCH_kernels.json")
-    parser.add_argument("--output", default=None,
-                        help="write the payload here (default: stdout)")
+        description="kernel microbenchmarks (JSON on stdout)")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="timed loops per entry (default 5)")
+                        help="timed rounds per entry (default 5)")
     parser.add_argument("--only", default=None, metavar="PREFIX[,..]",
                         help="measure only kernel ids starting with "
                              "one of these comma-separated prefixes")
-    parser.add_argument("--sweep", action="store_true",
-                        help="also time the fig06 smoke sweep "
-                             "(serial, result cache bypassed)")
-    parser.add_argument("--sweep-baseline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="same-machine baseline for the sweep entry")
-    parser.add_argument("--sparse-sweep", action="store_true",
-                        help="also time the skewed solver-grid smoke "
-                             "sweep, padded vs segmented (the "
-                             "input-driven route), best-of-3 each")
     args = parser.parse_args(argv)
 
     only = tuple(p.strip() for p in args.only.split(",")
                  if p.strip()) if args.only else None
-    payload: dict = {"version": 1, "kind": "kernels",
-                     "kernels": microbench(repeats=args.repeats,
-                                           only=only)}
-    sweeps: dict = {}
-    if args.sweep:
-        # best-of-3: single sweep timings are dominated by OS jitter
-        seconds = min(run_fig06_smoke() for _ in range(3))
-        entry = {"current_s": round(seconds, 3)}
-        if args.sweep_baseline:
-            entry["baseline_s"] = args.sweep_baseline
-            entry["speedup"] = round(args.sweep_baseline / seconds, 3)
-        sweeps["fig06_smoke"] = entry
-    if args.sparse_sweep:
-        baseline = min(run_sparse_grid_smoke("padded") for _ in range(3))
-        seconds = min(run_sparse_grid_smoke("auto") for _ in range(3))
-        sweeps["sparse_grid_smoke"] = {
-            "baseline_padded_s": round(baseline, 3),
-            "current_s": round(seconds, 3),
-            "speedup": round(baseline / seconds, 3)}
-    if sweeps:
-        payload["sweeps"] = sweeps
-
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output} ({len(payload['kernels'])} kernels)")
-    else:
-        sys.stdout.write(text)
+    kernels = microbench(repeats=args.repeats, only=only)
+    sys.stdout.write(json.dumps(kernels, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
+if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

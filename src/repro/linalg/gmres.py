@@ -88,7 +88,8 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-8,
                 H[j, k] = t
             denom = float(np.hypot(H[k, k], H[k + 1, k]))
             if denom == 0.0:
-                k_done = k + 1
+                # column k adds nothing: solve on the columns before it
+                k_done = k
                 break
             cs[k] = H[k, k] / denom
             sn[k] = H[k + 1, k] / denom

@@ -23,13 +23,11 @@ stack instead of ad-hoc post-hoc measurements:
 
 ``analyze``
     Trace summarization (top sites by rounding count, saturation
-    tables, per-cell time breakdown) and trace/bench diffing for
+    tables, per-cell time breakdown) and trace diffing for
     regression hunting — also available from the shell::
 
         python -m repro.telemetry summarize results/traces/run.jsonl
         python -m repro.telemetry diff old.jsonl new.jsonl
-        python -m repro.telemetry bench-diff results/BENCH_experiments.json \\
-            benchmarks/BENCH_experiments.json
 
 Activation is ambient (the same registry as the fault injector — see
 ``repro.arith.context.set_instrument``), so arbitrary solver code is
@@ -45,14 +43,13 @@ observable without modification::
 from .collector import Collector, SiteCounters, collecting
 from .trace import (SolverTrace, TraceSession, Tracer, active_tracer,
                     maybe_trace, span, trace_session, traces_dir, tracing)
-from .analyze import (diff_bench, diff_traces, read_events,
-                      render_bench_diff, render_diff, render_summary,
-                      summarize_trace)
+from .analyze import (diff_traces, read_events, render_diff,
+                      render_summary, summarize_trace)
 
 __all__ = [
     "Collector", "SiteCounters", "collecting",
     "SolverTrace", "TraceSession", "Tracer", "active_tracer",
     "maybe_trace", "span", "trace_session", "traces_dir", "tracing",
-    "diff_bench", "diff_traces", "read_events", "render_bench_diff",
-    "render_diff", "render_summary", "summarize_trace",
+    "diff_traces", "read_events", "render_diff", "render_summary",
+    "summarize_trace",
 ]

@@ -7,11 +7,6 @@ Subcommands::
                                  run/cell statuses and the supervised
                                  pool's crash/respawn/quarantine report
     diff OLD NEW                 counter/span deltas between two traces
-    bench-diff BASELINE CURRENT  per-experiment (or per-kernel)
-                                 wall-clock vs a committed baseline
-                                 (warn-only; --strict to fail on any
-                                 warning, --fail-pct/--fail-match to
-                                 hard-fail committed ratchet entries)
 """
 
 from __future__ import annotations
@@ -19,8 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analyze import (diff_bench, diff_traces, load_manifest_payload,
-                      render_bench_diff, render_diff,
+from .analyze import (diff_traces, load_manifest_payload, render_diff,
                       render_manifest_summary, render_summary,
                       summarize_manifest, summarize_trace)
 
@@ -42,26 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("old", help="baseline trace")
     p.add_argument("new", help="current trace")
 
-    p = sub.add_parser("bench-diff",
-                       help="compare BENCH_experiments.json / "
-                            "BENCH_kernels.json files")
-    p.add_argument("baseline", help="committed baseline bench JSON")
-    p.add_argument("current", help="freshly produced bench JSON")
-    p.add_argument("--warn-pct", type=float, default=25.0,
-                   help="warn when an experiment regresses beyond this "
-                        "percentage (default 25)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when any warning fires "
-                        "(default: warn-only, exit 0)")
-    p.add_argument("--fail-pct", type=float, default=None,
-                   help="hard-fail (exit 1, even without --strict) "
-                        "when a matching entry regresses beyond this "
-                        "percentage — the committed-ratchet contract")
-    p.add_argument("--fail-match", default="",
-                   help="comma-separated substrings selecting which "
-                        "entry ids the --fail-pct ratchet applies to "
-                        "(default: all)")
-
     args = parser.parse_args(argv)
     if args.command == "summarize":
         manifest = load_manifest_payload(args.trace)
@@ -71,17 +45,7 @@ def main(argv: list[str] | None = None) -> int:
             print(render_summary(summarize_trace(args.trace),
                                  top=args.top))
         return 0
-    if args.command == "diff":
-        print(render_diff(diff_traces(args.old, args.new)))
-        return 0
-    diff = diff_bench(args.baseline, args.current,
-                      warn_pct=args.warn_pct, fail_pct=args.fail_pct,
-                      fail_match=args.fail_match)
-    print(render_bench_diff(diff))
-    if diff.get("failures"):
-        return 1
-    if args.strict and diff["warnings"]:
-        return 1
+    print(render_diff(diff_traces(args.old, args.new)))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Trace analysis: summaries, trace diffs, bench diffs.
+"""Trace analysis: summaries and trace diffs.
 
 Pure functions over event lists (as read by :func:`read_events`) so the
 CLI in ``__main__`` and the tests share one implementation.  Renderers
@@ -12,8 +12,8 @@ from typing import Iterable
 
 from ..analysis.reporting import format_table
 
-__all__ = ["diff_bench", "diff_traces", "load_manifest_payload",
-           "read_events", "render_bench_diff", "render_diff",
+__all__ = ["diff_traces", "load_manifest_payload",
+           "read_events", "render_diff",
            "render_manifest_summary", "render_summary",
            "summarize_manifest", "summarize_trace"]
 
@@ -307,118 +307,4 @@ def render_diff(diff: dict) -> str:
                 ("span", "old_s", "new_s"), rows,
                 title="span time (informational — timing is noisy)",
                 first_col_width=24))
-    return "\n".join(parts)
-
-
-def _load_bench(payload: str | dict) -> dict:
-    if isinstance(payload, str):
-        with open(payload, encoding="utf-8") as fh:
-            return json.load(fh)
-    return payload
-
-
-def diff_bench(baseline: str | dict, current: str | dict,
-               warn_pct: float = 25.0, fail_pct: float | None = None,
-               fail_match: str = "") -> dict:
-    """Compare per-entry wall-clock against a committed baseline.
-
-    Understands both bench payload kinds: the experiment sweep
-    (``"experiments"`` map, timed by ``duration_s``, with a status to
-    check) and the kernel microbench (``"kernels"`` map, timed by
-    ``seconds``).  Returns ``{"rows": [...], "warnings": [...],
-    "failures": [...], "scale_mismatch": bool}``; a row per entry id
-    present in either payload with ``baseline_s`` / ``current_s`` /
-    ``pct`` (None when not comparable) and ``warn`` set on regressions
-    beyond *warn_pct*.  Missing-in-either and failed entries also warn.
-
-    With *fail_pct* set, entries whose id contains any of the
-    comma-separated *fail_match* substrings (every entry when empty)
-    and regress beyond that percentage are **hard failures** — the
-    ratchet contract for committed kernel speedups, enforced
-    regardless of the warn-only default (the CLI exits nonzero
-    whenever ``failures`` is non-empty).
-    """
-    base = _load_bench(baseline)
-    cur = _load_bench(current)
-    if "kernels" in base or "kernels" in cur:
-        base_exps = base.get("kernels", {})
-        cur_exps = cur.get("kernels", {})
-        metric, label = "seconds", "kernel"
-    else:
-        base_exps = base.get("experiments", {})
-        cur_exps = cur.get("experiments", {})
-        metric, label = "duration_s", "experiment"
-    kind = label
-    fail_pats = [p.strip() for p in fail_match.split(",")
-                 if p.strip()] or [""]
-    rows: list[dict] = []
-    warnings: list[str] = []
-    failures: list[str] = []
-    for eid in sorted(set(base_exps) | set(cur_exps)):
-        b = base_exps.get(eid)
-        c = cur_exps.get(eid)
-        row = {"id": eid,
-               "baseline_s": b.get(metric) if b else None,
-               "current_s": c.get(metric) if c else None,
-               "pct": None, "warn": False, "fail": False}
-        if b is None:
-            row["warn"] = True
-            warnings.append(f"{eid}: new {label} (no baseline)")
-        elif c is None:
-            row["warn"] = True
-            warnings.append(f"{eid}: missing from current run")
-        elif c.get("status", "completed") != "completed":
-            row["warn"] = True
-            warnings.append(f"{eid}: status {c.get('status')!r}")
-        else:
-            bs, cs = row["baseline_s"], row["current_s"]
-            if bs and bs > 0:
-                row["pct"] = 100.0 * (cs - bs) / bs
-                if (fail_pct is not None
-                        and any(p in eid for p in fail_pats)
-                        and row["pct"] > fail_pct):
-                    row["fail"] = True
-                    failures.append(
-                        f"{eid}: {bs:.3f}s -> {cs:.3f}s "
-                        f"(+{row['pct']:.0f}% > {fail_pct:.0f}% "
-                        f"ratchet)")
-                elif row["pct"] > warn_pct:
-                    row["warn"] = True
-                    warnings.append(
-                        f"{eid}: {bs:.3f}s -> {cs:.3f}s "
-                        f"(+{row['pct']:.0f}% > {warn_pct:.0f}%)")
-        rows.append(row)
-    mismatch = base.get("scale") != cur.get("scale")
-    if mismatch:
-        warnings.insert(0, f"scale mismatch: baseline "
-                           f"{base.get('scale')!r} vs current "
-                           f"{cur.get('scale')!r} — timings not "
-                           f"comparable")
-    return {"rows": rows, "warnings": warnings, "failures": failures,
-            "scale_mismatch": mismatch, "kind": kind}
-
-
-def render_bench_diff(diff: dict) -> str:
-    """Human-readable report for a bench diff (warn-only contract)."""
-    table_rows = []
-    for row in diff["rows"]:
-        pct = row["pct"]
-        table_rows.append((
-            row["id"], row["baseline_s"], row["current_s"],
-            "-" if pct is None else f"{pct:+.0f}%",
-            "FAIL" if row.get("fail") else
-            ("WARN" if row["warn"] else "")))
-    kind = diff.get("kind", "experiment")
-    parts = [format_table(
-        (kind, "baseline_s", "current_s", "pct", ""),
-        table_rows, title="wall-clock vs baseline",
-        first_col_width=16 if kind == "experiment" else 28)]
-    if diff.get("failures"):
-        parts.append("\nratchet failures:")
-        parts.extend(f"  - {f}" for f in diff["failures"])
-    if diff["warnings"]:
-        parts.append("\nwarnings:")
-        parts.extend(f"  - {w}" for w in diff["warnings"])
-    elif not diff.get("failures"):
-        parts.append("\nno regressions beyond threshold")
     return "\n".join(parts)

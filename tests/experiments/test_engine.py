@@ -258,26 +258,22 @@ class TestCellGranularResume:
 
 class TestRunnerCellIntegration:
     def test_bench_sidecar_records_cells(self, _isolated, monkeypatch):
-        import json
-
-        from repro.experiments.runner import BENCH_NAME
+        """The run manifest holds the sweep's per-experiment and
+        per-cell timing record."""
+        from repro.resilience.manifest import MANIFEST_NAME, RunManifest
         _register_mini(monkeypatch)
-        assert main(["zz-mini"]) == 0
-        with open(_isolated / BENCH_NAME) as fh:
-            bench = json.load(fh)
-        assert bench["jobs"] == 1
-        assert bench["cells"]["computed"] == len(_mini_cells(SMALL))
-        assert bench["cells"]["failed"] == 0
-        entry = bench["experiments"]["zz-mini"]
-        assert entry["status"] == "completed"
-        assert entry["cells"] == len(_mini_cells(SMALL))
-        assert entry["duration_s"] >= 0
-        # a warm re-run reports every cell as cached
-        assert main(["zz-mini"]) == 0
-        with open(_isolated / BENCH_NAME) as fh:
-            bench = json.load(fh)
-        assert bench["cells"]["computed"] == 0
-        assert bench["cells"]["cached"] == len(_mini_cells(SMALL))
+        cell_ids = [c.cell_id for c in _mini_cells(SMALL)]
+        path = os.path.join(str(_isolated), MANIFEST_NAME)
+        for status in ("completed", "cached"):  # cold run, warm re-run
+            assert main(["zz-mini"]) == 0
+            manifest = RunManifest(path).load()
+            entry = manifest.get("zz-mini")
+            assert entry["status"] == "completed"
+            assert entry["cells"] == len(cell_ids)
+            assert entry["duration_s"] >= 0
+            assert entry["cell_compute_s"] >= 0
+            assert [manifest.get_cell(c)["status"] for c in cell_ids] == \
+                [status] * len(cell_ids)
 
     def test_cell_failure_fails_owning_experiment(self, _isolated,
                                                   monkeypatch, capsys):

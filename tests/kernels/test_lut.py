@@ -213,3 +213,20 @@ class TestBuildContract:
         assert np.isneginf(vals[0]) and np.isposinf(vals[-1])
         assert f.max_value in vals and f.min_positive in vals
         _assert_bit_identical(f.round(vals), vals)
+
+
+def test_microbench_pairs_table_with_bitwise(monkeypatch):
+    """The kernel microbench times ``round`` against the bitwise
+    rounder and refuses a pair whose bits differ."""
+    from repro.kernels.bench import microbench
+
+    def bench():
+        return microbench(formats=("posit16es1",), sizes=(32,),
+                          ctx_formats=(), repeats=1,
+                          only=("quantize/",))["quantize/posit16es1/n32"]
+    entry = bench()
+    assert entry["speedup_vs_bitwise"] > 0 and entry["bitwise_s"] > 0
+    monkeypatch.setattr(get_format("posit16es1"), "_bitwise_round",
+                        lambda x: -x)
+    with pytest.raises(AssertionError, match="differs from its reference"):
+        bench()

@@ -40,6 +40,19 @@ class TestBasicSolves:
                     max_iterations=800)
         assert res.converged
 
+    @pytest.mark.parametrize("A, b", [
+        (np.zeros((5, 5)), np.ones(5)),
+        (np.diag([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))],
+        ids=["zero-matrix", "b-in-null-space"])
+    def test_breakdown_returns_unconverged(self, fp64_ctx, A, b):
+        """A first Arnoldi column with nothing to rotate ends the solve
+        with the zero iterate instead of a singular triangle solve."""
+        res = gmres(fp64_ctx, A, b)
+        assert not res.converged
+        assert res.iterations == 0
+        assert np.array_equal(res.x, np.zeros(len(b)))
+        assert res.relative_residual == 1.0
+
     def test_budget_exhaustion(self, fp64_ctx, spd_system):
         A, b, _ = spd_system
         res = gmres(fp64_ctx, A, b, rtol=1e-14, max_iterations=3)

@@ -1,4 +1,4 @@
-"""``python -m repro.telemetry`` — summarize / diff / bench-diff."""
+"""``python -m repro.telemetry`` — summarize / diff."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.arith.context import FPContext
-from repro.telemetry import (diff_bench, diff_traces, summarize_trace,
-                             trace_session)
+from repro.telemetry import diff_traces, summarize_trace, trace_session
 from repro.telemetry.__main__ import main
 
 
@@ -136,102 +135,3 @@ class TestDiff:
         diff = diff_traces(trace_file, other)
         assert ("add", "posit16es1") in diff["counters"]
 
-
-def _bench(**experiments) -> dict:
-    return {"version": 1, "scale": "smoke", "jobs": 1, "total_s": 1.0,
-            "cells": {}, "experiments": experiments}
-
-
-class TestBenchDiff:
-    def test_no_regression(self):
-        base = _bench(fig6={"status": "completed", "duration_s": 1.0})
-        cur = _bench(fig6={"status": "completed", "duration_s": 1.1})
-        diff = diff_bench(base, cur)
-        assert diff["warnings"] == []
-        assert diff["rows"][0]["pct"] == pytest.approx(10.0)
-
-    def test_regression_warns(self):
-        base = _bench(fig6={"status": "completed", "duration_s": 1.0})
-        cur = _bench(fig6={"status": "completed", "duration_s": 1.6})
-        diff = diff_bench(base, cur, warn_pct=25.0)
-        assert any("fig6" in w for w in diff["warnings"])
-        assert diff["rows"][0]["warn"]
-
-    def test_missing_and_failed_warn(self):
-        base = _bench(fig6={"status": "completed", "duration_s": 1.0},
-                      fig8={"status": "completed", "duration_s": 1.0})
-        cur = _bench(fig6={"status": "failed", "duration_s": 0.1},
-                     table2={"status": "completed", "duration_s": 2.0})
-        diff = diff_bench(base, cur)
-        text = "\n".join(diff["warnings"])
-        assert "fig6: status 'failed'" in text
-        assert "fig8: missing from current run" in text
-        assert "table2: new experiment" in text
-
-    def test_scale_mismatch_flagged(self):
-        base = _bench()
-        cur = dict(_bench(), scale="small")
-        diff = diff_bench(base, cur)
-        assert diff["scale_mismatch"]
-        assert "scale mismatch" in diff["warnings"][0]
-
-    def test_cli_warn_only_exit_codes(self, tmp_path, capsys):
-        base_p = tmp_path / "base.json"
-        cur_p = tmp_path / "cur.json"
-        base_p.write_text(json.dumps(
-            _bench(fig6={"status": "completed", "duration_s": 1.0})))
-        cur_p.write_text(json.dumps(
-            _bench(fig6={"status": "completed", "duration_s": 2.0})))
-        # default contract: warn, never fail the build
-        assert main(["bench-diff", str(base_p), str(cur_p)]) == 0
-        assert "WARN" in capsys.readouterr().out
-        # --strict turns warnings into a nonzero exit
-        assert main(["bench-diff", str(base_p), str(cur_p),
-                     "--strict"]) == 1
-
-    def test_cli_strict_clean_exit_zero(self, tmp_path):
-        p = tmp_path / "b.json"
-        p.write_text(json.dumps(
-            _bench(fig6={"status": "completed", "duration_s": 1.0})))
-        assert main(["bench-diff", str(p), str(p), "--strict"]) == 0
-
-
-def _kbench(**kernels) -> dict:
-    return {"version": 1, "kind": "kernels", "kernels": kernels}
-
-
-class TestBenchDiffKernels:
-    """bench-diff also understands the BENCH_kernels.json payload."""
-
-    K = "quantize/posit16es1/n32"
-
-    def test_compares_on_seconds(self):
-        base = _kbench(**{self.K: {"seconds": 1e-5}})
-        cur = _kbench(**{self.K: {"seconds": 1.05e-5}})
-        diff = diff_bench(base, cur)
-        assert diff["warnings"] == []
-        assert diff["rows"][0]["id"] == self.K
-        assert diff["rows"][0]["pct"] == pytest.approx(5.0)
-
-    def test_kernel_regression_warns(self):
-        base = _kbench(**{self.K: {"seconds": 1e-5}})
-        cur = _kbench(**{self.K: {"seconds": 2e-5}})
-        diff = diff_bench(base, cur, warn_pct=25.0)
-        assert any(self.K in w for w in diff["warnings"])
-
-    def test_new_kernel_labelled(self):
-        diff = diff_bench(_kbench(),
-                          _kbench(**{self.K: {"seconds": 1e-5}}))
-        assert f"{self.K}: new kernel" in diff["warnings"][0]
-
-    def test_cli_on_kernel_files(self, tmp_path, capsys):
-        base_p = tmp_path / "base.json"
-        cur_p = tmp_path / "cur.json"
-        base_p.write_text(json.dumps(
-            _kbench(**{self.K: {"seconds": 1e-5}})))
-        cur_p.write_text(json.dumps(
-            _kbench(**{self.K: {"seconds": 9e-5}})))
-        assert main(["bench-diff", str(base_p), str(cur_p)]) == 0
-        assert "WARN" in capsys.readouterr().out
-        assert main(["bench-diff", str(base_p), str(cur_p),
-                     "--strict"]) == 1

@@ -27,6 +27,15 @@ value_arrays = st.lists(finite_floats, min_size=1, max_size=48).map(
     lambda xs: np.array(xs, dtype=np.float64))
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _tables_built():
+    """Round once in every format first, so a first call that builds a
+    rounding table (seconds for ``takum_log16``) lands outside
+    Hypothesis's per-example deadline."""
+    for name in FORMAT_NAMES:
+        get_format(name).round(np.ones(2))
+
+
 def _single(col: Collector, site: str, fmt_name: str):
     counters = col.snapshot()[site][fmt_name]
     return counters.as_dict()
