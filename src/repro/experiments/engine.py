@@ -6,7 +6,8 @@ guarantees the PR-1 runner gave whole experiments — wall-clock budget,
 retries with backoff, crash isolation — but at cell granularity, plus
 two new powers:
 
-* ``jobs > 1`` fans cells out over the **supervised worker runtime**
+* ``jobs > 1`` fans cells and lane groups (below) out over the
+  **supervised worker runtime**
   (:class:`repro.supervise.pool.SupervisedPool`): individually spawned
   heartbeat-monitored workers, an external watchdog that SIGTERMs (then
   SIGKILLs) workers hung past the budget, crash records for manifest
@@ -18,13 +19,15 @@ two new powers:
   unfinished cells.
 * cells already present (in-process memo or disk cache) are reported
   as ``cached`` and never recomputed.
-* on the serial path, cells that share a
-  :func:`~repro.experiments.common.lane_key` run as lanes of one
-  lockstep solve, so every rounding call serves all of them: dense CG
-  cells of one format, one set of solver options and one system order,
-  and (ragged lanes of any orders) the CSR CG cells and X13 grid CG
-  cells of one format and tolerance.  Each cell is still stored and
-  reported on its own (see :func:`_execute_lanes`).
+* cells that share a :func:`~repro.experiments.common.lane_key` run
+  as lanes of one lockstep solve, so every rounding call serves all of
+  them: dense CG cells of one format, one set of solver options and
+  one system order, and (ragged lanes of any orders) the CSR CG cells
+  and X13 grid CG cells of one format and tolerance.  The groups are
+  formed once, before any worker forks, and a group is the unit both
+  the serial loop and the supervised pool dispatch; the pool splits
+  groups only when it has more workers than groups.  Each cell is
+  still stored and reported on its own (see :func:`run_group`).
 
 Cell payloads are deterministic functions of ``(cell, scale)``; the
 serial and parallel paths therefore produce bit-identical results, and
@@ -49,7 +52,7 @@ from ..resilience.isolation import backoff_delays, time_limit
 from .common import (Cell, compute_cell, compute_lanes, has_cell, lane_key,
                      store_cell)
 
-__all__ = ["CellOutcome", "execute_cells", "execute_request"]
+__all__ = ["CellOutcome", "execute_cells", "execute_request", "run_group"]
 
 
 @dataclass
@@ -133,7 +136,10 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
         else:
             todo.append(cell)
 
-    if todo and (pool is not None or jobs > 1):
+    # grouped before the pool forks: workers inherit the suite systems
+    # lane_key built
+    groups = _lane_groups(todo, scale)
+    if groups and (pool is not None or jobs > 1):
         try:
             if pool is None:
                 # imported lazily: supervise.worker imports this module
@@ -143,7 +149,7 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
                     jobs, scale, timeout=timeout, grace=grace,
                     retries=retries, backoff=backoff,
                     max_worker_deaths=max_worker_deaths)
-            leftover = pool.run(todo, settle)
+            leftover = pool.run(_split_groups(groups, pool.jobs), settle)
             if on_report is not None:
                 on_report(pool.report)
             if leftover:
@@ -154,10 +160,9 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
             # the sweep — finish the remaining cells serially
             print(f"!! cell pool failed ({type(exc).__name__}: {exc}); "
                   f"finishing remaining cells serially", file=sys.stderr)
-        todo = [c for c in todo if c not in outcomes]
+        groups = [rest for rest in ([c for c in group if c not in outcomes]
+                                    for group in groups) if rest]
 
-    groups = (_lane_groups(todo, scale) if pool is None and jobs == 1
-              else [[cell] for cell in todo])
     for group in groups:
         if len(group) > 1:
             _execute_lanes(group, scale, timeout, retries, backoff, sleep,
@@ -203,40 +208,79 @@ def _lane_groups(todo: list[Cell], scale: RunScale) -> list[list[Cell]]:
     return list(groups.values())
 
 
-def _execute_lanes(cells: list[Cell], scale: RunScale,
-                   timeout: float | None, retries: int, backoff: float,
-                   sleep: Callable[[float], None],
-                   settle: Callable[[CellOutcome], None]) -> None:
-    """Run one lane group as a single solve, then store and settle each
-    cell on its own.
+def _split_groups(groups: list[list[Cell]], jobs: int
+                  ) -> list[list[Cell]]:
+    """*groups* with the largest halved until there are *jobs* of them
+    or none has two cells; unchanged when there are already *jobs* or
+    more.  A lane's bits never depend on its partners, so a split only
+    keeps workers that would idle busy."""
+    groups = list(groups)
+    while len(groups) < jobs:
+        i = max(range(len(groups)), key=lambda k: len(groups[k]))
+        group = groups[i]
+        if len(group) < 2:
+            break
+        half = (len(group) + 1) // 2
+        groups[i:i + 1] = [group[:half], group[half:]]
+    return groups
 
-    The group runs under the sum of its cells' budgets.  Each cell's
-    duration is the group's wall time split in proportion to its
-    lane's iterations (evenly when none iterated), so the durations
-    sum to the group's time.  A group that raises or runs out of time
-    reruns its cells one by one through :func:`_execute_serial`, which
-    gives each cell the status, retries and backoff of a run alone.
+
+def run_group(cells: Sequence[Cell], scale: RunScale,
+              timeout: float | None
+              ) -> tuple[list[tuple[Cell, str, object, float, str | None]],
+                         str | None]:
+    """One attempt at a dispatch unit; returns ``(results, error)``.
+
+    A lone cell gets its :func:`_run_cell_guarded` result.  A lane
+    group runs as one :func:`~repro.experiments.common.compute_lanes`
+    solve under the sum of its cells' budgets (``timeout ×
+    len(cells)``); every cell is then ``completed``, its duration the
+    group's wall time split in proportion to its lane's iterations
+    (evenly when none iterated), so the durations sum to the group's
+    time.  A group that raises or runs out of time returns no results
+    and the error: its cells then run alone.  Exceptions never escape.
+
+    Results are ``(cell, status, value, duration, error)`` tuples.
+    The serial engine and the supervised worker both run groups here;
+    neither has stored anything yet.
     """
+    if len(cells) == 1:
+        return [(cells[0], *_run_cell_guarded(cells[0], scale,
+                                              timeout))], None
     budget = None if timeout is None else timeout * len(cells)
     t0 = time.perf_counter()
     try:
         with time_limit(budget, label=f"{len(cells)} lanes"):
-            values = compute_lanes(cells, scale)
+            values = compute_lanes(list(cells), scale)
     except Exception as exc:
-        print(f"!! lane group of {len(cells)} cell(s) failed "
-              f"({type(exc).__name__}: {exc}); running them one by one",
-              file=sys.stderr)
+        return [], f"{type(exc).__name__}: {exc}"
+    wall = time.perf_counter() - t0
+    weights = [getattr(value, "iterations", 0) for value in values]
+    total = sum(weights)
+    return [(cell, "completed", value,
+             wall * (weight / total if total else 1.0 / len(cells)), None)
+            for cell, value, weight in zip(cells, values, weights)], None
+
+
+def _execute_lanes(cells: list[Cell], scale: RunScale,
+                   timeout: float | None, retries: int, backoff: float,
+                   sleep: Callable[[float], None],
+                   settle: Callable[[CellOutcome], None]) -> None:
+    """Run one lane group through :func:`run_group`, then store and
+    settle each cell on its own.  A group that fails reruns its cells
+    one by one through :func:`_execute_serial`, which gives each cell
+    the status, retries and backoff of a run alone."""
+    results, error = run_group(cells, scale, timeout)
+    if error is not None:
+        print(f"!! lane group of {len(cells)} cell(s) failed ({error}); "
+              f"running them one by one", file=sys.stderr)
         for cell in cells:
             settle(_execute_serial(cell, scale, timeout, retries, backoff,
                                    sleep))
         return
-    wall = time.perf_counter() - t0
-    weights = [getattr(value, "iterations", 0) for value in values]
-    total = sum(weights)
-    for cell, value, weight in zip(cells, values, weights):
+    for cell, status, value, duration, _error in results:
         store_cell(cell, scale, value)
-        share = weight / total if total else 1.0 / len(cells)
-        settle(CellOutcome(cell, "completed", wall * share))
+        settle(CellOutcome(cell, status, duration))
 
 
 def _execute_serial(cell: Cell, scale: RunScale, timeout: float | None,

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["measure", "microbench", "main",
+__all__ = ["microbench", "main",
            "QUANTIZE_FORMATS", "CONTEXT_FORMATS", "QUANTIZE_SIZES",
            "CONTEXT_SIZES", "SPARSE_MATRICES", "SPARSE_FORMATS"]
 
@@ -57,13 +57,6 @@ SPARSE_FORMATS = ("fp16", "posit32es2")
 #: the :data:`repro.kernels.segment.PAD_RATIO` that forces each CSR
 #: matvec route
 _ROUTE_PAD_RATIO = {"padded": math.inf, "segmented": 0.0}
-
-
-def measure(fn: Callable[[], object], repeats: int = 5,
-            loops: int | None = None,
-            min_time: float = 0.01) -> float:
-    """Best average seconds/call over *repeats* timed loops."""
-    return float(_rounds({"": (fn,)}, repeats, loops, min_time)[""].min())
 
 
 def _rounds(jobs: dict[str, tuple[Callable[[], object], ...]],

@@ -6,8 +6,9 @@ modes the supervised worker pool (:mod:`repro.supervise.pool`) exists
 to survive.  Three chaos kinds are supported:
 
 ``kill``
-    the worker SIGKILLs itself right before computing a cell — an
-    OOM-kill / segfault stand-in that no Python ``except`` can see;
+    the worker SIGKILLs itself right before computing a cell or a lane
+    group — an OOM-kill / segfault stand-in that no Python ``except``
+    can see;
 ``hang``
     the worker blocks ``SIGTERM``/``SIGALRM`` and sleeps past any
     budget — hung native code that only the parent watchdog's
@@ -26,9 +27,11 @@ process regardless of start method::
 Determinism: each chaos decision hashes ``(seed, kind, key)`` — no
 random state, no draw ordering — so the same configuration injects the
 same failures at the same points in every run, across processes and
-start methods.  Decision keys include the *attempt* number
-(``<cell_id>#<attempt>``), so a killed cell is a fresh coin flip when
-the pool retries it: chaos exercises the recovery machinery without
+start methods.  ``kill`` and ``hang`` decide once per dispatch, keyed
+on the dispatch's first cell and its *attempt* number
+(``<cell_id>#<attempt>``), so a killed cell, or a lane group whose
+cells the pool then runs one by one, is a fresh coin flip when the
+pool runs it again: chaos exercises the recovery machinery without
 condemning any cell forever (quarantine still triggers if the coin
 keeps coming up kill ``--max-worker-deaths`` times).
 
@@ -134,17 +137,20 @@ def chaos_from_env() -> ChaosConfig | None:
     return config
 
 
-def chaos_worker_entry(cell_id: str, attempt: int) -> None:
-    """Chaos point at the top of a supervised worker's cell dispatch.
+def chaos_worker_entry(cells, attempt: int) -> None:
+    """Chaos point at the top of a supervised worker's dispatch.
 
-    Called from :mod:`repro.supervise.worker` only — never from the
-    serial path — so injected kills and hangs always land on a
-    *disposable* process the pool can respawn.
+    One decision per dispatch, keyed on the first of its *cells* (one
+    cell, or a lane group's cells) and the dispatch *attempt*: a lane
+    group of 19 cells dies at the configured ``kill`` rate, not at
+    ``1 - (1 - rate)**19``.  Called from :mod:`repro.supervise.worker`
+    only — never from the serial path — so injected kills and hangs
+    always land on a *disposable* process the pool can respawn.
     """
     config = chaos_from_env()
     if config is None:
         return
-    key = f"{cell_id}#{attempt}"
+    key = f"{cells[0].cell_id}#{attempt}"
     if config.decide("kill", key):
         # the harshest exit there is: no atexit, no finally, no signal
         os.kill(os.getpid(), signal.SIGKILL)

@@ -8,20 +8,27 @@ worker is an individually spawned :mod:`multiprocessing` process on
 its own duplex pipe (:mod:`repro.supervise.worker`), and the parent
 runs an event loop that:
 
-* **dispatches** ready cells to idle workers and collects results;
-* **watches the clock** — a worker past ``timeout + grace`` on one
-  cell gets SIGTERM, and SIGKILL another grace period later, so even
-  hung native code (which the in-worker SIGALRM budget cannot
-  interrupt) is bounded;
+* **dispatches** ready units to idle workers and collects results —
+  a unit is one cell or a lane group the worker solves in lockstep
+  (:func:`repro.experiments.engine.run_group`);
+* **watches the clock** — a worker past ``timeout × len(unit) +
+  grace`` on one unit gets SIGTERM, and SIGKILL another grace period
+  later, so even hung native code (which the in-worker SIGALRM budget
+  cannot interrupt) is bounded;
 * **records crashes** — exit code, death signal, last heartbeat age,
-  and the in-flight cell, as structured :class:`CrashRecord`\\ s that
+  and the in-flight cells, as structured :class:`CrashRecord`\\ s that
   the runner persists into manifest v2's ``supervision`` section;
 * **respawns** dead workers and requeues their in-flight cell with
   jittered exponential backoff (sharing
   :func:`repro.resilience.isolation.backoff_delays`);
+* **breaks up failed lane groups** — a group that raises, runs out of
+  its budget or loses its worker sends its unfinished cells back to
+  the queue one by one, and each is then retried, timed out and
+  quarantined as a cell alone; a group's death counts toward no
+  single cell's quarantine;
 * **quarantines poison cells** — a cell that has killed
-  ``max_worker_deaths`` workers is settled as ``poisoned`` instead of
-  being retried forever;
+  ``max_worker_deaths`` workers on its own is settled as ``poisoned``
+  instead of being retried forever;
 * **degrades to serial** — spawn failures, or a streak of worker
   deaths with no completed cell in between, abandon the pool and hand
   the unfinished cells back for in-process execution.
@@ -40,7 +47,7 @@ import os
 import signal
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -49,7 +56,7 @@ from ..experiments import common
 from ..experiments.engine import CellOutcome
 from ..resilience.isolation import backoff_delays, jittered
 from ..telemetry.trace import span
-from .worker import cache_counters, worker_main
+from .worker import cache_counters, group_label, worker_main
 
 __all__ = ["CrashRecord", "SupervisedPool", "SupervisionReport"]
 
@@ -85,16 +92,17 @@ class CrashRecord:
     pid: int
     exitcode: int | None     # negative = killed by that signal
     signal: str | None       # symbolic name when killed by a signal
-    cell: str | None         # in-flight cell id (None: died idle)
-    attempt: int             # dispatch attempt the cell was on
+    cell: str | None         # first in-flight cell id (None: died idle)
+    attempt: int             # dispatch attempt the unit was on
     kind: str                # "crash" | "watchdog"
     last_heartbeat_age_s: float | None
+    cells: tuple[str, ...] = ()   # every in-flight cell (a lane group's)
 
     def as_dict(self) -> dict[str, Any]:
         return {"worker": self.worker, "pid": self.pid,
                 "exitcode": self.exitcode, "signal": self.signal,
-                "cell": self.cell, "attempt": self.attempt,
-                "kind": self.kind,
+                "cell": self.cell, "cells": list(self.cells),
+                "attempt": self.attempt, "kind": self.kind,
                 "last_heartbeat_age_s": self.last_heartbeat_age_s}
 
 
@@ -129,26 +137,27 @@ class SupervisionReport:
 class _Handle:
     """Parent-side view of one worker process."""
 
-    __slots__ = ("name", "proc", "conn", "cell", "attempt",
-                 "dispatched_at", "term_sent_at", "last_hb", "hb_cell")
+    __slots__ = ("name", "proc", "conn", "unit", "attempt",
+                 "dispatched_at", "term_sent_at", "last_hb", "hb_label")
 
     def __init__(self, name: str, proc, conn):
         self.name = name
         self.proc = proc
         self.conn = conn
-        self.cell = None                 # in-flight Cell, or None
+        self.unit: tuple = ()            # in-flight cells; () when idle
         self.attempt = 0
         self.dispatched_at = 0.0
         self.term_sent_at: float | None = None
         self.last_hb: float | None = None
-        self.hb_cell: str | None = None
+        self.hb_label: str | None = None
 
 
 class SupervisedPool:
     """Drive cells through individually supervised worker processes.
 
     Parameters mirror the engine's: *timeout* is the per-cell budget
-    (both the worker's soft SIGALRM limit and the watchdog deadline),
+    (both the worker's soft SIGALRM limit and the watchdog deadline;
+    a lane group gets it once per cell),
     *grace* the SIGTERM→SIGKILL escalation period, *retries* the
     in-worker exception retry budget, *backoff* the base of the
     (jittered, exponential) requeue delay, and *max_worker_deaths* the
@@ -245,9 +254,17 @@ class SupervisedPool:
         self._workers.clear()
 
     # -- the event loop --------------------------------------------------
-    def run(self, cells: Sequence, settle: Callable[[CellOutcome], None]
-            ) -> list:
-        """Drive *cells* to terminal states; returns unfinished cells.
+    def run(self, groups: Sequence[Sequence],
+            settle: Callable[[CellOutcome], None]) -> list:
+        """Drive every cell of *groups* to a terminal state; returns the
+        unfinished cells.
+
+        Each group is one dispatch: a single cell, or the cells of a
+        lane group (:func:`repro.experiments.engine.run_group`).  A
+        group that fails as a whole (raises, hits its soft budget, or
+        loses its worker) puts its cells back in the queue one by one;
+        from then on each is retried, timed out and quarantined as a
+        cell alone.
 
         The returned list is empty unless the pool degraded — then the
         caller (the engine) finishes those cells serially in-process.
@@ -261,17 +278,26 @@ class SupervisedPool:
         """
         from multiprocessing.connection import wait as conn_wait
 
-        ready: deque = deque(cells)
-        waiting: list[tuple[float, Any]] = []   # (ready_at, cell)
-        attempts: dict[Any, int] = {}
-        deaths: dict[Any, int] = {}
+        ready: deque = deque(tuple(group) for group in groups)
+        cells = [cell for unit in ready for cell in unit]
+        waiting: list[tuple[float, tuple]] = []   # (ready_at, unit)
+        # a cell's dispatches alone: its retries and outcome attempts
+        attempts: Counter = Counter()
+        # every dispatch a cell rode in: chaos keys and crash records
+        dispatches: Counter = Counter()
+        deaths: Counter = Counter()
         unfinished = set(cells)
 
         def requeue(cell, reason: str) -> None:
             delay = self._next_delay(cell)
-            waiting.append((time.monotonic() + delay, cell))
+            waiting.append((time.monotonic() + delay, (cell,)))
             print(f"!! cell {cell.cell_id} {reason}; retrying in "
                   f"{delay:.2f}s", file=sys.stderr)
+
+        def break_up(unit: tuple, reason: str) -> None:
+            print(f"!! lane group {group_label(unit)} {reason}; running "
+                  f"its cells one by one", file=sys.stderr)
+            ready.extend((cell,) for cell in unit)
 
         def settle_terminal(outcome: CellOutcome) -> None:
             unfinished.discard(outcome.cell)
@@ -287,15 +313,14 @@ class SupervisedPool:
 
                 # promote backoff-expired cells back into the queue
                 if waiting:
-                    due = [c for at, c in waiting if at <= now]
-                    waiting = [(at, c) for at, c in waiting if at > now]
+                    due = [u for at, u in waiting if at <= now]
+                    waiting = [(at, u) for at, u in waiting if at > now]
                     ready.extend(due)
 
                 # replace dead workers (their deaths were processed
                 # when detected; this only restores capacity)
                 self._reap()
-                busy = sum(1 for h in self._workers.values()
-                           if h.cell is not None)
+                busy = sum(1 for h in self._workers.values() if h.unit)
                 needed = min(self.jobs,
                              busy + len(ready) + len(waiting))
                 while len(self._workers) < needed:
@@ -307,24 +332,26 @@ class SupervisedPool:
                 if self.report.degraded:
                     break
 
-                # dispatch ready cells to idle workers
+                # dispatch ready units to idle workers
                 for handle in list(self._workers.values()):
                     if not ready:
                         break
-                    if handle.cell is not None or not handle.proc.is_alive():
+                    if handle.unit or not handle.proc.is_alive():
                         continue
-                    cell = ready.popleft()
-                    attempts[cell] = attempts.get(cell, 0) + 1
-                    handle.cell = cell
-                    handle.attempt = attempts[cell]
+                    unit = ready.popleft()
+                    dispatches.update(unit)
+                    if len(unit) == 1:
+                        attempts.update(unit)
+                    handle.unit = unit
+                    handle.attempt = dispatches[unit[0]]
                     handle.dispatched_at = time.monotonic()
                     handle.term_sent_at = None
                     try:
-                        handle.conn.send(("task", cell, self.scale.name,
-                                          self.timeout, attempts[cell]))
+                        handle.conn.send(("task", unit, self.scale.name,
+                                          self.timeout, handle.attempt))
                     except (BrokenPipeError, OSError):
                         # died between reap and dispatch; the death
-                        # handler below requeues the cell
+                        # handler below requeues the unit
                         pass
 
                 # wait for messages, bounded by the nearest deadline
@@ -335,14 +362,14 @@ class SupervisedPool:
                     handle = next((h for h in self._workers.values()
                                    if h.conn is conn), None)
                     if handle is not None:
-                        self._drain(handle, attempts, deaths,
-                                    settle_terminal, requeue)
+                        self._drain(handle, attempts, settle_terminal,
+                                    requeue, break_up)
 
                 # deaths (EOF on pipe / exited process) and deadlines
                 for handle in list(self._workers.values()):
                     if not handle.proc.is_alive():
                         self._on_death(handle, deaths, attempts,
-                                       settle_terminal, requeue)
+                                       settle_terminal, requeue, break_up)
                 self._watchdog()
         finally:
             if not self.keep_alive:
@@ -351,18 +378,23 @@ class SupervisedPool:
         return [c for c in cells if c in unfinished]
 
     # -- helpers ---------------------------------------------------------
+    def _budget(self, handle: _Handle) -> float:
+        """The watchdog's budget for a worker's unit: the per-cell
+        timeout once per cell (call only with a timeout set)."""
+        return self.timeout * len(handle.unit)
+
     def _tick(self, waiting: list[tuple[float, Any]]) -> float:
         now = time.monotonic()
         tick = _TICK
         for handle in self._workers.values():
-            if handle.cell is None:
+            if not handle.unit:
                 continue
             if handle.term_sent_at is not None:
                 tick = min(tick, handle.term_sent_at + self.grace - now)
             elif self.timeout is not None:
-                tick = min(tick, handle.dispatched_at + self.timeout
+                tick = min(tick, handle.dispatched_at + self._budget(handle)
                            + self.grace - now)
-        for ready_at, _cell in waiting:
+        for ready_at, _unit in waiting:
             tick = min(tick, ready_at - now)
         return max(0.02, min(tick, _TICK))
 
@@ -373,7 +405,7 @@ class SupervisedPool:
                 rng=self._jitter)
         return next(self._delays[cell], self.backoff)
 
-    def _drain(self, handle: _Handle, attempts, deaths, settle, requeue
+    def _drain(self, handle: _Handle, attempts, settle, requeue, break_up
                ) -> None:
         """Process every queued message from one worker."""
         while True:
@@ -386,38 +418,42 @@ class SupervisedPool:
             tag = message[0]
             handle.last_hb = time.monotonic()
             if tag == "hb":
-                handle.hb_cell = message[2]
+                handle.hb_label = message[2]
                 continue
             if tag != "result":
                 continue
-            _, _worker, cell, status, value, duration, error, delta = \
-                message
+            _, _worker, results, delta, error = message
             for name, counters in cache_counters().items():
                 counters.absorb(delta.get(name))
-            handle.cell = None
+            unit, handle.unit = handle.unit, ()
             handle.term_sent_at = None
-            if status == "completed":
-                self._consecutive_deaths = 0
-                # memo only: the worker already persisted to disk
-                common.store_cell(cell, self.scale, value, persist=False)
-                settle(CellOutcome(cell, status, duration,
-                                   attempts=attempts.get(cell, 1)))
-            elif status == "timeout":
-                # soft (SIGALRM) timeout: deterministic, hence final
-                settle(CellOutcome(cell, status, duration, error,
-                                   attempts.get(cell, 1)))
-            elif attempts.get(cell, 1) <= self.retries:
-                requeue(cell, f"attempt {attempts.get(cell, 1)} failed "
-                              f"({error})")
-            else:
-                settle(CellOutcome(cell, status, duration, error,
-                                   attempts.get(cell, 1)))
+            for cell, status, value, duration, cell_error in results:
+                attempt = attempts.get(cell, 1)
+                if status == "completed":
+                    self._consecutive_deaths = 0
+                    # memo only: the worker already persisted to disk
+                    common.store_cell(cell, self.scale, value,
+                                      persist=False)
+                    settle(CellOutcome(cell, status, duration,
+                                       attempts=attempt))
+                elif status == "timeout":
+                    # soft (SIGALRM) timeout: deterministic, hence final
+                    settle(CellOutcome(cell, status, duration, cell_error,
+                                       attempt))
+                elif attempt <= self.retries:
+                    requeue(cell, f"attempt {attempt} failed "
+                                  f"({cell_error})")
+                else:
+                    settle(CellOutcome(cell, status, duration, cell_error,
+                                       attempt))
+            if unit and not results:
+                break_up(unit, f"failed ({error})")
 
     def _on_death(self, handle: _Handle, deaths, attempts, settle,
-                  requeue) -> None:
+                  requeue, break_up) -> None:
         """A worker process is gone: record, requeue or quarantine."""
         # drain any result it managed to send before dying
-        self._drain(handle, attempts, deaths, settle, requeue)
+        self._drain(handle, attempts, settle, requeue, break_up)
         exitcode = handle.proc.exitcode
         signame = None
         if exitcode is not None and exitcode < 0:
@@ -425,16 +461,17 @@ class SupervisedPool:
                 signame = signal.Signals(-exitcode).name
             except ValueError:
                 signame = f"signal {-exitcode}"
-        cell = handle.cell
+        unit = handle.unit
         now = time.monotonic()
         kind = "watchdog" if handle.term_sent_at is not None else "crash"
         record = CrashRecord(
             worker=handle.name, pid=handle.proc.pid or -1,
             exitcode=exitcode, signal=signame,
-            cell=cell.cell_id if cell is not None else None,
+            cell=unit[0].cell_id if unit else None,
             attempt=handle.attempt, kind=kind,
             last_heartbeat_age_s=(round(now - handle.last_hb, 3)
-                                  if handle.last_hb is not None else None))
+                                  if handle.last_hb is not None else None),
+            cells=tuple(cell.cell_id for cell in unit))
         self.report.crashes.append(record)
         self._consecutive_deaths += 1
         del self._workers[handle.name]
@@ -442,13 +479,17 @@ class SupervisedPool:
             handle.conn.close()
         except OSError:
             pass
-        if cell is not None:
-            deaths[cell] = deaths.get(cell, 0) + 1
-            died_how = (f"worker {handle.name} "
-                        + (f"killed by {signame}" if signame
-                           else f"exited {exitcode}")
-                        + (" after watchdog escalation"
-                           if kind == "watchdog" else ""))
+        died_how = (f"worker {handle.name} "
+                    + (f"killed by {signame}" if signame
+                       else f"exited {exitcode}")
+                    + (" after watchdog escalation"
+                       if kind == "watchdog" else ""))
+        if len(unit) > 1:
+            # no single cell of the group is to blame
+            break_up(unit, f"lost its worker ({died_how})")
+        elif unit:
+            [cell] = unit
+            deaths[cell] += 1
             if deaths[cell] >= self.max_worker_deaths:
                 self.report.quarantined.append(cell.cell_id)
                 settle(CellOutcome(
@@ -473,23 +514,24 @@ class SupervisedPool:
             return
         now = time.monotonic()
         for handle in self._workers.values():
-            if handle.cell is None or not handle.proc.is_alive():
+            if not handle.unit or not handle.proc.is_alive():
                 continue
+            label = group_label(handle.unit)
             if handle.term_sent_at is None:
-                if now - handle.dispatched_at > self.timeout + self.grace:
+                budget = self._budget(handle)
+                if now - handle.dispatched_at > budget + self.grace:
                     with span("supervise.kill", worker=handle.name,
-                              cell=handle.cell.cell_id, how="SIGTERM"):
+                              cell=label, how="SIGTERM"):
                         handle.proc.terminate()
                     handle.term_sent_at = now
                     self.report.term_kills += 1
                     print(f"!! watchdog: worker {handle.name} exceeded "
-                          f"{self.timeout:g}s budget on "
-                          f"{handle.cell.cell_id}; SIGTERM sent "
+                          f"{budget:g}s budget on {label}; SIGTERM sent "
                           f"(SIGKILL in {self.grace:g}s)",
                           file=sys.stderr)
             elif now - handle.term_sent_at > self.grace:
                 with span("supervise.kill", worker=handle.name,
-                          cell=handle.cell.cell_id, how="SIGKILL"):
+                          cell=label, how="SIGKILL"):
                     handle.proc.kill()
                 handle.term_sent_at = now  # re-arm; kill is idempotent
                 self.report.hard_kills += 1

@@ -246,7 +246,7 @@ def render_manifest_summary(summary: dict) -> str:
         title="supervision (worker crashes / respawns / quarantine)",
         first_col_width=12, col_width=9))
     if crashes:
-        crash_rows = [(c.get("cell") or "(idle)", c.get("worker"),
+        crash_rows = [(_crashed_on(c), c.get("worker"),
                        c.get("kind"), c.get("signal") or c.get("exitcode"),
                        c.get("attempt"),
                        "-" if c.get("last_heartbeat_age_s") is None
@@ -257,6 +257,13 @@ def render_manifest_summary(summary: dict) -> str:
             crash_rows, title="worker crash records",
             first_col_width=44, col_width=9))
     return "\n".join(parts)
+
+
+def _crashed_on(crash: dict) -> str:
+    """The cell (or lane group) a crash record names."""
+    lanes = len(crash.get("cells") or ())
+    return ((crash.get("cell") or "(idle)")
+            + (f" +{lanes - 1} lanes" if lanes > 1 else ""))
 
 
 def diff_traces(old: str | Iterable[dict],

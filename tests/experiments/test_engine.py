@@ -478,14 +478,52 @@ class TestLaneGroups:
         assert computed == cells
         assert [o.status for o in outcomes] == ["completed"] * 3
 
-    def test_pool_forms_no_groups(self, monkeypatch):
-        def no_groups(todo, scale):  # pragma: no cover - must not run
-            raise AssertionError("grouped on the pool path")
-        monkeypatch.setattr(engine, "_lane_groups", no_groups)
-        _fake_compute(monkeypatch, lambda cell, scale: 3)
-        cells = [Cell("cg", f"m{i}", "fp32") for i in range(3)]
+    def test_pool_runs_lane_groups(self, _isolated, monkeypatch):
+        """At ``jobs=2`` the workers solve the dense and the ragged
+        group as lanes: every payload equals the serial one, and each
+        cell is computed and stored once."""
+        from benchmarks.e2e.child import canonical
+        cells = [*_lane_cells(SMALL), *_csr_lane_cells(SMALL)]
+        execute_cells(cells, SMALL)
+        serial = {c: canonical(cell_value(c, SMALL)) for c in cells}
+        clear_cache()
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(_isolated / "pool"))
+
+        log = _isolated / "calls.log"
+
+        def logged(name, real):
+            def wrapper(*args, **kwargs):
+                what = args[0]
+                ids = (" ".join(c.cell_id for c in what)
+                       if isinstance(what, list) else what.cell_id)
+                if name != "store" or kwargs.get("persist", True):
+                    with open(log, "a") as fh:
+                        fh.write(f"{name} {os.getpid()} {ids}\n")
+                return real(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(engine, "compute_lanes",
+                            logged("lanes", engine.compute_lanes))
+        monkeypatch.setattr(engine, "compute_cell",
+                            logged("alone", engine.compute_cell))
+        monkeypatch.setattr(common, "store_cell",
+                            logged("store", common.store_cell))
+
         outcomes = execute_cells(cells, SMALL, jobs=2)
-        assert [o.status for o in outcomes] == ["completed"] * 3
+        assert [o.status for o in outcomes] == ["completed"] * len(cells)
+        assert all(o.attempts == 1 for o in outcomes)
+        calls = [line.split(" ", 2) for line in log.read_text().splitlines()]
+        assert all(pid != str(os.getpid()) for _, pid, _ in calls)
+        lanes = sorted(ids.split() for name, _, ids in calls
+                       if name == "lanes")
+        assert lanes == sorted([[c.cell_id for c in _lane_cells(SMALL)],
+                                [c.cell_id for c in _csr_lane_cells(SMALL)]])
+        assert not [ids for name, _, ids in calls if name == "alone"]
+        stored = [ids for name, _, ids in calls if name == "store"]
+        assert sorted(stored) == sorted(c.cell_id for c in cells)
+        clear_cache()       # read back what the workers stored
+        for cell in cells:
+            assert result_cache().contains(cell.cell_id, SMALL.name)
+            assert canonical(cell_value(cell, SMALL)) == serial[cell]
 
     def test_resume_recomputes_only_lost_lane_cells(self, _isolated,
                                                     monkeypatch):

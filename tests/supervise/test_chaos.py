@@ -106,6 +106,28 @@ class TestDecide:
                 != [config.decide("hang", k) for k in keys])
 
 
+class TestWorkerEntry:
+    def test_one_decision_per_dispatch(self, monkeypatch):
+        """A lane group of 19 cells dies at the kill rate, keyed on its
+        first cell and the attempt, not once per cell."""
+        from types import SimpleNamespace
+        monkeypatch.setenv("REPRO_CHAOS", "kill:0.15")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "1337")
+        kills = []
+        monkeypatch.setattr(chaos.os, "kill",
+                            lambda pid, sig: kills.append(pid))
+        config = chaos_from_env()
+        dispatches = 2000
+        for i in range(dispatches):
+            group = [SimpleNamespace(cell_id=f"g{i}-lane{k}")
+                     for k in range(19)]
+            before = len(kills)
+            chaos.chaos_worker_entry(group, 1)
+            assert (len(kills) > before) == config.decide("kill",
+                                                          f"g{i}-lane0#1")
+        assert 0.12 < len(kills) / dispatches < 0.18
+
+
 class TestEnospcHook:
     def test_noop_when_off(self):
         maybe_chaos_enospc("cell-a")    # must not raise

@@ -18,6 +18,7 @@ from repro.experiments import common, engine
 from repro.experiments.common import Cell, cell_value, clear_cache
 from repro.experiments.engine import execute_cells
 from repro.supervise.pool import SupervisedPool
+from tests.experiments.test_engine import _one_group
 
 SMALL = SCALES["small"]
 PARENT = os.getpid()
@@ -155,7 +156,7 @@ class TestWatchdog:
                               backoff=0.01, max_worker_deaths=1,
                               heartbeat_interval=0.1)
         t0 = _time.monotonic()
-        leftover = pool.run([cell], outcomes.append)
+        leftover = pool.run([(cell,)], outcomes.append)
         assert _time.monotonic() - t0 < 30.0
         assert leftover == []
         [outcome] = outcomes
@@ -257,6 +258,162 @@ class TestChaosInjection:
         monkeypatch.setenv("REPRO_CHAOS", "kill:1,hang:1")
         outcomes = execute_cells(_cells(2), SMALL)    # jobs=1: in-process
         assert [o.status for o in outcomes] == ["completed"] * 2
+
+
+def _lanes_then_alone(monkeypatch, lanes, alone):
+    """Lane groups compute through *lanes*, cells alone through
+    *alone*."""
+    monkeypatch.setattr(engine, "compute_lanes", lanes)
+    monkeypatch.setattr(engine, "compute_cell", alone)
+    monkeypatch.setattr(common, "compute_cell", alone)
+
+
+class TestLaneGroups:
+    """A lane group is one dispatch; when it fails as a whole, its
+    cells run alone and settle as they would have alone."""
+
+    def test_killed_group_runs_its_cells_alone(self, monkeypatch):
+        bad = Cell("cg", "bad", "fp32")
+
+        def lanes(cells, scale):
+            if os.getpid() != PARENT:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return [{"v": c.cell_id} for c in cells]
+
+        def alone(cell, scale):
+            if cell == bad and os.getpid() != PARENT:
+                os._exit(1)
+            return {"v": cell.cell_id}
+        _one_group(monkeypatch)
+        _lanes_then_alone(monkeypatch, lanes, alone)
+        cells = [*_cells(3), bad]
+        reports = []
+        outcomes = execute_cells(cells, SMALL, jobs=2, backoff=0.01,
+                                 max_worker_deaths=1,
+                                 on_report=reports.append)
+        by_cell = {o.cell: o for o in outcomes}
+        # a group's death is no cell's death: only the cell that kills
+        # a worker on its own is quarantined
+        assert by_cell[bad].status == "poisoned"
+        for cell in _cells(3):
+            assert by_cell[cell].status == "completed"
+            assert by_cell[cell].attempts == 1
+            assert cell_value(cell, SMALL) == {"v": cell.cell_id}
+        [report] = reports
+        assert report.quarantined == [bad.cell_id]
+        groups = sorted(c.cells for c in report.crashes if len(c.cells) > 1)
+        assert groups == [tuple(c.cell_id for c in cells[:2]),
+                          tuple(c.cell_id for c in cells[2:])]
+        assert all(c.signal == "SIGKILL" and c.kind == "crash"
+                   for c in report.crashes if len(c.cells) > 1)
+        assert [c.cells for c in report.crashes
+                if len(c.cells) == 1] == [(bad.cell_id,)]
+
+    def test_soft_timed_out_group_runs_its_cells_alone(self, monkeypatch):
+        import time as _time
+
+        def lanes(cells, scale):
+            if os.getpid() != PARENT:
+                _time.sleep(60.0)
+            return [{"v": c.cell_id} for c in cells]
+
+        def alone(cell, scale):
+            if cell.matrix == "slow" and os.getpid() != PARENT:
+                _time.sleep(60.0)
+            return {"v": cell.cell_id}
+        _lanes_then_alone(monkeypatch, lanes, alone)
+        slow = Cell("cg", "slow", "fp32")
+        cells = (*_cells(2), slow)
+        outcomes = []
+        pool = SupervisedPool(1, SMALL, timeout=0.3, grace=5.0, retries=3,
+                              backoff=0.01)
+        t0 = _time.monotonic()
+        assert pool.run([cells], outcomes.append) == []
+        assert _time.monotonic() - t0 < 30.0
+        by_cell = {o.cell: o for o in outcomes}
+        assert [by_cell[c].status for c in cells] == \
+            ["completed", "completed", "timeout"]
+        assert [by_cell[c].attempts for c in cells] == [1, 1, 1]
+        # the cell's own budget, not the group's
+        assert "budget of 0.3s exceeded" in by_cell[slow].error
+        assert pool.report.worker_deaths == 0
+        assert pool.report.term_kills == 0
+
+    def test_raising_group_runs_its_cells_alone(self, monkeypatch,
+                                                 capsys):
+        def lanes(cells, scale):
+            raise RuntimeError("lane bug")
+
+        def alone(cell, scale):
+            if cell.matrix == "bad":
+                raise ValueError("permanently broken")
+            return {"v": cell.cell_id}
+        _lanes_then_alone(monkeypatch, lanes, alone)
+        bad = Cell("cg", "bad", "fp32")
+        cells = (*_cells(2), bad)
+        outcomes = []
+        pool = SupervisedPool(1, SMALL, retries=1, backoff=0.01)
+        assert pool.run([cells], outcomes.append) == []
+        by_cell = {o.cell: o for o in outcomes}
+        assert [by_cell[c].status for c in cells] == \
+            ["completed", "completed", "failed"]
+        assert [by_cell[c].attempts for c in cells] == [1, 1, 2]
+        assert "permanently broken" in by_cell[bad].error
+        assert "lane bug" in capsys.readouterr().err
+        assert pool.report.worker_deaths == 0
+
+    def test_watchdog_budget_is_timeout_times_group_size(self, monkeypatch,
+                                                         capsys):
+        """A hung group of three is killed after 3 × timeout + grace,
+        not after one cell's budget, and its cells then finish alone
+        although ``max_worker_deaths=1``."""
+        import time as _time
+
+        def lanes(cells, scale):
+            if os.getpid() != PARENT:
+                signal.pthread_sigmask(
+                    signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGALRM})
+                _time.sleep(60.0)
+            return [{"v": c.cell_id} for c in cells]
+        _lanes_then_alone(monkeypatch, lanes,
+                          lambda cell, scale: {"v": cell.cell_id})
+        cells = tuple(_cells(3))
+        outcomes = []
+        pool = SupervisedPool(1, SMALL, timeout=0.3, grace=0.3,
+                              backoff=0.01, max_worker_deaths=1,
+                              heartbeat_interval=0.1)
+        t0 = _time.monotonic()
+        assert pool.run([cells], outcomes.append) == []
+        elapsed = _time.monotonic() - t0
+        assert 3 * 0.3 + 0.3 <= elapsed < 30.0
+        assert [o.status for o in outcomes] == ["completed"] * 3
+        [crash] = pool.report.crashes
+        assert crash.kind == "watchdog"
+        assert crash.cells == tuple(c.cell_id for c in cells)
+        assert not pool.report.quarantined
+        assert "exceeded 0.9s budget" in capsys.readouterr().err
+
+    def test_groups_split_into_at_most_jobs_chunks(self, monkeypatch):
+        a, b, c, d, e = _cells(5)
+        assert engine._split_groups([[a, b, c, d, e]], 2) == \
+            [[a, b, c], [d, e]]
+        assert engine._split_groups([[a, b, c, d], [e]], 4) == \
+            [[a], [b], [c, d], [e]]
+        assert engine._split_groups([[a, b], [c]], 2) == [[a, b], [c]]
+        assert engine._split_groups([[a], [b]], 4) == [[a], [b]]
+
+        _one_group(monkeypatch)
+        _fake_compute(monkeypatch, lambda cell, scale: {"v": cell.cell_id})
+        dispatched = []
+        real_run = SupervisedPool.run
+
+        def run(pool, groups, settle):
+            dispatched.append([len(g) for g in groups])
+            return real_run(pool, groups, settle)
+        monkeypatch.setattr(SupervisedPool, "run", run)
+        outcomes = execute_cells(_cells(5), SMALL, jobs=3)
+        assert [o.status for o in outcomes] == ["completed"] * 5
+        assert dispatched == [[2, 1, 2]]
 
 
 class TestSweepSurvivesWorkerDeath:

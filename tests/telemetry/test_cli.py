@@ -91,6 +91,19 @@ class TestSummarizeManifest:
         assert "SIGKILL" in out and "watchdog" in out
         assert "chol:c:posit32es2" in out
 
+    def test_cli_names_lane_group_crashes(self, tmp_path, capsys):
+        group = {"worker": "w3", "pid": 13, "exitcode": -9,
+                 "signal": "SIGKILL", "cell": "cg:a:fp32",
+                 "cells": ["cg:a:fp32", "cg:b:fp32", "cg:c:fp32"],
+                 "attempt": 1, "kind": "crash",
+                 "last_heartbeat_age_s": 0.5}
+        supervision = {**SUPERVISION,
+                       "crashes": [*SUPERVISION["crashes"], group]}
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(_manifest(supervision=supervision)))
+        assert main(["summarize", str(path)]) == 0
+        assert "cg:a:fp32 +2 lanes" in capsys.readouterr().out
+
     def test_cli_serial_manifest_says_so(self, tmp_path, capsys):
         path = tmp_path / "run_manifest.json"
         path.write_text(json.dumps(_manifest()))
