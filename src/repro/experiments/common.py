@@ -33,7 +33,9 @@ import numpy as np
 from ..arith.context import FPContext
 from ..config import RunScale, current_scale
 from ..kernels.matcache import matrix_cache
+from ..linalg.bicg import bicgstab, bicgstab_lanes
 from ..linalg.cg import conjugate_gradient, conjugate_gradient_lanes
+from ..linalg.gmres import gmres, gmres_lanes
 from ..linalg.cholesky import cholesky_solve
 from ..errors import FactorizationError
 from ..linalg.ir import IRResult, iterative_refinement
@@ -66,6 +68,8 @@ CHOLESKY_FORMATS = ("fp32", "posit32es2", "posit32es3")
 IR_FORMATS = ("fp16", "posit16es1", "posit16es2")
 #: Krylov methods of the extended solver grid (X-grid)
 GRID_SOLVERS = ("cg", "bicgstab", "gmres")
+#: the grid solvers besides CG whose cells run as ragged CSR lanes
+_GRID_LANES = {"bicgstab": bicgstab_lanes, "gmres": gmres_lanes}
 #: format zoo compared in the extended solver grid: the paper's posits,
 #: the takum pair (linear tapered, §repro.formats.takum), and the IEEE
 #: ladder they compete with
@@ -200,8 +204,7 @@ def compute_cell(cell: Cell, scale: RunScale) -> Any:
 def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
     """The key under which *cell* may run as a lane of a lockstep solve.
 
-    Cells with equal keys run as lanes of one
-    :func:`~repro.linalg.cg.conjugate_gradient_lanes` call
+    Cells with equal keys run as lanes of one lockstep solve
     (:func:`compute_lanes`).  The key holds what the solve's shape and
     arithmetic depend on:
 
@@ -211,7 +214,12 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
     * a CSR CG cell (``sparse``) and an X13 grid cell of the ``cg``
       solver: ``("cg-csr", format, rtol)``, with no n, since CSR lanes
       may be ragged.  Both make the same ``conjugate_gradient(ctx,
-      A_csr, b, rtol, max_iterations=scale.cg_max_iterations)`` call.
+      A_csr, b, rtol, max_iterations=scale.cg_max_iterations)`` call;
+    * an X13 grid cell of the ``bicgstab`` or ``gmres`` solver:
+      ``("bicgstab-csr", format, rtol)`` or ``("gmres-csr", format,
+      rtol)``, ragged CSR lanes of
+      :func:`~repro.linalg.bicg.bicgstab_lanes` or
+      :func:`~repro.linalg.gmres.gmres_lanes`.
 
     None (the cell runs alone) for every other cell, and for a matrix
     the suite does not know or (dense) cannot build.
@@ -221,6 +229,9 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
     if (cell.kind == "grid" and cell.option("solver") == "cg") or \
             (cell.kind == "cg" and cell.option("sparse")):
         return ("cg-csr", cell.fmt, float(cell.option("rtol", 1e-5)))
+    if cell.kind == "grid" and cell.option("solver") in _GRID_LANES:
+        return (f"{cell.option('solver')}-csr", cell.fmt,
+                float(cell.option("rtol", 1e-5)))
     if cell.kind != "cg":
         return None
     try:
@@ -233,13 +244,16 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
 
 def compute_lanes(cells, scale: RunScale) -> list:
     """The payloads of cells sharing a :func:`lane_key`, computed as
-    lanes of one lockstep CG solve (ragged for CSR cells); each has
-    the bits :func:`compute_cell` gives the cell alone."""
+    lanes of one lockstep solve of the key's solver (ragged for CSR
+    cells); each has the bits :func:`compute_cell` gives the cell
+    alone."""
     first = cells[0]
-    return conjugate_gradient_lanes(
-        FPContext(first.fmt), [_cg_system(c, scale) for c in cells],
-        rtol=first.option("rtol", 1e-5),
-        max_iterations=scale.cg_max_iterations)
+    solve = conjugate_gradient_lanes
+    if first.kind == "grid":
+        solve = _GRID_LANES.get(first.option("solver"), solve)
+    return solve(FPContext(first.fmt), [_cg_system(c, scale) for c in cells],
+                 rtol=first.option("rtol", 1e-5),
+                 max_iterations=scale.cg_max_iterations)
 
 
 def _cg_system(cell: Cell, scale: RunScale):
@@ -286,8 +300,6 @@ def _compute_cell(cell: Cell, scale: RunScale) -> Any:
         except FactorizationError:
             return np.inf
     if cell.kind == "grid":
-        from ..linalg.bicg import bicgstab
-        from ..linalg.gmres import gmres
         A, b = _cg_system(cell, scale)
         ctx = FPContext(cell.fmt)
         rtol = cell.option("rtol", 1e-5)

@@ -22,8 +22,12 @@ two new powers:
 * cells that share a :func:`~repro.experiments.common.lane_key` run
   as lanes of one lockstep solve, so every rounding call serves all of
   them: dense CG cells of one format, one set of solver options and
-  one system order, and (ragged lanes of any orders) the CSR CG cells
-  and X13 grid CG cells of one format and tolerance.  The groups are
+  one system order (key ``("cg", format, options, n)``), and, as
+  ragged lanes of any orders, the CSR CG and X13 grid CG cells of one
+  format and tolerance (``("cg-csr", format, rtol)``) and the X13
+  grid's BiCGSTAB or GMRES cells of one format and tolerance
+  (``("bicgstab-csr", format, rtol)``, ``("gmres-csr", format,
+  rtol)``).  The groups are
   formed once, before any worker forks, and a group is the unit both
   the serial loop and the supervised pool dispatch; the pool splits
   groups only when it has more workers than groups.  Each cell is

@@ -7,10 +7,15 @@ stabilize Posit since the working dynamic range is very high", and
 lists Bi-CG as future work.  These solvers let the ``ext-bicg``
 experiment test that hypothesis by tracking the dynamic range of the
 iterates alongside convergence.
+
+:func:`bicgstab_lanes` solves several CSR systems as lockstep ragged
+lanes (``docs/performance.md`` §13); both BiCGSTAB entry points run
+the one iteration body :func:`_iterate` over a :class:`_State`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +24,9 @@ from ..arith.context import FPContext
 from ..arith.sparse import CSRMatrix
 from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import System, finish
+from .lanes import Lanes, System, breakdown, finish, nonfinite
 
-__all__ = ["BiCGResult", "bicg", "bicgstab"]
+__all__ = ["BiCGResult", "bicg", "bicgstab", "bicgstab_lanes"]
 
 
 @dataclass
@@ -119,45 +124,157 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
              trace: SolverTrace | None = None) -> BiCGResult:
     """BiCGSTAB with per-op-rounded arithmetic."""
     trace = maybe_trace("bicgstab", ctx.fmt.name, trace, always=True)
-    system = System(ctx, A, b, rtol, max_iterations)
-    if system.norm_b == 0.0:
-        return finish(BiCGResult, system, system.x, 0, 0.0, trace,
-                      converged=True)
-    A, b, norm_b, x = system.A, system.b, system.norm_b, system.x
-    r = b.copy()
-    r0 = r.copy()
-    p = r.copy()
-    rho = ctx.dot(r0, r)
-    res = float(np.linalg.norm(r))
+    system = _System(ctx, A, b, rtol, max_iterations)
+    return _solve(ctx, [system], [trace], max_iterations)[0]
 
+
+def bicgstab_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
+                   max_iterations: int = 5000) -> list[BiCGResult]:
+    """Solve several systems by BiCGSTAB as lockstep ragged lanes.
+
+    *systems* is a sequence of ``(A, b)`` pairs, every ``A`` a
+    :class:`~repro.arith.sparse.CSRMatrix` of any order.  Returns one
+    :class:`BiCGResult` per system, in order, each with the bits of
+    ``bicgstab(ctx, A, b, rtol, max_iterations)``, its trace included:
+    every lane records its own.  With a dense ``A`` among the systems,
+    or a sequential-order context (its padded folds have no ragged
+    form), the systems are solved one by one.
+    """
+    if ctx.sum_order != "pairwise" or not all(
+            isinstance(A, CSRMatrix) for A, _ in systems):
+        return [bicgstab(ctx, A, b, rtol, max_iterations)
+                for A, b in systems]
+    return _solve(ctx, [_System(ctx, A, b, rtol, max_iterations)
+                        for A, b in systems],
+                  [maybe_trace("bicgstab", ctx.fmt.name, always=True)
+                   for _ in systems], max_iterations)
+
+
+def _solve(ctx, prepared, traces, max_iterations) -> list[BiCGResult]:
+    """Results of the *prepared* systems, each recording into its own
+    entry of *traces*: one with ``b = 0`` is solved by the zero start,
+    the others run as one :class:`_State`."""
+    results = [finish(BiCGResult, s, s.x, 0, 0.0, t, converged=True)
+               if s.norm_b == 0.0 else None
+               for s, t in zip(prepared, traces)]
+    live = [k for k, r in enumerate(results) if r is None]
+    if live:
+        state = _State(prepared, live, traces=[traces[k] for k in live])
+        _iterate(ctx, state, max_iterations)
+        for k in live:
+            results[k] = state.results[k]
+    return results
+
+
+class _System(System):
+    """One system after BiCGSTAB's set-up: ``r = r̂₀ = p = b``, the
+    first ``ρ = ⟨r̂₀, r⟩`` and ``‖r‖``, and the convergence threshold."""
+
+    def __init__(self, ctx, A, b, rtol, max_iterations):
+        super().__init__(ctx, A, b, rtol, max_iterations)
+        self.r = self.b.copy()
+        self.r0 = self.r.copy()
+        self.p = self.r.copy()
+        if self.norm_b == 0.0:
+            return
+        self.rho = ctx.dot(self.r0, self.r)
+        self.res = float(np.linalg.norm(self.r))
+        self.threshold = rtol * self.norm_b
+
+
+class _State(Lanes):
+    """BiCGSTAB's lane state (:class:`~repro.linalg.lanes.Lanes`)."""
+
+    #: per-lane fields: the iterate state and the intermediates a check
+    #: may need after a lane leaves
+    VECTORS = ("x", "r", "r0", "p", "Ap", "s", "As")
+    SCALARS = ("rho", "res", "denom", "alpha", "omega", "rho_new",
+               "norm_b", "threshold")
+    __slots__ = VECTORS + SCALARS
+
+    def norms(self):
+        """``‖r‖``: NumPy's 2-norm of the run's ``r`` or of each lane's
+        own slice of it."""
+        if not self.stacked:
+            return float(np.linalg.norm(self.r))
+        return np.array([np.linalg.norm(self._lane(self.r, row))
+                         for row in range(len(self.ids))])
+
+    def observe(self, iterations: int) -> None:
+        """Each trace's iteration: its residual and the peak over its
+        own entries of ``x, r, p, s``."""
+        vectors = (self.x, self.r, self.p, self.s)
+        if not self.stacked:
+            self.traces[0].iteration(iterations,
+                                     residual=self.res / self.norm_b,
+                                     vectors=vectors)
+            return
+        starts = self.segments.offsets[:-1]
+        with np.errstate(invalid="ignore"):
+            peaks = [np.maximum.reduceat(np.abs(v), starts) for v in vectors]
+        residuals = self.res / self.norm_b
+        for row, trace in enumerate(self.traces):
+            trace.iteration(iterations, residual=residuals[row],
+                            peak=max(float(p[row]) for p in peaks))
+
+    def result(self, system, x, iterations, res, history, trace, **outcome):
+        """BiCGSTAB reports ``‖r‖`` as its computed residual norm."""
+        return finish(BiCGResult, system, x, iterations, res, trace,
+                      **outcome)
+
+
+def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
+    """BiCGSTAB's iterations until every lane of *st* settles.
+
+    The one BiCGSTAB iteration body: on a single run every check is a
+    bool, on lanes a ``(B,)`` mask, and a lane meeting several checks
+    in one step settles at the first, as the single run would return
+    there.
+    """
     for it in range(1, max_iterations + 1):
-        Ap = ctx.matvec(A, p)
-        denom = ctx.dot(r0, Ap)
-        if denom == 0.0 or not np.isfinite(denom):
-            return finish(BiCGResult, system, x, it, res, trace,
-                          diverged=True)
-        alpha = ctx.div(rho, denom)
-        s = ctx.sub(r, ctx.mul(alpha, Ap))
-        As = ctx.matvec(A, s)
-        ss = ctx.dot(As, As)
-        omega = ctx.div(ctx.dot(As, s), ss) if ss != 0.0 else 0.0
-        x = ctx.add(x, ctx.add(ctx.mul(alpha, p), ctx.mul(omega, s)))
-        r = ctx.sub(s, ctx.mul(omega, As))
+        st.Ap = ctx.matvec(st.A, st.p)
+        st.denom = ctx.dot(st.r0, st.Ap, segments=st.segments)
+        if st.retire(it, breakdown(st.denom), "res", diverged=True):
+            return
+        st.alpha = ctx.div(st.rho, st.denom)
+        alpha = st.per_lane(st.alpha)
+        st.s = ctx.sub(st.r, ctx.mul(alpha, st.Ap))
+        st.As = ctx.matvec(st.A, st.s)
+        st.omega = _omega(ctx, st.As, st.s, st.segments)
+        omega = st.per_lane(st.omega)
+        st.x = ctx.add(st.x, ctx.add(ctx.mul(alpha, st.p),
+                                     ctx.mul(omega, st.s)))
+        st.r = ctx.sub(st.s, ctx.mul(omega, st.As))
 
-        res = float(np.linalg.norm(r))
-        trace.iteration(it, residual=res / norm_b, vectors=(x, r, p, s))
-        if not np.isfinite(res):
-            return finish(BiCGResult, system, x, it, np.inf, trace,
-                          diverged=True)
-        if res <= rtol * norm_b:
-            return finish(BiCGResult, system, x, it, res, trace,
-                          converged=True)
-        rho_new = ctx.dot(r0, r)
-        if rho == 0.0 or omega == 0.0 or not np.isfinite(rho_new):
-            return finish(BiCGResult, system, x, it, res, trace,
-                          diverged=True)
-        beta = ctx.mul(ctx.div(rho_new, rho), ctx.div(alpha, omega))
-        p = ctx.add(r, ctx.mul(beta, ctx.sub(p, ctx.mul(omega, Ap))))
-        rho = rho_new
-    return finish(BiCGResult, system, x, max_iterations, res, trace)
+        st.res = st.norms()
+        st.observe(it)
+        if st.retire(it, nonfinite(st.res), "res", diverged=True):
+            return
+        if st.retire(it, st.res <= st.threshold, "res", converged=True):
+            return
+        st.rho_new = ctx.dot(st.r0, st.r, segments=st.segments)
+        if st.retire(it, _stalled(st.rho, st.omega, st.rho_new), "res",
+                     diverged=True):
+            return
+        beta = ctx.mul(ctx.div(st.rho_new, st.rho),
+                       ctx.div(st.alpha, st.omega))
+        st.p = ctx.add(st.r, ctx.mul(st.per_lane(beta), ctx.sub(
+            st.p, ctx.mul(st.per_lane(st.omega), st.Ap))))
+        st.rho = st.rho_new
+    st.retire(max_iterations, True, "res")
 
+
+def _omega(ctx, As, s, segments):
+    """``ω = ⟨As, s⟩ / ⟨As, As⟩``, and 0.0 where ``⟨As, As⟩ == 0``."""
+    ss = ctx.dot(As, As, segments=segments)
+    if not isinstance(ss, np.ndarray):
+        return ctx.div(ctx.dot(As, s), ss) if ss != 0.0 else 0.0
+    omega = ctx.div(ctx.dot(As, s, segments=segments), ss)
+    return np.where(ss != 0.0, omega, 0.0)
+
+
+def _stalled(rho, omega, rho_new):
+    """``ρ == 0``, ``ω == 0`` or a non-finite new ``ρ``."""
+    if isinstance(rho_new, np.ndarray):
+        return (rho == 0.0) | (omega == 0.0) | ~np.isfinite(rho_new)
+    return rho == 0.0 or omega == 0.0 or not math.isfinite(rho_new)

@@ -159,7 +159,8 @@ def _solve(ctx, prepared, max_iterations, record_history=False,
                if s.norm_b == 0.0 else None for s in prepared]
     live = [k for k, r in enumerate(results) if r is None]
     if live:
-        state = _State(prepared, live, record_history, trace)
+        state = _State(prepared, live, record_history,
+                       [trace] * len(live))
         _iterate(ctx, state, max_iterations)
         for k in live:
             results[k] = state.results[k]
@@ -208,9 +209,10 @@ class _State(Lanes):
         norm_b = self.systems[self.ids[0]].norm_b
         if self.history is not None:
             self.history.append(self.res_norm / norm_b)
-        if self.trace is not None:
-            self.trace.iteration(iterations, residual=self.res_norm / norm_b,
-                                 vectors=(self.x, self.r, self.p))
+        if self.traces[0] is not None:
+            self.traces[0].iteration(iterations,
+                                     residual=self.res_norm / norm_b,
+                                     vectors=(self.x, self.r, self.p))
 
     def result(self, system, x, iterations, rr, history, trace, **outcome):
         """CG reports ``√rr`` as its computed residual norm."""

@@ -4,8 +4,8 @@ CG, BiCG, BiCGSTAB and GMRES all start from a :class:`System` and
 settle through :func:`finish`, so all of them reject a bad budget at
 entry, report ``b = 0`` as solved after no iteration, and measure their
 residuals alike.  :class:`Lanes` runs one system or several as lockstep
-lanes (``docs/performance.md`` §10–§11); CG's subclass is
-``repro.linalg.cg._State``.
+lanes (``docs/performance.md`` §10–§13); CG, BiCGSTAB and GMRES each
+subclass it as their module's ``_State``.
 """
 
 from __future__ import annotations
@@ -79,28 +79,35 @@ class Lanes:
 
     A subclass names its per-lane fields, ``VECTORS`` and ``SCALARS``,
     each starting as the system's attribute of that name (else None),
-    and builds a settled system's result in ``result(system, x,
-    iterations, value, history, trace, **outcome)``.  :meth:`retire`
-    drops settled lanes from every stacked field, rebuilding a CSR
-    stack from the lanes left; the last lane goes on as a single run on
-    its own matrix.
+    and ``ITEMS``, Python lists holding one object per lane (a lane's
+    :class:`~repro.telemetry.SolverTrace` in ``traces``).  A CSR lane
+    vector may carry leading axes, its lanes' entries on the last one
+    (GMRES's basis).  The subclass builds a settled system's result in
+    ``result(system, x, iterations, value, history, trace,
+    **outcome)``.  :meth:`retire` drops settled lanes from every
+    stacked field, rebuilding a CSR stack from the lanes left; the last
+    lane goes on as a single run on its own matrix.
     """
 
     VECTORS: tuple[str, ...] = ()
     SCALARS: tuple[str, ...] = ()
+    ITEMS: tuple[str, ...] = ("traces",)
 
     __slots__ = ("A", "systems", "ids", "stacked", "segments", "history",
-                 "trace", "results")
+                 "traces", "results")
 
     def __init__(self, systems: list, ids: list,
-                 record_history: bool = False, trace=None):
+                 record_history: bool = False, traces=None):
         """The run of ``systems[k]`` for k in *ids*: lanes, or a single
-        run when *ids* has one entry (only a single run records a
-        history and a trace)."""
+        run when *ids* has one entry.  *traces* holds one trace (or
+        None) per entry of *ids*; only a single run records a
+        history."""
         self.systems, self.ids = systems, ids
         self.stacked = len(ids) > 1
         self.history = [] if record_history else None
-        self.trace, self.segments, self.results = trace, None, {}
+        self.traces = list(traces) if traces is not None \
+            else [None] * len(ids)
+        self.segments, self.results = None, {}
         live = [systems[k] for k in ids]
         if not self.stacked:
             for name in ("A",) + self.VECTORS + self.SCALARS:
@@ -130,33 +137,37 @@ class Lanes:
         return scalar[:, np.newaxis]
 
     def _lane(self, vector, row: int):
-        """Lane *row*'s part of a stacked vector."""
+        """Lane *row*'s part of a stacked vector (a view)."""
         if self.segments is None:
             return vector[row]
-        return self.segments.lane(vector, row)
+        offsets = self.segments.offsets
+        return vector[..., offsets[row]:offsets[row + 1]]
 
-    def retire(self, iterations: int, flags, field: str,
-               **outcome) -> bool:
+    def retire(self, iterations, flags, field: str, **outcome) -> bool:
         """Settle the run or lanes *flags* marks as *outcome*, reporting
-        *field*; True when none is left."""
+        *field* after *iterations* (one count, or one per lane); True
+        when none is left."""
         if not self.stacked:
             if not flags:
                 return False
             k = self.ids[0]
             self.results[k] = self.result(
-                self.systems[k], self.x, iterations, getattr(self, field),
-                self.history or [], self.trace, **outcome)
+                self.systems[k], self.x, int(iterations),
+                getattr(self, field), self.history or [], self.traces[0],
+                **outcome)
             return True
         if flags is True:
             flags = np.ones(len(self.ids), dtype=bool)
         elif not flags.any():
             return False
         value = getattr(self, field)
+        counts = np.broadcast_to(iterations, flags.shape)
         for row in np.flatnonzero(flags):
             k = self.ids[row]
             self.results[k] = self.result(
-                self.systems[k], self._lane(self.x, row).copy(), iterations,
-                float(value[row]), [], None, **outcome)
+                self.systems[k], self._lane(self.x, row).copy(),
+                int(counts[row]), float(value[row]), [], self.traces[row],
+                **outcome)
         rows = np.flatnonzero(~flags)
         if self.segments is not None:
             # no later step rounds the old stack's array sizes again
@@ -169,27 +180,35 @@ class Lanes:
             # scalars
             row = rows[0]
             self.A = self.systems[self.ids[0]].A
-            self._select(lambda v: self._lane(v, row).copy(),
-                         lambda v: float(v[row]))
+            self._select(rows, lambda v: self._lane(v, row).copy(),
+                         lambda v: v[row].item())
             self.stacked = False
             self.segments = None
         elif self.segments is None:
             self.A = freeze(self.A[rows])
-            self._select(lambda v: v[rows], lambda v: v[rows])
+            self._select(rows, lambda v: v[rows], lambda v: v[rows])
         else:
             keep = self.segments.expand(~flags)
             self.A = CSRStack.of([self.A.lanes[row] for row in rows])
             self.segments = self.A.segments
-            self._select(lambda v: v[keep], lambda v: v[rows])
+            # contiguous rows: the float64 context's BLAS dots sum a
+            # strided vector in another order
+            self._select(rows, lambda v: np.ascontiguousarray(v[..., keep]),
+                         lambda v: v[rows])
         return False
 
-    def _select(self, vector, scalar) -> None:
-        """Replace every per-lane field by *vector* or *scalar* of it."""
+    def _select(self, rows, vector, scalar) -> None:
+        """Keep lanes *rows*: every per-lane field becomes *vector* or
+        *scalar* of it, every item list its entries *rows*."""
         for names, pick in ((self.VECTORS, vector), (self.SCALARS, scalar)):
             for name in names:
                 value = getattr(self, name)
                 if value is not None:
                     setattr(self, name, pick(value))
+        for name in self.ITEMS:
+            items = getattr(self, name)
+            if items is not None:
+                setattr(self, name, [items[row] for row in rows])
 
 
 # Shape-generic pieces of an iteration body: a single run's scalars are
@@ -203,11 +222,14 @@ def breakdown(pAp):
     return not math.isfinite(pAp) or pAp == 0.0
 
 
-def nonfinite(a, b):
-    """``a`` or ``b`` is non-finite."""
-    if isinstance(a, np.ndarray):
-        return ~(np.isfinite(a) & np.isfinite(b))
-    return not (math.isfinite(a) and math.isfinite(b))
+def nonfinite(*values):
+    """One of *values* is non-finite."""
+    if isinstance(values[0], np.ndarray):
+        finite = np.isfinite(values[0])
+        for value in values[1:]:
+            finite &= np.isfinite(value)
+        return ~finite
+    return not all(math.isfinite(v) for v in values)
 
 
 def root(rr):

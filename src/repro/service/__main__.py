@@ -25,6 +25,7 @@ import asyncio
 import contextlib
 import json
 import os
+import signal
 import sys
 
 from ..request import RunRequest
@@ -122,11 +123,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def main() -> None:
         await server.start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        terminated = []
+
+        def terminate() -> None:
+            terminated.append(True)
+            serving.cancel()
+        # SIGTERM stops the server as Ctrl-C does: close() shuts the
+        # worker pools down, so no worker outlives the server
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                      terminate)
         print(f":: repro.service listening on {server.address} "
               f"(jobs={request.jobs}, protocol v{PROTOCOL_VERSION})",
               flush=True)
         try:
-            await server.serve_forever()
+            await serving
+        except asyncio.CancelledError:
+            if not terminated:
+                raise
+            print(":: repro.service stopped", file=sys.stderr)
         finally:
             await server.close()
 

@@ -84,6 +84,18 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
+def _worker_entry(conn, name: str, heartbeat_interval: float,
+                  inherited) -> None:
+    """A worker process: close the parent's pipe ends it inherited,
+    then run :func:`~repro.supervise.worker.worker_main`."""
+    for parent_end in inherited:
+        try:
+            parent_end.close()
+        except OSError:
+            pass
+    worker_main(conn, name, heartbeat_interval)
+
+
 @dataclass(frozen=True)
 class CrashRecord:
     """One worker death, as persisted to the manifest."""
@@ -208,9 +220,13 @@ class SupervisedPool:
         self._serial += 1
         name = f"w{self._serial}"
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # a forked child holds copies of every parent-side end; it
+        # closes them, or its recv() never sees EOF once the parent dies
+        inherited = ([parent_conn] + [h.conn for h in self._workers.values()]
+                     if self._ctx.get_start_method() == "fork" else [])
         proc = self._ctx.Process(
-            target=worker_main, args=(child_conn, name,
-                                      self.heartbeat_interval),
+            target=_worker_entry, args=(child_conn, name,
+                                        self.heartbeat_interval, inherited),
             name=f"repro-supervised-{name}", daemon=True)
         with span("supervise.spawn", worker=name, respawn=respawn):
             proc.start()

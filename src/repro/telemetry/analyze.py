@@ -252,10 +252,12 @@ def render_manifest_summary(summary: dict) -> str:
                        "-" if c.get("last_heartbeat_age_s") is None
                        else f"{c['last_heartbeat_age_s']:.1f}s")
                       for c in crashes]
+        # X13 lane-group labels run past 60 characters
+        width = 2 + max(len("cell"), *(len(row[0]) for row in crash_rows))
         parts.append("\n" + format_table(
             ("cell", "worker", "kind", "cause", "attempt", "hb_age"),
             crash_rows, title="worker crash records",
-            first_col_width=44, col_width=9))
+            first_col_width=width, col_width=9))
     return "\n".join(parts)
 
 

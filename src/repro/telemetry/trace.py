@@ -179,11 +179,14 @@ class SolverTrace:
             self._published = len(self.events)
 
     def iteration(self, index: int, residual: float | None = None,
-                  vectors: Sequence[np.ndarray] = (), **fields) -> None:
+                  vectors: Sequence[np.ndarray] = (),
+                  peak: float | None = None, **fields) -> None:
         """Record one solver iteration.
 
         *vectors* are the live work vectors; their joint max ``|entry|``
         is the paper's §VI "dynamic range of the iterates" quantity.
+        A solver that has that maximum already (lanes take each lane's
+        at once) passes it as *peak* instead.
         """
         event = {"type": "solver", "solver": self.solver,
                  "format": self.fmt, "event": "iteration", "iter": index}
@@ -194,6 +197,8 @@ class SolverTrace:
         if vectors:
             with np.errstate(invalid="ignore"):
                 peak = max(float(np.max(np.abs(v))) for v in vectors)
+        if peak is not None:
+            peak = float(peak)
             self.peaks.append(peak)
             event["peak"] = peak
         event.update(fields)

@@ -537,7 +537,8 @@ class TestLaneGroups:
         other_rtol = common.cg_cells(SMALL, formats=("fp32",), rtol=1e-3,
                                      names=LANE_NAMES, sparse=True)
         groups = engine._lane_groups(list(csr + grid + other_rtol), SMALL)
-        lanes = [g for g in groups if len(g) > 1]
+        keys = [common.lane_key(g[0], SMALL) for g in groups]
+        lanes = [g for g, key in zip(groups, keys) if key[0] == "cg-csr"]
         assert [[c.cell_id for c in g] for g in lanes] == [
             [c.cell_id for c in csr + grid
              if c.fmt == fmt and c.option("solver", "cg") == "cg"]
@@ -545,11 +546,64 @@ class TestLaneGroups:
         assert {common.lane_key(g[0], SMALL) for g in lanes} == {
             ("cg-csr", "fp32", 1e-5), ("cg-csr", "posit32es2", 1e-5),
             ("cg-csr", "fp32", 1e-3)}
-        # BiCGSTAB and GMRES grid cells never join a group
-        alone = [g[0] for g in groups if len(g) == 1]
-        assert sorted(c.cell_id for c in alone) == sorted(
+        # BiCGSTAB and GMRES grid cells form groups of their own
+        assert sorted(c.cell_id for g in groups if g not in lanes
+                      for c in g) == sorted(
             c.cell_id for c in grid if c.option("solver") != "cg")
-        assert all(common.lane_key(c, SMALL) is None for c in alone)
+        assert all(key[0] in ("bicgstab-csr", "gmres-csr")
+                   for key in keys if key[0] != "cg-csr")
+
+    def test_bicgstab_and_gmres_grid_cells_group_by_solver_and_format(
+            self):
+        formats = ("fp32", "takum16")
+        grid = grid_cells(SMALL, solvers=("bicgstab", "gmres"),
+                          formats=formats, names=LANE_NAMES)
+        other_rtol = grid_cells(SMALL, solvers=("gmres",),
+                                formats=("fp32",), rtol=1e-3,
+                                names=LANE_NAMES)
+        groups = engine._lane_groups(list(grid + other_rtol), SMALL)
+        assert [[c.cell_id for c in g] for g in groups] == [
+            [c.cell_id for c in grid
+             if c.option("solver") == solver and c.fmt == fmt]
+            for solver in ("bicgstab", "gmres") for fmt in formats] + [
+            [c.cell_id for c in other_rtol]]
+        assert [common.lane_key(g[0], SMALL) for g in groups] == [
+            ("bicgstab-csr", "fp32", 1e-5), ("bicgstab-csr", "takum16", 1e-5),
+            ("gmres-csr", "fp32", 1e-5), ("gmres-csr", "takum16", 1e-5),
+            ("gmres-csr", "fp32", 1e-3)]
+
+    def test_pool_runs_bicgstab_and_gmres_groups(self, _isolated,
+                                                 monkeypatch):
+        """At ``jobs=2`` a worker solves each BiCGSTAB and GMRES group
+        with one ``compute_lanes`` call, and the payloads read back
+        from disk equal the serial ones, BiCGSTAB traces included."""
+        from benchmarks.e2e.child import canonical
+        scale = SCALES["smoke"]
+        groups = [grid_cells(scale, solvers=(solver,), formats=("fp32",),
+                             names=("nos1", "nos2", "bcsstk02"))
+                  for solver in ("bicgstab", "gmres")]
+        cells = [c for g in groups for c in g]
+        serial = {c: canonical(common.compute_cell(c, scale))
+                  for c in cells}
+        log = _isolated / "calls.log"
+        real = engine.compute_lanes
+
+        def logged(cells, scale):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} "
+                         f"{' '.join(c.cell_id for c in cells)}\n")
+            return real(cells, scale)
+        monkeypatch.setattr(engine, "compute_lanes", logged)
+        outcomes = execute_cells(cells, scale, jobs=2)
+        assert [o.status for o in outcomes] == ["completed"] * len(cells)
+        calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert all(pid != str(os.getpid()) for pid, _ in calls)
+        assert sorted(ids.split() for _, ids in calls) == sorted(
+            [c.cell_id for c in g] for g in groups)
+        clear_cache()       # read back what the workers stored
+        for cell in cells:
+            assert result_cache().contains(cell.cell_id, scale.name)
+            assert canonical(cell_value(cell, scale)) == serial[cell]
 
     def test_raising_ragged_group_runs_its_cells_one_by_one(
             self, monkeypatch, capsys):

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import SCALES
 from repro.experiments import common, runner
 from repro.experiments.cache import reset_cache_stats
@@ -303,3 +308,70 @@ class TestEndToEnd:
                                scale="smoke")
         assert results["fig6"]["status"] == "completed"
         assert results["fig6"]["csv_path"]
+
+
+def _children(pid: int) -> list[int]:
+    """The child processes of *pid*, whichever of its threads forked
+    them (Linux ``/proc``)."""
+    out = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            out.extend(int(p) for p in fh.read().split())
+    return out
+
+
+def _alive(pid: int) -> bool:
+    """*pid* runs (a zombie waiting for its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="needs Linux /proc to find the workers")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                         ids=["sigterm", "sigkill"])
+def test_no_worker_outlives_the_server(tmp_path, sig):
+    """A ``serve --jobs 2`` server with a warm fleet is stopped by
+    *sig*: SIGTERM shuts the pools down, and after a SIGKILL the
+    workers see their pipes close.  Either way, no worker is left
+    running ~3 s later."""
+    sock = tmp_path / "repro.sock"
+    env = {**os.environ, "REPRO_RESULTS_DIR": str(tmp_path / "results"),
+           "PYTHONPATH": os.pathsep.join(
+               [os.path.dirname(os.path.dirname(repro.__file__))]
+               + [p for p in os.environ.get("PYTHONPATH", "").split(
+                   os.pathsep) if p])}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--socket",
+         str(sock), "--jobs", "2"], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers: list[int] = []
+    try:
+        for _ in range(150):
+            if sock.exists():
+                break
+            time.sleep(0.1)
+        with Client(f"unix:{sock}", name="leak-check") as client:
+            done = client.submit_experiments(["fig6"], scale="smoke")
+        assert done.status == "completed"
+        workers = _children(server.pid)
+        assert len(workers) == 2
+        server.send_signal(sig)
+        server.wait(timeout=30)
+        deadline = time.monotonic() + 3.0
+        while any(_alive(pid) for pid in workers) and \
+                time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -104,6 +104,29 @@ class TestSummarizeManifest:
         assert main(["summarize", str(path)]) == 0
         assert "cg:a:fp32 +2 lanes" in capsys.readouterr().out
 
+    def test_crash_table_columns_fit_the_longest_label(self, tmp_path,
+                                                       capsys):
+        cells = [f"grid:{m}:posit32es2:rtol=1e-05,solver='gmres'"
+                 for m in ("bcsstk08", "662_bus", "nos5", "lund_a",
+                           "bcsstk02")]
+        group = {"worker": "w4", "pid": 14, "exitcode": -9,
+                 "signal": "SIGKILL", "cell": cells[0], "cells": cells,
+                 "attempt": 2, "kind": "watchdog",
+                 "last_heartbeat_age_s": 12.5}
+        supervision = {**SUPERVISION,
+                       "crashes": [*SUPERVISION["crashes"], group]}
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(_manifest(supervision=supervision)))
+        assert main(["summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        table = out.split("worker crash records\n", 1)[1].splitlines()
+        header, rule, rows = table[0], table[1], table[2:5]
+        label = f"{cells[0]} +4 lanes"
+        assert any(row.startswith(label + " ") for row in rows)
+        # every column keeps its place: rows are as wide as the header
+        assert {len(row) for row in rows} == {len(header)} == {len(rule)}
+        assert header.index("worker") > len(label)
+
     def test_cli_serial_manifest_says_so(self, tmp_path, capsys):
         path = tmp_path / "run_manifest.json"
         path.write_text(json.dumps(_manifest()))
