@@ -51,8 +51,8 @@ from typing import Callable, Sequence
 
 from ..arith.context import INSTRUMENT_KINDS, get_instrument
 from ..config import RunScale
-from ..errors import ExperimentTimeout
-from ..resilience.isolation import backoff_delays, time_limit
+from ..request import RunRequest
+from ..resilience.isolation import attempt, retrying, time_limit
 from .common import (Cell, compute_cell, compute_lanes, has_cell, lane_key,
                      store_cell)
 
@@ -74,31 +74,12 @@ class CellOutcome:
         return self.status in ("completed", "cached")
 
 
-def _run_cell_guarded(cell: Cell, scale: RunScale,
-                      timeout: float | None) -> tuple[str, object,
-                                                      float, str | None]:
-    """One attempt: compute under a wall-clock budget, classify failure.
-
-    Returns ``(status, value, duration, error)`` — exceptions never
-    escape, which keeps this directly usable as the pool worker (no
-    exception pickling, no half-dead futures).
-    """
-    t0 = time.perf_counter()
-    try:
-        with time_limit(timeout, label=cell.cell_id):
-            value = compute_cell(cell, scale)
-        return "completed", value, time.perf_counter() - t0, None
-    except ExperimentTimeout as exc:
-        return "timeout", None, time.perf_counter() - t0, str(exc)
-    except Exception as exc:
-        return ("failed", None, time.perf_counter() - t0,
-                f"{type(exc).__name__}: {exc}")
-
-
 def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
-                  jobs: int = 1, timeout: float | None = None,
-                  retries: int = 0, backoff: float = 1.0,
-                  grace: float = 5.0, max_worker_deaths: int = 3,
+                  jobs: int = RunRequest.jobs,
+                  timeout: float | None = RunRequest.timeout,
+                  retries: int = 0, backoff: float = RunRequest.backoff,
+                  grace: float = RunRequest.grace,
+                  max_worker_deaths: int = RunRequest.max_worker_deaths,
                   on_outcome: Callable[[CellOutcome], None] | None = None,
                   on_report: Callable[[object], None] | None = None,
                   sleep: Callable[[float], None] = time.sleep,
@@ -110,6 +91,9 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
     again — while any other failure is retried up to *retries* times
     with jittered exponential backoff (serial and pooled paths share
     the :func:`~repro.resilience.isolation.backoff_delays` schedule).
+    The knobs default as in :class:`~repro.request.RunRequest`, except
+    *retries*: called directly, the engine retries nothing unless
+    asked.
 
     With ``jobs > 1`` the supervised runtime adds two knobs: *grace*
     is the watchdog's SIGTERM→SIGKILL escalation period for workers
@@ -178,7 +162,7 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
     return [outcomes[cell] for cell in dict.fromkeys(cells)]
 
 
-def execute_request(cells: Sequence[Cell], request, *,
+def execute_request(cells: Sequence[Cell], request: RunRequest, *,
                     on_outcome: Callable[[CellOutcome], None] | None = None,
                     on_report: Callable[[object], None] | None = None,
                     pool: object | None = None) -> list[CellOutcome]:
@@ -235,7 +219,8 @@ def run_group(cells: Sequence[Cell], scale: RunScale,
                          str | None]:
     """One attempt at a dispatch unit; returns ``(results, error)``.
 
-    A lone cell gets its :func:`_run_cell_guarded` result.  A lane
+    A lone cell gets its
+    :func:`~repro.resilience.isolation.attempt` result.  A lane
     group runs as one :func:`~repro.experiments.common.compute_lanes`
     solve under the sum of its cells' budgets (``timeout ×
     len(cells)``); every cell is then ``completed``, its duration the
@@ -249,8 +234,9 @@ def run_group(cells: Sequence[Cell], scale: RunScale,
     neither has stored anything yet.
     """
     if len(cells) == 1:
-        return [(cells[0], *_run_cell_guarded(cells[0], scale,
-                                              timeout))], None
+        cell = cells[0]
+        return [(cell, *attempt(lambda: compute_cell(cell, scale), timeout,
+                                cell.cell_id))], None
     budget = None if timeout is None else timeout * len(cells)
     t0 = time.perf_counter()
     try:
@@ -290,20 +276,9 @@ def _execute_lanes(cells: list[Cell], scale: RunScale,
 def _execute_serial(cell: Cell, scale: RunScale, timeout: float | None,
                     retries: int, backoff: float,
                     sleep: Callable[[float], None]) -> CellOutcome:
-    delays = backoff_delays(retries, base=backoff)
-    attempts = 0
-    while True:
-        attempts += 1
-        status, value, duration, error = _run_cell_guarded(cell, scale,
-                                                           timeout)
-        if status == "completed":
-            store_cell(cell, scale, value)
-            return CellOutcome(cell, status, duration, attempts=attempts)
-        if status == "timeout":
-            return CellOutcome(cell, status, duration, error, attempts)
-        delay = next(delays, None)
-        if delay is None:
-            return CellOutcome(cell, status, duration, error, attempts)
-        print(f"!! cell {cell.cell_id} attempt {attempts} failed "
-              f"({error}); retrying in {delay:g}s", file=sys.stderr)
-        sleep(delay)
+    status, value, duration, error, attempts = retrying(
+        lambda: compute_cell(cell, scale), timeout, retries, backoff,
+        cell.cell_id, what=f"cell {cell.cell_id}", sleep=sleep)
+    if status == "completed":
+        store_cell(cell, scale, value)
+    return CellOutcome(cell, status, duration, error, attempts)

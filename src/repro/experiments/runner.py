@@ -34,13 +34,11 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable
 
 from ..analysis.reporting import results_dir
-from ..config import SCALES, RunScale
-from ..errors import ExperimentTimeout
+from ..config import RunScale
 from ..request import RunRequest
-from ..resilience.isolation import backoff_delays, time_limit
+from ..resilience.isolation import retrying
 from ..resilience.manifest import MANIFEST_NAME, RunManifest
 from .cache import cache_enabled, reset_cache_stats
 from .common import Cell, ExperimentResult
@@ -77,39 +75,6 @@ def run_experiment(exp_id: str, scale: RunScale | None = None,
         result = spec.run(scale=scale, quiet=quiet)
     result.trace_path = session.path
     return result
-
-
-def _run_protected(exp_id: str, scale: RunScale, timeout: float | None,
-                   retries: int, backoff: float,
-                   sleep: Callable[[float], None] = time.sleep
-                   ) -> tuple[str, ExperimentResult | None, str | None, int]:
-    """Run one experiment with timeout, crash isolation and retries.
-
-    Returns ``(status, result, error, attempts)`` where status is
-    ``completed`` / ``timeout`` / ``failed``.  A timeout is final (the
-    budget would just expire again); any other exception is treated as
-    potentially transient and retried with exponential backoff.
-    """
-    delays = backoff_delays(retries, base=backoff)
-    attempts = 0
-    last_error = None
-    while True:
-        attempts += 1
-        try:
-            with time_limit(timeout, label=exp_id):
-                result = run_experiment(exp_id, scale=scale)
-            return "completed", result, None, attempts
-        except ExperimentTimeout as exc:
-            return "timeout", None, str(exc), attempts
-        except Exception as exc:  # crash isolation: record, move on
-            last_error = f"{type(exc).__name__}: {exc}"
-            delay = next(delays, None)
-            if delay is None:
-                return "failed", None, last_error, attempts
-            print(f"!! {exp_id} attempt {attempts} failed "
-                  f"({last_error}); retrying in {delay:g}s",
-                  file=sys.stderr)
-            sleep(delay)
 
 
 def _gather_cells(ids: list[str], scale: RunScale
@@ -201,46 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiments", nargs="+",
                         help="experiment ids, 'all' (paper artifacts), "
                              "'everything' (incl. extensions), or 'list'")
-    parser.add_argument("--scale", choices=sorted(SCALES),
-                        default=None,
-                        help="workload scale (default: $REPRO_SCALE or "
-                             "'small')")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the cell grid "
-                             "(default: $REPRO_JOBS or 1; serial is the "
-                             "bit-for-bit reference path)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per cell and per "
-                             "experiment assembly (default: unlimited)")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="retries per crashed cell/experiment "
-                             "(default: 1)")
-    parser.add_argument("--backoff", type=float, default=1.0,
-                        metavar="SECONDS",
-                        help="initial retry backoff, doubled per retry "
-                             "and jittered when pooled (default: 1.0)")
-    parser.add_argument("--grace", type=float, default=5.0,
-                        metavar="SECONDS",
-                        help="supervised-pool escalation period: a "
-                             "worker hung past --timeout gets SIGTERM, "
-                             "then SIGKILL this many seconds later "
-                             "(default: 5.0)")
-    parser.add_argument("--max-worker-deaths", type=int, default=3,
-                        metavar="K",
-                        help="quarantine a cell as poisoned once it has "
-                             "killed K workers (default: 3)")
+    RunRequest.add_flags(parser)
     parser.add_argument("--resume", action="store_true",
                         help="skip experiments the run manifest records "
                              "as completed at this scale (cells are "
                              "always reused from the result cache)")
-    parser.add_argument("--trace", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="record op-level counters and span/solver "
-                             "events to results/traces/<label>.jsonl "
-                             "(forces --jobs 1 and a cold cache so the "
-                             "counts are reproducible); summarize with "
-                             "'python -m repro.telemetry summarize'")
     parser.add_argument("--cache-stats", action="store_true",
                         help="print result-cache hit/miss/invalidation "
                              "counts after the sweep (always recorded "
@@ -270,19 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     # the CLI flags normalize into the same RunRequest the service and
     # repro.submit() build — one knob set across every entry point
     try:
-        request = RunRequest.make(
-            scale=args.scale, jobs=args.jobs, timeout=args.timeout,
-            retries=args.retries, backoff=args.backoff,
-            grace=args.grace, max_worker_deaths=args.max_worker_deaths,
-            trace=args.trace)
+        request = RunRequest.from_flags(args)
     except ValueError as exc:
-        # validation messages lead with the knob name; point the user
-        # at the CLI flag they actually typed
-        msg = str(exc)
-        knob = msg.split(" ", 1)[0]
-        if knob in RunRequest.KNOBS:
-            msg = f"--{knob.replace('_', '-')}: {msg}"
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     scale = request.run_scale
     jobs = request.jobs
@@ -303,14 +223,14 @@ def main(argv: list[str] | None = None) -> int:
     from ..kernels.tabcache import table_stats
     matrix_cache().counters.reset()
     table_stats().reset()
-    if args.trace and jobs != 1:
+    if request.trace and jobs != 1:
         print(f"note: --trace forces --jobs 1 (was {jobs}); worker "
               f"processes cannot feed the in-process collector",
               file=sys.stderr)
         request = request.replace(jobs=1)
         jobs = 1
     session_cm = session = None
-    if args.trace:
+    if request.trace:
         from ..telemetry.trace import trace_session, traces_dir
         label = ids[0] if len(ids) == 1 else "sweep"
         session_cm = trace_session(
@@ -363,8 +283,11 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append((eid, f"failed: {error}"))
                 print(f"----- {eid} failed: {error}", file=sys.stderr)
                 continue
-            status, result, error, attempts = _run_protected(
-                eid, scale, args.timeout, args.retries, args.backoff)
+            # crash isolation: a failed assembly is retried with
+            # backoff, a timeout is final
+            status, result, _, error, attempts = retrying(
+                lambda: run_experiment(eid, scale=scale), request.timeout,
+                request.retries, request.backoff, eid)
             dt = time.time() - t0
             csv_path = result.csv_path if result is not None else None
             manifest.record(
@@ -399,8 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         "scale": scale.name, **stats.as_dict()})
     mstats = matrix_cache().stats()
     manifest.record_section("matrix_cache", {
-        "scale": scale.name, "enabled": matrix_cache().enabled,
-        **mstats})
+        "scale": scale.name, **mstats})
     tstats = table_stats().as_dict()
     manifest.record_section("table_cache", {
         "scale": scale.name, "enabled": lut_enabled(),
@@ -413,9 +335,7 @@ def main(argv: list[str] | None = None) -> int:
               + (" [REPRO_CACHE=off]" if not cache_enabled() else ""))
         print(f"matrix cache: {mstats['hits']} hits, "
               f"{mstats['misses']} misses, "
-              f"{mstats['evictions']} evictions"
-              + ("" if matrix_cache().enabled
-                 else " [REPRO_MATRIX_CACHE=off]"))
+              f"{mstats['evictions']} evictions")
         print(f"table cache: {tstats['hits']} hits, "
               f"{tstats['misses']} misses, {tstats['builds']} builds, "
               f"{tstats['invalidations']} invalidations"

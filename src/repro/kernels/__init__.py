@@ -42,7 +42,7 @@ conformance suites hold them to that):
     A per-worker LRU over derived matrices (rescaled systems, CSR
     packs, Higham scalings) so sweep cells sharing a matrix stop
     re-deriving it; hit/miss counts surface through the telemetry
-    manifest.  ``REPRO_MATRIX_CACHE=off`` disables it.
+    manifest.
 :mod:`repro.kernels.bench`
     Kernel microbenchmarks, each fast path timed against its reference
     in one process (``python -m repro.kernels.bench``); CI gates the

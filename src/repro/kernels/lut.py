@@ -415,8 +415,7 @@ def two_level_table(key: Hashable,
     tail_candidates)``; *step*, *post* and *post_span* are as for
     :class:`TwoLevelTable`.  First use consults the persistent store of
     :mod:`.tabcache` before paying the bisection build; *fmt_name* (the
-    registry name) is written into stored files so
-    :func:`.tabcache.preload_cached` can warm them.
+    registry name) is written into stored files' headers to name them.
     """
     table = _CACHE.get(key)
     if table is None:

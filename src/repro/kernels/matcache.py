@@ -14,8 +14,7 @@ rebuild would produce (derivations are deterministic), and solvers
 treat their inputs as read-only, as they already must for the memoized
 ``suite_systems`` arrays.
 
-``REPRO_MATRIX_CACHE=off`` disables caching (every lookup builds); each
-process keeps at most 64 entries.  Misses are traced as
+Each process keeps at most 64 entries.  Misses are traced as
 ``matrix.derive`` spans through the ambient tracer; hit/miss/eviction
 counts surface in the sweep manifest and ``--cache-stats``.
 """
@@ -25,19 +24,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-from ..config import env_switch
 from ..telemetry.counters import Counters
 from ..telemetry.trace import span
 
-__all__ = ["MatrixCache", "MatrixCacheStats", "matrix_cache",
-           "matrix_cache_enabled", "reset_matrix_cache"]
+__all__ = ["MatrixCache", "MatrixCacheStats", "matrix_cache"]
 
 _DEFAULT_CAPACITY = 64
-
-
-def matrix_cache_enabled() -> bool:
-    """True unless disabled via ``REPRO_MATRIX_CACHE=off``."""
-    return env_switch("REPRO_MATRIX_CACHE")
 
 
 class MatrixCacheStats(Counters):
@@ -49,11 +41,8 @@ class MatrixCacheStats(Counters):
 class MatrixCache:
     """A bounded LRU of derived-matrix objects with hit/miss counters."""
 
-    def __init__(self, capacity: int = _DEFAULT_CAPACITY,
-                 enabled: bool | None = None):
+    def __init__(self, capacity: int = _DEFAULT_CAPACITY):
         self.capacity = max(1, int(capacity))
-        self.enabled = matrix_cache_enabled() if enabled is None \
-            else bool(enabled)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.counters = MatrixCacheStats()
 
@@ -62,10 +51,8 @@ class MatrixCache:
         """The cached value for *key*, building (and tracing) on a miss.
 
         *key* must capture every input of the derivation; builders that
-        raise cache nothing.  Disabled caches always build (uncounted).
+        raise cache nothing.
         """
-        if not self.enabled:
-            return builder()
         if key in self._entries:
             self.counters.hits += 1
             self._entries.move_to_end(key)
@@ -99,9 +86,3 @@ def matrix_cache() -> MatrixCache:
     if _CACHE is None:
         _CACHE = MatrixCache()
     return _CACHE
-
-
-def reset_matrix_cache() -> None:
-    """Drop the singleton so the next use re-reads ``REPRO_MATRIX_CACHE``."""
-    global _CACHE
-    _CACHE = None

@@ -31,8 +31,9 @@ Writes are atomic (:func:`repro.resilience.atomic.write_sealed`) and
 ENOSPC-tolerant: a full disk counts a ``write_error`` and the build
 proceeds uncached.  ``REPRO_LUT=off`` builds no tables, so the store
 stays untouched; counters surface in the sweep manifest and
-``--cache-stats``, and :func:`preload_cached` lets pool workers warm
-every table the machine has already built before their first cell.
+``--cache-stats``.  A process maps a stored table on its first use of
+the format (:func:`.lut.two_level_table` tries :func:`load_arrays`
+before any build), so a pool worker maps only the tables it rounds.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from ..resilience import atomic
 from ..telemetry.counters import Counters
 
 __all__ = ["TableCacheStats", "table_stats",
-           "load_arrays", "store_arrays", "preload_cached",
+           "load_arrays", "store_arrays",
            "table_cache_dir", "entry_path", "clear_table_cache",
            "TABLE_DIR_NAME", "SUFFIX"]
 
@@ -147,16 +148,6 @@ def store_arrays(key: Hashable, fmt_name: str,
     return path
 
 
-def _read_header(path: str) -> dict | None:
-    """Parse just the JSON header line (no checksum; scanning only)."""
-    try:
-        with open(path, "rb") as fh:
-            line = fh.readline(1 << 20)
-        return json.loads(line.decode())
-    except (OSError, ValueError):
-        return None
-
-
 def load_arrays(key: Hashable) -> dict[str, np.ndarray] | None:
     """mmap-load the arrays for *key*, or None on miss.
 
@@ -199,47 +190,6 @@ def load_arrays(key: Hashable) -> dict[str, np.ndarray] | None:
     # are shared read-only across every process mapping this file
     _STATS.hits += 1
     return out
-
-
-def preload_cached() -> int:
-    """Warm every table this machine has cached for the current code.
-
-    Scans the table directory, resolves each file's format by registry
-    name, and — only when the file is the *current* entry for that
-    format (same key, same code fingerprint) — triggers the format's
-    table accessor, which takes the mmap hit path.  Stale or alien
-    files are skipped, never built.  Returns the number of tables
-    warmed; safe to call from worker startup (all failures are
-    non-fatal).
-    """
-    from .lut import lut_enabled
-    if not lut_enabled():
-        return 0
-    try:
-        names = sorted(os.listdir(table_cache_dir()))
-    except OSError:
-        return 0
-    from ..formats.registry import get_format
-    warmed = 0
-    for fname in names:
-        if not fname.endswith(SUFFIX):
-            continue
-        path = os.path.join(table_cache_dir(), fname)
-        head = _read_header(path)
-        if head is None:
-            continue
-        try:
-            fmt = get_format(head.get("format", ""))
-        except Exception:
-            continue
-        if entry_path(fmt._key()) != path:
-            continue  # stale fingerprint or foreign key: leave it be
-        try:
-            fmt._two_level_table()
-            warmed += 1
-        except Exception:  # pragma: no cover - defensive: never block a worker
-            continue
-    return warmed
 
 
 def clear_table_cache() -> int:

@@ -48,11 +48,6 @@ class _Unfinished:
     iterations: int
 
 
-def _result(*, x, converged, iterations, relative_residual, **_):
-    """The shared finish's values GMRES reports."""
-    return GMRESResult(x, converged, iterations, relative_residual)
-
-
 def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-8,
           restart: int = 50, max_iterations: int = 1000,
           trace: SolverTrace | None = None) -> GMRESResult:
@@ -92,7 +87,7 @@ def _solve(ctx, prepared, rtol, restart, max_iterations,
     """Results of the *prepared* systems: one with ``b = 0`` is solved
     by the zero start, the others run as one :class:`_State`, and a
     lane left unfinished by an early cycle end as a run of its own."""
-    results = [finish(_result, s, s.x, 0, 0.0, trace, converged=True)
+    results = [finish(GMRESResult, s, s.x, 0, 0.0, trace, converged=True)
                if s.norm_b == 0.0 else None for s in prepared]
     live = [k for k, r in enumerate(results) if r is None]
     if live:
@@ -294,7 +289,8 @@ class _State(Lanes):
         residual); an unfinished lane its state to go on alone."""
         if unfinished:
             return _Unfinished(x, iterations)
-        return finish(_result, system, x, iterations, res, trace, **outcome)
+        return finish(GMRESResult, system, x, iterations, res, trace,
+                      **outcome)
 
 
 def _iterate(ctx: FPContext, st: _State, rtol: float, restart: int,

@@ -10,6 +10,7 @@ subclass it as their module's ``_State``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,12 +49,15 @@ class System:
 def finish(result, system: System, x, iterations: int, residual,
            trace=None, *, converged: bool = False, diverged: bool = False,
            **fields):
-    """*result* (a result class) for iterate *x* of *system*.
+    """*result* (a result dataclass) for iterate *x* of *system*.
 
     The computed residual norm *residual* is reported relative to
-    ``‖b‖`` (inf when non-finite, absolute when ``b = 0``), the true
-    residual ``‖b − A·x‖/‖b‖`` in float64, and *trace*, when given,
-    records the ``"finish"`` event.  *fields* are the result's own.
+    ``‖b‖`` (inf when non-finite, absolute when ``b = 0``), and
+    *trace*, when given, records the ``"finish"`` event.  Of the shared
+    values, *result* gets those it has fields for; the true residual
+    ``‖b − A·x‖/‖b‖`` (a float64 matvec) is computed only for a result
+    with a ``true_relative_residual`` field.  *fields* are the
+    result's own.
     """
     relative = (residual / (system.norm_b or 1.0)
                 if math.isfinite(residual) else math.inf)
@@ -62,11 +66,15 @@ def finish(result, system: System, x, iterations: int, residual,
                     outcome=("converged" if converged else
                              "breakdown" if diverged else "budget"),
                     residual=relative)
-    return result(converged=converged, diverged=diverged,
-                  iterations=iterations, relative_residual=relative,
-                  true_relative_residual=relative_backward_error(
-                      system.A, x, system.b),
-                  x=x, trace=trace, **fields)
+    names = {f.name for f in dataclasses.fields(result)}
+    shared = {"converged": converged, "diverged": diverged,
+              "iterations": iterations, "relative_residual": relative,
+              "x": x, "trace": trace}
+    if "true_relative_residual" in names:
+        shared["true_relative_residual"] = relative_backward_error(
+            system.A, x, system.b)
+    return result(**{k: v for k, v in shared.items() if k in names},
+                  **fields)
 
 
 class Lanes:

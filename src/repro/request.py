@@ -7,8 +7,10 @@ flags on the runner CLI, as kwargs threaded through
 on the service wire.  Each surface could — and did — drift.  Now every
 entry point constructs a :class:`RunRequest` and hands it down:
 
-* the runner CLI (``python -m repro.experiments``) builds one from its
-  parsed arguments (:meth:`RunRequest.make`);
+* the runner CLI (``python -m repro.experiments``) and the service's
+  ``serve`` command declare their knob flags from
+  :attr:`RunRequest.FLAGS` (:meth:`RunRequest.add_flags`) and build
+  their request from the parsed flags (:meth:`RunRequest.from_flags`);
 * the library façade (:func:`repro.submit`,
   :func:`repro.run_experiment`, :func:`repro.context`) accepts one (or
   builds one from the same keyword names);
@@ -31,6 +33,12 @@ from .config import SCALES, RunScale, jobs_from_env, scale_from_env
 __all__ = ["RunRequest"]
 
 
+def _scale_name(name: str) -> str:
+    """A scale name as :func:`~repro.config.scale_from_env` reads one:
+    stripped and lowercased."""
+    return str(name).strip().lower()
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """Normalized execution knobs shared by CLI, library and service.
@@ -39,8 +47,9 @@ class RunRequest:
     ----------
     scale:
         Run-scale *name* (``smoke`` / ``small`` / ``medium`` /
-        ``full``); resolve the :class:`~repro.config.RunScale` object
-        through :attr:`run_scale`.  Stored by name so the request is
+        ``full``, any case, surrounding spaces ignored); resolve the
+        :class:`~repro.config.RunScale` object through
+        :attr:`run_scale`.  Stored by name so the request is
         JSON-serializable as-is.
     jobs:
         Worker processes for the cell grid (1 = the bit-for-bit serial
@@ -60,15 +69,49 @@ class RunRequest:
     trace:
         Telemetry trace: ``False`` (off), ``True`` (default trace
         file), or an explicit path.
-    cache:
-        Result-cache policy: ``"on"`` (read and write) or ``"off"``
-        (compute cold, persist nothing).
     """
 
-    #: every knob name — also the runner CLI flag names (with ``-``)
-    KNOBS: ClassVar[frozenset[str]] = frozenset((
-        "scale", "jobs", "timeout", "retries", "backoff", "grace",
-        "max_worker_deaths", "trace", "cache"))
+    #: every knob name (set from the fields below the class)
+    KNOBS: ClassVar[frozenset[str]]
+
+    #: each knob's command-line flag ``--name`` (``-`` for ``_``) as
+    #: argparse keywords; ``{default}`` in the help is the field's
+    #: default, and ``type: bool`` makes a ``--name/--no-name`` pair
+    FLAGS: ClassVar[dict[str, dict[str, Any]]] = {
+        "scale": {"type": _scale_name, "choices": sorted(SCALES),
+                  "help": "workload scale (default: $REPRO_SCALE or "
+                          "{default!r})"},
+        "jobs": {"type": int, "metavar": "N",
+                 "help": "worker processes for the cell grid (default: "
+                         "$REPRO_JOBS or {default}; serial is the "
+                         "bit-for-bit reference path)"},
+        "timeout": {"type": float, "metavar": "SECONDS",
+                    "help": "wall-clock budget per cell, and on the "
+                            "runner per experiment assembly (default: "
+                            "unlimited)"},
+        "retries": {"type": int, "metavar": "N",
+                    "help": "retries per crashed cell/experiment "
+                            "(default: {default})"},
+        "backoff": {"type": float, "metavar": "SECONDS",
+                    "help": "initial retry backoff, doubled per retry "
+                            "and jittered when pooled (default: "
+                            "{default})"},
+        "grace": {"type": float, "metavar": "SECONDS",
+                  "help": "supervised-pool escalation period: a worker "
+                          "hung past --timeout gets SIGTERM, then "
+                          "SIGKILL this many seconds later (default: "
+                          "{default})"},
+        "max_worker_deaths": {"type": int, "metavar": "K",
+                              "help": "quarantine a cell as poisoned "
+                                      "once it has killed K workers "
+                                      "(default: {default})"},
+        "trace": {"type": bool,
+                  "help": "record op-level counters and span/solver "
+                          "events to results/traces/<label>.jsonl "
+                          "(forces --jobs 1 and a cold cache so the "
+                          "counts are reproducible); summarize with "
+                          "'python -m repro.telemetry summarize'"},
+    }
 
     scale: str = "small"
     jobs: int = 1
@@ -78,9 +121,9 @@ class RunRequest:
     grace: float = 5.0
     max_worker_deaths: int = 3
     trace: bool | str = False
-    cache: str = "on"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", _scale_name(self.scale))
         if self.scale not in SCALES:
             raise ValueError(f"unknown scale {self.scale!r} "
                              f"(choose from {sorted(SCALES)})")
@@ -99,9 +142,6 @@ class RunRequest:
         if int(self.max_worker_deaths) < 1:
             raise ValueError(f"max_worker_deaths must be >= 1, "
                              f"got {self.max_worker_deaths}")
-        if self.cache not in ("on", "off"):
-            raise ValueError(f"cache must be 'on' or 'off', "
-                             f"got {self.cache!r}")
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -110,31 +150,62 @@ class RunRequest:
         """Build a request, resolving environment defaults.
 
         *scale* accepts a :class:`RunScale`, a scale name, or ``None``
-        (``$REPRO_SCALE`` / ``small``); *jobs* ``None`` falls back to
-        ``$REPRO_JOBS`` / 1.  Remaining keyword names are the dataclass
-        fields — exactly the runner CLI's flag names.
+        (``$REPRO_SCALE``, else the field default); *jobs* ``None``
+        falls back to ``$REPRO_JOBS``, else the field default.
+        Remaining keyword names are the dataclass fields; an unknown one
+        raises ``TypeError`` naming it.
         """
         if scale is None:
-            scale = scale_from_env()
+            scale = scale_from_env(cls.scale)
         if isinstance(scale, RunScale):
             scale = scale.name
         if jobs is None:
-            jobs = jobs_from_env()
+            jobs = jobs_from_env(cls.jobs)
         return cls(scale=scale, jobs=int(jobs), **knobs)
 
     def replace(self, **changes: Any) -> "RunRequest":
         """A copy with *changes* applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
+    # -- command line ----------------------------------------------------
+    @classmethod
+    def add_flags(cls, parser, knobs=None) -> None:
+        """Add the :attr:`FLAGS` of *knobs* (default: every knob) to an
+        argparse *parser*.  Every flag defaults to ``None``, which
+        :meth:`from_flags` leaves to :meth:`make`."""
+        import argparse
+
+        for name in knobs or cls.FLAGS:
+            spec = dict(cls.FLAGS[name], default=None)
+            spec["help"] = spec["help"].format(default=getattr(cls, name))
+            if spec["type"] is bool:
+                del spec["type"]
+                spec["action"] = argparse.BooleanOptionalAction
+            parser.add_argument("--" + name.replace("_", "-"), **spec)
+
+    @classmethod
+    def from_flags(cls, args) -> "RunRequest":
+        """The request the parsed flags of :meth:`add_flags` ask for.
+
+        Each flag given is checked on its own, so a bad value raises
+        ``ValueError`` naming the flag; flags left unset resolve as in
+        :meth:`make`.
+        """
+        given = {name: getattr(args, name) for name in cls.FLAGS
+                 if getattr(args, name, None) is not None}
+        for name, value in given.items():
+            try:
+                cls(**{name: value})
+            except ValueError as exc:
+                raise ValueError(f"--{name.replace('_', '-')}: "
+                                 f"{exc}") from None
+        return cls.make(**given)
+
     # -- resolution ------------------------------------------------------
     @property
     def run_scale(self) -> RunScale:
         """The resolved :class:`~repro.config.RunScale` object."""
         return SCALES[self.scale]
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self.cache == "on"
 
     # -- wire form -------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
@@ -149,17 +220,16 @@ class RunRequest:
         mistyped knob on the wire fails loudly instead of silently
         running with a default.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - cls.KNOBS)
         if unknown:
             raise ValueError(f"unknown RunRequest field(s) {unknown}; "
-                             f"known: {sorted(known)}")
+                             f"known: {sorted(cls.KNOBS)}")
         coerced = dict(data)
-        for name, cast in (("jobs", int), ("retries", int),
-                           ("max_worker_deaths", int),
-                           ("backoff", float), ("grace", float)):
-            if name in coerced:
-                coerced[name] = cast(coerced[name])
-        if coerced.get("timeout") is not None:
-            coerced["timeout"] = float(coerced["timeout"])
+        for name, value in data.items():
+            cast = cls.FLAGS[name]["type"]
+            if cast in (int, float) and value is not None:
+                coerced[name] = cast(value)
         return cls(**coerced)
+
+
+RunRequest.KNOBS = frozenset(f.name for f in dataclasses.fields(RunRequest))

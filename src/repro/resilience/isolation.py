@@ -12,18 +12,26 @@ off the main thread) sails straight past it.  The *hard* layer is the
 parent-side watchdog of :mod:`repro.supervise.pool`, which enforces
 the same budget externally with SIGTERM-then-SIGKILL on supervised
 worker processes — see ``docs/robustness.md`` for the full contract.
+
+:func:`retrying` is the one in-process retry loop — budget, a final
+timeout, retries with backoff — behind the runner's experiment
+assembly and the engine's serial cells; :func:`attempt` is its single
+try, which the pool workers run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import signal
+import sys
 import threading
-from typing import Iterable, Iterator
+import time
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ExperimentTimeout
 
-__all__ = ["time_limit", "backoff_delays", "jittered"]
+__all__ = ["time_limit", "attempt", "retrying", "backoff_delays",
+           "jittered"]
 
 
 def _can_use_sigalrm() -> bool:
@@ -57,6 +65,52 @@ def time_limit(seconds: float | None, label: str = "") -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous_handler)
+
+
+def attempt(fn: Callable[[], Any], timeout: float | None, label: str
+            ) -> tuple[str, Any, float, str | None]:
+    """Call *fn* once under :func:`time_limit`; never raises.
+
+    Returns ``(status, value, seconds, error)``: ``completed`` with
+    *fn*'s value, or ``timeout`` / ``failed`` with the error text and
+    value ``None``.
+    """
+    t0 = time.perf_counter()
+    try:
+        with time_limit(timeout, label=label):
+            value = fn()
+        return "completed", value, time.perf_counter() - t0, None
+    except ExperimentTimeout as exc:
+        return "timeout", None, time.perf_counter() - t0, str(exc)
+    except Exception as exc:
+        return ("failed", None, time.perf_counter() - t0,
+                f"{type(exc).__name__}: {exc}")
+
+
+def retrying(fn: Callable[[], Any], timeout: float | None, retries: int,
+             backoff: float, label: str, what: str | None = None,
+             sleep: Callable[[float], None] = time.sleep
+             ) -> tuple[str, Any, float, str | None, int]:
+    """:func:`attempt` *fn* until it completes, times out, or fails
+    with no retry left; returns the last attempt's result and the
+    number of attempts.
+
+    A timeout is final (the budget would just expire again); a failure
+    is retried after each delay of :func:`backoff_delays`, announced
+    on stderr as ``!! <what> attempt <k> failed (...); retrying in
+    <delay>s`` (*what* defaults to *label*, the timeout's label).
+    """
+    delays = backoff_delays(retries, base=backoff)
+    attempts = 0
+    while True:
+        attempts += 1
+        status, value, seconds, error = attempt(fn, timeout, label)
+        delay = next(delays, None) if status == "failed" else None
+        if delay is None:
+            return status, value, seconds, error, attempts
+        print(f"!! {what or label} attempt {attempts} failed ({error}); "
+              f"retrying in {delay:g}s", file=sys.stderr)
+        sleep(delay)
 
 
 def backoff_delays(retries: int, base: float = 1.0,

@@ -49,6 +49,16 @@ def _require_address(args: argparse.Namespace,
     return args.address
 
 
+def _request(args: argparse.Namespace,
+             parser: argparse.ArgumentParser) -> RunRequest:
+    """The request the command's knob flags ask for; a bad value (or
+    a bad ``$REPRO_SCALE`` / ``$REPRO_JOBS``) is a usage error."""
+    try:
+        return RunRequest.from_flags(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -63,19 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="listen on 127.0.0.1:PORT (0 = pick free)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="TCP bind host (default: 127.0.0.1)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="worker fleet size (default: $REPRO_JOBS)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS", help="per-cell budget")
-    serve.add_argument("--retries", type=int, default=1,
-                       help="per-cell retries (default: 1)")
-    serve.add_argument("--backoff", type=float, default=1.0,
-                       help="base retry backoff seconds (default: 1)")
-    serve.add_argument("--grace", type=float, default=5.0,
-                       help="watchdog SIGTERM->SIGKILL grace "
-                            "(default: 5)")
-    serve.add_argument("--max-worker-deaths", type=int, default=3,
-                       help="poison-cell quarantine bound (default: 3)")
+    # the execution knobs the server applies to every job; the scale
+    # comes with each job and a trace is refused (see ExperimentServer)
+    RunRequest.add_flags(serve, ("jobs", "timeout", "retries", "backoff",
+                                 "grace", "max_worker_deaths"))
     serve.add_argument("--max-pending-jobs", type=int, default=8,
                        help="per-client in-flight job bound "
                             "(default: 8)")
@@ -88,9 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
                         help="experiment ids (see `python -m "
                              "repro.experiments list`)")
-    submit.add_argument("--scale", default=None,
-                        help="run scale (default: $REPRO_SCALE or "
-                             "'small')")
+    RunRequest.add_flags(submit, ("scale",))
     submit.add_argument("--quiet", action="store_true",
                         help="suppress the per-cell progress stream")
 
@@ -110,11 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    request = RunRequest.make(
-        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.backoff, grace=args.grace,
-        max_worker_deaths=args.max_worker_deaths)
+def _cmd_serve(args: argparse.Namespace,
+               parser: argparse.ArgumentParser) -> int:
+    request = _request(args, parser)
     server = ExperimentServer(
         socket_path=args.socket, host=args.host,
         port=args.port if args.port is not None else 0,
@@ -159,6 +156,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     address = _require_address(args, parser)
+    request = _request(args, parser)
 
     def on_event(event: CellEvent) -> None:
         if args.quiet:
@@ -173,8 +171,7 @@ def _cmd_submit(args: argparse.Namespace,
 
     with Client(address, name="submit-cli") as client:
         result = client.submit_experiments(
-            list(args.experiments), scale=args.scale,
-            on_event=on_event)
+            list(args.experiments), request, on_event=on_event)
     print(json.dumps({
         "status": result.status,
         "cells": result.cells,
@@ -207,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
-        return _cmd_serve(args)
+        return _cmd_serve(args, parser)
     if args.command == "submit":
         return _cmd_submit(args, parser)
     if args.command == "status":

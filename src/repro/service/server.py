@@ -19,7 +19,7 @@ Every client shares three process-wide resources:
 Scheduling is **batched**: submitted cells gather for ``batch_delay``
 seconds (coalescing window), then run as one engine batch per scale.
 Batches run on a dedicated thread through the very same
-:func:`repro.experiments.engine.execute_cells` call the runner CLI
+:func:`repro.experiments.engine.execute_request` call the runner CLI
 uses — which is the determinism argument: a sweep through the service
 produces byte-identical CSV artifacts to ``python -m repro.experiments
 ... --jobs N``, because both are that one engine and one assembler.
@@ -46,7 +46,7 @@ import numpy as np
 from ..config import SCALES
 from ..experiments.cache import cache_stats
 from ..experiments.common import Cell
-from ..experiments.engine import CellOutcome, execute_cells
+from ..experiments.engine import CellOutcome, execute_request
 from ..experiments.registry import get_experiment
 from ..request import RunRequest
 from ..telemetry.trace import span
@@ -132,7 +132,9 @@ class ExperimentServer:
     *request* carries the server-side execution knobs (jobs, timeout,
     retries, backoff, grace, max_worker_deaths) — one fleet, one
     contract; a submitted job's own :class:`~repro.request.RunRequest`
-    chooses the *scale* (and is echoed back for provenance).  Listen
+    chooses the *scale*.  A job that asks for a *trace* is refused
+    with an :class:`ErrorReply` naming the knob: the server runs
+    untraced and records nothing to a job's trace file.  Listen
     on ``socket_path`` (unix domain socket) or ``host:port`` TCP;
     ``port=0`` picks a free port, readable from :attr:`address` after
     :meth:`start`.
@@ -268,6 +270,14 @@ class ExperimentServer:
 
     async def _dispatch(self, conn: _Conn, message: Any) -> None:
         if isinstance(message, (SubmitExperiments, SubmitCells)):
+            if message.request.trace:
+                self.stats.jobs_rejected += 1
+                await conn.send(ErrorReply(
+                    message.id, "the service does not serve the 'trace' "
+                                "knob",
+                    hint="submit with trace=False, or trace in-process: "
+                         "python -m repro.experiments ... --trace"))
+                return
             if conn.active_jobs >= self.max_pending_jobs:
                 self.stats.jobs_rejected += 1
                 await conn.send(ErrorReply(
@@ -472,8 +482,6 @@ class ExperimentServer:
 
     def _run_batch(self, scale_name: str, batch: list[Cell]) -> None:
         """Thread body: one engine batch; outcomes marshalled back."""
-        scale = SCALES[scale_name]
-
         def on_outcome(outcome: CellOutcome) -> None:
             self._loop.call_soon_threadsafe(self._settle, scale_name,
                                             outcome)
@@ -484,12 +492,8 @@ class ExperimentServer:
                 self._supervision_reports.append, payload)
 
         try:
-            execute_cells(
-                batch, scale, jobs=self.request.jobs,
-                timeout=self.request.timeout,
-                retries=self.request.retries,
-                backoff=self.request.backoff, grace=self.request.grace,
-                max_worker_deaths=self.request.max_worker_deaths,
+            execute_request(
+                batch, self.request.replace(scale=scale_name),
                 on_outcome=on_outcome, on_report=on_report,
                 pool=self._pool_for(scale_name))
         except Exception as exc:  # engine is defensive; belt and braces

@@ -43,7 +43,6 @@ death — retried, then quarantined.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import sys
 import time
@@ -54,6 +53,7 @@ from typing import Any, Callable, Sequence
 from ..config import RunScale
 from ..experiments import common
 from ..experiments.engine import CellOutcome
+from ..request import RunRequest
 from ..resilience.isolation import backoff_delays, jittered
 from ..telemetry.trace import span
 from .worker import cache_counters, group_label, worker_main
@@ -65,23 +65,6 @@ _TICK = 0.25
 #: upper bound on the per-cell backoff schedule length (the quarantine
 #: and retry counters decide when to stop; this only caps growth)
 _MAX_DELAYS = 32
-
-
-def _start_method() -> str:
-    """The process start method for workers (``REPRO_SUPERVISE_START``).
-
-    ``fork`` where available (fast, and monkeypatched test doubles are
-    inherited, matching the executor the pool replaces); otherwise the
-    platform default.
-    """
-    preferred = os.environ.get("REPRO_SUPERVISE_START", "").strip().lower()
-    methods = multiprocessing.get_all_start_methods()
-    if preferred:
-        if preferred not in methods:
-            raise ValueError(f"REPRO_SUPERVISE_START={preferred!r} not "
-                             f"available; choose from {methods}")
-        return preferred
-    return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
 def _worker_entry(conn, name: str, heartbeat_interval: float,
@@ -184,9 +167,10 @@ class SupervisedPool:
     """
 
     def __init__(self, jobs: int, scale: RunScale, *,
-                 timeout: float | None = None, grace: float = 5.0,
-                 retries: int = 0, backoff: float = 1.0,
-                 max_worker_deaths: int = 3,
+                 timeout: float | None = RunRequest.timeout,
+                 grace: float = RunRequest.grace, retries: int = 0,
+                 backoff: float = RunRequest.backoff,
+                 max_worker_deaths: int = RunRequest.max_worker_deaths,
                  heartbeat_interval: float = 1.0,
                  jitter_seed: int = 0, keep_alive: bool = False):
         if jobs < 1:
@@ -207,7 +191,11 @@ class SupervisedPool:
         #: consecutive worker deaths with no completed cell in between
         #: beyond this → the pool itself is judged broken
         self.degrade_after = max(4, 2 * self.jobs)
-        self._ctx = multiprocessing.get_context(_start_method())
+        # fork where available: fast, and monkeypatched test doubles
+        # are inherited, matching the executor the pool replaces
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
         self._workers: dict[str, _Handle] = {}
         self._serial = 0
         self._consecutive_deaths = 0

@@ -76,11 +76,6 @@ def group_label(cells) -> str:
 
 def worker_main(conn, worker: str, heartbeat_interval: float = 1.0) -> None:
     """Run the worker loop until told to stop or the parent vanishes."""
-    # warm start: mmap every rounding table the machine already built
-    # for this code version, instead of re-bisecting posit32/takum32
-    # boundaries once per worker (see docs/robustness.md)
-    with contextlib.suppress(Exception):
-        tabcache.preload_cached()
     current: dict[str, str | None] = {"unit": None}
     send_lock = threading.Lock()
     stop_beating = threading.Event()

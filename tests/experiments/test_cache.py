@@ -19,11 +19,9 @@ from repro.experiments.cache import (CACHE_DIR_NAME, ResultCache,
                                      code_fingerprint, result_cache,
                                      reset_cache_stats)
 from repro.experiments.common import Cell, cell_value, clear_cache
-from repro.kernels.matcache import matrix_cache_enabled
 
 #: every on/off switch read per call, with its reader
-SWITCHES = {"REPRO_CACHE": cache_enabled,
-            "REPRO_MATRIX_CACHE": matrix_cache_enabled}
+SWITCHES = {"REPRO_CACHE": cache_enabled}
 
 
 def _lut_enabled_in_subprocess(value: str) -> subprocess.CompletedProcess:

@@ -1,4 +1,4 @@
-"""MatrixCache: LRU behaviour, stats plumbing, env knobs, cell wiring."""
+"""MatrixCache: LRU behaviour, stats plumbing, cell wiring."""
 
 from __future__ import annotations
 
@@ -8,22 +8,19 @@ import pytest
 from repro.config import SCALES
 from repro.experiments.common import (Cell, _compute_cell, cg_cells,
                                       clear_cache, grid_cells)
-from repro.kernels import matcache
-from repro.kernels.matcache import (MatrixCache, matrix_cache,
-                                    matrix_cache_enabled,
-                                    reset_matrix_cache)
+from repro.kernels.matcache import MatrixCache, matrix_cache
 
 
 @pytest.fixture(autouse=True)
 def _fresh_singleton():
-    reset_matrix_cache()
+    matrix_cache().clear()
     yield
-    reset_matrix_cache()
+    matrix_cache().clear()
 
 
 class TestMatrixCache:
     def test_build_once_then_hit(self):
-        cache = MatrixCache(capacity=4, enabled=True)
+        cache = MatrixCache(capacity=4)
         built = []
         for _ in range(3):
             value = cache.get_or_build(("k",), lambda: built.append(1)
@@ -34,7 +31,7 @@ class TestMatrixCache:
         assert value is cache.get_or_build(("k",), object)
 
     def test_lru_evicts_least_recently_used(self):
-        cache = MatrixCache(capacity=2, enabled=True)
+        cache = MatrixCache(capacity=2)
         a = cache.get_or_build("a", object)
         cache.get_or_build("b", object)
         cache.get_or_build("a", object)       # refresh a
@@ -45,16 +42,8 @@ class TestMatrixCache:
         cache.get_or_build("b", lambda: rebuilt.append(1) or object())
         assert rebuilt == [1]
 
-    def test_disabled_cache_always_builds(self):
-        cache = MatrixCache(capacity=4, enabled=False)
-        built = []
-        for _ in range(2):
-            cache.get_or_build("k", lambda: built.append(1) or object())
-        assert len(built) == 2
-        assert cache.stats()["misses"] == 0     # uncounted when off
-
     def test_builder_exceptions_cache_nothing(self):
-        cache = MatrixCache(capacity=4, enabled=True)
+        cache = MatrixCache(capacity=4)
         with pytest.raises(RuntimeError):
             cache.get_or_build("k", lambda: (_ for _ in ()).throw(
                 RuntimeError("boom")))
@@ -62,24 +51,16 @@ class TestMatrixCache:
         assert cache.get_or_build("k", lambda: 42) == 42
 
     def test_delta_and_absorb(self):
-        worker = MatrixCache(capacity=4, enabled=True)
+        worker = MatrixCache(capacity=4)
         snap = worker.counters.snapshot()
         worker.get_or_build("k", object)
         worker.get_or_build("k", object)
         delta = worker.counters.delta_since(snap)
         assert delta == {"hits": 1, "misses": 1, "evictions": 0}
-        parent = MatrixCache(capacity=4, enabled=True)
+        parent = MatrixCache(capacity=4)
         parent.counters.absorb(delta)
         parent.counters.absorb(None)            # tolerated
         assert parent.counters.hits == 1 and parent.counters.misses == 1
-
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MATRIX_CACHE", "off")
-        assert not matrix_cache_enabled()
-        reset_matrix_cache()
-        cache = matrix_cache()
-        assert cache.enabled is False
-        assert cache.capacity == 64
 
     def test_singleton_identity(self):
         assert matrix_cache() is matrix_cache()

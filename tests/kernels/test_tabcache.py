@@ -1,4 +1,4 @@
-"""Persistent rounding-table cache: roundtrip, corruption, preload.
+"""Persistent rounding-table cache: roundtrip, corruption, lut wiring.
 
 Every test runs against its own ``REPRO_RESULTS_DIR`` so the on-disk
 store starts empty; the in-memory LUT caches and the global counters
@@ -170,42 +170,6 @@ class TestLutIntegration:
         rebuilt = PositFormat(10, 1)._two_level_table()
         assert _stats().invalidations == 1 and _stats().builds == 2
         assert rebuilt.tail.values.tobytes() == cold.tail.values.tobytes()
-
-
-class TestPreload:
-    def test_preload_warms_current_entries(self, tabenv, monkeypatch):
-        from repro.formats.registry import get_format
-        if not lut.lut_enabled():
-            pytest.skip("REPRO_LUT=off")
-        PositFormat(10, 0)._two_level_table()  # seeds the store
-        lut.clear_tables()
-        fmt = get_format("posit10es0")
-        monkeypatch.setattr(fmt, "_table2", None)
-        hits_before = _stats().hits
-        assert tabcache.preload_cached() == 1
-        assert _stats().hits == hits_before + 1
-        assert fmt._table2 is not None
-
-    def test_preload_skips_stale_fingerprints(self, tabenv):
-        import shutil
-        if not lut.lut_enabled():
-            pytest.skip("REPRO_LUT=off")
-        src = tabcache.entry_path(PositFormat(10, 0)._key())
-        PositFormat(10, 0)._two_level_table()
-        # simulate a file written by older code: same header, wrong hash
-        shutil.move(src, os.path.join(tabcache.table_cache_dir(),
-                                      "0" * 64 + tabcache.SUFFIX))
-        lut.clear_tables()
-        assert tabcache.preload_cached() == 0
-
-    def test_preload_disabled(self, tabenv, monkeypatch):
-        PositFormat(10, 0)._two_level_table()  # seeds the store
-        lut.clear_tables()
-        monkeypatch.setattr(lut, "_ENABLED", False)  # REPRO_LUT=off
-        assert tabcache.preload_cached() == 0
-
-    def test_preload_empty_dir(self, tabenv):
-        assert tabcache.preload_cached() == 0
 
 
 class TestStatsProtocol:

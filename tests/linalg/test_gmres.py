@@ -5,8 +5,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arith import FPContext
-from repro.linalg import gmres, relative_backward_error
+from repro.arith import CSRMatrix, FPContext
+from repro.linalg import (conjugate_gradient, gmres, gmres_lanes,
+                          relative_backward_error)
+from repro.linalg import norms
+from repro.matrices import random_dense_spd
+
+
+class TestFinishCost:
+    """GMRES reports no true residual, so its finish pays no float64
+    ``b − A·x``: one such matvec fewer per solve than a CG solve."""
+
+    @pytest.fixture
+    def float64_matvecs(self, monkeypatch):
+        calls = []
+        apply64 = norms._apply64
+
+        def counted(A, x):
+            calls.append(1)
+            return apply64(A, x)
+        monkeypatch.setattr(norms, "_apply64", counted)
+        return calls
+
+    def test_one_fewer_float64_matvec_per_solve(self, float64_matvecs):
+        ctx = FPContext("posit32es2")
+        A = random_dense_spd(12, kappa=50.0, seed=3)
+        b = np.linspace(-1.0, 1.0, 12)
+        conjugate_gradient(ctx, A, b)
+        per_cg = len(float64_matvecs)
+        assert per_cg == 1
+        del float64_matvecs[:]
+        gmres(ctx, A, b)
+        assert len(float64_matvecs) == per_cg - 1
+        systems = [(CSRMatrix.from_dense(random_dense_spd(
+            n, kappa=50.0, seed=n)), np.ones(n)) for n in (5, 9, 12)]
+        assert len(gmres_lanes(ctx, systems)) == 3
+        assert len(float64_matvecs) == 0
 
 
 class TestBasicSolves:

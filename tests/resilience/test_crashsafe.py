@@ -11,7 +11,8 @@ import pytest
 
 from repro.errors import ExperimentTimeout
 from repro.resilience.atomic import atomic_open, atomic_write_text
-from repro.resilience.isolation import backoff_delays, time_limit
+from repro.resilience.isolation import (attempt, backoff_delays, retrying,
+                                        time_limit)
 from repro.resilience.manifest import RunManifest
 
 
@@ -170,3 +171,53 @@ class TestBackoffDelays:
     def test_zero_and_negative_retries(self):
         assert list(backoff_delays(0)) == []
         assert list(backoff_delays(-2)) == []
+
+
+class TestRetrying:
+    """The one retry loop the runner and the engine share."""
+
+    def _flaky(self, failures: int):
+        calls = []
+
+        def fn():
+            calls.append(1)
+            if len(calls) <= failures:
+                raise RuntimeError(f"flake {len(calls)}")
+            return "ok"
+        return fn, calls
+
+    def test_attempt_classifies(self):
+        status, value, _, error = attempt(lambda: 7, None, "x")
+        assert (status, value, error) == ("completed", 7, None)
+        status, value, _, error = attempt(lambda: 1 / 0, None, "x")
+        assert (status, value) == ("failed", None)
+        assert error.startswith("ZeroDivisionError")
+
+    def test_failures_retry_with_backoff_until_success(self, capsys):
+        fn, calls = self._flaky(2)
+        slept = []
+        status, value, _, error, attempts = retrying(
+            fn, None, 3, 0.5, "cell-a", what="cell cell-a",
+            sleep=slept.append)
+        assert (status, value, error, attempts) == ("completed", "ok",
+                                                    None, 3)
+        assert slept == [0.5, 1.0]
+        err = capsys.readouterr().err
+        assert "!! cell cell-a attempt 1 failed (RuntimeError: flake 1); " \
+            "retrying in 0.5s" in err
+        assert "attempt 2 failed" in err and "retrying in 1s" in err
+
+    def test_retries_run_out(self):
+        fn, calls = self._flaky(5)
+        status, _, _, error, attempts = retrying(fn, None, 1, 0.0, "e",
+                                                 sleep=lambda s: None)
+        assert (status, attempts, len(calls)) == ("failed", 2, 2)
+        assert error == "RuntimeError: flake 2"
+
+    def test_timeout_is_final(self):
+        slept = []
+        status, _, _, error, attempts = retrying(
+            lambda: time.sleep(5), 0.05, 3, 0.0, "slow",
+            sleep=slept.append)
+        assert (status, attempts, slept) == ("timeout", 1, [])
+        assert "(slow)" in error

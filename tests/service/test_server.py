@@ -226,6 +226,27 @@ class TestJobs:
         assert "unknown experiment" in err.value.error
         assert "repro.experiments list" in err.value.hint
 
+    @pytest.mark.parametrize("kind", ["experiments", "cells"])
+    def test_trace_knob_is_refused_by_name(self, serve, kind):
+        """The server never traces a job, so a job asking for a trace
+        gets an error naming the knob instead of an untraced run."""
+        server = serve()
+        with Client(server.address, name="t") as client:
+            with pytest.raises(ServiceError, match="'trace'") as err:
+                if kind == "experiments":
+                    client.submit_experiments(["fig6"], scale="smoke",
+                                              trace=True)
+                else:
+                    client.submit_cells(
+                        cg_cells(SCALES["smoke"], names=("bcsstk02",),
+                                 formats=("fp32",)),
+                        scale="smoke", trace="run.jsonl")
+            assert err.value.hint is not None
+            stats = client.status()
+        assert stats["jobs_rejected"] == 1
+        assert stats["jobs_submitted"] == 0
+        assert stats["cells_requested"] == 0
+
     def test_cell_job_then_warm_resubmit(self, serve):
         server = serve()
         cells = cg_cells(SCALES["smoke"], names=("bcsstk02",),

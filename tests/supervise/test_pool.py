@@ -32,7 +32,7 @@ pytestmark = pytest.mark.skipif(
 def _isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     for var in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_CHAOS_HANG_S",
-                "REPRO_CACHE", "REPRO_SUPERVISE_START"):
+                "REPRO_CACHE"):
         monkeypatch.delenv(var, raising=False)
     clear_cache()
     yield tmp_path
@@ -217,7 +217,10 @@ class TestDegradation:
     def test_broken_pool_constructor_falls_back_to_serial(
             self, monkeypatch, capsys):
         _fake_compute(monkeypatch, lambda cell, scale: {"ok": True})
-        monkeypatch.setenv("REPRO_SUPERVISE_START", "not-a-method")
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("no processes today")
+        monkeypatch.setattr(SupervisedPool, "__init__", broken)
         outcomes = execute_cells(_cells(2), SMALL, jobs=2)
         assert [o.status for o in outcomes] == ["completed"] * 2
         assert "finishing remaining cells serially" in \
