@@ -25,6 +25,7 @@ below see identical values.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -33,9 +34,13 @@ import numpy as np
 from ..arith.context import FPContext
 from ..config import RunScale, current_scale
 from ..kernels.matcache import matrix_cache
-from ..linalg.bicg import bicgstab, bicgstab_lanes
-from ..linalg.cg import conjugate_gradient, conjugate_gradient_lanes
-from ..linalg.gmres import gmres, gmres_lanes
+from ..linalg.bicg import bicgstab_lanes
+# conjugate_gradient runs no cell, but the benchmark's traced pass
+# (benchmarks/e2e/layers.py) wraps this module's name for its
+# solver.cg layer, so the name stays importable here
+from ..linalg.cg import conjugate_gradient  # noqa: F401
+from ..linalg.cg import conjugate_gradient_lanes
+from ..linalg.gmres import gmres_lanes
 from ..linalg.cholesky import cholesky_solve
 from ..errors import FactorizationError
 from ..linalg.ir import IRResult, iterative_refinement
@@ -44,7 +49,7 @@ from ..matrices.suite import (EXTRA_SUITE, SUITE_ORDER, load_matrix,
 from ..scaling.diagonal_mean import scale_by_diagonal_mean
 from ..scaling.higham import higham_rescale
 from ..scaling.power_of_two import scale_to_inf_norm
-from ..telemetry.trace import span
+from ..telemetry.trace import active_tracer, span
 from .cache import cache_enabled, result_cache
 
 __all__ = [
@@ -52,7 +57,7 @@ __all__ = [
     "GRID_SOLVERS", "GRID_FORMATS",
     "ExperimentResult", "Cell",
     "cg_cells", "cholesky_cells", "ir_cells", "grid_cells",
-    "compute_cell", "compute_lanes", "lane_key",
+    "compute_cell", "compute_lanes", "lane_key", "lane_seconds",
     "cell_value", "store_cell", "has_cell",
     "suite_systems",
     "run_cg_suite", "run_cholesky_suite", "run_ir_suite",
@@ -66,10 +71,12 @@ CG_FORMATS = ("fp64", "fp32", "posit32es2", "posit32es3")
 CHOLESKY_FORMATS = ("fp32", "posit32es2", "posit32es3")
 #: formats compared in the IR experiments (Tables II/III, Fig. 10)
 IR_FORMATS = ("fp16", "posit16es1", "posit16es2")
+#: each grid solver's lane runner: the one table a grid cell's solver
+#: is resolved from
+_GRID_LANES = {"cg": conjugate_gradient_lanes, "bicgstab": bicgstab_lanes,
+               "gmres": gmres_lanes}
 #: Krylov methods of the extended solver grid (X-grid)
-GRID_SOLVERS = ("cg", "bicgstab", "gmres")
-#: the grid solvers besides CG whose cells run as ragged CSR lanes
-_GRID_LANES = {"bicgstab": bicgstab_lanes, "gmres": gmres_lanes}
+GRID_SOLVERS = tuple(_GRID_LANES)
 #: format zoo compared in the extended solver grid: the paper's posits,
 #: the takum pair (linear tapered, §repro.formats.takum), and the IEEE
 #: ladder they compete with
@@ -195,8 +202,12 @@ def compute_cell(cell: Cell, scale: RunScale) -> Any:
     Pure: the payload depends only on ``(cell, scale)`` and the code,
     which is exactly what lets cells run in worker processes and cache
     on disk.  The per-kind bodies mirror the pre-cell suite loops
-    bit for bit — rescaling, sparse layout, then the solver.
+    bit for bit — rescaling, sparse layout, then the solver.  A CG or
+    grid cell runs as the one lane of :func:`compute_lanes`, the route
+    its lane group takes, so each Krylov cell has one route.
     """
+    if cell.kind in ("cg", "grid"):
+        return compute_lanes([cell], scale)[0]
     with span("cell.compute", cell=cell.cell_id, scale=scale.name):
         return _compute_cell(cell, scale)
 
@@ -243,17 +254,44 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
 
 
 def compute_lanes(cells, scale: RunScale) -> list:
-    """The payloads of cells sharing a :func:`lane_key`, computed as
-    lanes of one lockstep solve of the key's solver (ragged for CSR
-    cells); each has the bits :func:`compute_cell` gives the cell
-    alone."""
+    """The payloads of CG or grid cells sharing a :func:`lane_key`,
+    computed as lanes of one lockstep solve of the key's solver (ragged
+    for CSR cells); each has the bits of that solver's run on the
+    cell's system alone.
+
+    While a tracer is active each cell gets one ``cell.compute`` span,
+    its share of the group's wall time by :func:`lane_seconds`.
+    Raises ValueError for a grid cell of an unknown solver.
+    """
     first = cells[0]
     solve = conjugate_gradient_lanes
     if first.kind == "grid":
-        solve = _GRID_LANES.get(first.option("solver"), solve)
-    return solve(FPContext(first.fmt), [_cg_system(c, scale) for c in cells],
-                 rtol=first.option("rtol", 1e-5),
-                 max_iterations=scale.cg_max_iterations)
+        solve = _GRID_LANES.get(first.option("solver"))
+        if solve is None:
+            raise ValueError(f"unknown grid solver "
+                             f"{first.option('solver')!r}")
+    t0 = time.perf_counter()
+    values = solve(FPContext(first.fmt),
+                   [_cg_system(c, scale) for c in cells],
+                   rtol=first.option("rtol", 1e-5),
+                   max_iterations=scale.cg_max_iterations)
+    tracer = active_tracer()
+    if tracer is not None:
+        shares = lane_seconds(time.perf_counter() - t0, values)
+        for cell, seconds in zip(cells, shares):
+            tracer.emit("span", name="cell.compute", seconds=seconds,
+                        cell=cell.cell_id, scale=scale.name)
+    return values
+
+
+def lane_seconds(wall: float, values) -> list[float]:
+    """*wall*, a lane group's time, split over its payloads in
+    proportion to each one's ``iterations`` (evenly when none
+    iterated), so the shares sum to *wall*."""
+    weights = [getattr(value, "iterations", 0) for value in values]
+    total = sum(weights)
+    return [wall * (weight / total if total else 1.0 / len(values))
+            for weight in weights]
 
 
 def _cg_system(cell: Cell, scale: RunScale):
@@ -281,11 +319,6 @@ def _compute_cell(cell: Cell, scale: RunScale) -> Any:
     # (except Higham's, which keys on it) — so adjacent cells of a sweep
     # share them through the per-worker cache.  Solvers treat inputs as
     # read-only (they already share the memoized suite arrays).
-    if cell.kind == "cg":
-        A, b = _cg_system(cell, scale)
-        return conjugate_gradient(
-            FPContext(cell.fmt), A, b, rtol=cell.option("rtol", 1e-5),
-            max_iterations=scale.cg_max_iterations)
     spec, A, b = suite_systems(scale, names=(cell.matrix,))[0]
     cache = matrix_cache()
     if cell.kind == "chol":
@@ -299,20 +332,6 @@ def _compute_cell(cell: Cell, scale: RunScale) -> Any:
                                   b).relative_backward_error
         except FactorizationError:
             return np.inf
-    if cell.kind == "grid":
-        A, b = _cg_system(cell, scale)
-        ctx = FPContext(cell.fmt)
-        rtol = cell.option("rtol", 1e-5)
-        cap = scale.cg_max_iterations
-        solver = cell.option("solver")
-        if solver == "cg":
-            return conjugate_gradient(ctx, A, b, rtol=rtol,
-                                      max_iterations=cap)
-        if solver == "bicgstab":
-            return bicgstab(ctx, A, b, rtol=rtol, max_iterations=cap)
-        if solver == "gmres":
-            return gmres(ctx, A, b, rtol=rtol, max_iterations=cap)
-        raise ValueError(f"unknown grid solver {solver!r}")
     if cell.kind == "ir":
         if cell.option("higham"):
             try:

@@ -32,6 +32,10 @@ two new powers:
   the serial loop and the supervised pool dispatch; the pool splits
   groups only when it has more workers than groups.  Each cell is
   still stored and reported on its own (see :func:`run_group`).
+  Groups form under an active collector or tracer too, which observe
+  lanes as they would the cells run one by one; only an active
+  injector makes every cell a group of its own.  A lone CG or grid
+  cell runs as a one-lane group, so these cells have one route.
 
 Cell payloads are deterministic functions of ``(cell, scale)``; the
 serial and parallel paths therefore produce bit-identical results, and
@@ -49,12 +53,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..arith.context import INSTRUMENT_KINDS, get_instrument
+from ..arith.context import get_instrument
 from ..config import RunScale
 from ..request import RunRequest
 from ..resilience.isolation import attempt, retrying, time_limit
 from .common import (Cell, compute_cell, compute_lanes, has_cell, lane_key,
-                     store_cell)
+                     lane_seconds, store_cell)
 
 __all__ = ["CellOutcome", "execute_cells", "execute_request", "run_group"]
 
@@ -183,11 +187,11 @@ def execute_request(cells: Sequence[Cell], request: RunRequest, *,
 
 def _lane_groups(todo: list[Cell], scale: RunScale) -> list[list[Cell]]:
     """*todo* split into lane groups, in the order of each group's
-    first cell.  Every cell is a group of its own while an instrument
-    (injector, collector or tracer) is active: they observe single
-    solves."""
-    if len(todo) < 2 or any(get_instrument(kind) is not None
-                            for kind in INSTRUMENT_KINDS):
+    first cell.  Every cell is a group of its own while an injector is
+    active: it draws its faults per rounding call, so lanes would
+    change which values it hits.  Collectors and tracers see lanes as
+    they see the cells one by one."""
+    if len(todo) < 2 or get_instrument("injector") is not None:
         return [[cell] for cell in todo]
     groups: dict[object, list[Cell]] = {}
     for cell in todo:
@@ -223,11 +227,12 @@ def run_group(cells: Sequence[Cell], scale: RunScale,
     :func:`~repro.resilience.isolation.attempt` result.  A lane
     group runs as one :func:`~repro.experiments.common.compute_lanes`
     solve under the sum of its cells' budgets (``timeout ×
-    len(cells)``); every cell is then ``completed``, its duration the
-    group's wall time split in proportion to its lane's iterations
-    (evenly when none iterated), so the durations sum to the group's
-    time.  A group that raises or runs out of time returns no results
-    and the error: its cells then run alone.  Exceptions never escape.
+    len(cells)``); every cell is then ``completed``, its duration its
+    share of the group's wall time by
+    :func:`~repro.experiments.common.lane_seconds`, as its
+    ``cell.compute`` span has it.  A group that raises or runs out of
+    time returns no results and the error: its cells then run alone.
+    Exceptions never escape.
 
     Results are ``(cell, status, value, duration, error)`` tuples.
     The serial engine and the supervised worker both run groups here;
@@ -245,11 +250,10 @@ def run_group(cells: Sequence[Cell], scale: RunScale,
     except Exception as exc:
         return [], f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
-    weights = [getattr(value, "iterations", 0) for value in values]
-    total = sum(weights)
-    return [(cell, "completed", value,
-             wall * (weight / total if total else 1.0 / len(cells)), None)
-            for cell, value, weight in zip(cells, values, weights)], None
+    return [(cell, "completed", value, seconds, None)
+            for cell, value, seconds in zip(cells, values,
+                                            lane_seconds(wall, values))
+            ], None
 
 
 def _execute_lanes(cells: list[Cell], scale: RunScale,

@@ -290,15 +290,17 @@ def main(argv: list[str] | None = None) -> int:
                 request.retries, request.backoff, eid)
             dt = time.time() - t0
             csv_path = result.csv_path if result is not None else None
+            cell_s = compute_s.get(eid, 0.0)
             manifest.record(
                 eid, status=status, scale=scale.name, duration=dt,
                 csv_path=csv_path, error=error, attempts=attempts,
-                extra={"cells": n_cells,
-                       "cell_compute_s": round(compute_s.get(eid, 0.0),
-                                               3)})
+                extra={"cells": n_cells, "cell_compute_s": round(cell_s, 3)})
             if status == "completed":
                 where = f" [csv: {csv_path}]" if csv_path else ""
-                print(f"----- {eid} done in {dt:.1f}s{where}")
+                # dt times the assembly only; the cells were computed in
+                # the grid phase above
+                print(f"----- {eid} done: cells {cell_s:.1f}s, "
+                      f"assembly {dt:.1f}s{where}")
             else:
                 failures.append((eid, f"{status}: {error}"))
                 print(f"----- {eid} {status} after {dt:.1f}s "

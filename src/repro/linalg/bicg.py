@@ -22,9 +22,10 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..arith.sparse import CSRMatrix
+from ..kernels.segment import LaneSegments
 from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import Lanes, System, breakdown, finish, nonfinite
+from .lanes import Lanes, System, breakdown, finish, lane_traces, nonfinite
 
 __all__ = ["BiCGResult", "bicg", "bicgstab", "bicgstab_lanes"]
 
@@ -144,10 +145,11 @@ def bicgstab_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
             isinstance(A, CSRMatrix) for A, _ in systems):
         return [bicgstab(ctx, A, b, rtol, max_iterations)
                 for A, b in systems]
-    return _solve(ctx, [_System(ctx, A, b, rtol, max_iterations)
-                        for A, b in systems],
-                  [maybe_trace("bicgstab", ctx.fmt.name, always=True)
-                   for _ in systems], max_iterations)
+    prepared = [_System(ctx, A, b, rtol, max_iterations)
+                for A, b in systems]
+    with lane_traces("bicgstab", ctx.fmt.name, len(prepared),
+                     always=True) as traces:
+        return _solve(ctx, prepared, traces, max_iterations)
 
 
 def _solve(ctx, prepared, traces, max_iterations) -> list[BiCGResult]:
@@ -200,23 +202,6 @@ class _State(Lanes):
         return np.array([np.linalg.norm(self._lane(self.r, row))
                          for row in range(len(self.ids))])
 
-    def observe(self, iterations: int) -> None:
-        """Each trace's iteration: its residual and the peak over its
-        own entries of ``x, r, p, s``."""
-        vectors = (self.x, self.r, self.p, self.s)
-        if not self.stacked:
-            self.traces[0].iteration(iterations,
-                                     residual=self.res / self.norm_b,
-                                     vectors=vectors)
-            return
-        starts = self.segments.offsets[:-1]
-        with np.errstate(invalid="ignore"):
-            peaks = [np.maximum.reduceat(np.abs(v), starts) for v in vectors]
-        residuals = self.res / self.norm_b
-        for row, trace in enumerate(self.traces):
-            trace.iteration(iterations, residual=residuals[row],
-                            peak=max(float(p[row]) for p in peaks))
-
     def result(self, system, x, iterations, res, history, trace, **outcome):
         """BiCGSTAB reports ``‖r‖`` as its computed residual norm."""
         return finish(BiCGResult, system, x, iterations, res, trace,
@@ -240,14 +225,14 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
         alpha = st.per_lane(st.alpha)
         st.s = ctx.sub(st.r, ctx.mul(alpha, st.Ap))
         st.As = ctx.matvec(st.A, st.s)
-        st.omega = _omega(ctx, st.As, st.s, st.segments)
+        st.omega = _omega(ctx, st)
         omega = st.per_lane(st.omega)
         st.x = ctx.add(st.x, ctx.add(ctx.mul(alpha, st.p),
                                      ctx.mul(omega, st.s)))
         st.r = ctx.sub(st.s, ctx.mul(omega, st.As))
 
         st.res = st.norms()
-        st.observe(it)
+        st.record(it, st.res / st.norm_b, (st.x, st.r, st.p, st.s))
         if st.retire(it, nonfinite(st.res), "res", diverged=True):
             return
         if st.retire(it, st.res <= st.threshold, "res", converged=True):
@@ -264,13 +249,24 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
     st.retire(max_iterations, True, "res")
 
 
-def _omega(ctx, As, s, segments):
-    """``ω = ⟨As, s⟩ / ⟨As, As⟩``, and 0.0 where ``⟨As, As⟩ == 0``."""
-    ss = ctx.dot(As, As, segments=segments)
-    if not isinstance(ss, np.ndarray):
-        return ctx.div(ctx.dot(As, s), ss) if ss != 0.0 else 0.0
-    omega = ctx.div(ctx.dot(As, s, segments=segments), ss)
-    return np.where(ss != 0.0, omega, 0.0)
+def _omega(ctx, st: _State):
+    """``ω = ⟨As, s⟩ / ⟨As, As⟩``, and 0.0 where ``⟨As, As⟩ == 0``: a
+    lane takes neither ``⟨As, s⟩`` nor the division there, as the
+    single run does not, so a collector counts what it rounds alone."""
+    ss = ctx.dot(st.As, st.As, segments=st.segments)
+    usable = ss != 0.0
+    if np.all(usable):
+        return ctx.div(ctx.dot(st.As, st.s, segments=st.segments), ss)
+    if not st.stacked:
+        return 0.0
+    omega = np.zeros(ss.shape)
+    if usable.any():
+        entries = st.segments.expand(usable)
+        omega[usable] = ctx.div(
+            ctx.dot(st.As[entries], st.s[entries],
+                    segments=LaneSegments(st.segments.sizes[usable])),
+            ss[usable])
+    return omega
 
 
 def _stalled(rho, omega, rho_new):

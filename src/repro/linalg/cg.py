@@ -31,7 +31,8 @@ from ..arith.context import FPContext
 from ..arith.shapes import require_system
 from ..arith.sparse import CSRMatrix
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import Lanes, System, breakdown, finish, nonfinite, root
+from .lanes import (Lanes, System, breakdown, finish, lane_traces,
+                    nonfinite, root)
 
 __all__ = ["CGResult", "conjugate_gradient", "conjugate_gradient_lanes"]
 
@@ -116,7 +117,7 @@ def conjugate_gradient(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     trace = maybe_trace("cg", ctx.fmt.name, trace)
     system = _System(ctx, A, b, rtol, max_iterations, divergence_factor,
                      jacobi)
-    return _solve(ctx, [system], max_iterations, record_history, trace)[0]
+    return _solve(ctx, [system], [trace], max_iterations, record_history)[0]
 
 
 def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
@@ -130,9 +131,10 @@ def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
     :class:`~repro.arith.sparse.CSRMatrix` of any order (ragged
     lanes).  Returns one :class:`CGResult` per system, in order, each
     with the bits of ``conjugate_gradient(ctx, A, b, ...)`` under the
-    same options.  A sequential-order context solves CSR systems one
-    by one: its padded folds have no ragged form.  Lanes record no
-    residual history and no trace; run a system alone for those.
+    same options, its trace included: while a tracer is active every
+    lane records its own.  A sequential-order context solves CSR
+    systems one by one: its padded folds have no ragged form.  Lanes
+    record no residual history; run a system alone for one.
     """
     sparse = [isinstance(A, CSRMatrix) for A, _ in systems]
     if any(sparse) and not all(sparse):
@@ -146,21 +148,24 @@ def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
     if not any(sparse) and len(set(sizes)) > 1:
         raise ValueError(f"dense CG lanes need systems of one order, got "
                          f"orders {sorted(set(sizes))}")
-    return _solve(ctx, [_System(ctx, A, b, rtol, max_iterations,
-                                divergence_factor, jacobi)
-                        for A, b in systems], max_iterations)
+    prepared = [_System(ctx, A, b, rtol, max_iterations, divergence_factor,
+                        jacobi) for A, b in systems]
+    with lane_traces("cg", ctx.fmt.name, len(prepared)) as traces:
+        return _solve(ctx, prepared, traces, max_iterations)
 
 
-def _solve(ctx, prepared, max_iterations, record_history=False,
-           trace=None) -> list[CGResult]:
-    """Results of the *prepared* systems: one with ``b = 0`` is solved
-    by the zero start, the others run as one :class:`_State`."""
-    results = [finish(CGResult, s, s.x, 0, 0.0, trace, converged=True)
-               if s.norm_b == 0.0 else None for s in prepared]
+def _solve(ctx, prepared, traces, max_iterations,
+           record_history=False) -> list[CGResult]:
+    """Results of the *prepared* systems, each recording into its own
+    entry of *traces*: one with ``b = 0`` is solved by the zero start,
+    the others run as one :class:`_State`."""
+    results = [finish(CGResult, s, s.x, 0, 0.0, t, converged=True)
+               if s.norm_b == 0.0 else None
+               for s, t in zip(prepared, traces)]
     live = [k for k, r in enumerate(results) if r is None]
     if live:
         state = _State(prepared, live, record_history,
-                       [trace] * len(live))
+                       [traces[k] for k in live])
         _iterate(ctx, state, max_iterations)
         for k in live:
             results[k] = state.results[k]
@@ -201,18 +206,18 @@ class _State(Lanes):
     #: may need after a lane leaves
     VECTORS = ("minv", "x", "r", "z", "p", "Ap")
     SCALARS = ("rz", "rr", "pAp", "rz_new", "rr_new", "res_norm",
-               "threshold", "blowup")
+               "norm_b", "threshold", "blowup")
     __slots__ = VECTORS + SCALARS
 
     def observe(self, iterations: int) -> None:
-        """History and trace of a single run (lanes record neither)."""
-        norm_b = self.systems[self.ids[0]].norm_b
+        """A single run's history, and each trace's iteration: its
+        residual ``‖r‖/‖b‖`` and its peak over ``x, r, p``."""
+        if self.history is None and self.traces[0] is None:
+            return
+        residual = self.res_norm / self.norm_b
         if self.history is not None:
-            self.history.append(self.res_norm / norm_b)
-        if self.traces[0] is not None:
-            self.traces[0].iteration(iterations,
-                                     residual=self.res_norm / norm_b,
-                                     vectors=(self.x, self.r, self.p))
+            self.history.append(residual)
+        self.record(iterations, residual, (self.x, self.r, self.p))
 
     def result(self, system, x, iterations, rr, history, trace, **outcome):
         """CG reports ``√rr`` as its computed residual norm."""
@@ -247,8 +252,7 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
             return
 
         st.res_norm = root(st.rr_new)
-        if not st.stacked:
-            st.observe(iterations)
+        st.observe(iterations)
         if st.retire(iterations, st.res_norm <= st.threshold, "rr_new",
                      converged=True):
             return

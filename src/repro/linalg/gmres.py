@@ -24,7 +24,7 @@ import numpy as np
 from ..arith.context import FPContext
 from ..arith.sparse import CSRMatrix
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import Lanes, System, finish, nonfinite
+from .lanes import Lanes, System, finish, lane_traces, nonfinite
 
 __all__ = ["GMRESResult", "gmres", "gmres_lanes"]
 
@@ -41,11 +41,12 @@ class GMRESResult:
 
 @dataclass
 class _Unfinished:
-    """A lane whose cycle ended early without converging: its iterate
-    and iteration count, to go on alone."""
+    """A lane whose cycle ended early without converging: its iterate,
+    iteration count and trace, to go on alone."""
 
     x: np.ndarray
     iterations: int
+    trace: SolverTrace | None
 
 
 def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-8,
@@ -55,7 +56,7 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-8,
     starting from ``x = 0``."""
     trace = maybe_trace("gmres", ctx.fmt.name, trace)
     system = _System(ctx, A, b, rtol, max_iterations, restart)
-    return _solve(ctx, [system], rtol, restart, max_iterations, trace)[0]
+    return _solve(ctx, [system], [trace], rtol, restart, max_iterations)[0]
 
 
 def gmres_lanes(ctx: FPContext, systems, rtol: float = 1e-8,
@@ -66,37 +67,40 @@ def gmres_lanes(ctx: FPContext, systems, rtol: float = 1e-8,
     *systems* is a sequence of ``(A, b)`` pairs, every ``A`` a
     :class:`~repro.arith.sparse.CSRMatrix` of any order.  Returns one
     :class:`GMRESResult` per system, in order, each with the bits of
-    ``gmres(ctx, A, b, rtol, restart, max_iterations)``.  A lane whose
-    restart cycle ends early without converging finishes alone, from
-    its iterate and iteration count.  With a dense ``A`` among the
-    systems, or a sequential-order context (its padded folds have no
-    ragged form), the systems are solved one by one.  Lanes record no
-    trace; run a system alone for one.
+    ``gmres(ctx, A, b, rtol, restart, max_iterations)``, its trace
+    included: while a tracer is active every lane records its own.  A
+    lane whose restart cycle ends early without converging finishes
+    alone, from its iterate, iteration count and trace.  With a dense
+    ``A`` among the systems, or a sequential-order context (its padded
+    folds have no ragged form), the systems are solved one by one.
     """
     if ctx.sum_order != "pairwise" or not all(
             isinstance(A, CSRMatrix) for A, _ in systems):
         return [gmres(ctx, A, b, rtol, restart, max_iterations)
                 for A, b in systems]
-    return _solve(ctx, [_System(ctx, A, b, rtol, max_iterations, restart)
-                        for A, b in systems],
-                  rtol, restart, max_iterations)
+    prepared = [_System(ctx, A, b, rtol, max_iterations, restart)
+                for A, b in systems]
+    with lane_traces("gmres", ctx.fmt.name, len(prepared)) as traces:
+        return _solve(ctx, prepared, traces, rtol, restart, max_iterations)
 
 
-def _solve(ctx, prepared, rtol, restart, max_iterations,
-           trace=None) -> list[GMRESResult]:
-    """Results of the *prepared* systems: one with ``b = 0`` is solved
-    by the zero start, the others run as one :class:`_State`, and a
-    lane left unfinished by an early cycle end as a run of its own."""
-    results = [finish(GMRESResult, s, s.x, 0, 0.0, trace, converged=True)
-               if s.norm_b == 0.0 else None for s in prepared]
+def _solve(ctx, prepared, traces, rtol, restart,
+           max_iterations) -> list[GMRESResult]:
+    """Results of the *prepared* systems, each recording into its own
+    entry of *traces*: one with ``b = 0`` is solved by the zero start,
+    the others run as one :class:`_State`, and a lane left unfinished
+    by an early cycle end as a run of its own."""
+    results = [finish(GMRESResult, s, s.x, 0, 0.0, t, converged=True)
+               if s.norm_b == 0.0 else None
+               for s, t in zip(prepared, traces)]
     live = [k for k, r in enumerate(results) if r is None]
     if live:
-        state = _State(prepared, live, traces=[trace] * len(live))
+        state = _State(prepared, live, traces=[traces[k] for k in live])
         _iterate(ctx, state, rtol, restart, max_iterations)
         for k in live:
             result = state.results[k]
             if isinstance(result, _Unfinished):
-                alone = _State(prepared, [k])
+                alone = _State(prepared, [k], traces=[result.trace])
                 alone.x, alone.total = result.x, result.iterations
                 _iterate(ctx, alone, rtol, restart, max_iterations)
                 result = alone.results[k]
@@ -198,6 +202,19 @@ class _State(Lanes):
         betas = self.beta if self.stacked else [self.beta]
         self.cycles = [_Cycle(m, beta) for beta in betas]
 
+    def extend(self, ctx, k: int, w, hk1) -> None:
+        """``V[k+1] = w / hk1`` for the run, or each lane, whose *hk1*
+        is finite and nonzero.  One whose is not ends its cycle at
+        column k, so its part of ``V[k+1]`` is never read; it is not
+        divided, so a collector counts what the lane alone rounds."""
+        usable = np.isfinite(hk1) & (hk1 != 0.0)
+        if np.all(usable):
+            self.V[k + 1] = ctx.div(w, self.per_lane(hk1))
+        elif self.stacked and usable.any():
+            entries = self.segments.expand(usable)
+            self.V[k + 1][entries] = ctx.div(w[entries],
+                                             self.per_lane(hk1)[entries])
+
     def rotate(self, k: int, h: list, hk1):
         """Each lane's :meth:`_Cycle.column` for Arnoldi column k."""
         if not self.stacked:
@@ -239,7 +256,7 @@ class _State(Lanes):
             return True
         stuck = self.ended & (self.k_done() == 0)
         if np.any(stuck):
-            self.res = self.residuals(ctx)
+            self.res = self.residuals(ctx, stuck)
             if self.retire(start, stuck & (self.res / self.norm_b <= rtol),
                            "res", converged=True):
                 return True
@@ -264,31 +281,38 @@ class _State(Lanes):
         entries = self.segments.expand(mask)
         self.x[entries] = ctx.add(self.x[entries], ctx.round(update))
 
-    def residuals(self, ctx):
-        """``‖b − A·x‖`` in float64 from each lane's own matvec."""
+    def residuals(self, ctx, rows=None):
+        """``‖b − A·x‖`` in float64 from the run's matvec, or from each
+        lane's own; on lanes, only those *rows* marks (default all),
+        the others keeping ``res``, as no result of theirs reads it."""
         if not self.stacked:
             return float(np.linalg.norm(self.b - ctx.matvec(self.A, self.x)))
-        out = np.empty(len(self.ids))
-        for row, k in enumerate(self.ids):
-            system = self.systems[k]
+        if rows is None:
+            out, rows = np.empty(len(self.ids)), range(len(self.ids))
+        else:
+            out, rows = np.array(self.res, dtype=float), np.flatnonzero(rows)
+        for row in rows:
+            system = self.systems[self.ids[row]]
             out[row] = np.linalg.norm(
                 system.b - ctx.matvec(system.A, self._lane(self.x, row)))
         return out
 
     def observe(self, k: int) -> None:
-        """A single run's trace of column k, when it rotated."""
-        trace = self.traces[0]
-        cycle = self.cycles[0]
-        if trace is not None and not self.stacked and cycle.k_done == k + 1:
-            trace.iteration(self.total,
-                            residual=abs(cycle.g[k + 1]) / self.norm_b)
+        """Column k in the trace of each lane that rotated it."""
+        if self.traces[0] is None:
+            return
+        norms = self.norm_b if self.stacked else [self.norm_b]
+        for trace, cycle, norm_b in zip(self.traces, self.cycles, norms):
+            if cycle.k_done == k + 1:
+                trace.iteration(self.total,
+                                residual=abs(cycle.g[k + 1]) / norm_b)
 
     def result(self, system, x, iterations, res, history, trace,
                unfinished: bool = False, **outcome):
         """GMRES reports its residual estimate ``|g[k]|`` (or a true
         residual); an unfinished lane its state to go on alone."""
         if unfinished:
-            return _Unfinished(x, iterations)
+            return _Unfinished(x, iterations, trace)
         return finish(GMRESResult, system, x, iterations, res, trace,
                       **outcome)
 
@@ -321,10 +345,7 @@ def _iterate(ctx: FPContext, st: _State, rtol: float, restart: int,
                 h.append(ctx.dot(w, st.V[j], segments=st.segments))
                 w = ctx.sub(w, ctx.mul(st.per_lane(h[j]), st.V[j]))
             hk1 = st.norm2(ctx, w)
-            if st.stacked or (math.isfinite(hk1) and hk1 != 0.0):
-                # a lane with a zero or non-finite hk1 ends its cycle
-                # here, so its next basis vector is never read
-                st.V[k + 1] = ctx.div(w, st.per_lane(hk1))
+            st.extend(ctx, k, w, hk1)
             st.ended = st.rotate(k, h, hk1) | (k == m - 1)
             st.total = start + (k + 1 if st.stacked else st.k_done())
             st.observe(k)

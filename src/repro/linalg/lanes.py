@@ -5,23 +5,29 @@ settle through :func:`finish`, so all of them reject a bad budget at
 entry, report ``b = 0`` as solved after no iteration, and measure their
 residuals alike.  :class:`Lanes` runs one system or several as lockstep
 lanes (``docs/performance.md`` §10–§13); CG, BiCGSTAB and GMRES each
-subclass it as their module's ``_State``.
+subclass it as their module's ``_State``, and give every lane its own
+trace through :func:`lane_traces`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
+from ..arith.context import get_instrument
 from ..arith.shapes import require_system
 from ..arith.sparse import CSRMatrix, CSRStack
 from ..kernels.lut import release_workspace
 from ..kernels.zeroplan import freeze
+from ..telemetry.trace import SolverTrace
 from .norms import relative_backward_error
 
-__all__ = ["System", "finish", "Lanes", "breakdown", "nonfinite", "root"]
+__all__ = ["System", "finish", "Lanes", "lane_traces", "breakdown",
+           "nonfinite", "root"]
 
 
 class System:
@@ -75,6 +81,29 @@ def finish(result, system: System, x, iterations: int, residual,
             system.A, x, system.b)
     return result(**{k: v for k, v in shared.items() if k in names},
                   **fields)
+
+
+@contextmanager
+def lane_traces(solver: str, fmt: str, count: int,
+                always: bool = False) -> Iterator[list]:
+    """*count* lanes' traces: a :class:`SolverTrace` each while a tracer
+    is active (or *always*), else None each.
+
+    They are bound to no tracer while the lanes run, so the lanes'
+    events do not interleave; on exit, raise or not, each is published
+    to the ambient tracer in lane order, so a trace file lists every
+    system's events together and in system order, as runs one by one
+    would.
+    """
+    traced = always or get_instrument("tracer") is not None
+    traces = [SolverTrace(solver, fmt) if traced else None
+              for _ in range(count)]
+    try:
+        yield traces
+    finally:
+        for trace in traces:
+            if trace is not None:
+                trace.publish()
 
 
 class Lanes:
@@ -150,6 +179,30 @@ class Lanes:
             return vector[row]
         offsets = self.segments.offsets
         return vector[..., offsets[row]:offsets[row + 1]]
+
+    def record(self, iterations: int, residual, vectors) -> None:
+        """One iteration event in each trace: its lane's *residual* (a
+        float, or one per lane) and its peak ``|entry|`` over its own
+        entries of *vectors*.  Per lane, the vectors' maxima combine by
+        Python's ``max`` in the order given, as
+        :meth:`SolverTrace.iteration` combines a single run's, so a NaN
+        peak comes out as it does alone."""
+        if self.traces[0] is None:
+            return
+        if not self.stacked:
+            self.traces[0].iteration(iterations, residual=residual,
+                                     vectors=vectors)
+            return
+        with np.errstate(invalid="ignore"):
+            if self.segments is None:
+                maxima = [np.max(np.abs(v), axis=-1) for v in vectors]
+            else:
+                starts = self.segments.offsets[:-1]
+                maxima = [np.maximum.reduceat(np.abs(v), starts)
+                          for v in vectors]
+        for row, trace in enumerate(self.traces):
+            trace.iteration(iterations, residual=residual[row],
+                            peak=max(float(m[row]) for m in maxima))
 
     def retire(self, iterations, flags, field: str, **outcome) -> bool:
         """Settle the run or lanes *flags* marks as *outcome*, reporting

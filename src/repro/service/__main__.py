@@ -29,7 +29,7 @@ import signal
 import sys
 
 from ..request import RunRequest
-from .client import Client
+from .client import Client, parse_address
 from .protocol import PROTOCOL_VERSION, CellEvent
 from .server import ExperimentServer
 
@@ -46,7 +46,22 @@ def _require_address(args: argparse.Namespace,
     if not args.address:
         parser.error("--address is required "
                      "(or set REPRO_SERVICE_ADDRESS)")
+    try:
+        parse_address(args.address)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.address
+
+
+def _connect(address: str, name: str) -> Client:
+    """A client of the server at *address*; a server that cannot be
+    reached ends the command with one line naming the address."""
+    try:
+        return Client(address, name=name)
+    except OSError as exc:
+        print(f"error: cannot reach the service at {address}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _request(args: argparse.Namespace,
@@ -169,7 +184,7 @@ def _cmd_submit(args: argparse.Namespace,
             line += f" — {event.error}"
         print(line, flush=True)
 
-    with Client(address, name="submit-cli") as client:
+    with _connect(address, "submit-cli") as client:
         result = client.submit_experiments(
             list(args.experiments), request, on_event=on_event)
     print(json.dumps({
@@ -184,7 +199,7 @@ def _cmd_submit(args: argparse.Namespace,
 def _cmd_status(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     address = _require_address(args, parser)
-    with Client(address, name="status-cli") as client:
+    with _connect(address, "status-cli") as client:
         stats = client.status()
     print(json.dumps(stats, indent=2, sort_keys=True))
     return 0
@@ -193,7 +208,7 @@ def _cmd_status(args: argparse.Namespace,
 def _cmd_quantize(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> int:
     address = _require_address(args, parser)
-    with Client(address, name="quantize-cli") as client:
+    with _connect(address, "quantize-cli") as client:
         rounded = client.quantize(args.fmt, args.values)
     for original, value in zip(args.values, rounded):
         print(f"{original!r} -> {value!r}")

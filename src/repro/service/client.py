@@ -247,8 +247,12 @@ class Client:
             target=self._loop.run_forever, daemon=True,
             name=f"repro-service-{name}")
         self._thread.start()
-        self._async: AsyncClient = self._call(
-            AsyncClient.connect(address, name), timeout=connect_timeout)
+        try:
+            self._async: AsyncClient = self._call(
+                AsyncClient.connect(address, name), timeout=connect_timeout)
+        except BaseException:
+            self._stop_loop()
+            raise
 
     def _call(self, coro, timeout: float | None = None):
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
@@ -301,6 +305,9 @@ class Client:
             self._call(self._async.close(), timeout=5.0)
         except Exception:
             pass
+        self._stop_loop()
+
+    def _stop_loop(self) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
         self._loop.close()

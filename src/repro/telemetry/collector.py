@@ -17,9 +17,11 @@ accumulates, per ``(site, format)``:
   to ``±minpos``) and underflows to zero (IEEE semantics).
 
 Everything is computed with a handful of whole-array NumPy passes per
-rounding site, so active collection costs a small constant factor; an
-*inactive* collector costs one ``is None`` check per site (see the
-overhead guard in ``tests/telemetry/test_overhead.py``).
+rounding site (a batch whose results are all finite, nonzero and
+strictly between ±minpos and ±maxpos needs only the ``exact`` count,
+since no event can have happened), so active collection costs a small
+constant factor; an *inactive* collector costs one ``is None`` check
+per site (see the overhead guard in ``tests/telemetry/test_overhead.py``).
 
 Collectors only observe.  They never modify values, so experiment
 artifacts are byte-identical with and without one active.
@@ -73,25 +75,34 @@ def _count(site_counters: SiteCounters, exact, rounded,
     e = np.asarray(exact, dtype=np.float64)
     r = np.asarray(rounded, dtype=np.float64)
     total = e.size
+    abs_r = np.abs(r)
+    c = site_counters
+    c.total += total
+    if total and abs_r.min() > min_positive and abs_r.max() < max_value:
+        # every result finite, nonzero and strictly between ±minpos and
+        # ±maxpos: no event below can have happened, and no NaN came
+        # out to propagate
+        n_exact = int(np.count_nonzero(e == r))
+        c.exact += n_exact
+        c.inexact += total - n_exact
+        return
     nan_in = np.isnan(e)
     nan_out = np.isnan(r)
     # NaN -> NaN is propagation, not a rounding error: count it exact
     n_exact = int(np.count_nonzero((e == r) | (nan_in & nan_out)))
     abs_e = np.abs(e)
     valid = ~nan_in
-    c = site_counters
-    c.total += total
     c.exact += n_exact
     c.inexact += total - n_exact
     c.nar += int(np.count_nonzero(nan_out & valid))
     c.saturated += int(np.count_nonzero(
-        valid & (abs_e > max_value) & (np.abs(r) == max_value)))
+        valid & (abs_e > max_value) & (abs_r == max_value)))
     c.overflow += int(np.count_nonzero(np.isinf(r) & np.isfinite(e)))
     c.underflow_zero += int(np.count_nonzero(
         valid & (e != 0.0) & (r == 0.0)))
     c.minpos_clamp += int(np.count_nonzero(
         valid & (e != 0.0) & (abs_e < min_positive)
-        & (np.abs(r) == min_positive)))
+        & (abs_r == min_positive)))
 
 
 class Collector:

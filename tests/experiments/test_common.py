@@ -90,3 +90,19 @@ class TestExperimentResult:
     def test_show_prints(self, capsys):
         ExperimentResult("t", "Title", "hello-world", None).show()
         assert "hello-world" in capsys.readouterr().out
+
+
+class TestGridSolver:
+    """Both cell routes resolve a grid cell's solver from one table."""
+
+    @pytest.mark.parametrize("route", ["compute_cell", "compute_lanes"])
+    def test_unknown_grid_solver_is_refused(self, route):
+        from repro.experiments import common
+        cell = common.Cell("grid", "bcsstk02", "fp32",
+                           (("rtol", 1e-5), ("solver", "jacobi")))
+        scale = SCALES["smoke"]
+        with pytest.raises(ValueError, match="unknown grid solver 'jacobi'"):
+            if route == "compute_cell":
+                common.compute_cell(cell, scale)
+            else:
+                common.compute_lanes([cell, cell], scale)

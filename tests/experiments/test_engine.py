@@ -457,26 +457,73 @@ class TestLaneGroups:
         assert [o.status for o in outcomes] == ["completed", "timeout"]
         assert [o.attempts for o in outcomes] == [1, 1]
 
-    @pytest.mark.parametrize("kind", ["injector", "collector", "tracer"])
-    def test_no_groups_while_an_instrument_is_active(self, monkeypatch,
-                                                     kind):
+    def test_no_groups_while_an_injector_is_active(self, monkeypatch):
+        """An injector draws its faults per call: every cell runs
+        alone."""
         from repro.arith.context import set_instrument
         _one_group(monkeypatch)
-
-        def no_lanes(cells, scale):  # pragma: no cover - must not run
-            raise AssertionError("grouped under an instrument")
-        monkeypatch.setattr(engine, "compute_lanes", no_lanes)
+        lanes = _spy(monkeypatch, "compute_lanes")
         computed = []
         monkeypatch.setattr(engine, "compute_cell",
                             lambda cell, scale: computed.append(cell) or 1)
         cells = [Cell("cg", f"m{i}", "fp32") for i in range(3)]
-        previous = set_instrument(kind, object())
+        previous = set_instrument("injector", object())
+        try:
+            outcomes = execute_cells(cells, SMALL)
+        finally:
+            set_instrument("injector", previous)
+        assert lanes == []
+        assert computed == cells
+        assert [o.status for o in outcomes] == ["completed"] * 3
+
+    @pytest.mark.parametrize("kind", ["collector", "tracer"])
+    def test_groups_under_a_collector_or_tracer(self, monkeypatch, kind):
+        """A collector or tracer observes lanes as it would the cells
+        one by one, so every group still makes one ``compute_lanes``
+        call; a tracer gets one ``cell.compute`` span per cell."""
+        from repro.arith.context import set_instrument
+        from repro.telemetry import Collector, Tracer
+        lanes = _spy(monkeypatch, "compute_lanes")
+        alone = _spy(monkeypatch, "compute_cell")
+        groups = [list(_lane_cells(SMALL)), list(_csr_lane_cells(SMALL))]
+        cells = [c for g in groups for c in g]
+        instrument = Collector() if kind == "collector" else Tracer()
+        previous = set_instrument(kind, instrument)
         try:
             outcomes = execute_cells(cells, SMALL)
         finally:
             set_instrument(kind, previous)
-        assert computed == cells
-        assert [o.status for o in outcomes] == ["completed"] * 3
+        assert lanes == [[c.cell_id for c in g] for g in groups]
+        assert alone == []
+        assert [o.status for o in outcomes] == ["completed"] * len(cells)
+        if kind == "collector":
+            assert instrument.total() > 0
+        else:
+            assert [e["cell"] for e in instrument.events
+                    if e.get("name") == "cell.compute"] == \
+                [c.cell_id for c in cells]
+
+    def test_collector_counts_lanes_as_it_counts_cells_alone(self):
+        """Over every smoke lane group of fig6 and ext-solver-grid (dense
+        CG, and CSR CG, BiCGSTAB and GMRES in seven formats), a
+        Collector's counters from one ``compute_lanes`` call equal those
+        of the group's cells run one by one, per (site, format) and
+        field by field."""
+        from repro.experiments.registry import get_experiment
+        from repro.telemetry import collecting
+        scale = SCALES["smoke"]
+        cells = [c for eid in ("fig6", "ext-solver-grid")
+                 for c in get_experiment(eid).enumerate_cells(scale)]
+        groups = [g for g in engine._lane_groups(cells, scale)
+                  if len(g) > 1]
+        assert len(groups) == 25
+        for group in groups:
+            with collecting() as lanes:
+                common.compute_lanes(group, scale)
+            with collecting() as alone:
+                for cell in group:
+                    common.compute_lanes([cell], scale)
+            assert lanes.snapshot() == alone.snapshot(), group[0].cell_id
 
     def test_pool_runs_lane_groups(self, _isolated, monkeypatch):
         """At ``jobs=2`` the workers solve the dense and the ragged
@@ -608,9 +655,13 @@ class TestLaneGroups:
     def test_raising_ragged_group_runs_its_cells_one_by_one(
             self, monkeypatch, capsys):
         from benchmarks.e2e.child import canonical
+        real = common.conjugate_gradient_lanes
 
-        def broken(*args, **kwargs):
-            raise RuntimeError("ragged lane bug")
+        def broken(ctx, systems, **kwargs):
+            # a cell alone runs as a one-lane group, which still works
+            if len(systems) > 1:
+                raise RuntimeError("ragged lane bug")
+            return real(ctx, systems, **kwargs)
         monkeypatch.setattr(common, "conjugate_gradient_lanes", broken)
         alone = _spy(monkeypatch, "compute_cell")
         cells = list(_csr_lane_cells(SMALL))

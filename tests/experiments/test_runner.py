@@ -36,6 +36,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table I" in out
 
+    def test_done_line_reports_the_cell_time(self, capsys, tmp_path,
+                                             monkeypatch):
+        """The cells of a sweep run in the grid phase, before the
+        experiment assembles, so its done line reports their time."""
+        import os
+        import re
+
+        from repro.experiments.common import clear_cache
+        from repro.resilience.manifest import MANIFEST_NAME, RunManifest
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        clear_cache()       # every cell computed, none from the memo
+        assert main(["fig6", "--scale", "smoke"]) == 0
+        done = re.search(r"----- fig6 done: cells ([0-9.]+)s, assembly "
+                         r"[0-9.]+s", capsys.readouterr().out)
+        entry = RunManifest(os.path.join(str(tmp_path),
+                                         MANIFEST_NAME)).load().get("fig6")
+        assert done and float(done.group(1)) > 0
+        assert float(done.group(1)) == pytest.approx(
+            entry["cell_compute_s"], abs=0.051)
+
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["fig99"]) == 2
         err = capsys.readouterr().err

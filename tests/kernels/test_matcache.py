@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SCALES
-from repro.experiments.common import (Cell, _compute_cell, cg_cells,
+from repro.experiments.common import (Cell, compute_cell, cg_cells,
                                       clear_cache, grid_cells)
 from repro.kernels.matcache import MatrixCache, matrix_cache
 
@@ -78,9 +78,9 @@ class TestCellWiring:
         clear_cache()
         cache = matrix_cache()
         cache.clear()
-        _compute_cell(cells[0], scale)
+        compute_cell(cells[0], scale)
         first = dict(cache.stats())
-        _compute_cell(cells[1], scale)
+        compute_cell(cells[1], scale)
         second = cache.stats()
         assert first["misses"] >= 2           # rescale + CSR built once
         assert second["misses"] == first["misses"]
@@ -105,7 +105,7 @@ class TestCellWiring:
         clear_cache()
         matrix_cache().clear()
         for cell in cells:
-            _compute_cell(cell, scale)
+            compute_cell(cell, scale)
         assert len(builds) == 1
         assert matrix_cache().stats()["misses"] == 2  # rescale + CSR
 
@@ -115,8 +115,8 @@ class TestCellWiring:
                     (("rescaled", True),))
         clear_cache()
         matrix_cache().clear()
-        cold = _compute_cell(cell, scale)
-        warm = _compute_cell(cell, scale)      # rescale now a hit
+        cold = compute_cell(cell, scale)
+        warm = compute_cell(cell, scale)      # rescale now a hit
         assert matrix_cache().counters.hits >= 1
         assert np.float64(cold) == np.float64(warm) or (
             np.isnan(cold) and np.isnan(warm))

@@ -5,7 +5,10 @@ one order, or CSR systems of any orders (ragged lanes), as lanes of one
 iteration body; each lane must come out as ``conjugate_gradient`` gives
 it alone, payload for payload (compared as
 ``benchmarks.e2e.child.canonical`` text: flags, counts and every float
-as ``float.hex``), whatever the other lanes do.
+as ``float.hex``), whatever the other lanes do.  Under a tracer and a
+collector, each lane's trace events must be its solo run's too, reach
+the tracer in system order, and the lanes must round what the solo
+runs round.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.experiments import common
 from repro.kernels.zeroplan import freeze
 from repro.linalg import conjugate_gradient, conjugate_gradient_lanes
 from repro.matrices import random_dense_spd
+from repro.telemetry import Collector, collecting, tracing
 
 N = 8
 #: solver options shared by every lane of the adversarial group
@@ -49,18 +53,45 @@ def _adversarial():
     ]
 
 
+def _observed(solve, collector):
+    """``solve()``'s value under a fresh tracer and *collector*, and
+    the solver events the tracer received."""
+    with collecting(collector), tracing() as tracer:
+        value = solve()
+    return value, [e for e in tracer.events if e["type"] == "solver"]
+
+
+def check_observed_lanes(lanes, solve_lanes, solve_alone):
+    """Under a tracer and a collector, each of *lanes* (``(name, A,
+    b)``) comes out of ``solve_lanes(systems)`` as ``solve_alone(A, b)``
+    gives it (with its trace, for a result that carries one); the
+    tracer receives the lanes' events in system order, and the
+    collector counts, per (site, format) and field by field, what it
+    counts for the solves one by one."""
+    counted = Collector()
+    got, events = _observed(
+        lambda: solve_lanes([(A, b) for _, A, b in lanes]), counted)
+    expected, expected_counts = [], Collector()
+    for (name, A, b), res in zip(lanes, got):
+        alone, alone_events = _observed(lambda: solve_alone(A, b),
+                                        expected_counts)
+        assert canonical(res) == canonical(alone), name
+        assert alone_events, name
+        expected += alone_events
+    assert canonical(events) == canonical(expected)
+    assert counted.snapshot() == expected_counts.snapshot()
+
+
 @pytest.mark.parametrize("fmt", ["fp64", "fp32", "posit32es2",
                                  "posit16es1", "takum16"])
 @pytest.mark.parametrize("order", ["pairwise", "sequential"])
 def test_adversarial_lanes_match_their_own_solves(fmt, order):
-    lanes = _adversarial()
-    ctx = FPContext(fmt, sum_order=order)
-    got = conjugate_gradient_lanes(ctx, [(A, b) for _, A, b in lanes],
-                                   **OPTS)
-    for (name, A, b), res in zip(lanes, got):
-        alone = conjugate_gradient(FPContext(fmt, sum_order=order), A, b,
-                                   **OPTS)
-        assert canonical(res) == canonical(alone), name
+    check_observed_lanes(
+        _adversarial(),
+        lambda systems: conjugate_gradient_lanes(
+            FPContext(fmt, sum_order=order), systems, **OPTS),
+        lambda A, b: conjugate_gradient(FPContext(fmt, sum_order=order),
+                                        A, b, **OPTS))
 
 
 def test_adversarial_lanes_reach_the_intended_ends():
@@ -104,8 +135,17 @@ def test_every_cg_small_cell_matches_its_run_alone():
     assert sorted(len(g) for g in groups.values()) == [2] * 8 + [6] * 4
     for group in groups.values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
-            alone = common.compute_cell(cell, scale)
-            assert canonical(value) == canonical(alone), cell.cell_id
+            assert canonical(value) == canonical(_alone(cell, scale)), \
+                cell.cell_id
+
+
+def _alone(cell, scale):
+    """The CG cell's payload from ``conjugate_gradient`` on its system
+    alone."""
+    A, b = common._cg_system(cell, scale)
+    return conjugate_gradient(FPContext(cell.fmt), A, b,
+                              rtol=cell.option("rtol", 1e-5),
+                              max_iterations=scale.cg_max_iterations)
 
 
 def test_every_sparse_full_cell_matches_its_run_alone():
@@ -123,8 +163,8 @@ def test_every_sparse_full_cell_matches_its_run_alone():
     assert sorted(len(g) for g in groups.values()) == [4] * 7 + [8] * 2
     for group in groups.values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
-            alone = common.compute_cell(cell, scale)
-            assert canonical(value) == canonical(alone), cell.cell_id
+            assert canonical(value) == canonical(_alone(cell, scale)), \
+                cell.cell_id
 
 
 #: solver options shared by every lane of the ragged adversarial group
@@ -165,13 +205,12 @@ def _ragged_adversarial():
 @pytest.mark.parametrize("fmt", ["fp64", "fp32", "posit32es2",
                                  "posit16es1", "takum16", "bf16"])
 def test_ragged_adversarial_lanes_match_their_own_solves(fmt):
-    lanes = _ragged_adversarial()
-    got = conjugate_gradient_lanes(FPContext(fmt),
-                                   [(A, b) for _, A, b in lanes],
-                                   **RAGGED_OPTS)
-    for (name, A, b), res in zip(lanes, got):
-        alone = conjugate_gradient(FPContext(fmt), A, b, **RAGGED_OPTS)
-        assert canonical(res) == canonical(alone), name
+    check_observed_lanes(
+        _ragged_adversarial(),
+        lambda systems: conjugate_gradient_lanes(FPContext(fmt), systems,
+                                                 **RAGGED_OPTS),
+        lambda A, b: conjugate_gradient(FPContext(fmt), A, b,
+                                        **RAGGED_OPTS))
 
 
 def test_ragged_adversarial_lanes_reach_the_intended_ends():

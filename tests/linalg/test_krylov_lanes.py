@@ -6,8 +6,10 @@ solve.
 (ragged lanes) through one iteration body; each lane must come out as
 ``bicgstab`` or ``gmres`` gives it alone, payload for payload (compared
 as ``benchmarks.e2e.child.canonical`` text: flags, counts, every float
-as ``float.hex`` and, for BiCGSTAB, every trace event), whatever the
-other lanes do.
+as ``float.hex`` and every trace event), whatever the other lanes do.
+Under a tracer and a collector, each lane's trace events must be its
+solo run's, reach the tracer in system order, and the lanes must round
+what the solo runs round.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.experiments import common
 from repro.experiments.ext_solver_grid import DEFAULT_MATRICES
 from repro.linalg import bicgstab, bicgstab_lanes, gmres, gmres_lanes
 from repro.matrices import random_dense_spd
+
+from .test_cg_lanes import check_observed_lanes
 
 #: the module, which ``repro.linalg.gmres`` (the function) shadows
 gmres_module = importlib.import_module("repro.linalg.gmres")
@@ -85,12 +89,11 @@ BICG_OPTS = {"rtol": 1e-5, "max_iterations": 25}
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_bicgstab_adversarial_lanes_match_their_own_solves(fmt):
-    lanes = _bicgstab_lanes()
-    got = bicgstab_lanes(FPContext(fmt), [(A, b) for _, A, b in lanes],
-                         **BICG_OPTS)
-    for (name, A, b), res in zip(lanes, got):
-        alone = bicgstab(FPContext(fmt), A, b, **BICG_OPTS)
-        assert canonical(res) == canonical(alone), name
+    check_observed_lanes(
+        _bicgstab_lanes(),
+        lambda systems: bicgstab_lanes(FPContext(fmt), systems,
+                                       **BICG_OPTS),
+        lambda A, b: bicgstab(FPContext(fmt), A, b, **BICG_OPTS))
 
 
 def test_bicgstab_adversarial_lanes_reach_the_intended_ends():
@@ -145,12 +148,10 @@ GMRES_OPTS = {"rtol": 1e-5, "restart": 5, "max_iterations": 30}
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_gmres_adversarial_lanes_match_their_own_solves(fmt):
-    lanes = _gmres_lanes()
-    got = gmres_lanes(FPContext(fmt), [(A, b) for _, A, b in lanes],
-                      **GMRES_OPTS)
-    for (name, A, b), res in zip(lanes, got):
-        alone = gmres(FPContext(fmt), A, b, **GMRES_OPTS)
-        assert canonical(res) == canonical(alone), name
+    check_observed_lanes(
+        _gmres_lanes(),
+        lambda systems: gmres_lanes(FPContext(fmt), systems, **GMRES_OPTS),
+        lambda A, b: gmres(FPContext(fmt), A, b, **GMRES_OPTS))
 
 
 def test_gmres_adversarial_lanes_reach_the_intended_ends(monkeypatch):
@@ -221,6 +222,15 @@ def _grid_groups(scale, **options):
     return groups
 
 
+def _alone(cell, scale):
+    """The grid cell's payload from ``bicgstab`` or ``gmres`` on its
+    system alone."""
+    solve = {"bicgstab": bicgstab, "gmres": gmres}[cell.option("solver")]
+    A, b = common._cg_system(cell, scale)
+    return solve(FPContext(cell.fmt), A, b, rtol=cell.option("rtol"),
+                 max_iterations=scale.cg_max_iterations)
+
+
 def test_every_smoke_grid_cell_matches_its_run_alone():
     """All 70 smoke X13 BiCGSTAB and GMRES cells: one five-lane group
     per solver and format."""
@@ -229,8 +239,8 @@ def test_every_smoke_grid_cell_matches_its_run_alone():
     assert sorted(len(g) for g in groups.values()) == [5] * 14
     for group in groups.values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
-            alone = common.compute_cell(cell, scale)
-            assert canonical(value) == canonical(alone), cell.cell_id
+            assert canonical(value) == canonical(_alone(cell, scale)), \
+                cell.cell_id
 
 
 @pytest.mark.parametrize("fmt", ["fp32", "posit16es2", "takum32", "bf16"])
@@ -257,5 +267,5 @@ def test_every_small_grid_cell_matches_its_run_alone():
     scale = SCALES["small"]
     for group in _grid_groups(scale).values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
-            alone = common.compute_cell(cell, scale)
-            assert canonical(value) == canonical(alone), cell.cell_id
+            assert canonical(value) == canonical(_alone(cell, scale)), \
+                cell.cell_id

@@ -10,6 +10,8 @@ rounded output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,42 @@ def test_idempotent_rounding_counts_exact(name, x):
         c = _single(col, "round", fmt.name)
         assert c["inexact"] == 0
         assert c["exact"] == c["total"] == finite_rep.size
+
+
+def _by_definition(x, r, fmt) -> dict:
+    """The counters of rounding *x* to *r*, element by element."""
+    c = dict.fromkeys(("total", "exact", "inexact", "nar", "saturated",
+                       "overflow", "underflow_zero", "minpos_clamp"), 0)
+    for e, v in zip(x.tolist(), r.tolist()):
+        c["total"] += 1
+        exact = e == v or (math.isnan(e) and math.isnan(v))
+        c["exact" if exact else "inexact"] += 1
+        c["overflow"] += math.isinf(v) and math.isfinite(e)
+        if math.isnan(e):
+            continue
+        c["nar"] += math.isnan(v)
+        c["saturated"] += abs(e) > fmt.max_value and \
+            abs(v) == fmt.max_value
+        c["underflow_zero"] += e != 0.0 and v == 0.0
+        c["minpos_clamp"] += (e != 0.0 and abs(e) < fmt.min_positive
+                              and abs(v) == fmt.min_positive)
+    return c
+
+
+@given(st.sampled_from(FORMAT_NAMES), value_arrays, st.booleans())
+@settings(max_examples=150)
+def test_counts_match_their_definitions(name, x, ordinary):
+    """Every counter equals its definition applied element by element,
+    on arrays whose results are all ordinary (strictly between ±minpos
+    and ±maxpos, which the collector counts without looking for
+    events) and on arbitrary ones."""
+    fmt = get_format(name)
+    if ordinary:
+        x = np.clip(np.abs(x), 4 * fmt.min_positive, fmt.max_value / 4)
+    r = fmt.round(x)
+    col = Collector()
+    col.record("round", x, r, fmt)
+    assert _single(col, "round", fmt.name) == _by_definition(x, r, fmt)
 
 
 def test_posit_saturates_ieee_overflows():
@@ -226,5 +264,6 @@ def test_adversarial_sweep_every_format(name):
     col = Collector()
     col.record("round", x, fmt.round(x), fmt)
     c = _single(col, "round", fmt.name)
+    assert c == _by_definition(x, fmt.round(x), fmt)
     assert c["total"] == x.size
     assert c["exact"] + c["inexact"] == c["total"]

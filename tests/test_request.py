@@ -131,6 +131,29 @@ class TestFlags:
         assert exc.value.code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["submit", "fig6"], ["status"],
+        ["quantize", "--fmt", "posit16es1", "0.1"]],
+        ids=["submit", "status", "quantize"])
+    def test_service_cli_names_an_unreachable_address(self, argv, tmp_path,
+                                                      capsys):
+        from repro.service.__main__ import main
+        address = f"unix:{tmp_path / 'absent.sock'}"
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--address", address, *argv[1:]])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot reach the service at "
+                                f"{address}: No such file or directory\n")
+
+    def test_service_cli_refuses_a_malformed_address(self, capsys):
+        from repro.service.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(["status", "--address", "nonsense"])
+        assert exc.value.code == 2
+        assert "bad service address 'nonsense'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cli", ["runner", "serve"])
     def test_help_lists_the_knob_flags(self, cli, capsys):
         knobs = ["--jobs", "--timeout", "--retries", "--backoff",
