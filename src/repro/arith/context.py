@@ -25,6 +25,7 @@ from ..formats.base import NumberFormat
 from ..formats.native import FLOAT64, NativeIEEEFormat
 from ..formats.registry import get_format
 from ..kernels import gemm as _gemm_kernels
+from ..kernels.lut import LaneTables
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold, use_segmented
 from ..kernels.zeroplan import plan_for
@@ -32,8 +33,9 @@ from .shapes import require_conformant, require_lanes, require_product
 from .sparse import CSRMatrix, CSRStack
 from .summation import SUM_ORDERS, round_at, rounded_sum_last_axis
 
-__all__ = ["FPContext", "INSTRUMENT_KINDS", "get_active_injector",
-           "get_instrument", "set_active_injector", "set_instrument"]
+__all__ = ["FPContext", "LaneContext", "INSTRUMENT_KINDS",
+           "get_active_injector", "get_instrument", "set_active_injector",
+           "set_instrument"]
 
 #: scratch for pre-rounding products/sums; formats return fresh arrays,
 #: so a buffer never escapes the context method that took it
@@ -170,13 +172,19 @@ class FPContext:
             return value
         return injector.apply(site, value, self.fmt)
 
-    def _quantize(self, site: str, exact):
+    #: whether the segmented folds pass each level's lane runs to the
+    #: rounder (:class:`LaneContext`)
+    _lanes = False
+
+    def _quantize(self, site: str, exact, runs=None):
         """Round *exact* into the format, reporting the rounding event.
 
         Every named rounding site funnels through here (or through the
         per-reduction rounder of :meth:`_rnd_for`).  When no collector
         is bound or ambient, the overhead over a bare ``self._rnd``
-        call is one attribute read and one ``is None`` check.
+        call is one attribute read and one ``is None`` check.  *runs*,
+        the lane layout of a lane-ordered *exact*, matters only to a
+        :class:`LaneContext`: one format rounds every layout alike.
         """
         out = self._rnd(exact)
         if self._exact:
@@ -340,7 +348,8 @@ class FPContext:
             rnd = self._rnd_for("dot.sum")
             out = (rounded_sum_last_axis(products, rnd, self.sum_order)
                    if segments is None
-                   else segmented_fold(products, segments.plan(), rnd))
+                   else segmented_fold(products, segments.plan(), rnd,
+                                       self._lanes))
         if x.ndim == 1 and segments is None:
             return float(self.inject("dot", float(out)))
         return self.inject("dot", out)
@@ -405,12 +414,13 @@ class FPContext:
                                     out=ext[nnz:])
                     else:
                         ext[-1] = 0.0 * x[0] if x.size else 0.0
-                    products = np.asarray(
-                        self._quantize("matvec.csr.mul", ext))
+                    products = np.asarray(self._quantize(
+                        "matvec.csr.mul", ext,
+                        A.product_runs if stacked else None))
                     if stacked or use_segmented(A.n, A.row_width, A.nnz,
                                                 self.sum_order):
                         out = segmented_fold(products, A.segment_plan(),
-                                             rnd)
+                                             rnd, self._lanes)
                     else:
                         out = rounded_sum_last_axis(products[A.slot_map()],
                                                     rnd, self.sum_order)
@@ -563,3 +573,102 @@ class FPContext:
     # -- misc ------------------------------------------------------------
     def __repr__(self) -> str:
         return f"<FPContext {self.fmt.name} sum={self.sum_order}>"
+
+
+class LaneContext(FPContext):
+    """The context of ragged CSR lanes that each round in their own
+    table format: one rounding call serves every lane.
+
+    Lane ``ℓ`` of *segments* rounds in ``fmts[ℓ]``; every format must
+    round through a :class:`~repro.kernels.lut.TwoLevelTable` (its
+    ``table_step`` is not None).  Every array a CSR lane iteration
+    rounds is lane-ordered, so a few run lengths describe it
+    (:class:`~repro.kernels.lut.LaneTables`): the lanes' vectors laid
+    end to end (runs: the lane sizes), their ``(B,)`` scalars (runs of
+    ones), a :class:`~.sparse.CSRStack`'s products
+    (:attr:`~.sparse.CSRStack.product_runs`) and every level of a
+    segmented fold (its plan's per-lane pair counts).  Each call
+    goes through the first lane's ``fmt.round`` with the runs, and
+    each entry gets its own format's bits.  A collector sees every call
+    split by format, so it counts per ``(site, format)`` what it counts
+    for the lanes run alone.  With one format it rounds as
+    ``FPContext(fmt)``; float64 and the dtype-cast formats have no
+    lane form.
+    """
+
+    _lanes = True
+
+    def __init__(self, fmts, segments, sum_order: str = "pairwise",
+                 injector=None, collector=None):
+        fmts = [get_format(f) for f in fmts]
+        if len(fmts) != len(segments):
+            raise ValueError(f"{len(fmts)} formats for {len(segments)} "
+                             f"lanes")
+        if any(f.table_step is None for f in fmts):
+            raise ValueError("lane formats must round through two-level "
+                             "tables")
+        if sum_order != "pairwise":
+            raise ValueError("ragged lanes fold pairwise only")
+        super().__init__(fmts[0], sum_order, injector, collector)
+        self.fmts = tuple(fmts)
+        self.segments = segments
+        self._distinct = list(dict.fromkeys(self.fmts))
+        #: each lane's index into the distinct formats
+        self._lane_fmt = np.array([self._distinct.index(f) for f in fmts])
+        self._ones = np.ones(len(fmts), dtype=np.int64)
+        tables = LaneTables([f._two_level_table() for f in fmts])
+        entry, layout = self.fmt.round, self._layout
+
+        def rnd(x, runs=None):
+            return entry(x, layout(x) if runs is None else runs, tables)
+        self._rnd = rnd
+
+    def _layout(self, x):
+        """The runs of *x*, the lanes' ``(N,)`` vectors or their
+        ``(B,)`` scalars."""
+        if np.size(x) == self.segments.total:
+            return self.segments.sizes
+        return self._ones
+
+    def _quantize(self, site: str, exact, runs=None):
+        out = self._rnd(exact, runs)
+        col = self.collector
+        if col is None:
+            col = _INSTRUMENTS["collector"]
+            if col is None:
+                return out
+        self._record(col, site, exact, out, runs)
+        return out
+
+    def _rnd_for(self, site: str):
+        col = self.collector
+        if col is None:
+            col = _INSTRUMENTS["collector"]
+            if col is None:
+                return self._rnd
+        rnd = self._rnd
+
+        def observed(x, runs=None):
+            out = rnd(x, runs)
+            self._record(col, site, x, out, runs)
+            return out
+        return observed
+
+    def _record(self, col, site: str, exact, rounded, runs) -> None:
+        """Report one call to *col* split by format, leaving out a
+        format none of whose entries this call rounded."""
+        if len(self._distinct) == 1:
+            col.record(site, exact, rounded, self.fmt)
+            return
+        if runs is None:
+            runs = self._layout(exact)
+        which = np.repeat(np.resize(self._lane_fmt, len(runs)), runs)
+        for k, fmt in enumerate(self._distinct):
+            at = which == k
+            if at.any():
+                col.record(site, exact[at], rounded[at], fmt)
+
+    def __repr__(self) -> str:
+        names = ",".join(f.name for f in self._distinct)
+        return (f"<LaneContext {len(self.fmts)} lanes of {names} "
+                f"sum={self.sum_order}>")

@@ -243,6 +243,11 @@ class CSRStack(CSRMatrix):
         self.segments = LaneSegments([lane.n for lane in self.lanes])
         if self.segments.total != self.n:
             raise ValueError("the lanes' orders must sum to the stack's")
+        #: the runs of a stacked matvec's products: each lane's stored
+        #: entries, then each lane's pad slot
+        self.product_runs = np.concatenate(
+            [[lane.nnz for lane in self.lanes],
+             np.ones(len(self.lanes))]).astype(np.int64)
 
     @classmethod
     def of(cls, lanes) -> "CSRStack":
@@ -264,7 +269,8 @@ class CSRStack(CSRMatrix):
 
     def segment_plan(self):
         """The cached plan folding each row at its own lane's width,
-        padded from its own lane's pad slot."""
+        padded from its own lane's pad slot, with each level's per-lane
+        pair counts."""
         cache = self._pattern
         if cache.plan is None:
             from ..kernels.segment import SegmentPlan
@@ -273,7 +279,7 @@ class CSRStack(CSRMatrix):
                 self.indptr,
                 np.repeat([lane.row_width for lane in self.lanes], sizes),
                 np.repeat(np.arange(len(self.lanes)), sizes),
-                pads=len(self.lanes))
+                pads=len(self.lanes), lane_rows=self.segments.offsets)
         return cache.plan
 
     def matvec64(self, x: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..config import RunScale, current_scale
+from ..formats.registry import get_format
 from ..kernels.matcache import matrix_cache
 from ..linalg.bicg import bicgstab_lanes
 # conjugate_gradient runs no cell, but the benchmark's traced pass
@@ -223,9 +224,18 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
       the order n of the system at *scale* (dense lanes share one n);
       rescaling only picks the system a lane solves, so it is left out;
     * a CSR CG cell (``sparse``) and an X13 grid cell of the ``cg``
-      solver: ``("cg-csr", format, rtol)``, with no n, since CSR lanes
-      may be ragged.  Both make the same ``conjugate_gradient(ctx,
-      A_csr, b, rtol, max_iterations=scale.cg_max_iterations)`` call;
+      solver: ``("cg-csr", width, step, rtol)`` when the format rounds
+      through a two-level table (its storage width in bits and its
+      table's step, :attr:`~repro.formats.base.NumberFormat.table_step`),
+      else ``("cg-csr", format, rtol)``, with no n, since CSR lanes may
+      be ragged.  Both make the same ``conjugate_gradient(ctx, A_csr,
+      b, rtol, max_iterations=scale.cg_max_iterations)`` call.  Lanes
+      of several table formats share one rounding call per step
+      (:class:`~repro.arith.context.LaneContext`); keying them by width
+      keeps a group's plan and workspace near one format's.  fp64,
+      fp16 and fp32 round by a dtype cast (or not at all), and
+      ``REPRO_LUT=off`` takes every table away, so their keys stay per
+      format;
     * an X13 grid cell of the ``bicgstab`` or ``gmres`` solver:
       ``("bicgstab-csr", format, rtol)`` or ``("gmres-csr", format,
       rtol)``, ragged CSR lanes of
@@ -239,7 +249,14 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
         return None
     if (cell.kind == "grid" and cell.option("solver") == "cg") or \
             (cell.kind == "cg" and cell.option("sparse")):
-        return ("cg-csr", cell.fmt, float(cell.option("rtol", 1e-5)))
+        try:
+            fmt = get_format(cell.fmt)
+        except Exception:
+            return None  # the cell's own run reports the failure
+        if fmt.table_step is None:
+            return ("cg-csr", cell.fmt, float(cell.option("rtol", 1e-5)))
+        return ("cg-csr", fmt.nbits, fmt.table_step,
+                float(cell.option("rtol", 1e-5)))
     if cell.kind == "grid" and cell.option("solver") in _GRID_LANES:
         return (f"{cell.option('solver')}-csr", cell.fmt,
                 float(cell.option("rtol", 1e-5)))
@@ -270,9 +287,11 @@ def compute_lanes(cells, scale: RunScale) -> list:
         if solve is None:
             raise ValueError(f"unknown grid solver "
                              f"{first.option('solver')!r}")
+    # CG lanes may differ in format (lane_key): one context per cell
+    ctx = ([FPContext(c.fmt) for c in cells]
+           if solve is conjugate_gradient_lanes else FPContext(first.fmt))
     t0 = time.perf_counter()
-    values = solve(FPContext(first.fmt),
-                   [_cg_system(c, scale) for c in cells],
+    values = solve(ctx, [_cg_system(c, scale) for c in cells],
                    rtol=first.option("rtol", 1e-5),
                    max_iterations=scale.cg_max_iterations)
     tracer = active_tracer()

@@ -24,10 +24,12 @@ two new powers:
   them: dense CG cells of one format, one set of solver options and
   one system order (key ``("cg", format, options, n)``), and, as
   ragged lanes of any orders, the CSR CG and X13 grid CG cells of one
-  format and tolerance (``("cg-csr", format, rtol)``) and the X13
-  grid's BiCGSTAB or GMRES cells of one format and tolerance
-  (``("bicgstab-csr", format, rtol)``, ``("gmres-csr", format,
-  rtol)``).  The groups are
+  tolerance whose formats round through two-level tables of one
+  storage width and step, each lane in its own format (``("cg-csr",
+  width, step, rtol)``; fp64, fp16 and fp32 keep ``("cg-csr", format,
+  rtol)``), and the X13 grid's BiCGSTAB or GMRES cells of one format
+  and tolerance (``("bicgstab-csr", format, rtol)``, ``("gmres-csr",
+  format, rtol)``).  The groups are
   formed once, before any worker forks, and a group is the unit both
   the serial loop and the supervised pool dispatch; the pool splits
   groups only when it has more workers than groups.  Each cell is

@@ -102,6 +102,15 @@ class NumberFormat(abc.ABC):
 
     # -- behaviour flags ----------------------------------------------------
     @property
+    def table_step(self) -> str | None:
+        """The name of the step ufunc of the
+        :class:`~repro.kernels.lut.TwoLevelTable` every array this
+        format rounds goes through, or None for a format that rounds
+        otherwise.  Lanes of formats with one step may share a rounding
+        pass (:class:`~repro.kernels.lut.LaneTables`)."""
+        return None
+
+    @property
     def saturates(self) -> bool:
         """True when out-of-range values clamp (posit) rather than
         overflow to infinity (IEEE)."""
@@ -140,9 +149,23 @@ class TableRoundedFormat(NumberFormat):
     Every tier reads the same table, so the result is the same bits
     whichever one runs.  ``REPRO_LUT=off`` sends every call, scalars
     included, to ``_round_impl``.
+
+    With *runs* and *lanes* (a :class:`lut.LaneTables`), ``round`` is
+    the one rounding pass over a 1-D lane-ordered array whose lanes
+    may each round in another table format (``LaneTables.round_array``):
+    a format singleton's ``round`` stays the one entry point of every
+    rounding call.
     """
 
     _round_scalar = None
+
+    #: the per-bucket step ufunc of the two-level table (directed-mode
+    #: IEEE formats replace it per instance)
+    _affine_step = staticmethod(np.rint)
+
+    @property
+    def table_step(self) -> str | None:
+        return self._affine_step.__name__ if lut._ENABLED else None
 
     def _scalar_rounder(self):
         rs = self._round_scalar
@@ -150,7 +173,9 @@ class TableRoundedFormat(NumberFormat):
             rs = self._round_scalar = self._two_level_table().round_scalar
         return rs
 
-    def round(self, x):
+    def round(self, x, runs=None, lanes=None):
+        if runs is not None:
+            return lanes.round_array(np.asarray(x, dtype=np.float64), runs)
         if not lut._ENABLED:
             arr = np.asarray(x, dtype=np.float64)
             if arr.ndim == 0:

@@ -63,10 +63,6 @@ class IEEEFormat(TableRoundedFormat):
         self._eps = float(np.ldexp(1.0, 1 - precision))
         self._table2 = None
 
-    #: per-bucket rounding ufunc of the two-level affine path
-    #: (directed-mode subclasses replace it per instance)
-    _affine_step = staticmethod(np.rint)
-
     def _two_level_spec(self
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every bucket is affine for an IEEE format: the granule

@@ -382,9 +382,16 @@ class TakumFormat(TableRoundedFormat):
         return out
 
     # -- NumberFormat interface --------------------------------------------
-    def round(self, x):
+    @property
+    def table_step(self) -> str | None:
+        if self._table_based or self.log:
+            return None
+        return super().table_step
+
+    def round(self, x, runs=None, lanes=None):
         if not (self._table_based or self.log):
-            return super().round(x)  # linear nbits >= 13: lut tiers
+            # linear nbits >= 13: lut tiers
+            return super().round(x, runs, lanes)
         arr = np.asarray(x, dtype=np.float64)
         scalar = arr.ndim == 0
         if scalar:

@@ -3,11 +3,15 @@
 Measures the primitives every experiment is built on — quantize, dot,
 matvec, rounded sum and blocked gemm — per format and size.  Quantize
 entries also time the format's bitwise/softfloat reference rounder and
-record ``speedup_vs_bitwise``; the segmented CSR matvec entries also
-time the padded route and record ``speedup_vs_padded``.  Both ratios
-are measured in one process on one host, so they compare across
-machines where absolute seconds do not; CI's ``bench`` job fails when
-one falls below its floor (``docs/performance.md`` §7).  Each timed
+record ``speedup_vs_bitwise``; ``quantize/mixed/`` entries time one
+rounding pass over lanes of several formats
+(:class:`~repro.kernels.lut.LaneTables`) against one ``fmt.round``
+call per format and record ``speedup_vs_separate``; the segmented CSR
+matvec entries also time the padded route and record
+``speedup_vs_padded``.  Each ratio is measured in one process on one
+host, so ratios compare across machines where absolute seconds do
+not; CI's ``bench`` job fails when one falls below its floor
+(``docs/performance.md`` §7).  Each timed
 pair is checked to agree bit for bit on the input it times.
 
 Timing protocol: every callable runs in ``repeats`` rounds of one timed
@@ -40,13 +44,19 @@ import numpy as np
 
 __all__ = ["microbench", "main",
            "QUANTIZE_FORMATS", "CONTEXT_FORMATS", "QUANTIZE_SIZES",
-           "CONTEXT_SIZES", "SPARSE_MATRICES", "SPARSE_FORMATS"]
+           "CONTEXT_SIZES", "MIXED_FORMATS", "MIXED_SIZES",
+           "SPARSE_MATRICES", "SPARSE_FORMATS"]
 
 #: quantize coverage: the paper's narrow actors plus the wide posits,
 #: each timed against its reference rounder
 QUANTIZE_FORMATS = ("posit8es0", "posit16es1", "posit16es2", "bf16",
                     "fp8e4m3", "posit32es2", "posit32es3")
 QUANTIZE_SIZES = (32, 128, 1024, 65536)
+#: the mixed rounding pass's lanes, one run each: the 32-bit table
+#: formats that share a CSR CG lane group
+MIXED_FORMATS = ("posit32es2", "posit32es3", "takum32")
+#: entries per run: a dispatch-bound and an element-bound size
+MIXED_SIZES = (96, 16384)
 #: context ops: one narrow and one wide format per solver family
 CONTEXT_FORMATS = ("posit16es1", "posit32es2", "fp32")
 CONTEXT_SIZES = (24, 96)
@@ -196,7 +206,8 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
                 if _selected(key, only):
                     ops[key] = (fn,)
 
-    timed = _rounds({**quantize, **ops}, repeats)
+    mixed = _mixed_jobs(only)
+    timed = _rounds({**quantize, **mixed, **ops}, repeats)
     # the sparse set-up frees large arrays, and after that glibc serves
     # 512 KB temporaries from its heap instead of fresh pages: built
     # first, it would speed the n = 65536 bitwise references up ~3x
@@ -209,6 +220,8 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
 
     kernels = {key: _entry(timed[key], "bitwise_s", "speedup_vs_bitwise")
                for key in quantize}
+    kernels.update((key, _entry(timed[key], "separate_s",
+                                "speedup_vs_separate")) for key in mixed)
     kernels.update((key, _entry(timed[key])) for key in ops)
     for base in sparse:
         for key, entry in (
@@ -218,6 +231,35 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
             if _selected(key, only):
                 kernels[key] = entry
     return kernels
+
+
+def _mixed_jobs(only: tuple[str, ...] | None
+                ) -> dict[str, tuple[Callable, Callable]]:
+    """Mixed rounding jobs: (one pass over every lane's run, one
+    ``fmt.round`` call per lane) per ``quantize/mixed/<B>x<n>``."""
+    from ..formats.registry import get_format
+    from .lut import LaneTables
+
+    keys = {n: f"quantize/mixed/{len(MIXED_FORMATS)}x{n}"
+            for n in MIXED_SIZES}
+    jobs: dict[str, tuple[Callable, Callable]] = {}
+    if not any(_selected(key, only) for key in keys.values()):
+        return jobs
+    fmts = [get_format(name) for name in MIXED_FORMATS]
+    tables = LaneTables([fmt._two_level_table() for fmt in fmts])
+    rng = np.random.default_rng(24680)
+    for n, key in keys.items():
+        if not _selected(key, only):
+            continue
+        xs = [rng.standard_normal(n) for _ in fmts]
+        mixed = partial(fmts[0].round, np.concatenate(xs),
+                        np.full(len(fmts), n), tables)
+
+        def separate(xs=xs):
+            return [fmt.round(x) for fmt, x in zip(fmts, xs)]
+        _same_bits(key, mixed(), np.concatenate(separate()))
+        jobs[key] = (mixed, separate)
+    return jobs
 
 
 def _sparse_jobs(only: tuple[str, ...] | None

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..config import env_switch
 
-__all__ = ["RoundingTable", "TwoLevelTable", "lut_enabled",
+__all__ = ["RoundingTable", "TwoLevelTable", "LaneTables", "lut_enabled",
            "two_level_table", "MAX_TABLE_BITS", "FREXP_E_LO",
            "FREXP_E_TABLE", "TINY_N", "WORKSPACE_BUDGET",
            "release_workspace"]
@@ -226,7 +226,8 @@ _WORKSPACE = _Workspace()
 
 
 def release_workspace() -> None:
-    """Drop every ``round_array`` workspace bundle this thread keeps.
+    """Drop every ``round_array`` workspace bundle this thread keeps,
+    the :class:`LaneTables` arena's included.
 
     For a caller that knows the shapes it has been rounding will not
     come back: a ragged CG lane stack meets a new set of array sizes
@@ -237,6 +238,7 @@ def release_workspace() -> None:
     """
     _WORKSPACE.free.clear()
     _WORKSPACE.nbytes = 0
+    _ARENA.ws = None
 
 
 class TwoLevelTable:
@@ -398,6 +400,154 @@ class TwoLevelTable:
         q = self._scalar_step(x / g)
         r = q * g if q else x * 0.0
         return float(self._post(np.array([r]))[0])
+
+
+class _Arena(threading.local):
+    """One thread's :class:`LaneTables` intermediates: a single bundle
+    (the fields of a :class:`_Workspace` bundle), as long as the
+    longest array rounded since the last :func:`release_workspace`,
+    whose prefixes serve every shorter array.  A lane step rounds
+    arrays of a dozen lengths (products, every fold level, vectors,
+    scalars); one bundle of the longest holds a third of what a bundle
+    per length would."""
+
+    def __init__(self):
+        self.ws: tuple | None = None
+
+    def take(self, n: int) -> tuple:
+        ws, self.ws = self.ws, None
+        if ws is None or ws[0].size < n:
+            ws = (np.empty(n), np.empty(n), np.empty(n, np.int32),
+                  np.empty(n, np.bool_))
+        return ws
+
+    def give(self, ws: tuple) -> None:
+        if ws[0].size * _Workspace.ITEM_BYTES <= WORKSPACE_BUDGET:
+            self.ws = ws
+
+
+_ARENA = _Arena()
+
+
+class LaneTables:
+    """The tables of B lanes, for one rounding pass over lane-ordered
+    arrays that serves every lane in its own format.
+
+    :meth:`round_array` takes a 1-D array laid out as *runs*: a
+    sequence of run lengths whose ``i``-th run belongs to lane
+    ``i % B``, so ``(B,)`` scalars are runs of ones, lanes' vectors laid
+    end to end are runs of their sizes, and a CSR stack's products
+    (each lane's stored entries, then one pad slot per lane) are ``2B``
+    runs.  Every entry gets the bits of its own lane's
+    :meth:`TwoLevelTable.round_array`.
+
+    The fast path is the table's own ufunc sequence, run once over the
+    whole array: each entry reads its granule from the lanes' distinct
+    level-1 fast arrays laid end to end, at its lane's offset (with one
+    distinct table, straight from that table's).  Entries the fast path
+    leaves non-finite (a post or tail bucket, or a non-finite input)
+    are rounded by their own table, one call per table.  Every table
+    must have one step (``TwoLevelTable``'s *step*), since one step
+    ufunc serves the pass.  Arrays of at most :data:`TINY_N` entries
+    round entry by entry through each lane's ``round_scalar``.
+    """
+
+    __slots__ = ("tables", "distinct", "lane_table", "_granules", "_base",
+                 "_scalar", "_step")
+
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+        if not self.tables:
+            raise ValueError("lane tables need at least one lane")
+        self.distinct = list(dict.fromkeys(self.tables))
+        #: each lane's index into :attr:`distinct`
+        self.lane_table = np.array([self.distinct.index(t)
+                                    for t in self.tables], dtype=np.int64)
+        self._step = self.tables[0]._step
+        if any(t._step is not self._step for t in self.distinct):
+            raise ValueError("lane tables must share one step")
+        self._scalar = [t.round_scalar for t in self.tables]
+        if len(self.distinct) == 1:
+            self._granules, self._base = self.tables[0]._fast_granules, None
+            return
+        self._granules = np.concatenate([
+            np.roll(t._fast_granules, -FREXP_E_LO) for t in self.distinct])
+        # a frexp exponent plus its lane's base indexes ``_granules``
+        self._base = self.lane_table * FREXP_E_TABLE - FREXP_E_LO
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def round_array(self, arr: np.ndarray, runs) -> np.ndarray:
+        """Round the 1-D lane-ordered *arr* laid out as *runs*; always
+        returns a fresh array."""
+        runs = np.asarray(runs, dtype=np.int64)
+        if runs.size % len(self.tables):
+            raise ValueError(f"{runs.size} runs do not cycle through "
+                             f"{len(self.tables)} lanes")
+        if arr.size <= TINY_N:
+            return self._round_tiny(arr, runs)
+        n = arr.size
+        ws = _ARENA.take(n)
+        m, g, e, fin = (a[:n] for a in ws)
+        try:
+            np.frexp(arr, m, e)
+            if self._base is None:
+                self._granules.take(e, out=g, mode="wrap")
+            else:
+                base = self._base
+                if runs.size != base.size:
+                    base = np.tile(base, runs.size // base.size)
+                ix = np.repeat(base, runs)
+                ix += e
+                self._granules.take(ix, out=g)
+            # fast-bucket rounding; every other entry computes NaN
+            # here (or ±inf for an infinite input)
+            np.divide(arr, g, out=m)
+            self._step(m, out=m)
+            out = np.multiply(m, g)
+            np.isfinite(out, out=fin)
+            if fin.size != np.count_nonzero(fin):
+                np.logical_not(fin, out=fin)
+                self._round_rest(arr, out, np.flatnonzero(fin), runs)
+            return out
+        finally:
+            _ARENA.give(ws)
+
+    def _round_rest(self, arr, out, pos, runs) -> None:
+        """Round the entries *pos* of *arr* into *out*, each through its
+        own lane's table, one call per table."""
+        if self._base is None:
+            out[pos] = _round_few(self.distinct[0], arr[pos])
+            return
+        lanes = np.searchsorted(np.cumsum(runs), pos, side="right")
+        which = self.lane_table[lanes % len(self.tables)]
+        for t in np.unique(which).tolist():
+            at = pos[which == t]
+            out[at] = _round_few(self.distinct[t], arr[at])
+
+    def _round_tiny(self, arr, runs) -> np.ndarray:
+        """An array of at most :data:`TINY_N` entries, entry by entry
+        through each lane's ``round_scalar``."""
+        values = arr.tolist()
+        out, start, lanes = [], 0, len(self.tables)
+        for i, n in enumerate(runs.tolist()):
+            rs = self._scalar[i % lanes]
+            out += [rs(v) for v in values[start:start + n]]
+            start += n
+        if start != len(values):
+            raise ValueError(f"runs cover {start} of {len(values)} "
+                             f"entries")
+        return np.array(out, dtype=np.float64)
+
+
+def _round_few(table: TwoLevelTable, x: np.ndarray) -> np.ndarray:
+    """*table*'s rounding of the 1-D *x*: entry by entry through its
+    scalar tier for at most :data:`TINY_N` entries."""
+    if x.size <= TINY_N:
+        return np.array([table.round_scalar(v) for v in x.tolist()],
+                        dtype=np.float64)
+    return table.round_array(x)
 
 
 def two_level_table(key: Hashable,

@@ -57,7 +57,11 @@ of its own matrix's width, padded with its own matrix's
 ``rnd(0.0 * x[0])``: one plan, one call per level, and every lane's
 bits.  With full rows and no pad slot the same builder gives the
 per-lane pairwise sums of vectors laid end to end
-(:class:`LaneSegments`, the ragged lane dot).
+(:class:`LaneSegments`, the ragged lane dot).  Every level writes its
+pair sums in row order, so each lane's pairs are one run of the level;
+given the lanes' row offsets, the plan counts them, which lets one
+rounding call round each lane in its own format
+(:class:`repro.arith.context.LaneContext`).
 """
 
 from __future__ import annotations
@@ -89,22 +93,24 @@ def use_segmented(n: int, row_width: int, nnz: int,
 
 
 class _Level(NamedTuple):
-    """One fold level: gather/scatter indices over compact live slots.
+    """One fold level: gather indices over compact live slots.
 
-    ``left``/``right`` index the level's input array (length
-    ``size_in + pads``, pad slots from ``size_in`` on); ``dst`` indexes
-    the output array (length ``size_out + pads``).  ``lo_src`` /
-    ``lo_dst`` copy the odd-width leftovers and then the pad slots
-    un-rounded.
+    The level's input holds ``size_in`` live slots, then the pad
+    slots.  ``left``/``right`` gather its pairs in row order, and
+    ``lo_src`` its odd-width leftovers and then the pad slots, which
+    are copied un-rounded.  The output is the rounded pair sums as one
+    block, then those copies: ``size_out`` live slots, then the pads
+    again.  ``runs`` counts each lane's pairs, for a plan built with
+    lane boundaries (None otherwise): the pairs are in row order, so
+    each lane's pairs are one run of the block.
     """
 
     left: np.ndarray
     right: np.ndarray
-    dst: np.ndarray
     lo_src: np.ndarray
-    lo_dst: np.ndarray
     size_in: int
     size_out: int
+    runs: np.ndarray | None
 
 
 class SegmentPlan:
@@ -113,7 +119,7 @@ class SegmentPlan:
     Depends only on the sparsity pattern (``indptr``, the padded row
     widths and which pad slot each row reads), so a matrix and its
     quantized copies share one plan.  Total index storage is O(nnz):
-    level ``ℓ`` holds ~3 int64 per pair it folds and every pair
+    level ``ℓ`` holds 2 int64 per pair it folds and every pair
     consumes at least one live slot.
     """
 
@@ -129,7 +135,7 @@ class SegmentPlan:
 
     @classmethod
     def from_csr(cls, indptr: np.ndarray, row_width, row_pad=None,
-                 pads: int = 1) -> "SegmentPlan":
+                 pads: int = 1, lane_rows=None) -> "SegmentPlan":
         """Build the plan for a CSR pattern.
 
         *row_width* is the padded width k of every row, or an ``(n,)``
@@ -139,7 +145,8 @@ class SegmentPlan:
         *pads* pad slots; row ``i`` pads with slot ``row_pad[i]``
         (default 0).  ``pads=0`` takes full rows only (count = width),
         which never read a pad: the plan of a plain pairwise sum per
-        row.
+        row.  *lane_rows*, the ``(B + 1,)`` row offsets of B lanes,
+        gives every level its lanes' pair counts (``_Level.runs``).
         """
         indptr = np.asarray(indptr, dtype=np.int64)
         n = indptr.size - 1
@@ -153,43 +160,49 @@ class SegmentPlan:
             raise ValueError("every row needs count <= width, and "
                              "count == width without pad slots")
         pad_slots = np.arange(pads, dtype=np.int64)
-        in_off = indptr
+        # row i's live slot j sits at base[i] + j for j < run[i]; a
+        # leftover copied at an earlier level, always the row's last
+        # live slot, sits at tail[i] among the copies
+        base, run = indptr[:-1], counts
+        tail = np.zeros(n, dtype=np.int64)
+        size_in = int(indptr[-1])
+
+        def slot(rows, j):
+            return np.where(j < run[rows], base[rows] + j, tail[rows])
+
         levels: list[_Level] = []
         while widths.max(initial=1) > 1:
             m = widths // 2
             odd = widths & 1
             folds = np.minimum(counts, m)
             leftover = (odd == 1) & (counts == widths)
-            counts_next = folds + leftover
-            out_off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts_next, out=out_off[1:])
-            t_in = int(in_off[-1])
-            t_out = int(out_off[-1])
             fold_off = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(folds, out=fold_off[1:])
             rows = np.repeat(np.arange(n, dtype=np.int64), folds)
             j = np.arange(int(fold_off[-1]), dtype=np.int64) - fold_off[rows]
-            base = in_off[rows]
             jm = j + m[rows]
-            left = base + j
-            right = np.where(jm < counts[rows], base + jm,
-                             t_in + row_pad[rows])
-            dst = out_off[rows] + j
-            # a full odd row folds exactly m pairs, so its leftover
-            # lands right after them: a prefix again.  Leftovers and
-            # the pad slots (fixed points, fact 2) are copied un-rounded
+            left = slot(rows, j)
+            right = np.where(jm < counts[rows], slot(rows, jm),
+                             size_in + row_pad[rows])
+            # a full odd row folds exactly m pairs and copies its last
+            # slot; leftovers and the pad slots (fixed points, fact 2)
+            # are copied un-rounded after the pair sums
             lo_rows = np.flatnonzero(leftover)
-            lo_src = np.concatenate([in_off[lo_rows] + widths[lo_rows] - 1,
-                                     t_in + pad_slots])
-            lo_dst = np.concatenate([out_off[lo_rows] + m[lo_rows],
-                                     t_out + pad_slots])
-            levels.append(_Level(left, right, dst, lo_src, lo_dst,
-                                 t_in, t_out))
-            counts = counts_next
-            in_off = out_off
+            lo_src = np.concatenate([slot(lo_rows, widths[lo_rows] - 1),
+                                     size_in + pad_slots])
+            size_out = int(fold_off[-1]) + lo_rows.size
+            runs = (None if lane_rows is None
+                    else np.diff(fold_off[lane_rows]))
+            levels.append(_Level(left, right, lo_src, size_in, size_out,
+                                 runs))
+            base, run = fold_off[:-1], folds
+            tail = np.zeros(n, dtype=np.int64)
+            tail[lo_rows] = int(fold_off[-1]) + np.arange(lo_rows.size)
+            counts = folds + leftover
+            size_in = size_out
             widths = m + odd
-        final_src = np.where(counts > 0, in_off[:-1],
-                             int(in_off[-1]) + row_pad)
+        final_src = np.where(counts > 0, slot(np.arange(n), 0),
+                             size_in + row_pad)
         width = int(np.max(row_width, initial=1))
         return cls(n, width, pads, levels, final_src)
 
@@ -198,8 +211,9 @@ class SegmentPlan:
         """Total index storage, for memory accounting and tests."""
         total = self.final_src.nbytes
         for lvl in self.levels:
-            total += (lvl.left.nbytes + lvl.right.nbytes + lvl.dst.nbytes
-                      + lvl.lo_src.nbytes + lvl.lo_dst.nbytes)
+            total += lvl.left.nbytes + lvl.right.nbytes + lvl.lo_src.nbytes
+            if lvl.runs is not None:
+                total += lvl.runs.nbytes
         return total
 
 
@@ -233,10 +247,12 @@ class LaneSegments:
         return int(self.offsets[-1])
 
     def plan(self) -> SegmentPlan:
-        """The cached per-lane sum plan."""
+        """The cached per-lane sum plan, with each level's per-lane
+        pair counts."""
         if self._plan is None:
-            self._plan = SegmentPlan.from_csr(self.offsets, self.sizes,
-                                              pads=0)
+            self._plan = SegmentPlan.from_csr(
+                self.offsets, self.sizes, pads=0,
+                lane_rows=np.arange(self.sizes.size + 1))
         return self._plan
 
     def lane(self, flat: np.ndarray, k: int) -> np.ndarray:
@@ -249,26 +265,23 @@ class LaneSegments:
 
 
 def segmented_fold(products: np.ndarray, plan: SegmentPlan,
-                   rnd) -> np.ndarray:
+                   rnd, lanes: bool = False) -> np.ndarray:
     """Fold the extended product array through the plan's tree.
 
     *products* is the quantized length ``nnz + plan.pads`` array (pad
     products in the trailing slots, as :meth:`FPContext.matvec` builds
-    it); *rnd* is the reduction rounder.  Returns a fresh ``(n,)``
-    float64 array bit-identical to the padded pairwise fold of each
-    row at its own width.
+    it); *rnd* is the reduction rounder, called as ``rnd(pairs)``, or
+    with *lanes* as ``rnd(pairs, runs)`` with the level's per-lane pair
+    counts (a plan built with lane boundaries).  Returns a fresh
+    ``(n,)`` float64 array bit-identical to the padded pairwise fold of
+    each row at its own width.
     """
     cur = np.asarray(products, dtype=np.float64)
     for lvl in plan.levels:
-        # fresh arrays: the levels are small, and allocating one costs
-        # less than a scratch pool's bookkeeping
         pairs = cur.take(lvl.left)
         pairs += cur.take(lvl.right)
-        folded = rnd(pairs)
-        nxt = np.empty(lvl.size_out + plan.pads)
-        nxt[lvl.dst] = folded
-        if lvl.lo_src.size:
-            # odd leftovers are copied un-rounded, as the padded fold does
-            nxt[lvl.lo_dst] = cur.take(lvl.lo_src)
-        cur = nxt
+        folded = rnd(pairs, lvl.runs) if lanes else rnd(pairs)
+        # odd leftovers and pad slots are copied un-rounded, as the
+        # padded fold does
+        cur = np.concatenate((folded, cur.take(lvl.lo_src)))
     return cur.take(plan.final_src)

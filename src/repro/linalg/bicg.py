@@ -147,7 +147,7 @@ def bicgstab_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
                 for A, b in systems]
     prepared = [_System(ctx, A, b, rtol, max_iterations)
                 for A, b in systems]
-    with lane_traces("bicgstab", ctx.fmt.name, len(prepared),
+    with lane_traces("bicgstab", [ctx.fmt.name] * len(prepared),
                      always=True) as traces:
         return _solve(ctx, prepared, traces, max_iterations)
 

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arith.context import FPContext
+from ..arith.context import FPContext, LaneContext, get_active_injector
 from ..arith.shapes import require_system
 from ..arith.sparse import CSRMatrix
+from ..kernels.lut import release_workspace
 from ..telemetry.trace import SolverTrace, maybe_trace
 from .lanes import (Lanes, System, breakdown, finish, lane_traces,
                     nonfinite, root)
@@ -117,10 +118,10 @@ def conjugate_gradient(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     trace = maybe_trace("cg", ctx.fmt.name, trace)
     system = _System(ctx, A, b, rtol, max_iterations, divergence_factor,
                      jacobi)
-    return _solve(ctx, [system], [trace], max_iterations, record_history)[0]
+    return _solve([system], [trace], max_iterations, record_history)[0]
 
 
-def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
+def conjugate_gradient_lanes(ctx, systems, rtol: float = 1e-5,
                              max_iterations: int = 5000,
                              divergence_factor: float = 1e8,
                              jacobi: bool = False) -> list[CGResult]:
@@ -129,32 +130,72 @@ def conjugate_gradient_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
     *systems* is a sequence of ``(A, b)`` pairs: every ``A`` a dense
     ``(n, n)`` array with one n, or every ``A`` a
     :class:`~repro.arith.sparse.CSRMatrix` of any order (ragged
-    lanes).  Returns one :class:`CGResult` per system, in order, each
-    with the bits of ``conjugate_gradient(ctx, A, b, ...)`` under the
-    same options, its trace included: while a tracer is active every
-    lane records its own.  A sequential-order context solves CSR
-    systems one by one: its padded folds have no ragged form.  Lanes
-    record no residual history; run a system alone for one.
+    lanes).  *ctx* is one :class:`FPContext` for every system, or one
+    per system, differing at most in format.  Returns one
+    :class:`CGResult` per system, in order, each with the bits of
+    ``conjugate_gradient(ctx_k, A, b, ...)`` under the same options,
+    its trace included: while a tracer is active every lane records its
+    own, in its own format.
+
+    CSR systems whose formats round through two-level tables with one
+    step (:attr:`~repro.formats.base.NumberFormat.table_step`) run as
+    one group in a :class:`~repro.arith.context.LaneContext`, whatever
+    their formats, so each rounding call serves all of them; every
+    other format's systems (and, under a fault injector, which draws
+    its faults in one format, every format's) run as a group of their
+    own.  A sequential-order context solves CSR systems one by one: its
+    padded folds have no ragged form.  Lanes record no residual
+    history; run a system alone for one.
     """
+    contexts = ([ctx] * len(systems) if isinstance(ctx, FPContext)
+                else list(ctx))
+    if len(contexts) != len(systems):
+        raise ValueError(f"{len(contexts)} contexts for {len(systems)} "
+                         f"systems")
+    if len({c.sum_order for c in contexts}) > 1:
+        raise ValueError("CG lanes take contexts of one summation order")
     sparse = [isinstance(A, CSRMatrix) for A, _ in systems]
     if any(sparse) and not all(sparse):
         raise ValueError("CG lanes take all-dense or all-CSR systems, "
                          "not a mix of dense and CSR")
     sizes = [require_system(A, b) for A, b in systems]
-    if any(sparse) and ctx.sum_order != "pairwise":
-        return [conjugate_gradient(ctx, A, b, rtol, max_iterations,
+    if any(sparse) and contexts[0].sum_order != "pairwise":
+        return [conjugate_gradient(c, A, b, rtol, max_iterations,
                                    divergence_factor, jacobi=jacobi)
-                for A, b in systems]
+                for c, (A, b) in zip(contexts, systems)]
     if not any(sparse) and len(set(sizes)) > 1:
         raise ValueError(f"dense CG lanes need systems of one order, got "
                          f"orders {sorted(set(sizes))}")
-    prepared = [_System(ctx, A, b, rtol, max_iterations, divergence_factor,
-                        jacobi) for A, b in systems]
-    with lane_traces("cg", ctx.fmt.name, len(prepared)) as traces:
-        return _solve(ctx, prepared, traces, max_iterations)
+    groups: dict = {}
+    for k, c in enumerate(contexts):
+        groups.setdefault(_group(c, any(sparse)), []).append(k)
+    results: list = [None] * len(systems)
+    with lane_traces("cg", [c.fmt.name for c in contexts]) as traces:
+        for ks in groups.values():
+            prepared = [_System(contexts[k], *systems[k], rtol,
+                                max_iterations, divergence_factor, jacobi)
+                        for k in ks]
+            if any(sparse):
+                # the set-up's shapes, one per system, never come back
+                release_workspace()
+            solved = _solve(prepared, [traces[k] for k in ks],
+                            max_iterations)
+            for k, result in zip(ks, solved):
+                results[k] = result
+    return results
 
 
-def _solve(ctx, prepared, traces, max_iterations,
+def _group(ctx: FPContext, sparse: bool):
+    """The lane group of a system solved under *ctx*: one for all CSR
+    systems of table formats with one step, else one per format."""
+    injected = ctx.injector is not None or \
+        get_active_injector() is not None
+    if sparse and ctx.fmt.table_step is not None and not injected:
+        return ("tables", ctx.fmt.table_step)
+    return ctx.fmt
+
+
+def _solve(prepared, traces, max_iterations,
            record_history=False) -> list[CGResult]:
     """Results of the *prepared* systems, each recording into its own
     entry of *traces*: one with ``b = 0`` is solved by the zero start,
@@ -166,7 +207,7 @@ def _solve(ctx, prepared, traces, max_iterations,
     if live:
         state = _State(prepared, live, record_history,
                        [traces[k] for k in live])
-        _iterate(ctx, state, max_iterations)
+        _iterate(state, max_iterations)
         for k in live:
             results[k] = state.results[k]
     return results
@@ -209,6 +250,17 @@ class _State(Lanes):
                "norm_b", "threshold", "blowup")
     __slots__ = VECTORS + SCALARS
 
+    def lane_context(self, live: list):
+        """CSR lanes of table formats round in one
+        :class:`~repro.arith.context.LaneContext`, each lane in its own
+        format (one format or several: one route); other lanes share
+        their one context."""
+        ctx = live[0].ctx
+        if self.segments is None or ctx.fmt.table_step is None:
+            return ctx
+        return LaneContext([s.ctx.fmt for s in live], self.segments,
+                           ctx.sum_order, ctx.injector, ctx.collector)
+
     def observe(self, iterations: int) -> None:
         """A single run's history, and each trace's iteration: its
         residual ``‖r‖/‖b‖`` and its peak over ``x, r, p``."""
@@ -227,26 +279,27 @@ class _State(Lanes):
                       residual_history=history, **outcome)
 
 
-def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
+def _iterate(st: _State, max_iterations: int) -> None:
     """Paper Algorithm 1, lines 2-7, until every lane of *st* settles.
 
     The one CG iteration body: on a single run every check is a bool,
     on lanes a ``(B,)`` mask, and a lane meeting several checks in one
     step settles at the first, as the single run would return there.
+    Every operation rounds in ``st.ctx``, which a retirement narrows.
     """
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        st.Ap = ctx.matvec(st.A, st.p)
-        st.pAp = ctx.dot(st.p, st.Ap, segments=st.segments)
+        st.Ap = st.ctx.matvec(st.A, st.p)
+        st.pAp = st.ctx.dot(st.p, st.Ap, segments=st.segments)
         if st.retire(iterations, breakdown(st.pAp), "rr", diverged=True):
             return
-        alpha = st.per_lane(ctx.div(st.rz, st.pAp))   # line 3
-        st.x = ctx.axpy(alpha, st.p, st.x)            # line 4
-        st.r = ctx.axpy(-alpha, st.Ap, st.r)          # line 5 (recurrence)
-        st.z = st.r if st.minv is None else ctx.mul(st.minv, st.r)
-        st.rz_new = ctx.dot(st.r, st.z, segments=st.segments)
+        alpha = st.per_lane(st.ctx.div(st.rz, st.pAp))  # line 3
+        st.x = st.ctx.axpy(alpha, st.p, st.x)           # line 4
+        st.r = st.ctx.axpy(-alpha, st.Ap, st.r)         # line 5 (recurrence)
+        st.z = st.r if st.minv is None else st.ctx.mul(st.minv, st.r)
+        st.rz_new = st.ctx.dot(st.r, st.z, segments=st.segments)
         st.rr_new = (st.rz_new if st.minv is None
-                     else ctx.dot(st.r, st.r, segments=st.segments))
+                     else st.ctx.dot(st.r, st.r, segments=st.segments))
         if st.retire(iterations, nonfinite(st.rr_new, st.rz_new),
                      "rr_new", diverged=True):
             return
@@ -261,10 +314,9 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
             return
         if st.retire(iterations, st.rz == 0.0, "rr_new", diverged=True):
             return
-        beta = st.per_lane(ctx.div(st.rz_new, st.rz))  # line 6
-        st.p = ctx.axpy(beta, st.p, st.z)              # line 7
+        beta = st.per_lane(st.ctx.div(st.rz_new, st.rz))  # line 6
+        st.p = st.ctx.axpy(beta, st.p, st.z)              # line 7
         st.rz = st.rz_new
         st.rr = st.rr_new
 
     st.retire(iterations, True, "rr")
-

@@ -80,7 +80,7 @@ def gmres_lanes(ctx: FPContext, systems, rtol: float = 1e-8,
                 for A, b in systems]
     prepared = [_System(ctx, A, b, rtol, max_iterations, restart)
                 for A, b in systems]
-    with lane_traces("gmres", ctx.fmt.name, len(prepared)) as traces:
+    with lane_traces("gmres", [ctx.fmt.name] * len(prepared)) as traces:
         return _solve(ctx, prepared, traces, rtol, restart, max_iterations)
 
 

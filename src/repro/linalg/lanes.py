@@ -31,11 +31,12 @@ __all__ = ["System", "finish", "Lanes", "lane_traces", "breakdown",
 
 
 class System:
-    """One system after the shared set-up: ``A`` quantized and frozen,
-    ``b`` quantized, ``‖b‖`` and the start ``x = 0``, which a solver
-    returns when ``norm_b`` is 0.  Raises ValueError naming the
-    parameter for a negative *rtol* or *max_iterations* or a *restart*
-    below 1, or naming the shapes of a system that is not square."""
+    """One system after the shared set-up under its context ``ctx``:
+    ``A`` quantized and frozen, ``b`` quantized, ``‖b‖`` and the start
+    ``x = 0``, which a solver returns when ``norm_b`` is 0.  Raises
+    ValueError naming the parameter for a negative *rtol* or
+    *max_iterations* or a *restart* below 1, or naming the shapes of a
+    system that is not square."""
 
     def __init__(self, ctx, A, b, rtol: float, max_iterations: int,
                  restart: int = 1):
@@ -46,6 +47,7 @@ class System:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"got {value!r}")
         require_system(A, b)
+        self.ctx = ctx
         self.A = freeze(ctx.asarray(A))
         self.b = ctx.asarray(np.asarray(b, dtype=np.float64))
         self.norm_b = float(np.linalg.norm(self.b))
@@ -84,10 +86,10 @@ def finish(result, system: System, x, iterations: int, residual,
 
 
 @contextmanager
-def lane_traces(solver: str, fmt: str, count: int,
-                always: bool = False) -> Iterator[list]:
-    """*count* lanes' traces: a :class:`SolverTrace` each while a tracer
-    is active (or *always*), else None each.
+def lane_traces(solver: str, fmts, always: bool = False) -> Iterator[list]:
+    """The traces of lanes in formats *fmts* (their names): a
+    :class:`SolverTrace` of its own format for each while a tracer is
+    active (or *always*), else None each.
 
     They are bound to no tracer while the lanes run, so the lanes'
     events do not interleave; on exit, raise or not, each is published
@@ -97,7 +99,7 @@ def lane_traces(solver: str, fmt: str, count: int,
     """
     traced = always or get_instrument("tracer") is not None
     traces = [SolverTrace(solver, fmt) if traced else None
-              for _ in range(count)]
+              for fmt in fmts]
     try:
         yield traces
     finally:
@@ -130,8 +132,8 @@ class Lanes:
     SCALARS: tuple[str, ...] = ()
     ITEMS: tuple[str, ...] = ("traces",)
 
-    __slots__ = ("A", "systems", "ids", "stacked", "segments", "history",
-                 "traces", "results")
+    __slots__ = ("A", "ctx", "systems", "ids", "stacked", "segments",
+                 "history", "traces", "results")
 
     def __init__(self, systems: list, ids: list,
                  record_history: bool = False, traces=None):
@@ -147,7 +149,7 @@ class Lanes:
         self.segments, self.results = None, {}
         live = [systems[k] for k in ids]
         if not self.stacked:
-            for name in ("A",) + self.VECTORS + self.SCALARS:
+            for name in ("A", "ctx") + self.VECTORS + self.SCALARS:
                 setattr(self, name, getattr(live[0], name, None))
             return
         # each lane keeps its own matrix for its finish and for a run
@@ -164,6 +166,13 @@ class Lanes:
                 values = [getattr(s, name, None) for s in live]
                 setattr(self, name,
                         None if values[0] is None else stack(values))
+        self.ctx = self.lane_context(live)
+
+    def lane_context(self, live: list):
+        """The context lanes of the systems *live* round in: here the
+        one context they share; CG's CSR lanes round in a
+        :class:`~repro.arith.context.LaneContext`."""
+        return live[0].ctx
 
     def per_lane(self, scalar):
         """*scalar* shaped to scale each lane's entries of a vector."""
@@ -241,6 +250,7 @@ class Lanes:
             # scalars
             row = rows[0]
             self.A = self.systems[self.ids[0]].A
+            self.ctx = self.systems[self.ids[0]].ctx
             self._select(rows, lambda v: self._lane(v, row).copy(),
                          lambda v: v[row].item())
             self.stacked = False
@@ -256,6 +266,8 @@ class Lanes:
             # strided vector in another order
             self._select(rows, lambda v: np.ascontiguousarray(v[..., keep]),
                          lambda v: v[rows])
+            self.ctx = self.lane_context([self.systems[k]
+                                          for k in self.ids])
         return False
 
     def _select(self, rows, vector, scalar) -> None:

@@ -106,3 +106,57 @@ class TestGridSolver:
                 common.compute_cell(cell, scale)
             else:
                 common.compute_lanes([cell, cell], scale)
+
+
+class TestLaneKeys:
+    """CSR CG cells of table formats group by storage width and table
+    step; every other Krylov cell keeps its per-format key."""
+
+    NAMES = ("bcsstk02", "bcsstk22", "lund_b", "nos5")
+
+    def _sparse_full_cells(self):
+        from repro.experiments import common
+        scale = SCALES["full"]
+        return (common.cg_cells(scale, names=self.NAMES)
+                + common.grid_cells(scale, solvers=("cg",),
+                                    names=self.NAMES))
+
+    def test_sparse_full_forms_five_groups(self):
+        from repro.experiments import common
+        scale = SCALES["full"]
+        groups: dict = {}
+        for cell in self._sparse_full_cells():
+            groups.setdefault(common.lane_key(cell, scale), []).append(
+                cell.fmt)
+        assert {key: sorted(set(fmts)) for key, fmts in groups.items()} \
+            == {("cg-csr", "fp64", 1e-5): ["fp64"],
+                ("cg-csr", "fp32", 1e-5): ["fp32"],
+                ("cg-csr", "fp16", 1e-5): ["fp16"],
+                ("cg-csr", 16, "rint", 1e-5): ["bf16", "posit16es2",
+                                               "takum16"],
+                ("cg-csr", 32, "rint", 1e-5): ["posit32es2", "posit32es3",
+                                               "takum32"]}
+        assert sorted(len(g) for g in groups.values()) == [4, 4, 8, 12, 16]
+
+    def test_dense_bicgstab_and_gmres_keys_stay_per_format(self):
+        from repro.experiments import common
+        scale = SCALES["small"]
+        [dense] = common.cg_cells(scale, formats=("posit32es2",),
+                                  names=("nos1",))
+        key = common.lane_key(dense, scale)
+        assert key[:2] == ("cg", "posit32es2") and isinstance(key[3], int)
+        for solver in ("bicgstab", "gmres"):
+            [cell] = common.grid_cells(scale, solvers=(solver,),
+                                       formats=("takum16",),
+                                       names=("nos1",))
+            assert common.lane_key(cell, scale) == (f"{solver}-csr",
+                                                    "takum16", 1e-5)
+
+    def test_tables_off_brings_back_per_format_keys(self, monkeypatch):
+        from repro.experiments import common
+        from repro.kernels import lut
+        monkeypatch.setattr(lut, "_ENABLED", False)
+        scale = SCALES["full"]
+        for cell in self._sparse_full_cells():
+            assert common.lane_key(cell, scale) == ("cg-csr", cell.fmt,
+                                                    1e-5)

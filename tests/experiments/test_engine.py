@@ -505,10 +505,10 @@ class TestLaneGroups:
 
     def test_collector_counts_lanes_as_it_counts_cells_alone(self):
         """Over every smoke lane group of fig6 and ext-solver-grid (dense
-        CG, and CSR CG, BiCGSTAB and GMRES in seven formats), a
-        Collector's counters from one ``compute_lanes`` call equal those
-        of the group's cells run one by one, per (site, format) and
-        field by field."""
+        CG, CSR CG in four groups of one or several formats, and
+        BiCGSTAB and GMRES in seven formats), a Collector's counters
+        from one ``compute_lanes`` call equal those of the group's cells
+        run one by one, per (site, format) and field by field."""
         from repro.experiments.registry import get_experiment
         from repro.telemetry import collecting
         scale = SCALES["smoke"]
@@ -516,7 +516,7 @@ class TestLaneGroups:
                  for c in get_experiment(eid).enumerate_cells(scale)]
         groups = [g for g in engine._lane_groups(cells, scale)
                   if len(g) > 1]
-        assert len(groups) == 25
+        assert len(groups) == 22
         for group in groups:
             with collecting() as lanes:
                 common.compute_lanes(group, scale)
@@ -590,8 +590,10 @@ class TestLaneGroups:
             [c.cell_id for c in csr + grid
              if c.fmt == fmt and c.option("solver", "cg") == "cg"]
             for fmt in formats] + [[c.cell_id for c in other_rtol]]
+        # fp32 rounds by a dtype cast: its key names the format; a
+        # table format's names its storage width and table step
         assert {common.lane_key(g[0], SMALL) for g in lanes} == {
-            ("cg-csr", "fp32", 1e-5), ("cg-csr", "posit32es2", 1e-5),
+            ("cg-csr", "fp32", 1e-5), ("cg-csr", 32, "rint", 1e-5),
             ("cg-csr", "fp32", 1e-3)}
         # BiCGSTAB and GMRES grid cells form groups of their own
         assert sorted(c.cell_id for g in groups if g not in lanes

@@ -71,12 +71,13 @@ class TestPlanInvariants:
             # point) is copied un-rounded, never folded
             assert lvl.left.max() < lvl.size_in
             assert lvl.lo_src[-1] == lvl.size_in
-            assert lvl.lo_dst[-1] == lvl.size_out
-            # every output slot written exactly once
-            writes = np.concatenate([lvl.dst, lvl.lo_dst])
-            assert writes.size == lvl.size_out + 1
-            assert np.array_equal(np.sort(writes),
-                                  np.arange(lvl.size_out + 1))
+            # the output is the pair sums, the copied leftovers, then
+            # the pad slot: every live input slot is read exactly once
+            assert lvl.size_out == lvl.left.size + lvl.lo_src.size - 1
+            reads = np.concatenate([lvl.left, lvl.right, lvl.lo_src[:-1]])
+            live = np.sort(reads[reads < lvl.size_in])
+            assert np.array_equal(live, np.unique(live))
+            assert lvl.runs is None
             size_in = lvl.size_out
         assert plan.final_src.shape == (n,)
         assert plan.final_src.max() <= size_in

@@ -62,18 +62,18 @@ def _observed(solve, collector):
 
 
 def check_observed_lanes(lanes, solve_lanes, solve_alone):
-    """Under a tracer and a collector, each of *lanes* (``(name, A,
-    b)``) comes out of ``solve_lanes(systems)`` as ``solve_alone(A, b)``
-    gives it (with its trace, for a result that carries one); the
-    tracer receives the lanes' events in system order, and the
-    collector counts, per (site, format) and field by field, what it
-    counts for the solves one by one."""
+    """Under a tracer and a collector, each of *lanes* (``(name, A, b,
+    *extra)``) comes out of ``solve_lanes(systems)`` as
+    ``solve_alone(A, b, *extra)`` gives it (with its trace, for a
+    result that carries one); the tracer receives the lanes' events in
+    system order, and the collector counts, per (site, format) and
+    field by field, what it counts for the solves one by one."""
     counted = Collector()
     got, events = _observed(
-        lambda: solve_lanes([(A, b) for _, A, b in lanes]), counted)
+        lambda: solve_lanes([(A, b) for _, A, b, *_ in lanes]), counted)
     expected, expected_counts = [], Collector()
-    for (name, A, b), res in zip(lanes, got):
-        alone, alone_events = _observed(lambda: solve_alone(A, b),
+    for (name, A, b, *extra), res in zip(lanes, got):
+        alone, alone_events = _observed(lambda: solve_alone(A, b, *extra),
                                         expected_counts)
         assert canonical(res) == canonical(alone), name
         assert alone_events, name
@@ -151,7 +151,9 @@ def _alone(cell, scale):
 def test_every_sparse_full_cell_matches_its_run_alone():
     """The full-scale CSR benchmark grid (Fig. 6/7 CG and the X13 grid's
     CG column over four suite matrices), grouped by lane key as the
-    serial engine groups it: one ragged group per format."""
+    serial engine groups it: one ragged group each for fp64, fp32 and
+    fp16, and one per storage width for the table formats, each lane
+    rounding in its own format."""
     scale = SCALES["full"]
     names = ("bcsstk02", "bcsstk22", "lund_b", "nos5")
     cells = (common.cg_cells(scale, names=names)
@@ -160,7 +162,7 @@ def test_every_sparse_full_cell_matches_its_run_alone():
     for cell in cells:
         groups.setdefault(common.lane_key(cell, scale), []).append(cell)
     assert None not in groups
-    assert sorted(len(g) for g in groups.values()) == [4] * 7 + [8] * 2
+    assert sorted(len(g) for g in groups.values()) == [4, 4, 8, 12, 16]
     for group in groups.values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
             assert canonical(value) == canonical(_alone(cell, scale)), \
@@ -202,8 +204,12 @@ def _ragged_adversarial():
     return [(name, CSRMatrix.from_dense(A), b) for name, A, b in lanes]
 
 
-@pytest.mark.parametrize("fmt", ["fp64", "fp32", "posit32es2",
-                                 "posit16es1", "takum16", "bf16"])
+#: the formats the ragged adversarial lanes run in
+RAGGED_FORMATS = ("fp64", "fp32", "posit32es2", "posit16es1", "takum16",
+                  "bf16")
+
+
+@pytest.mark.parametrize("fmt", RAGGED_FORMATS)
 def test_ragged_adversarial_lanes_match_their_own_solves(fmt):
     check_observed_lanes(
         _ragged_adversarial(),
@@ -211,6 +217,66 @@ def test_ragged_adversarial_lanes_match_their_own_solves(fmt):
                                                  **RAGGED_OPTS),
         lambda A, b: conjugate_gradient(FPContext(fmt), A, b,
                                         **RAGGED_OPTS))
+
+
+def _mixed(lanes, monkeypatch):
+    """``conjugate_gradient_lanes`` over *lanes* (``(name, A, b,
+    fmt)``), one context per lane, and the format sets of the lane
+    contexts it built."""
+    from repro.linalg import cg
+    made, real = [], cg.LaneContext
+
+    def recorded(fmts, *args):
+        made.append([f.name for f in fmts])
+        return real(fmts, *args)
+    monkeypatch.setattr(cg, "LaneContext", recorded)
+
+    def solve(systems):
+        return conjugate_gradient_lanes(
+            [FPContext(fmt) for *_, fmt in lanes], systems, **RAGGED_OPTS)
+    return solve, made
+
+
+def _alone_in(A, b, fmt):
+    return conjugate_gradient(FPContext(fmt), A, b, **RAGGED_OPTS)
+
+
+def test_six_format_ragged_lanes_run_as_one_call(monkeypatch):
+    """Every ragged adversarial lane in all six formats, interleaved, in
+    one call: the table formats' lanes (both widths) share one lane
+    context, fp64 and fp32 run as groups of their own, and each lane
+    matches its run alone, its trace (in its own format) and its
+    collector counts included."""
+    lanes = [(f"{name}/{fmt}", A, b, fmt)
+             for name, A, b in _ragged_adversarial()
+             for fmt in RAGGED_FORMATS]
+    solve, made = _mixed(lanes, monkeypatch)
+    check_observed_lanes(lanes, solve, _alone_in)
+    tables = {"posit32es2", "posit16es1", "takum16", "bf16"}
+    assert set(made[0]) == tables
+    # every lane but the zero right-hand side's, solved at the start
+    assert len(made[0]) == 4 * (len(_ragged_adversarial()) - 1)
+    # retirements narrow the lanes' formats with the lanes
+    assert all(set(m) <= tables and len(m) > 1 for m in made)
+    assert [len(m) for m in made] == sorted((len(m) for m in made),
+                                            reverse=True)
+
+
+def test_last_lane_finishes_in_its_own_format(monkeypatch):
+    """A mixed group whose last lane differs in format from its first:
+    once the others leave, that lane runs alone in its own context, so
+    its result, trace events and counts are its own run's."""
+    ragged = {name: (A, b) for name, A, b in _ragged_adversarial()}
+    lanes = [("one-step", *ragged["single-entry"], "posit32es2"),
+             ("skewed", *ragged["skewed"], "bf16"),
+             ("budget", *ragged["budget"], "takum16")]
+    solve, made = _mixed(lanes, monkeypatch)
+    check_observed_lanes(lanes, solve, _alone_in)
+    got = solve([(A, b) for _, A, b, _ in lanes])
+    assert got[2].iterations == RAGGED_OPTS["max_iterations"]
+    assert max(r.iterations for r in got[:2]) < got[2].iterations
+    assert made[0] == ["posit32es2", "bf16", "takum16"]
+    assert got[2].trace is None or got[2].trace.fmt == "takum16"
 
 
 def test_ragged_adversarial_lanes_reach_the_intended_ends():
