@@ -584,8 +584,9 @@ class LaneContext(FPContext):
     ``table_step`` is not None).  Every array a CSR lane iteration
     rounds is lane-ordered, so a few run lengths describe it
     (:class:`~repro.kernels.lut.LaneTables`): the lanes' vectors laid
-    end to end (runs: the lane sizes), their ``(B,)`` scalars (runs of
-    ones), a :class:`~.sparse.CSRStack`'s products
+    end to end (runs: the lane sizes), k rows of them (the sizes k
+    times), their ``(B,)`` scalars (runs of ones), a
+    :class:`~.sparse.CSRStack`'s products
     (:attr:`~.sparse.CSRStack.product_runs`) and every level of a
     segmented fold (its plan's per-lane pair counts).  Each call
     goes through the first lane's ``fmt.round`` with the runs, and
@@ -620,14 +621,22 @@ class LaneContext(FPContext):
         entry, layout = self.fmt.round, self._layout
 
         def rnd(x, runs=None):
-            return entry(x, layout(x) if runs is None else runs, tables)
+            if runs is None:
+                runs = layout(x)
+            if np.ndim(x) > 1:
+                return entry(np.ravel(x), runs, tables).reshape(np.shape(x))
+            return entry(x, runs, tables)
         self._rnd = rnd
 
     def _layout(self, x):
-        """The runs of *x*, the lanes' ``(N,)`` vectors or their
-        ``(B,)`` scalars."""
-        if np.size(x) == self.segments.total:
+        """The runs of *x*: the lanes' ``(N,)`` vectors, k such rows
+        (GMRES's ``(k, N)`` basis, runs of the lane sizes k times) or
+        their ``(B,)`` scalars."""
+        size, total = np.size(x), self.segments.total
+        if size == total:
             return self.segments.sizes
+        if size and size % total == 0:
+            return np.tile(self.segments.sizes, size // total)
         return self._ones
 
     def _quantize(self, site: str, exact, runs=None):
@@ -663,6 +672,7 @@ class LaneContext(FPContext):
         if runs is None:
             runs = self._layout(exact)
         which = np.repeat(np.resize(self._lane_fmt, len(runs)), runs)
+        exact, rounded = np.ravel(exact), np.ravel(rounded)
         for k, fmt in enumerate(self._distinct):
             at = which == k
             if at.any():

@@ -223,43 +223,40 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
     * a dense CG cell: the kind, the format, the solver options and
       the order n of the system at *scale* (dense lanes share one n);
       rescaling only picks the system a lane solves, so it is left out;
-    * a CSR CG cell (``sparse``) and an X13 grid cell of the ``cg``
-      solver: ``("cg-csr", width, step, rtol)`` when the format rounds
-      through a two-level table (its storage width in bits and its
-      table's step, :attr:`~repro.formats.base.NumberFormat.table_step`),
-      else ``("cg-csr", format, rtol)``, with no n, since CSR lanes may
-      be ragged.  Both make the same ``conjugate_gradient(ctx, A_csr,
-      b, rtol, max_iterations=scale.cg_max_iterations)`` call.  Lanes
-      of several table formats share one rounding call per step
+    * a CSR CG cell (``sparse``) and an X13 grid cell of any solver
+      (``cg``, ``bicgstab``, ``gmres``): ``(f"{solver}-csr", width,
+      step, rtol)`` when the format rounds through a two-level table
+      (its storage width in bits and its table's step,
+      :attr:`~repro.formats.base.NumberFormat.table_step`), else
+      ``(f"{solver}-csr", format, rtol)``, with no n, since CSR lanes
+      may be ragged.  A CSR CG cell and a grid CG cell make the same
+      ``conjugate_gradient(ctx, A_csr, b, rtol,
+      max_iterations=scale.cg_max_iterations)`` call; the others run
+      as ragged CSR lanes of :func:`~repro.linalg.bicg.bicgstab_lanes`
+      or :func:`~repro.linalg.gmres.gmres_lanes`.  Lanes of several
+      table formats share one rounding call per step
       (:class:`~repro.arith.context.LaneContext`); keying them by width
       keeps a group's plan and workspace near one format's.  fp64,
       fp16 and fp32 round by a dtype cast (or not at all), and
       ``REPRO_LUT=off`` takes every table away, so their keys stay per
-      format;
-    * an X13 grid cell of the ``bicgstab`` or ``gmres`` solver:
-      ``("bicgstab-csr", format, rtol)`` or ``("gmres-csr", format,
-      rtol)``, ragged CSR lanes of
-      :func:`~repro.linalg.bicg.bicgstab_lanes` or
-      :func:`~repro.linalg.gmres.gmres_lanes`.
+      format; under a fault injector the engine runs every cell alone.
 
     None (the cell runs alone) for every other cell, and for a matrix
     the suite does not know or (dense) cannot build.
     """
     if cell.matrix not in SUITE_ORDER and cell.matrix not in EXTRA_SUITE:
         return None
-    if (cell.kind == "grid" and cell.option("solver") == "cg") or \
+    if (cell.kind == "grid" and cell.option("solver") in _GRID_LANES) or \
             (cell.kind == "cg" and cell.option("sparse")):
         try:
             fmt = get_format(cell.fmt)
         except Exception:
             return None  # the cell's own run reports the failure
+        solver = f"{cell.option('solver', 'cg')}-csr"
+        rtol = float(cell.option("rtol", 1e-5))
         if fmt.table_step is None:
-            return ("cg-csr", cell.fmt, float(cell.option("rtol", 1e-5)))
-        return ("cg-csr", fmt.nbits, fmt.table_step,
-                float(cell.option("rtol", 1e-5)))
-    if cell.kind == "grid" and cell.option("solver") in _GRID_LANES:
-        return (f"{cell.option('solver')}-csr", cell.fmt,
-                float(cell.option("rtol", 1e-5)))
+            return (solver, cell.fmt, rtol)
+        return (solver, fmt.nbits, fmt.table_step, rtol)
     if cell.kind != "cg":
         return None
     try:
@@ -287,11 +284,10 @@ def compute_lanes(cells, scale: RunScale) -> list:
         if solve is None:
             raise ValueError(f"unknown grid solver "
                              f"{first.option('solver')!r}")
-    # CG lanes may differ in format (lane_key): one context per cell
-    ctx = ([FPContext(c.fmt) for c in cells]
-           if solve is conjugate_gradient_lanes else FPContext(first.fmt))
+    # lanes may differ in format (lane_key): one context per cell
     t0 = time.perf_counter()
-    values = solve(ctx, [_cg_system(c, scale) for c in cells],
+    values = solve([FPContext(c.fmt) for c in cells],
+                   [_cg_system(c, scale) for c in cells],
                    rtol=first.option("rtol", 1e-5),
                    max_iterations=scale.cg_max_iterations)
     tracer = active_tracer()

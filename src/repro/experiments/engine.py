@@ -23,17 +23,19 @@ two new powers:
   as lanes of one lockstep solve, so every rounding call serves all of
   them: dense CG cells of one format, one set of solver options and
   one system order (key ``("cg", format, options, n)``), and, as
-  ragged lanes of any orders, the CSR CG and X13 grid CG cells of one
-  tolerance whose formats round through two-level tables of one
-  storage width and step, each lane in its own format (``("cg-csr",
-  width, step, rtol)``; fp64, fp16 and fp32 keep ``("cg-csr", format,
-  rtol)``), and the X13 grid's BiCGSTAB or GMRES cells of one format
-  and tolerance (``("bicgstab-csr", format, rtol)``, ``("gmres-csr",
-  format, rtol)``).  The groups are
-  formed once, before any worker forks, and a group is the unit both
-  the serial loop and the supervised pool dispatch; the pool splits
-  groups only when it has more workers than groups.  Each cell is
-  still stored and reported on its own (see :func:`run_group`).
+  ragged lanes of any orders, the CSR CG cells and the X13 grid cells
+  of one solver and tolerance whose formats round through two-level
+  tables of one storage width and step, each lane in its own format
+  (``("cg-csr", width, step, rtol)``, ``("bicgstab-csr", ...)``,
+  ``("gmres-csr", ...)``; fp64, fp16 and fp32 keep ``(solver-csr,
+  format, rtol)``).  The groups are formed once, before any worker
+  forks, and a group is the unit both the serial loop and the
+  supervised pool dispatch.  The pool receives them largest first, so
+  the long lane groups do not become the sweep's tail, and splits
+  groups only when it has more workers than groups; the serial loop
+  runs them in order of each group's first cell.  Each cell is still
+  stored and reported on its own (see :func:`run_group`), and the
+  outcomes come back in the order of *cells* either way.
   Groups form under an active collector or tracer too, which observe
   lanes as they would the cells run one by one; only an active
   injector makes every cell a group of its own.  A lone CG or grid
@@ -143,7 +145,11 @@ def execute_cells(cells: Sequence[Cell], scale: RunScale, *,
                     jobs, scale, timeout=timeout, grace=grace,
                     retries=retries, backoff=backoff,
                     max_worker_deaths=max_worker_deaths)
-            leftover = pool.run(_split_groups(groups, pool.jobs), settle)
+            # largest first (a stable sort by lane count): a list
+            # schedule that starts the longest units first leaves the
+            # workers less idle at the end of the sweep
+            largest = sorted(groups, key=len, reverse=True)
+            leftover = pool.run(_split_groups(largest, pool.jobs), settle)
             if on_report is not None:
                 on_report(pool.report)
             if leftover:

@@ -44,7 +44,7 @@ import numpy as np
 
 __all__ = ["microbench", "main",
            "QUANTIZE_FORMATS", "CONTEXT_FORMATS", "QUANTIZE_SIZES",
-           "CONTEXT_SIZES", "MIXED_FORMATS", "MIXED_SIZES",
+           "CONTEXT_SIZES", "MIXED",
            "SPARSE_MATRICES", "SPARSE_FORMATS"]
 
 #: quantize coverage: the paper's narrow actors plus the wide posits,
@@ -52,11 +52,13 @@ __all__ = ["microbench", "main",
 QUANTIZE_FORMATS = ("posit8es0", "posit16es1", "posit16es2", "bf16",
                     "fp8e4m3", "posit32es2", "posit32es3")
 QUANTIZE_SIZES = (32, 128, 1024, 65536)
-#: the mixed rounding pass's lanes, one run each: the 32-bit table
-#: formats that share a CSR CG lane group
-MIXED_FORMATS = ("posit32es2", "posit32es3", "takum32")
-#: entries per run: a dispatch-bound and an element-bound size
-MIXED_SIZES = (96, 16384)
+#: the mixed rounding pass's entries, (entries per run, lanes of one run
+#: each): the 32-bit table formats that share a CSR CG lane group at a
+#: dispatch-bound and an element-bound size, and the 16-bit ones that
+#: share an X13 BiCGSTAB or GMRES lane group at smoke scale
+MIXED = ((96, ("posit32es2", "posit32es3", "takum32")),
+         (16384, ("posit32es2", "posit32es3", "takum32")),
+         (24, ("bf16", "posit16es2", "takum16")))
 #: context ops: one narrow and one wide format per solver family
 CONTEXT_FORMATS = ("posit16es1", "posit32es2", "fp32")
 CONTEXT_SIZES = (24, 96)
@@ -240,22 +242,20 @@ def _mixed_jobs(only: tuple[str, ...] | None
     from ..formats.registry import get_format
     from .lut import LaneTables
 
-    keys = {n: f"quantize/mixed/{len(MIXED_FORMATS)}x{n}"
-            for n in MIXED_SIZES}
     jobs: dict[str, tuple[Callable, Callable]] = {}
-    if not any(_selected(key, only) for key in keys.values()):
-        return jobs
-    fmts = [get_format(name) for name in MIXED_FORMATS]
-    tables = LaneTables([fmt._two_level_table() for fmt in fmts])
     rng = np.random.default_rng(24680)
-    for n, key in keys.items():
+    for n, names in MIXED:
+        key = f"quantize/mixed/{len(names)}x{n}"
+        # every entry draws its inputs, so each keeps them under --only
+        xs = [rng.standard_normal(n) for _ in names]
         if not _selected(key, only):
             continue
-        xs = [rng.standard_normal(n) for _ in fmts]
+        fmts = [get_format(name) for name in names]
+        tables = LaneTables([fmt._two_level_table() for fmt in fmts])
         mixed = partial(fmts[0].round, np.concatenate(xs),
                         np.full(len(fmts), n), tables)
 
-        def separate(xs=xs):
+        def separate(xs=xs, fmts=fmts):
             return [fmt.round(x) for fmt, x in zip(fmts, xs)]
         _same_bits(key, mixed(), np.concatenate(separate()))
         jobs[key] = (mixed, separate)

@@ -9,8 +9,8 @@ experiment test that hypothesis by tracking the dynamic range of the
 iterates alongside convergence.
 
 :func:`bicgstab_lanes` solves several CSR systems as lockstep ragged
-lanes (``docs/performance.md`` §13); both BiCGSTAB entry points run
-the one iteration body :func:`_iterate` over a :class:`_State`.
+lanes (``docs/performance.md`` §13, §15); both BiCGSTAB entry points
+run the one iteration body :func:`_iterate` over a :class:`_State`.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 
 from ..arith.context import FPContext
 from ..arith.sparse import CSRMatrix
-from ..kernels.segment import LaneSegments
 from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import Lanes, System, breakdown, finish, lane_traces, nonfinite
+from .lanes import (Lanes, System, breakdown, finish, lane_contexts,
+                    nonfinite, solve_groups)
 
 __all__ = ["BiCGResult", "bicg", "bicgstab", "bicgstab_lanes"]
 
@@ -126,33 +126,38 @@ def bicgstab(ctx: FPContext, A: np.ndarray, b: np.ndarray,
     """BiCGSTAB with per-op-rounded arithmetic."""
     trace = maybe_trace("bicgstab", ctx.fmt.name, trace, always=True)
     system = _System(ctx, A, b, rtol, max_iterations)
-    return _solve(ctx, [system], [trace], max_iterations)[0]
+    return _solve([system], [trace], max_iterations)[0]
 
 
-def bicgstab_lanes(ctx: FPContext, systems, rtol: float = 1e-5,
+def bicgstab_lanes(ctx, systems, rtol: float = 1e-5,
                    max_iterations: int = 5000) -> list[BiCGResult]:
     """Solve several systems by BiCGSTAB as lockstep ragged lanes.
 
     *systems* is a sequence of ``(A, b)`` pairs, every ``A`` a
-    :class:`~repro.arith.sparse.CSRMatrix` of any order.  Returns one
-    :class:`BiCGResult` per system, in order, each with the bits of
-    ``bicgstab(ctx, A, b, rtol, max_iterations)``, its trace included:
-    every lane records its own.  With a dense ``A`` among the systems,
-    or a sequential-order context (its padded folds have no ragged
-    form), the systems are solved one by one.
+    :class:`~repro.arith.sparse.CSRMatrix` of any order; *ctx* is one
+    :class:`FPContext` for every system, or one per system.  Returns
+    one :class:`BiCGResult` per system, in order, each with the bits
+    of ``bicgstab(ctx_k, A, b, rtol, max_iterations)``, its trace
+    included: every lane records its own, in its own format.  Systems
+    are grouped as :func:`~repro.linalg.lanes.solve_groups` groups
+    them, so the table formats of one step share one lane group,
+    each lane rounding in its own format.  With a dense ``A`` among
+    the systems, or a sequential-order context (its padded folds have
+    no ragged form), the systems are solved one by one.
     """
-    if ctx.sum_order != "pairwise" or not all(
+    contexts = lane_contexts(ctx, systems, "BiCGSTAB")
+    if any(c.sum_order != "pairwise" for c in contexts) or not all(
             isinstance(A, CSRMatrix) for A, _ in systems):
-        return [bicgstab(ctx, A, b, rtol, max_iterations)
-                for A, b in systems]
-    prepared = [_System(ctx, A, b, rtol, max_iterations)
-                for A, b in systems]
-    with lane_traces("bicgstab", [ctx.fmt.name] * len(prepared),
-                     always=True) as traces:
-        return _solve(ctx, prepared, traces, max_iterations)
+        return [bicgstab(c, A, b, rtol, max_iterations)
+                for c, (A, b) in zip(contexts, systems)]
+    return solve_groups(
+        "bicgstab", contexts,
+        lambda k: _System(contexts[k], *systems[k], rtol, max_iterations),
+        lambda prepared, traces: _solve(prepared, traces, max_iterations),
+        always=True)
 
 
-def _solve(ctx, prepared, traces, max_iterations) -> list[BiCGResult]:
+def _solve(prepared, traces, max_iterations) -> list[BiCGResult]:
     """Results of the *prepared* systems, each recording into its own
     entry of *traces*: one with ``b = 0`` is solved by the zero start,
     the others run as one :class:`_State`."""
@@ -162,7 +167,7 @@ def _solve(ctx, prepared, traces, max_iterations) -> list[BiCGResult]:
     live = [k for k, r in enumerate(results) if r is None]
     if live:
         state = _State(prepared, live, traces=[traces[k] for k in live])
-        _iterate(ctx, state, max_iterations)
+        _iterate(state, max_iterations)
         for k in live:
             results[k] = state.results[k]
     return results
@@ -208,24 +213,26 @@ class _State(Lanes):
                       **outcome)
 
 
-def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
+def _iterate(st: _State, max_iterations: int) -> None:
     """BiCGSTAB's iterations until every lane of *st* settles.
 
     The one BiCGSTAB iteration body: on a single run every check is a
     bool, on lanes a ``(B,)`` mask, and a lane meeting several checks
     in one step settles at the first, as the single run would return
-    there.
+    there.  Every operation rounds in ``st.ctx``, which a retirement
+    narrows.
     """
     for it in range(1, max_iterations + 1):
-        st.Ap = ctx.matvec(st.A, st.p)
-        st.denom = ctx.dot(st.r0, st.Ap, segments=st.segments)
+        st.Ap = st.ctx.matvec(st.A, st.p)
+        st.denom = st.ctx.dot(st.r0, st.Ap, segments=st.segments)
         if st.retire(it, breakdown(st.denom), "res", diverged=True):
             return
+        ctx = st.ctx
         st.alpha = ctx.div(st.rho, st.denom)
         alpha = st.per_lane(st.alpha)
         st.s = ctx.sub(st.r, ctx.mul(alpha, st.Ap))
         st.As = ctx.matvec(st.A, st.s)
-        st.omega = _omega(ctx, st)
+        st.omega = _omega(st)
         omega = st.per_lane(st.omega)
         st.x = ctx.add(st.x, ctx.add(ctx.mul(alpha, st.p),
                                      ctx.mul(omega, st.s)))
@@ -237,10 +244,11 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
             return
         if st.retire(it, st.res <= st.threshold, "res", converged=True):
             return
-        st.rho_new = ctx.dot(st.r0, st.r, segments=st.segments)
+        st.rho_new = st.ctx.dot(st.r0, st.r, segments=st.segments)
         if st.retire(it, _stalled(st.rho, st.omega, st.rho_new), "res",
                      diverged=True):
             return
+        ctx = st.ctx
         beta = ctx.mul(ctx.div(st.rho_new, st.rho),
                        ctx.div(st.alpha, st.omega))
         st.p = ctx.add(st.r, ctx.mul(st.per_lane(beta), ctx.sub(
@@ -249,10 +257,12 @@ def _iterate(ctx: FPContext, st: _State, max_iterations: int) -> None:
     st.retire(max_iterations, True, "res")
 
 
-def _omega(ctx, st: _State):
+def _omega(st: _State):
     """``ω = ⟨As, s⟩ / ⟨As, As⟩``, and 0.0 where ``⟨As, As⟩ == 0``: a
     lane takes neither ``⟨As, s⟩`` nor the division there, as the
-    single run does not, so a collector counts what it rounds alone."""
+    single run does not, so a collector counts what it rounds alone.
+    The lanes that do take them round in their own formats."""
+    ctx = st.ctx
     ss = ctx.dot(st.As, st.As, segments=st.segments)
     usable = ss != 0.0
     if np.all(usable):
@@ -262,9 +272,9 @@ def _omega(ctx, st: _State):
     omega = np.zeros(ss.shape)
     if usable.any():
         entries = st.segments.expand(usable)
+        ctx, segments = st.subset(usable)
         omega[usable] = ctx.div(
-            ctx.dot(st.As[entries], st.s[entries],
-                    segments=LaneSegments(st.segments.sizes[usable])),
+            ctx.dot(st.As[entries], st.s[entries], segments=segments),
             ss[usable])
     return omega
 

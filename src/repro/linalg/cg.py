@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arith.context import FPContext, LaneContext, get_active_injector
+from ..arith.context import FPContext
 from ..arith.shapes import require_system
 from ..arith.sparse import CSRMatrix
-from ..kernels.lut import release_workspace
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import (Lanes, System, breakdown, finish, lane_traces,
-                    nonfinite, root)
+from .lanes import (Lanes, System, breakdown, finish, lane_contexts,
+                    nonfinite, root, solve_groups)
 
 __all__ = ["CGResult", "conjugate_gradient", "conjugate_gradient_lanes"]
 
@@ -147,13 +146,7 @@ def conjugate_gradient_lanes(ctx, systems, rtol: float = 1e-5,
     padded folds have no ragged form.  Lanes record no residual
     history; run a system alone for one.
     """
-    contexts = ([ctx] * len(systems) if isinstance(ctx, FPContext)
-                else list(ctx))
-    if len(contexts) != len(systems):
-        raise ValueError(f"{len(contexts)} contexts for {len(systems)} "
-                         f"systems")
-    if len({c.sum_order for c in contexts}) > 1:
-        raise ValueError("CG lanes take contexts of one summation order")
+    contexts = lane_contexts(ctx, systems, "CG")
     sparse = [isinstance(A, CSRMatrix) for A, _ in systems]
     if any(sparse) and not all(sparse):
         raise ValueError("CG lanes take all-dense or all-CSR systems, "
@@ -166,33 +159,12 @@ def conjugate_gradient_lanes(ctx, systems, rtol: float = 1e-5,
     if not any(sparse) and len(set(sizes)) > 1:
         raise ValueError(f"dense CG lanes need systems of one order, got "
                          f"orders {sorted(set(sizes))}")
-    groups: dict = {}
-    for k, c in enumerate(contexts):
-        groups.setdefault(_group(c, any(sparse)), []).append(k)
-    results: list = [None] * len(systems)
-    with lane_traces("cg", [c.fmt.name for c in contexts]) as traces:
-        for ks in groups.values():
-            prepared = [_System(contexts[k], *systems[k], rtol,
-                                max_iterations, divergence_factor, jacobi)
-                        for k in ks]
-            if any(sparse):
-                # the set-up's shapes, one per system, never come back
-                release_workspace()
-            solved = _solve(prepared, [traces[k] for k in ks],
-                            max_iterations)
-            for k, result in zip(ks, solved):
-                results[k] = result
-    return results
-
-
-def _group(ctx: FPContext, sparse: bool):
-    """The lane group of a system solved under *ctx*: one for all CSR
-    systems of table formats with one step, else one per format."""
-    injected = ctx.injector is not None or \
-        get_active_injector() is not None
-    if sparse and ctx.fmt.table_step is not None and not injected:
-        return ("tables", ctx.fmt.table_step)
-    return ctx.fmt
+    return solve_groups(
+        "cg", contexts,
+        lambda k: _System(contexts[k], *systems[k], rtol, max_iterations,
+                          divergence_factor, jacobi),
+        lambda prepared, traces: _solve(prepared, traces, max_iterations),
+        sparse=any(sparse))
 
 
 def _solve(prepared, traces, max_iterations,
@@ -249,17 +221,6 @@ class _State(Lanes):
     SCALARS = ("rz", "rr", "pAp", "rz_new", "rr_new", "res_norm",
                "norm_b", "threshold", "blowup")
     __slots__ = VECTORS + SCALARS
-
-    def lane_context(self, live: list):
-        """CSR lanes of table formats round in one
-        :class:`~repro.arith.context.LaneContext`, each lane in its own
-        format (one format or several: one route); other lanes share
-        their one context."""
-        ctx = live[0].ctx
-        if self.segments is None or ctx.fmt.table_step is None:
-            return ctx
-        return LaneContext([s.ctx.fmt for s in live], self.segments,
-                           ctx.sum_order, ctx.injector, ctx.collector)
 
     def observe(self, iterations: int) -> None:
         """A single run's history, and each trace's iteration: its

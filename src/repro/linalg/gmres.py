@@ -7,11 +7,12 @@ all floating-point work routes through the :class:`FPContext` so GMRES
 can itself be run in low precision.
 
 :func:`gmres_lanes` solves several CSR systems as lockstep ragged lanes
-(``docs/performance.md`` §13); both entry points run the one body
+(``docs/performance.md`` §13, §15); both entry points run the one body
 :func:`_iterate` over a :class:`_State`.  Lanes start every restart
 cycle together, so their Arnoldi steps share every rounded vector
 operation, while each lane keeps its own small least-squares problem
-(:class:`_Cycle`) in host floats.
+(:class:`_Cycle`) in host floats.  Lanes of several table formats share
+those calls too, each lane rounding in its own format.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from ..arith.context import FPContext
 from ..arith.sparse import CSRMatrix
 from ..telemetry.trace import SolverTrace, maybe_trace
-from .lanes import Lanes, System, finish, lane_traces, nonfinite
+from .lanes import (Lanes, System, finish, lane_contexts, nonfinite,
+                    solve_groups)
 
 __all__ = ["GMRESResult", "gmres", "gmres_lanes"]
 
@@ -42,7 +44,7 @@ class GMRESResult:
 @dataclass
 class _Unfinished:
     """A lane whose cycle ended early without converging: its iterate,
-    iteration count and trace, to go on alone."""
+    iteration count and trace, to go on alone under its own context."""
 
     x: np.ndarray
     iterations: int
@@ -56,53 +58,60 @@ def gmres(ctx: FPContext, A: np.ndarray, b: np.ndarray, rtol: float = 1e-8,
     starting from ``x = 0``."""
     trace = maybe_trace("gmres", ctx.fmt.name, trace)
     system = _System(ctx, A, b, rtol, max_iterations, restart)
-    return _solve(ctx, [system], [trace], rtol, restart, max_iterations)[0]
+    return _solve([system], [trace], rtol, restart, max_iterations)[0]
 
 
-def gmres_lanes(ctx: FPContext, systems, rtol: float = 1e-8,
-                restart: int = 50,
+def gmres_lanes(ctx, systems, rtol: float = 1e-8, restart: int = 50,
                 max_iterations: int = 1000) -> list[GMRESResult]:
     """Solve several systems by GMRES(restart) as lockstep ragged lanes.
 
     *systems* is a sequence of ``(A, b)`` pairs, every ``A`` a
-    :class:`~repro.arith.sparse.CSRMatrix` of any order.  Returns one
-    :class:`GMRESResult` per system, in order, each with the bits of
-    ``gmres(ctx, A, b, rtol, restart, max_iterations)``, its trace
-    included: while a tracer is active every lane records its own.  A
-    lane whose restart cycle ends early without converging finishes
-    alone, from its iterate, iteration count and trace.  With a dense
-    ``A`` among the systems, or a sequential-order context (its padded
-    folds have no ragged form), the systems are solved one by one.
+    :class:`~repro.arith.sparse.CSRMatrix` of any order; *ctx* is one
+    :class:`FPContext` for every system, or one per system.  Returns
+    one :class:`GMRESResult` per system, in order, each with the bits
+    of ``gmres(ctx_k, A, b, rtol, restart, max_iterations)``, its trace
+    included: while a tracer is active every lane records its own, in
+    its own format.  Systems are grouped as
+    :func:`~repro.linalg.lanes.solve_groups` groups them, so the table
+    formats of one step share one lane group, each lane rounding in
+    its own format.  A lane whose restart cycle ends early without
+    converging finishes alone, from its iterate, iteration count and
+    trace.  With a dense ``A`` among the systems, or a sequential-order
+    context (its padded folds have no ragged form), the systems are
+    solved one by one.
     """
-    if ctx.sum_order != "pairwise" or not all(
+    contexts = lane_contexts(ctx, systems, "GMRES")
+    if any(c.sum_order != "pairwise" for c in contexts) or not all(
             isinstance(A, CSRMatrix) for A, _ in systems):
-        return [gmres(ctx, A, b, rtol, restart, max_iterations)
-                for A, b in systems]
-    prepared = [_System(ctx, A, b, rtol, max_iterations, restart)
-                for A, b in systems]
-    with lane_traces("gmres", [ctx.fmt.name] * len(prepared)) as traces:
-        return _solve(ctx, prepared, traces, rtol, restart, max_iterations)
+        return [gmres(c, A, b, rtol, restart, max_iterations)
+                for c, (A, b) in zip(contexts, systems)]
+    return solve_groups(
+        "gmres", contexts,
+        lambda k: _System(contexts[k], *systems[k], rtol, max_iterations,
+                          restart),
+        lambda prepared, traces: _solve(prepared, traces, rtol, restart,
+                                        max_iterations))
 
 
-def _solve(ctx, prepared, traces, rtol, restart,
+def _solve(prepared, traces, rtol, restart,
            max_iterations) -> list[GMRESResult]:
     """Results of the *prepared* systems, each recording into its own
     entry of *traces*: one with ``b = 0`` is solved by the zero start,
     the others run as one :class:`_State`, and a lane left unfinished
-    by an early cycle end as a run of its own."""
+    by an early cycle end as a run of its own, in its own context."""
     results = [finish(GMRESResult, s, s.x, 0, 0.0, t, converged=True)
                if s.norm_b == 0.0 else None
                for s, t in zip(prepared, traces)]
     live = [k for k, r in enumerate(results) if r is None]
     if live:
         state = _State(prepared, live, traces=[traces[k] for k in live])
-        _iterate(ctx, state, rtol, restart, max_iterations)
+        _iterate(state, rtol, restart, max_iterations)
         for k in live:
             result = state.results[k]
             if isinstance(result, _Unfinished):
                 alone = _State(prepared, [k], traces=[result.trace])
                 alone.x, alone.total = result.x, result.iterations
-                _iterate(ctx, alone, rtol, restart, max_iterations)
+                _iterate(alone, rtol, restart, max_iterations)
                 result = alone.results[k]
             results[k] = result
     return results
@@ -188,30 +197,31 @@ class _State(Lanes):
         self.total = 0
         self.cycles = None
 
-    def norm2(self, ctx, v):
+    def norm2(self, v):
         """``ctx.norm2`` of the run's vector, or of each lane's."""
         if not self.stacked:
-            return ctx.norm2(v)
-        return ctx.sqrt(ctx.dot(v, v, segments=self.segments))
+            return self.ctx.norm2(v)
+        return self.ctx.sqrt(self.ctx.dot(v, v, segments=self.segments))
 
-    def begin(self, ctx, m: int) -> None:
+    def begin(self, m: int) -> None:
         """A restart cycle of length *m*: a zero basis with
         ``V[0] = r0 / β`` and each lane's :class:`_Cycle`."""
         self.V = np.zeros((m + 1, self.x.shape[-1]))
-        self.V[0] = ctx.div(self.r0, self.per_lane(self.beta))
+        self.V[0] = self.ctx.div(self.r0, self.per_lane(self.beta))
         betas = self.beta if self.stacked else [self.beta]
         self.cycles = [_Cycle(m, beta) for beta in betas]
 
-    def extend(self, ctx, k: int, w, hk1) -> None:
+    def extend(self, k: int, w, hk1) -> None:
         """``V[k+1] = w / hk1`` for the run, or each lane, whose *hk1*
         is finite and nonzero.  One whose is not ends its cycle at
         column k, so its part of ``V[k+1]`` is never read; it is not
         divided, so a collector counts what the lane alone rounds."""
         usable = np.isfinite(hk1) & (hk1 != 0.0)
         if np.all(usable):
-            self.V[k + 1] = ctx.div(w, self.per_lane(hk1))
+            self.V[k + 1] = self.ctx.div(w, self.per_lane(hk1))
         elif self.stacked and usable.any():
             entries = self.segments.expand(usable)
+            ctx, _ = self.subset(usable)
             self.V[k + 1][entries] = ctx.div(w[entries],
                                              self.per_lane(hk1)[entries])
 
@@ -230,7 +240,7 @@ class _State(Lanes):
             return self.cycles[0].k_done
         return np.array([cycle.k_done for cycle in self.cycles])
 
-    def close(self, ctx, start: int, m: int, rtol: float) -> bool:
+    def close(self, start: int, m: int, rtol: float) -> bool:
         """End the cycle of every lane marked ``ended``; True when none
         is left.
 
@@ -245,7 +255,7 @@ class _State(Lanes):
         done = self.k_done()
         rows = np.flatnonzero(self.ended & (done > 0))
         if rows.size:
-            self.advance(ctx, rows)
+            self.advance(rows)
         if self.stacked:
             self.res = np.array([abs(c.g[c.k_done]) for c in self.cycles])
         else:
@@ -256,7 +266,7 @@ class _State(Lanes):
             return True
         stuck = self.ended & (self.k_done() == 0)
         if np.any(stuck):
-            self.res = self.residuals(ctx, stuck)
+            self.res = self.residuals(stuck)
             if self.retire(start, stuck & (self.res / self.norm_b <= rtol),
                            "res", converged=True):
                 return True
@@ -268,9 +278,10 @@ class _State(Lanes):
         return self.retire(start + done, self.ended & (done < m), "res",
                            unfinished=True)
 
-    def advance(self, ctx, rows) -> None:
+    def advance(self, rows) -> None:
         """``x += round(V[:k]ᵀ · y)`` on lanes *rows*, one rounded call
-        for all of them."""
+        for all of them, each in its own format."""
+        ctx = self.ctx
         if not self.stacked:
             self.x = ctx.add(self.x, ctx.round(self.cycles[0].update(self.V)))
             return
@@ -279,22 +290,26 @@ class _State(Lanes):
         update = np.concatenate([self.cycles[row].update(
             self._lane(self.V, row)) for row in rows])
         entries = self.segments.expand(mask)
+        if rows.size < len(self.ids):
+            ctx, _ = self.subset(mask)
         self.x[entries] = ctx.add(self.x[entries], ctx.round(update))
 
-    def residuals(self, ctx, rows=None):
+    def residuals(self, rows=None):
         """``‖b − A·x‖`` in float64 from the run's matvec, or from each
-        lane's own; on lanes, only those *rows* marks (default all),
-        the others keeping ``res``, as no result of theirs reads it."""
+        lane's own in its own context; on lanes, only those *rows*
+        marks (default all), the others keeping ``res``, as no result
+        of theirs reads it."""
         if not self.stacked:
-            return float(np.linalg.norm(self.b - ctx.matvec(self.A, self.x)))
+            return float(np.linalg.norm(
+                self.b - self.ctx.matvec(self.A, self.x)))
         if rows is None:
             out, rows = np.empty(len(self.ids)), range(len(self.ids))
         else:
             out, rows = np.array(self.res, dtype=float), np.flatnonzero(rows)
         for row in rows:
             system = self.systems[self.ids[row]]
-            out[row] = np.linalg.norm(
-                system.b - ctx.matvec(system.A, self._lane(self.x, row)))
+            out[row] = np.linalg.norm(system.b - system.ctx.matvec(
+                system.A, self._lane(self.x, row)))
         return out
 
     def observe(self, k: int) -> None:
@@ -317,39 +332,41 @@ class _State(Lanes):
                       **outcome)
 
 
-def _iterate(ctx: FPContext, st: _State, rtol: float, restart: int,
+def _iterate(st: _State, rtol: float, restart: int,
              max_iterations: int) -> None:
     """Restarted GMRES until every lane of *st* settles.
 
     The one GMRES body: on a single run every check is a bool, on
     lanes a ``(B,)`` mask.  Each pass of the outer loop is one restart
-    cycle that every lane starts together at k = 0.
+    cycle that every lane starts together at k = 0.  Every operation
+    rounds in ``st.ctx``, which a retirement narrows.
     """
     while st.total < max_iterations:
         start = st.total
-        st.r0 = (ctx.sub(st.b, ctx.matvec(st.A, st.x)) if start
+        st.r0 = (st.ctx.sub(st.b, st.ctx.matvec(st.A, st.x)) if start
                  else st.b)
-        st.beta = st.norm2(ctx, st.r0)
+        st.beta = st.norm2(st.r0)
         if st.retire(start, nonfinite(st.beta), "beta", diverged=True):
             return
         if st.retire(start, st.beta <= st.threshold, "beta",
                      converged=True):
             return
         m = min(restart, max_iterations - start)
-        st.begin(ctx, m)
+        st.begin(m)
         for k in range(m):
+            ctx = st.ctx
             w = ctx.matvec(st.A, st.V[k])
             # modified Gram-Schmidt, each dot and axpy rounded
             h = []
             for j in range(k + 1):
                 h.append(ctx.dot(w, st.V[j], segments=st.segments))
                 w = ctx.sub(w, ctx.mul(st.per_lane(h[j]), st.V[j]))
-            hk1 = st.norm2(ctx, w)
-            st.extend(ctx, k, w, hk1)
+            hk1 = st.norm2(w)
+            st.extend(k, w, hk1)
             st.ended = st.rotate(k, h, hk1) | (k == m - 1)
             st.total = start + (k + 1 if st.stacked else st.k_done())
             st.observe(k)
-            if st.close(ctx, start, m, rtol):
+            if st.close(start, m, rtol):
                 return
             if not st.stacked:
                 # also the last lane of a stack that shrank in close
@@ -357,7 +374,7 @@ def _iterate(ctx: FPContext, st: _State, rtol: float, restart: int,
                 if st.ended:
                     break
 
-    st.res = st.residuals(ctx)
+    st.res = st.residuals()
     if st.retire(st.total, st.res / st.norm_b <= rtol, "res",
                  converged=True):
         return

@@ -4,9 +4,11 @@ CG, BiCG, BiCGSTAB and GMRES all start from a :class:`System` and
 settle through :func:`finish`, so all of them reject a bad budget at
 entry, report ``b = 0`` as solved after no iteration, and measure their
 residuals alike.  :class:`Lanes` runs one system or several as lockstep
-lanes (``docs/performance.md`` §10–§13); CG, BiCGSTAB and GMRES each
-subclass it as their module's ``_State``, and give every lane its own
-trace through :func:`lane_traces`.
+lanes (``docs/performance.md`` §10–§15); CG, BiCGSTAB and GMRES each
+subclass it as their module's ``_State``, take one context or one per
+system (:func:`lane_contexts`) and solve the systems group by group
+(:func:`solve_groups`), every lane with its own trace
+(:func:`lane_traces`).
 """
 
 from __future__ import annotations
@@ -18,16 +20,18 @@ from typing import Iterator
 
 import numpy as np
 
-from ..arith.context import get_instrument
+from ..arith.context import (FPContext, LaneContext, get_active_injector,
+                             get_instrument)
 from ..arith.shapes import require_system
 from ..arith.sparse import CSRMatrix, CSRStack
 from ..kernels.lut import release_workspace
+from ..kernels.segment import LaneSegments
 from ..kernels.zeroplan import freeze
 from ..telemetry.trace import SolverTrace
 from .norms import relative_backward_error
 
-__all__ = ["System", "finish", "Lanes", "lane_traces", "breakdown",
-           "nonfinite", "root"]
+__all__ = ["System", "finish", "Lanes", "lane_contexts", "solve_groups",
+           "lane_traces", "breakdown", "nonfinite", "root"]
 
 
 class System:
@@ -83,6 +87,60 @@ def finish(result, system: System, x, iterations: int, residual,
             system.A, x, system.b)
     return result(**{k: v for k, v in shared.items() if k in names},
                   **fields)
+
+
+def lane_contexts(ctx, systems, solver: str) -> list:
+    """One context per entry of *systems*: *ctx* for each when it is
+    one :class:`FPContext`, else *ctx* itself, one per system.  Raises
+    ValueError for a count that does not match or for contexts of
+    several summation orders."""
+    contexts = ([ctx] * len(systems) if isinstance(ctx, FPContext)
+                else list(ctx))
+    if len(contexts) != len(systems):
+        raise ValueError(f"{len(contexts)} contexts for {len(systems)} "
+                         f"systems")
+    if len({c.sum_order for c in contexts}) > 1:
+        raise ValueError(f"{solver} lanes take contexts of one summation "
+                         f"order")
+    return contexts
+
+
+def solve_groups(solver: str, contexts, prepare, solve,
+                 sparse: bool = True, always: bool = False) -> list:
+    """The results of one system per entry of *contexts*, in order.
+
+    ``prepare(k)`` sets system k up under ``contexts[k]``, and
+    ``solve(prepared, traces)`` solves a group's prepared systems as
+    lanes, each recording into its own entry of *traces*
+    (:func:`lane_traces` of *solver*, *always*).  One group holds all
+    CSR (*sparse*) systems whose formats round through two-level
+    tables with one step
+    (:attr:`~repro.formats.base.NumberFormat.table_step`), whatever
+    their formats; every other format's systems form a group of their
+    own, and so does every format under a fault injector, which draws
+    its faults in one format.  Groups run in order of their first
+    system, each prepared just before it runs.
+    """
+    groups: dict = {}
+    for k, ctx in enumerate(contexts):
+        injected = ctx.injector is not None or \
+            get_active_injector() is not None
+        key = ctx.fmt
+        if sparse and ctx.fmt.table_step is not None and not injected:
+            key = ("tables", ctx.fmt.table_step)
+        groups.setdefault(key, []).append(k)
+    results: list = [None] * len(contexts)
+    with lane_traces(solver, [c.fmt.name for c in contexts],
+                     always) as traces:
+        for ks in groups.values():
+            prepared = [prepare(k) for k in ks]
+            if sparse:
+                # the set-up's shapes, one per system, never come back
+                release_workspace()
+            for k, result in zip(ks, solve(prepared,
+                                           [traces[k] for k in ks])):
+                results[k] = result
+    return results
 
 
 @contextmanager
@@ -166,13 +224,28 @@ class Lanes:
                 values = [getattr(s, name, None) for s in live]
                 setattr(self, name,
                         None if values[0] is None else stack(values))
-        self.ctx = self.lane_context(live)
+        self.ctx = self.lane_context(live, self.segments)
 
-    def lane_context(self, live: list):
-        """The context lanes of the systems *live* round in: here the
-        one context they share; CG's CSR lanes round in a
-        :class:`~repro.arith.context.LaneContext`."""
-        return live[0].ctx
+    @staticmethod
+    def lane_context(live: list, segments):
+        """The context the systems *live* round in as lanes laid out as
+        *segments*: CSR lanes of table formats round in one
+        :class:`~repro.arith.context.LaneContext`, each lane in its own
+        format (one format or several: one route); other lanes share
+        the first one's context."""
+        ctx = live[0].ctx
+        if segments is None or ctx.fmt.table_step is None:
+            return ctx
+        return LaneContext([s.ctx.fmt for s in live], segments,
+                           ctx.sum_order, ctx.injector, ctx.collector)
+
+    def subset(self, rows):
+        """The context and segments of the CSR lanes *rows* (a mask)
+        alone, for a call that rounds only their entries: each lane
+        keeps its own format."""
+        segments = LaneSegments(self.segments.sizes[rows])
+        live = [self.systems[self.ids[row]] for row in np.flatnonzero(rows)]
+        return self.lane_context(live, segments), segments
 
     def per_lane(self, scalar):
         """*scalar* shaped to scale each lane's entries of a vector."""
@@ -267,7 +340,8 @@ class Lanes:
             self._select(rows, lambda v: np.ascontiguousarray(v[..., keep]),
                          lambda v: v[rows])
             self.ctx = self.lane_context([self.systems[k]
-                                          for k in self.ids])
+                                          for k in self.ids],
+                                         self.segments)
         return False
 
     def _select(self, rows, vector, scalar) -> None:

@@ -109,8 +109,9 @@ class TestGridSolver:
 
 
 class TestLaneKeys:
-    """CSR CG cells of table formats group by storage width and table
-    step; every other Krylov cell keeps its per-format key."""
+    """CSR CG cells and X13 grid cells of table formats group by solver,
+    storage width and table step; dense CG cells and the formats that
+    round otherwise keep their per-format keys."""
 
     NAMES = ("bcsstk02", "bcsstk22", "lund_b", "nos5")
 
@@ -139,6 +140,9 @@ class TestLaneKeys:
         assert sorted(len(g) for g in groups.values()) == [4, 4, 8, 12, 16]
 
     def test_dense_bicgstab_and_gmres_keys_stay_per_format(self):
+        """Dense CG keys name the format, table format or not, and so
+        do the BiCGSTAB and GMRES keys of the formats that round by a
+        dtype cast."""
         from repro.experiments import common
         scale = SCALES["small"]
         [dense] = common.cg_cells(scale, formats=("posit32es2",),
@@ -146,17 +150,43 @@ class TestLaneKeys:
         key = common.lane_key(dense, scale)
         assert key[:2] == ("cg", "posit32es2") and isinstance(key[3], int)
         for solver in ("bicgstab", "gmres"):
-            [cell] = common.grid_cells(scale, solvers=(solver,),
-                                       formats=("takum16",),
-                                       names=("nos1",))
-            assert common.lane_key(cell, scale) == (f"{solver}-csr",
-                                                    "takum16", 1e-5)
+            for fmt in ("fp16", "fp32"):
+                [cell] = common.grid_cells(scale, solvers=(solver,),
+                                           formats=(fmt,),
+                                           names=("nos1",))
+                assert common.lane_key(cell, scale) == (f"{solver}-csr",
+                                                        fmt, 1e-5)
+
+    def test_smoke_bicgstab_and_gmres_form_eight_groups(self):
+        """The smoke X13 grid's BiCGSTAB and GMRES cells: per solver,
+        fp16, fp32 and one group per storage width of the table
+        formats."""
+        from repro.experiments import common
+        from repro.experiments.ext_solver_grid import DEFAULT_MATRICES
+        scale = SCALES["smoke"]
+        groups: dict = {}
+        for cell in common.grid_cells(scale, solvers=("bicgstab", "gmres"),
+                                      names=DEFAULT_MATRICES):
+            groups.setdefault(common.lane_key(cell, scale), set()).add(
+                cell.fmt)
+        expected = {}
+        for solver in ("bicgstab-csr", "gmres-csr"):
+            expected.update({
+                (solver, "fp16", 1e-5): {"fp16"},
+                (solver, "fp32", 1e-5): {"fp32"},
+                (solver, 16, "rint", 1e-5): {"bf16", "posit16es2",
+                                             "takum16"},
+                (solver, 32, "rint", 1e-5): {"posit32es2", "takum32"}})
+        assert groups == expected
 
     def test_tables_off_brings_back_per_format_keys(self, monkeypatch):
         from repro.experiments import common
         from repro.kernels import lut
         monkeypatch.setattr(lut, "_ENABLED", False)
         scale = SCALES["full"]
-        for cell in self._sparse_full_cells():
-            assert common.lane_key(cell, scale) == ("cg-csr", cell.fmt,
-                                                    1e-5)
+        cells = self._sparse_full_cells() + common.grid_cells(
+            scale, solvers=("bicgstab", "gmres"), names=self.NAMES)
+        for cell in cells:
+            solver = cell.option("solver", "cg")
+            assert common.lane_key(cell, scale) == (f"{solver}-csr",
+                                                    cell.fmt, 1e-5)

@@ -319,6 +319,19 @@ def _csr_lane_cells(scale):
                          names=LANE_NAMES))
 
 
+def _ordered_cells(scale):
+    """Lane groups of 1, 2, 4 and 2 cells, in order of their first
+    cells: a dense fp64 CG cell, CSR CG cells in fp32, dense CG cells
+    in fp32 and X13 grid CG cells of the 32-bit table formats."""
+    return (common.cg_cells(scale, formats=("fp64",), names=("nos1",))
+            + common.cg_cells(scale, formats=("fp32",), names=LANE_NAMES,
+                              sparse=True)
+            + _lane_cells(scale)
+            + grid_cells(scale, solvers=("cg",),
+                         formats=("posit32es2", "takum32"),
+                         names=("nos1",)))
+
+
 def _sweep(exp_id, cells_fn):
     """A fake experiment: one CSV row of iterations per cell."""
     def run(scale=None, quiet=False):
@@ -506,7 +519,7 @@ class TestLaneGroups:
     def test_collector_counts_lanes_as_it_counts_cells_alone(self):
         """Over every smoke lane group of fig6 and ext-solver-grid (dense
         CG, CSR CG in four groups of one or several formats, and
-        BiCGSTAB and GMRES in seven formats), a Collector's counters
+        BiCGSTAB and GMRES in four groups each), a Collector's counters
         from one ``compute_lanes`` call equal those of the group's cells
         run one by one, per (site, format) and field by field."""
         from repro.experiments.registry import get_experiment
@@ -516,7 +529,7 @@ class TestLaneGroups:
                  for c in get_experiment(eid).enumerate_cells(scale)]
         groups = [g for g in engine._lane_groups(cells, scale)
                   if len(g) > 1]
-        assert len(groups) == 22
+        assert len(groups) == 16
         for group in groups:
             with collecting() as lanes:
                 common.compute_lanes(group, scale)
@@ -604,7 +617,10 @@ class TestLaneGroups:
 
     def test_bicgstab_and_gmres_grid_cells_group_by_solver_and_format(
             self):
-        formats = ("fp32", "takum16")
+        """BiCGSTAB and GMRES grid cells group by solver and tolerance,
+        and by format for fp32, by storage width and table step for
+        the table formats: takum16 and bf16 share one group."""
+        formats = ("fp32", "takum16", "bf16")
         grid = grid_cells(SMALL, solvers=("bicgstab", "gmres"),
                           formats=formats, names=LANE_NAMES)
         other_rtol = grid_cells(SMALL, solvers=("gmres",),
@@ -613,12 +629,14 @@ class TestLaneGroups:
         groups = engine._lane_groups(list(grid + other_rtol), SMALL)
         assert [[c.cell_id for c in g] for g in groups] == [
             [c.cell_id for c in grid
-             if c.option("solver") == solver and c.fmt == fmt]
-            for solver in ("bicgstab", "gmres") for fmt in formats] + [
+             if c.option("solver") == solver and c.fmt in fmts]
+            for solver in ("bicgstab", "gmres")
+            for fmts in (("fp32",), ("takum16", "bf16"))] + [
             [c.cell_id for c in other_rtol]]
         assert [common.lane_key(g[0], SMALL) for g in groups] == [
-            ("bicgstab-csr", "fp32", 1e-5), ("bicgstab-csr", "takum16", 1e-5),
-            ("gmres-csr", "fp32", 1e-5), ("gmres-csr", "takum16", 1e-5),
+            ("bicgstab-csr", "fp32", 1e-5),
+            ("bicgstab-csr", 16, "rint", 1e-5),
+            ("gmres-csr", "fp32", 1e-5), ("gmres-csr", 16, "rint", 1e-5),
             ("gmres-csr", "fp32", 1e-3)]
 
     def test_pool_runs_bicgstab_and_gmres_groups(self, _isolated,
@@ -653,6 +671,44 @@ class TestLaneGroups:
         for cell in cells:
             assert result_cache().contains(cell.cell_id, scale.name)
             assert canonical(cell_value(cell, scale)) == serial[cell]
+
+    def test_pool_receives_groups_largest_first(self, _isolated,
+                                                monkeypatch):
+        """At ``jobs=2`` the pool receives the lane groups largest
+        first, groups of one size in the order of their first cells;
+        the outcomes still come back in the order of the cells, and the
+        CSV is the serial run's, byte for byte."""
+        from repro.experiments import runner
+        from repro.supervise.pool import SupervisedPool
+        received = []
+        real_run = SupervisedPool.run
+
+        def run(self, groups, settle):
+            received.append([[c.cell_id for c in g] for g in groups])
+            return real_run(self, groups, settle)
+        monkeypatch.setattr(SupervisedPool, "run", run)
+        cells = _ordered_cells(SMALL)
+        groups = engine._lane_groups(list(cells), SMALL)
+        assert [len(g) for g in groups] == [1, 2, 4, 2]
+
+        outcomes = execute_cells(cells, SMALL, jobs=2)
+        assert [o.cell for o in outcomes] == list(cells)
+        assert [o.status for o in outcomes] == ["completed"] * len(cells)
+        assert received == [[[c.cell_id for c in groups[i]]
+                             for i in (2, 1, 3, 0)]]
+
+        monkeypatch.setitem(runner.EXPERIMENTS, "zz_order",
+                            _sweep("zz_order", _ordered_cells))
+        csv = {}
+        for jobs in ("1", "2"):
+            clear_cache()
+            results = _isolated / f"jobs{jobs}"
+            monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+            assert main(["zz_order", "--jobs", jobs]) == 0
+            csv[jobs] = (results / "zz_order.csv").read_bytes()
+        assert csv["1"] == csv["2"]
+        assert csv["1"].count(b"\n") == len(cells) + 1
+        assert len(received) == 2 and received[1] == received[0]
 
     def test_raising_ragged_group_runs_its_cells_one_by_one(
             self, monkeypatch, capsys):

@@ -137,3 +137,28 @@ def test_tiny_and_single_table_passes():
     with pytest.raises(ValueError, match="one step"):
         LaneTables([fmts[0]._two_level_table(),
                     DIRECTED[0]._two_level_table()])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_lane_context_rounds_basis_rows_in_each_lane_format(rows):
+    """A :class:`~repro.arith.context.LaneContext` takes a ``(k, N)``
+    array (GMRES's basis rows) as k rows of the lanes' vectors: every
+    entry gets its own lane's format's bits, and a collector counts
+    per format what it counts for each lane's rows rounded alone."""
+    from repro.arith import FPContext
+    from repro.arith.context import LaneContext
+    from repro.kernels.segment import LaneSegments
+    from repro.telemetry import Collector
+    fmts = [get_format(name) for name in ("bf16", "posit16es2", "takum16")]
+    segments = LaneSegments([5, 2, 9])
+    x = np.random.default_rng(3).standard_normal((rows, segments.total))
+    x[0, 1] = np.nan
+    lanes, alone = Collector(), Collector()
+    got = LaneContext(fmts, segments, collector=lanes).round(x)
+    assert got.shape == x.shape
+    for k, fmt in enumerate(fmts):
+        part = x[:, segments.offsets[k]:segments.offsets[k + 1]]
+        expected = FPContext(fmt, collector=alone).round(np.ravel(part))
+        assert got[:, segments.offsets[k]:segments.offsets[k + 1]].tobytes() \
+            == expected.reshape(part.shape).tobytes(), fmt.name
+    assert lanes.snapshot() == alone.snapshot()

@@ -223,13 +223,13 @@ def _mixed(lanes, monkeypatch):
     """``conjugate_gradient_lanes`` over *lanes* (``(name, A, b,
     fmt)``), one context per lane, and the format sets of the lane
     contexts it built."""
-    from repro.linalg import cg
-    made, real = [], cg.LaneContext
+    from repro.linalg import lanes as lanes_module
+    made, real = [], lanes_module.LaneContext
 
     def recorded(fmts, *args):
         made.append([f.name for f in fmts])
         return real(fmts, *args)
-    monkeypatch.setattr(cg, "LaneContext", recorded)
+    monkeypatch.setattr(lanes_module, "LaneContext", recorded)
 
     def solve(systems):
         return conjugate_gradient_lanes(

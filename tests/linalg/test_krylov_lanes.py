@@ -185,6 +185,119 @@ def test_gmres_adversarial_lanes_reach_the_intended_ends(monkeypatch):
     assert not got["early-end"].converged
 
 
+#: the table formats of one storage width, which share a lane group
+WIDTH_GROUPS = {16: ("bf16", "posit16es2", "takum16"),
+                32: ("posit32es2", "takum32")}
+
+
+def _interleaved(lanes, fmts):
+    """Every lane of *lanes* in every format of *fmts*, interleaved:
+    ``(name/fmt, A, b, fmt)``."""
+    return [(f"{name}/{fmt}", A, b, fmt) for name, A, b in lanes
+            for fmt in fmts]
+
+
+def _made(monkeypatch):
+    """The format names of every lane context the lane solvers build,
+    in order."""
+    from repro.linalg import lanes as lanes_module
+    made, real = [], lanes_module.LaneContext
+
+    def recorded(fmts, *args):
+        made.append([f.name for f in fmts])
+        return real(fmts, *args)
+    monkeypatch.setattr(lanes_module, "LaneContext", recorded)
+    return made
+
+
+@pytest.mark.parametrize("width", sorted(WIDTH_GROUPS))
+def test_bicgstab_width_group_matches_its_own_solves(width, monkeypatch):
+    """Every adversarial BiCGSTAB lane in every table format of one
+    width, in one call, one context per lane: the lanes share one lane
+    context, and each lane matches its run alone under a tracer and a
+    collector, its trace (in its own format) and its per-(site,
+    format) counts included; the ω = 0 and ss = 0 lanes take the
+    ``_omega`` subset in their own formats."""
+    made = _made(monkeypatch)
+    lanes = _interleaved(_bicgstab_lanes(), WIDTH_GROUPS[width])
+    check_observed_lanes(
+        lanes,
+        lambda systems: bicgstab_lanes([FPContext(f) for *_, f in lanes],
+                                       systems, **BICG_OPTS),
+        lambda A, b, fmt: bicgstab(FPContext(fmt), A, b, **BICG_OPTS))
+    assert set(made[0]) == set(WIDTH_GROUPS[width])
+    # every lane but the zero right-hand side's, solved at the start
+    assert len(made[0]) == len(lanes) - len(WIDTH_GROUPS[width])
+
+
+@pytest.mark.parametrize("width", sorted(WIDTH_GROUPS))
+def test_gmres_width_group_matches_its_own_solves(width, monkeypatch):
+    """Every adversarial GMRES lane in every table format of one
+    width, in one call: lucky breakdowns, early cycle ends and stuck
+    lanes take the ``extend``/``advance`` subsets and the true
+    residuals in their own formats, and each lane matches its run
+    alone under a tracer and a collector."""
+    made = _made(monkeypatch)
+    lanes = _interleaved(_gmres_lanes(), WIDTH_GROUPS[width])
+    check_observed_lanes(
+        lanes,
+        lambda systems: gmres_lanes([FPContext(f) for *_, f in lanes],
+                                    systems, **GMRES_OPTS),
+        lambda A, b, fmt: gmres(FPContext(fmt), A, b, **GMRES_OPTS))
+    assert set(made[0]) == set(WIDTH_GROUPS[width])
+
+
+def test_gmres_lanes_off_the_entry_format_finish_in_their_own(
+        monkeypatch):
+    """A GMRES width group whose early-ended lane and whose last lane
+    are not in the first lane's format: the unfinished lane goes on
+    alone under its own context, the last lane finishes in its own, and
+    both match their runs alone, traces and counts included."""
+    unfinished = []
+    result = gmres_module._State.result
+
+    def spy(self, system, x, iterations, res, history, trace, **outcome):
+        if outcome.get("unfinished"):
+            unfinished.append(trace.fmt if trace is not None
+                              else system.ctx.fmt.name)
+        return result(self, system, x, iterations, res, history, trace,
+                      **outcome)
+
+    monkeypatch.setattr(gmres_module._State, "result", spy)
+    made = _made(monkeypatch)
+    named = {name: (A, b) for name, A, b in _gmres_lanes()}
+    lanes = [("lucky", *named["lucky"], "bf16"),
+             ("early-end", *named["early-end"], "takum16"),
+             ("budget", *named["budget"], "posit16es2")]
+    check_observed_lanes(
+        lanes,
+        lambda systems: gmres_lanes([FPContext(f) for *_, f in lanes],
+                                    systems, **GMRES_OPTS),
+        lambda A, b, fmt: gmres(FPContext(fmt), A, b, **GMRES_OPTS))
+    assert made[0] == ["bf16", "takum16", "posit16es2"]
+    # the lucky lane leaves first and the early-ended one mid-cycle, so
+    # the budget lane runs its last steps as the stack's last lane
+    assert set(unfinished) == {"takum16"}
+    got = gmres_lanes([FPContext(f) for *_, f in lanes],
+                      [(A, b) for _, A, b, _ in lanes], **GMRES_OPTS)
+    assert got[0].iterations == 1
+    assert got[2].iterations == GMRES_OPTS["max_iterations"]
+
+
+def test_formats_off_the_tables_keep_groups_of_their_own(monkeypatch):
+    """fp16 and fp32 lanes among table-format lanes run as groups of
+    their own, and every lane still matches its run alone."""
+    made = _made(monkeypatch)
+    lanes = _interleaved(_bicgstab_lanes()[:4],
+                         ("fp16", "posit16es2", "fp32", "takum16"))
+    got = bicgstab_lanes([FPContext(f) for *_, f in lanes],
+                         [(A, b) for _, A, b, _ in lanes], **BICG_OPTS)
+    for (_, A, b, fmt), res in zip(lanes, got):
+        assert canonical(res) == canonical(
+            bicgstab(FPContext(fmt), A, b, **BICG_OPTS))
+    assert {f for m in made for f in m} == {"posit16es2", "takum16"}
+
+
 @pytest.mark.parametrize("solve, alone", [(bicgstab_lanes, bicgstab),
                                           (gmres_lanes, gmres)])
 def test_sequential_context_and_dense_systems_solve_one_by_one(solve,
@@ -232,11 +345,14 @@ def _alone(cell, scale):
 
 
 def test_every_smoke_grid_cell_matches_its_run_alone():
-    """All 70 smoke X13 BiCGSTAB and GMRES cells: one five-lane group
-    per solver and format."""
+    """All 70 smoke X13 BiCGSTAB and GMRES cells in eight groups: per
+    solver, one five-lane group each for fp16 and fp32, one of the
+    16-bit table formats (bf16, posit16es2, takum16) and one of the
+    32-bit ones (posit32es2, takum32)."""
     scale = SCALES["smoke"]
     groups = _grid_groups(scale)
-    assert sorted(len(g) for g in groups.values()) == [5] * 14
+    assert sorted(len(g) for g in groups.values()) == [5, 5, 5, 5,
+                                                       10, 10, 15, 15]
     for group in groups.values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
             assert canonical(value) == canonical(_alone(cell, scale)), \
