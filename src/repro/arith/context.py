@@ -204,7 +204,11 @@ class FPContext:
 
         Returns the bare rounder when no collector is active (zero
         added cost on the disabled path); otherwise a wrapper that
-        reports every partial result to the collector.
+        reports every partial result to the collector.  The wrapper's
+        ``record_exact(counts)`` reports roundings its caller skipped
+        because they return their input unchanged, as exact ones: the
+        segmented fold's live-pad pairs (a :class:`LaneContext` takes
+        the counts per lane).
         """
         if self._exact:
             return self._rnd
@@ -219,6 +223,12 @@ class FPContext:
             out = rnd(x)
             record(site, x, out, fmt)
             return out
+
+        def record_exact(counts):
+            zeros = np.zeros(int(np.sum(counts)))
+            if zeros.size:
+                record(site, zeros, zeros, fmt)
+        observed.record_exact = record_exact
         return observed
 
     def round(self, x):
@@ -661,6 +671,12 @@ class LaneContext(FPContext):
             out = rnd(x, runs)
             self._record(col, site, x, out, runs)
             return out
+
+        def record_exact(runs):
+            zeros = np.zeros(int(np.sum(runs)))
+            if zeros.size:
+                self._record(col, site, zeros, zeros, runs)
+        observed.record_exact = record_exact
         return observed
 
     def _record(self, col, site: str, exact, rounded, runs) -> None:

@@ -26,18 +26,43 @@ facts make the compact fold exact:
    ``p + p`` is bit-identical to ``p`` in IEEE float64 and every
    supported rounder maps a value it returned to itself — so every
    padding-padding pair of every level equals ``p`` again.  The fold
-   never computes one: each level copies the pad slot un-rounded into
-   the next.
-3. **Mixed pairs are computed, not skipped.**  ``rnd(v + p)`` can
-   differ from ``v`` (``-0.0 + 0.0 = +0.0``; any ``v + NaN`` is NaN),
-   so pairs joining a live value to a padding slot gather the pad slot
-   explicitly through a sentinel index — exactly the value the padded
-   fold would see.
+   never computes one: a row reads its pad slot where the products
+   left it.
+3. **Mixed pairs are added but never rounded, and never repeated.**
+   A live value ``v`` is a rounder's output, and ``v + p`` is ``v`` or
+   ``p``, so ``rnd(v + p) == v + p``: the fold adds the pair and skips
+   the rounding.  It must add it: ``-0.0 + 0.0 = +0.0``, and any
+   ``v + NaN`` is NaN.  But once ``v`` has met its pad it stays
+   unchanged by the pad until a live-live pair rounds it again:
+   ``(v + p) + p`` is bit-identical to ``v + p``.  So a live-pad pair
+   whose live value already met the pad (a *stale* pair) is not added
+   again; the row keeps the earlier sum's slot.
 
-Elementwise rounding commutes with gather/scatter, so quantizing the
-compact pair sums yields the same bits as quantizing the padded level
-(:mod:`tests.kernels.test_segment` holds the two paths byte-identical
-across the format zoo, including NaR and signed-zero products).
+So the rounder sees only live-live pairs, and elementwise rounding
+commutes with gather/scatter: the rounded compact pair sums carry the
+bits of the padded level's (:mod:`tests.kernels.test_segment` holds the
+two paths byte-identical across the format zoo, including NaR and
+signed-zero products, and walks the padded tree of every row shape up
+to width 69).  A collector bound to the context still sees every pair
+the padded fold rounds: each level reports its live-pad pairs, fresh
+and stale, as exact roundings (the rounder's ``record_exact``).
+
+The fold tape
+-------------
+A fold works on one float64 array, its *tape*: the ``nnz`` products
+and the pad slots, then each level's output slice.  A level gathers its
+pairs' addends from the tape in one call and adds them into its slice:
+first its live-live pairs in row order (rounded in place), then its
+fresh live-pad pairs.  Every other value of the level — an odd
+leftover, a stale pair's earlier sum, a pad — keeps the slot it already
+has: nothing is copied forward.  A row's live slots then lie in at
+most two runs of the tape: its live-live sums of the level before (run
+A), then its fresh live-pad sums or the slots it kept (run B).  A row
+never has fresh and stale live-pad pairs at one level, and run B has
+met the pad unless it is a full row's leftover, which pairs with no
+pad; so a few counts per row and level describe the plan, and the
+builder writes every level's pair indices with one running sum.  The
+plan stores two int64 per pair it adds and nothing for a stale pair.
 
 The ``sequential`` summation order offers no such skip — every trailing
 padding slot re-rounds the accumulator (``rnd(acc + p)`` rewrites
@@ -58,9 +83,10 @@ of its own matrix's width, padded with its own matrix's
 bits.  With full rows and no pad slot the same builder gives the
 per-lane pairwise sums of vectors laid end to end
 (:class:`LaneSegments`, the ragged lane dot).  Every level writes its
-pair sums in row order, so each lane's pairs are one run of the level;
-given the lanes' row offsets, the plan counts them, which lets one
-rounding call round each lane in its own format
+live-live sums in row order, so each lane's are one run of the rounded
+slice; given the lanes' row offsets, the plan counts them (and each
+lane's live-pad pairs, for a collector), which lets one rounding call
+round each lane in its own format
 (:class:`repro.arith.context.LaneContext`).
 """
 
@@ -93,24 +119,25 @@ def use_segmented(n: int, row_width: int, nnz: int,
 
 
 class _Level(NamedTuple):
-    """One fold level: gather indices over compact live slots.
+    """One fold level: the pairs it adds into its slice of the tape.
 
-    The level's input holds ``size_in`` live slots, then the pad
-    slots.  ``left``/``right`` gather its pairs in row order, and
-    ``lo_src`` its odd-width leftovers and then the pad slots, which
-    are copied un-rounded.  The output is the rounded pair sums as one
-    block, then those copies: ``size_out`` live slots, then the pads
-    again.  ``runs`` counts each lane's pairs, for a plan built with
-    lane boundaries (None otherwise): the pairs are in row order, so
-    each lane's pairs are one run of the block.
+    ``pairs[0]``/``pairs[1]`` are the tape slots of each pair's left and
+    right addend; the sums go to ``tape[out]``.  The first ``live``
+    pairs join two live values and are rounded in place; the rest join
+    a live value that has not met its pad yet to that pad slot and stay
+    as added (fact 3).  ``runs`` counts each lane's live-live pairs,
+    for a plan built with lane boundaries (None otherwise): the pairs
+    are in row order, so each lane's pairs are one run of the rounded
+    prefix.  ``padded`` counts each lane's live-pad pairs of the padded
+    tree, fresh and stale (one total without lane boundaries), for a
+    collector, which sees them as exact roundings.
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    lo_src: np.ndarray
-    size_in: int
-    size_out: int
+    pairs: np.ndarray
+    out: slice
+    live: int
     runs: np.ndarray | None
+    padded: np.ndarray
 
 
 class SegmentPlan:
@@ -118,20 +145,24 @@ class SegmentPlan:
 
     Depends only on the sparsity pattern (``indptr``, the padded row
     widths and which pad slot each row reads), so a matrix and its
-    quantized copies share one plan.  Total index storage is O(nnz):
-    level ``ℓ`` holds 2 int64 per pair it folds and every pair
-    consumes at least one live slot.
+    quantized copies share one plan.  The fold runs on one float64
+    tape of ``size`` slots: the ``nnz`` products and the pad slots,
+    then each level's pair sums.  Total index storage is O(nnz): 2
+    int64 per pair a level adds, and a row adds fewer live-live pairs
+    than it has products, and a live-pad pair only for a value rounded
+    or quantized since it last met the pad.
     """
 
-    __slots__ = ("n", "row_width", "pads", "levels", "final_src")
+    __slots__ = ("n", "row_width", "pads", "levels", "final_src", "size")
 
     def __init__(self, n: int, row_width: int, pads: int,
-                 levels: list[_Level], final_src: np.ndarray):
+                 levels: list[_Level], final_src: np.ndarray, size: int):
         self.n = n
         self.row_width = row_width
         self.pads = pads
         self.levels = levels
         self.final_src = final_src
+        self.size = size
 
     @classmethod
     def from_csr(cls, indptr: np.ndarray, row_width, row_pad=None,
@@ -146,72 +177,142 @@ class SegmentPlan:
         (default 0).  ``pads=0`` takes full rows only (count = width),
         which never read a pad: the plan of a plain pairwise sum per
         row.  *lane_rows*, the ``(B + 1,)`` row offsets of B lanes,
-        gives every level its lanes' pair counts (``_Level.runs``).
+        gives every level its lanes' pair counts (``_Level.runs`` and
+        ``_Level.padded``).
         """
         indptr = np.asarray(indptr, dtype=np.int64)
         n = indptr.size - 1
         counts = np.diff(indptr)
         widths = np.maximum(1, np.broadcast_to(
-            np.asarray(row_width, dtype=np.int64), (n,))).copy()
+            np.asarray(row_width, dtype=np.int64), (n,)))
         row_pad = (np.zeros(n, dtype=np.int64) if row_pad is None
                    else np.asarray(row_pad, dtype=np.int64))
         if np.any(counts > widths) or \
                 (pads == 0 and np.any(counts < widths)):
             raise ValueError("every row needs count <= width, and "
                              "count == width without pad slots")
-        pad_slots = np.arange(pads, dtype=np.int64)
-        # row i's live slot j sits at base[i] + j for j < run[i]; a
-        # leftover copied at an earlier level, always the row's last
-        # live slot, sits at tail[i] among the copies
-        base, run = indptr[:-1], counts
-        tail = np.zeros(n, dtype=np.int64)
-        size_in = int(indptr[-1])
-
-        def slot(rows, j):
-            return np.where(j < run[rows], base[rows] + j, tail[rows])
-
+        nnz = int(indptr[-1])
+        pad_src = nnz + row_pad
+        depth, k = 0, int(widths.max(initial=1))
+        while k > 1:
+            depth, k = depth + 1, k - k // 2
+        # every level adds at most one pair per product: int32 holds
+        # the tape's slots and every count of a plan that fits in 2**31
+        small = np.int32 if (nnz + pads) * (depth + 1) < 2 ** 31 \
+            else np.int64
+        # row l + 1 of `sums`: the tape slot level l starts at, then
+        # each row's live-live and fresh live-pad pair counts; of `at`,
+        # their running sums, where the level writes each row's sums
+        sums = np.empty((depth + 1, 2 * n + 1), dtype=small)
+        at = np.empty((depth + 1, 2 * n + 1), dtype=small)
+        # row i holds c[i] live slots in two runs of the tape: its
+        # first a[i] slots from head[i] on (run A), the rest from
+        # tail[i] on (run B; tail = head + a while run B is empty).
+        # Run A is the row's live-live sums of the level before (row 0:
+        # its products), so a and head are a row up in `sums` and `at`
+        sums[0, 1:n + 1], at[0, :n] = counts, indptr[:-1]
+        tail = np.empty((depth + 1, n), dtype=small)
+        tail[0] = indptr[1:]
+        halves = np.empty((depth, n), dtype=small)
+        # each row's live-pad pairs of the padded tree, fresh and
+        # stale, after a zero column (a running sum too, in the end)
+        padded = np.zeros((depth, n + 1), dtype=small)
+        c, w = counts.astype(small), widths.astype(small)
+        size = nnz + pads
+        bounds = []
+        for level in range(depth):
+            a = sums[level, 1:n + 1]
+            ll, fr = sums[level + 1, 1:n + 1], sums[level + 1, n + 1:]
+            # pair j < m joins slots j and j + m: live-live for j < ll,
+            # live-pad up to `paired` (fresh while j < a), pad-pad
+            # after; a full odd row keeps its last slot
+            m = np.right_shift(w, 1, out=halves[level])
+            paired = np.minimum(c, m)
+            rest = c - paired
+            np.minimum(rest, paired, out=ll)
+            leftover = rest - ll
+            np.subtract(np.minimum(a, paired), ll, out=fr)
+            np.maximum(fr, 0, out=fr)
+            np.subtract(paired, ll, out=padded[level, 1:])
+            sums[level + 1, 0] = size
+            written = np.cumsum(sums[level + 1], out=at[level + 1])
+            live = int(written[n]) - size
+            total = int(written[-1]) - size
+            # a row with fresh live-pad pairs has no stale ones, so its
+            # new run B is its fresh sums, or else the slots it keeps
+            # (its stale slots or a full odd row's leftover, both in
+            # run B)
+            kept = tail[level] + ((ll << leftover) - a)
+            tail[level + 1] = np.where(fr > 0, written[n:-1], np.where(
+                padded[level, 1:] + leftover > 0, kept, written[1:n + 1]))
+            c = paired + leftover
+            w = w - m
+            bounds.append((size, live, total))
+            size += total
+        # slot 0 of a live row is head if run A holds it, else tail
+        final_src = np.where(c > 0, tail[-1] - sums[-1, 1:n + 1], pad_src)
+        # the runs of tape slots each level's pairs read, in order:
+        # the left addends (each row's live-live pairs in run A, then
+        # in run B; then each row's fresh live-pad pairs, all in run
+        # A, as run B is fresh only as a leftover), then the right
+        # addends of the live-live pairs (slots m .. m + ll - 1), each
+        # row's in run A then in run B, and last each row's pad runs
+        a, head, m = sums[:-1, 1:n + 1], at[:-1, :n], halves
+        ll, fr = sums[1:, 1:n + 1], sums[1:, n + 1:]
+        run_at = np.empty((depth, 6 * n), dtype=small)
+        run_at[:, 5 * n:] = pad_src
+        run_len = np.empty((depth, 6 * n), dtype=small)
+        starts = run_at[:, :2 * n].reshape(depth, n, 2)
+        lengths = run_len[:, :2 * n].reshape(depth, n, 2)
+        starts[..., 0], starts[..., 1] = head, tail[:-1]
+        np.minimum(a, ll, out=lengths[..., 0])
+        np.subtract(ll, lengths[..., 0], out=lengths[..., 1])
+        gap = a - m
+        starts = run_at[:, 3 * n:5 * n].reshape(depth, n, 2)
+        lengths = run_len[:, 3 * n:5 * n].reshape(depth, n, 2)
+        np.add(head, m, out=starts[..., 0])
+        np.subtract(tail[:-1], np.minimum(gap, 0), out=starts[..., 1])
+        np.minimum(np.maximum(gap, 0), ll, out=lengths[..., 0])
+        np.subtract(ll, lengths[..., 0], out=lengths[..., 1])
+        np.add(head, ll, out=run_at[:, 2 * n:3 * n])
+        run_len[:, 2 * n:3 * n] = run_len[:, 5 * n:] = fr
+        np.cumsum(padded, axis=1, out=padded)
+        if lane_rows is None:
+            runs = [None] * depth
+            padded = padded[:, -1:].copy()
+        else:
+            ends = at[1:, lane_rows].astype(np.int64)
+            runs = ends[:, 1:] - ends[:, :-1]
+            ends = padded[:, lane_rows]
+            padded = ends[:, 1:] - ends[:, :-1]
+        # slot j of run (s, l) is s + j: each index is the one before
+        # it plus one, but for a run's first and the rest of a pad run
+        # (which repeats its slot), so one running sum writes them all
+        index = np.ones(2 * (size - nnz - pads), dtype=np.int64)
         levels: list[_Level] = []
-        while widths.max(initial=1) > 1:
-            m = widths // 2
-            odd = widths & 1
-            folds = np.minimum(counts, m)
-            leftover = (odd == 1) & (counts == widths)
-            fold_off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(folds, out=fold_off[1:])
-            rows = np.repeat(np.arange(n, dtype=np.int64), folds)
-            j = np.arange(int(fold_off[-1]), dtype=np.int64) - fold_off[rows]
-            jm = j + m[rows]
-            left = slot(rows, j)
-            right = np.where(jm < counts[rows], slot(rows, jm),
-                             size_in + row_pad[rows])
-            # a full odd row folds exactly m pairs and copies its last
-            # slot; leftovers and the pad slots (fixed points, fact 2)
-            # are copied un-rounded after the pair sums
-            lo_rows = np.flatnonzero(leftover)
-            lo_src = np.concatenate([slot(lo_rows, widths[lo_rows] - 1),
-                                     size_in + pad_slots])
-            size_out = int(fold_off[-1]) + lo_rows.size
-            runs = (None if lane_rows is None
-                    else np.diff(fold_off[lane_rows]))
-            levels.append(_Level(left, right, lo_src, size_in, size_out,
-                                 runs))
-            base, run = fold_off[:-1], folds
-            tail = np.zeros(n, dtype=np.int64)
-            tail[lo_rows] = int(fold_off[-1]) + np.arange(lo_rows.size)
-            counts = folds + leftover
-            size_in = size_out
-            widths = m + odd
-        final_src = np.where(counts > 0, slot(np.arange(n), 0),
-                             size_in + row_pad)
+        for level, (start, live, total) in enumerate(bounds):
+            done = 2 * (start - nnz - pads)
+            pairs = index[done:done + 2 * total].reshape(2, total)
+            pairs[1, live:] = 0
+            levels.append(_Level(pairs, slice(start, start + total), live,
+                                 runs[level], padded[level]))
+        nonempty = np.flatnonzero(run_len)
+        lengths = run_len.take(nonempty)
+        starts = run_at.take(nonempty)
+        last = starts + (lengths - 1) * (nonempty % (6 * n) < 5 * n)
+        if index.size:
+            index[0] = starts[0]
+            index[np.cumsum(lengths[:-1])] = starts[1:] - last[:-1]
+        np.cumsum(index, out=index)
         width = int(np.max(row_width, initial=1))
-        return cls(n, width, pads, levels, final_src)
+        return cls(n, width, pads, levels, final_src, size)
 
     @property
     def nbytes(self) -> int:
         """Total index storage, for memory accounting and tests."""
         total = self.final_src.nbytes
         for lvl in self.levels:
-            total += lvl.left.nbytes + lvl.right.nbytes + lvl.lo_src.nbytes
+            total += lvl.pairs.nbytes + lvl.padded.nbytes
             if lvl.runs is not None:
                 total += lvl.runs.nbytes
         return total
@@ -272,16 +373,21 @@ def segmented_fold(products: np.ndarray, plan: SegmentPlan,
     products in the trailing slots, as :meth:`FPContext.matvec` builds
     it); *rnd* is the reduction rounder, called as ``rnd(pairs)``, or
     with *lanes* as ``rnd(pairs, runs)`` with the level's per-lane pair
-    counts (a plan built with lane boundaries).  Returns a fresh
-    ``(n,)`` float64 array bit-identical to the padded pairwise fold of
-    each row at its own width.
+    counts (a plan built with lane boundaries).  A rounder that reports
+    to a collector carries ``record_exact(padded)``, which the fold
+    calls with each level's live-pad pair counts: the padded tree
+    rounds those pairs, exactly.  Returns a fresh ``(n,)`` float64
+    array bit-identical to the padded pairwise fold of each row at its
+    own width.
     """
-    cur = np.asarray(products, dtype=np.float64)
-    for lvl in plan.levels:
-        pairs = cur.take(lvl.left)
-        pairs += cur.take(lvl.right)
-        folded = rnd(pairs, lvl.runs) if lanes else rnd(pairs)
-        # odd leftovers and pad slots are copied un-rounded, as the
-        # padded fold does
-        cur = np.concatenate((folded, cur.take(lvl.lo_src)))
-    return cur.take(plan.final_src)
+    tape = np.empty(plan.size)
+    tape[:len(products)] = products
+    record_exact = getattr(rnd, "record_exact", None) if plan.pads else None
+    for pairs, out, live, runs, padded in plan.levels:
+        both = tape.take(pairs)
+        seg = tape[out]
+        np.add(both[0], both[1], out=seg)
+        seg[:live] = rnd(seg[:live], runs) if lanes else rnd(seg[:live])
+        if record_exact is not None:
+            record_exact(padded)
+    return tape.take(plan.final_src)
