@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from ..formats.base import NumberFormat
-from ..formats.native import FLOAT64, NativeIEEEFormat
+from ..formats.native import FLOAT64
 from ..formats.registry import get_format
 from ..kernels import gemm as _gemm_kernels
 from ..kernels.lut import LaneTables
@@ -149,8 +149,6 @@ class FPContext:
         self.collector = collector
         self._exact = self.fmt == FLOAT64
         self._rnd = _identity if self._exact else self.fmt.round
-        # a dtype cast rounds as fast as a zero plan's gather would
-        self._use_plans = not isinstance(self.fmt, NativeIEEEFormat)
 
     # -- basics ---------------------------------------------------------
     @property
@@ -382,22 +380,25 @@ class FPContext:
 
         The dense path rounds every product and every partial sum of
         the fold.  A read-only dense operand that owns its data (the
-        Krylov solvers freeze their quantized copy) gets a cached
-        zero-structure plan (:mod:`repro.kernels.zeroplan`): with a
-        finite *x*, only products with a nonzero matrix entry and only
-        fold slots with two structurally nonzero addends are rounded,
-        since every other entry is already a fixed point.  The float64
-        multiply and adds still cover every slot, so the bits equal
-        the whole-array route's.  Writeable arrays and views, formats
-        that round by a NumPy dtype cast, and contexts with a collector
-        (which sees every partial sum) take the whole-array route.
+        Krylov solvers freeze their quantized copy) gets a cached fold
+        tape (:class:`~repro.kernels.zeroplan.DensePlan`): with a
+        finite *x*, a pairwise context multiplies and rounds only the
+        products with a nonzero matrix entry, and folds them through
+        :func:`~repro.kernels.segment.segmented_fold`, rounding only the
+        partial sums of two live slots; every other slot is ±0 or a
+        live value plus ±0, already a fixed point.  The bits equal the
+        whole-array route's in every format.  The whole-array route
+        serves what the tape cannot: writeable arrays and views, a
+        stored ``-0``, a non-finite *x*, the sequential order and a
+        collector (which sees every partial sum).
 
         A dense ``(B, n, n)`` stack with *x* of shape ``(B, n)`` runs B
         lanes in one call and returns ``(B, n)``, each row with the bits
         of its own ``(n, n)`` call: products round elementwise, the fold
-        runs per row, a frozen stack's plan decides the half-share rule
-        per lane (:class:`~repro.kernels.zeroplan.ZeroPlan`), and the
-        float64 context keeps one BLAS ``A @ x`` per lane.
+        runs per row, a frozen stack's tape counts each lane's live
+        products and pairs (a :class:`LaneContext` rounds each lane in
+        its own format), and the float64 context keeps one BLAS
+        ``A @ x`` per lane.
 
         Collector sites carry the layout (``matvec.mul`` dense,
         ``matvec.csr.*`` sparse); the ``matvec`` injector site is
@@ -443,37 +444,48 @@ class FPContext:
                 return self.inject("matvec", A @ x)
             return self.inject("matvec", np.stack([Ak @ xk for Ak, xk
                                                    in zip(A, x)]))
-        plan = self._zero_plan(A, x)
         rnd = self._rnd_for("matvec.sum")
+        plan = self._dense_plan(A, x)
+        if plan is not None:
+            return self.inject("matvec", self._matvec_tape(plan, x, rnd))
         buf = _SCRATCH.take(A.shape)
         try:
             with np.errstate(invalid="ignore", over="ignore"):
                 np.multiply(A, x[..., np.newaxis, :], out=buf)
-                if plan is None:
-                    products = self._quantize("matvec.mul", buf)
-                    at = None
-                else:
-                    products = self._quantize_at("matvec.mul", buf,
-                                                 plan.products)
-                    at = plan.fold_levels(self.sum_order)
-                out = rounded_sum_last_axis(products, rnd, self.sum_order,
-                                            at=at)
+                products = self._quantize("matvec.mul", buf)
+                out = rounded_sum_last_axis(products, rnd, self.sum_order)
         finally:
             _SCRATCH.give(buf)
         return self.inject("matvec", out)
 
-    def _zero_plan(self, A: np.ndarray, x: np.ndarray):
-        """The dense operand's zero-structure plan, or None for the
-        whole-array route (see :meth:`matvec`)."""
-        if not self._use_plans:
-            return None
-        if self.collector is not None or \
-                _INSTRUMENTS["collector"] is not None:
+    def _dense_plan(self, A: np.ndarray, x: np.ndarray):
+        """The dense operand's fold tape, or None for the whole-array
+        route (see :meth:`matvec`)."""
+        if self.sum_order != "pairwise" or self.collector is not None \
+                or _INSTRUMENTS["collector"] is not None:
             return None
         plan = plan_for(A)
         if plan is None or not np.isfinite(x).all():
             return None
         return plan
+
+    def _matvec_tape(self, plan, x: np.ndarray, rnd) -> np.ndarray:
+        """The dense matvec through *plan*'s fold tape: the live
+        products, then every level's pads, folded segmented."""
+        nnz = plan.data.size
+        tape = _SCRATCH.take((nnz + plan.fold.pads,))
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                live = tape[:nnz]
+                np.take(x, plan.cols, out=live)
+                np.multiply(plan.data, live, out=live)
+                if nnz:
+                    live[:] = self._quantize("matvec.mul", live, plan.runs)
+                np.multiply(0.0, x.reshape(-1), out=tape[nnz:])
+                out = segmented_fold(tape, plan.fold, rnd, self._lanes)
+        finally:
+            _SCRATCH.give(tape)
+        return out.reshape(plan.shape[:-1])
 
     def _quantize_at(self, site: str, exact: np.ndarray, ix):
         """Round *exact* at the entries *ix* only (all of it for None).

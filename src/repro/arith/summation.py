@@ -34,7 +34,7 @@ SUM_ORDERS = ("pairwise", "sequential")
 _SCRATCH = ScratchPool()
 
 
-def _fold_pairwise(terms: np.ndarray, rnd: Rounder, at=None) -> np.ndarray:
+def _fold_pairwise(terms: np.ndarray, rnd: Rounder) -> np.ndarray:
     """Tree-sum along the last axis, rounding every partial sum.
 
     One scratch buffer holds every level's pairwise sums; the rounded
@@ -42,30 +42,22 @@ def _fold_pairwise(terms: np.ndarray, rnd: Rounder, at=None) -> np.ndarray:
     pass-through rounder hands the input back) become the next level.
     The sequence of arrays passed to ``rnd`` is value-identical to the
     naive ``rnd(a + b)`` formulation, so collector op counts and CSV
-    digests are unchanged.  A level with an index array in *at* sums
-    into a fresh array and rounds only those entries.
+    digests are unchanged.
     """
     cur = terms
     k = cur.shape[-1]
-    level = 0
     buf = _SCRATCH.take(cur.shape[:-1] + ((k + 1) // 2,))
     try:
         while k > 1:
             m = k // 2
-            ix = None if at is None else at[level]
-            level += 1
-            if ix is None:
-                sums = buf[..., :m]
-                # out= overlaps cur[..., :m] only index-for-index when
-                # cur is buf itself, which ufuncs handle; cur[..., m:2m]
-                # is disjoint from the written range.
-                np.add(cur[..., :m], cur[..., m:2 * m], out=sums)
-                folded = rnd(sums)
-                if folded is sums:  # pass-through rounder: detach from buf
-                    folded = sums.copy()
-            else:
-                folded = np.add(cur[..., :m], cur[..., m:2 * m])
-                round_at(folded, ix, rnd)
+            sums = buf[..., :m]
+            # out= overlaps cur[..., :m] only index-for-index when cur
+            # is buf itself, which ufuncs handle; cur[..., m:2m] is
+            # disjoint from the written range.
+            np.add(cur[..., :m], cur[..., m:2 * m], out=sums)
+            folded = rnd(sums)
+            if folded is sums:  # pass-through rounder: detach from buf
+                folded = sums.copy()
             if k & 1:
                 head = buf[..., :m + 1]
                 head[..., :m] = folded
@@ -75,24 +67,19 @@ def _fold_pairwise(terms: np.ndarray, rnd: Rounder, at=None) -> np.ndarray:
                 cur = folded
             k = cur.shape[-1]
         # an odd level is always followed by another fold, so the final
-        # `cur` is a fresh array (the rounder's, or a planned level's
-        # sums) — never a view into `buf`
+        # `cur` is a fresh array (the rounder's) — never a view into `buf`
         return cur[..., 0]
     finally:
         _SCRATCH.give(buf)
 
 
-def _fold_sequential(terms: np.ndarray, rnd: Rounder, at=None) -> np.ndarray:
+def _fold_sequential(terms: np.ndarray, rnd: Rounder) -> np.ndarray:
     """Left-to-right sum along the last axis, rounding every partial sum."""
     acc = terms[..., 0].copy()
     for j in range(1, terms.shape[-1]):
         if isinstance(acc, np.ndarray) and acc.ndim:
             np.add(acc, terms[..., j], out=acc)
-            ix = None if at is None else at[j - 1]
-            if ix is None:
-                acc = rnd(acc)
-            else:
-                round_at(acc, ix, rnd)
+            acc = rnd(acc)
         else:
             # 0-d reductions: format rounders return Python floats
             acc = rnd(acc + terms[..., j])
@@ -106,18 +93,11 @@ def round_at(x: np.ndarray, ix: np.ndarray, rnd: Rounder) -> None:
 
 
 def rounded_sum_last_axis(terms: np.ndarray, rnd: Rounder,
-                          order: str = "pairwise", at=None) -> np.ndarray:
+                          order: str = "pairwise") -> np.ndarray:
     """Sum along the last axis with per-addition rounding.
 
     *terms* must already hold representable values (callers round the
     products before summing).  Empty reductions return 0.
-
-    *at* optionally restricts rounding: one entry per fold step (the
-    ``k // 2``-wide levels of the pairwise tree, or the ``k - 1``
-    accumulator steps of the sequential loop), each an array of flat
-    indices into that step's partial sums, or None to round the whole
-    step.  The caller guarantees every other partial sum is already a
-    fixed point of *rnd* (:mod:`repro.kernels.zeroplan`).
     """
     terms = np.asarray(terms, dtype=np.float64)
     if terms.shape[-1] == 0:
@@ -125,9 +105,9 @@ def rounded_sum_last_axis(terms: np.ndarray, rnd: Rounder,
     if terms.shape[-1] == 1:
         return terms[..., 0].copy()
     if order == "pairwise":
-        return _fold_pairwise(terms, rnd, at)
+        return _fold_pairwise(terms, rnd)
     if order == "sequential":
-        return _fold_sequential(terms, rnd, at)
+        return _fold_sequential(terms, rnd)
     raise ValueError(f"unknown summation order {order!r}; "
                      f"choose from {SUM_ORDERS}")
 

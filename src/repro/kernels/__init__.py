@@ -30,10 +30,10 @@ conformance suites hold them to that):
     bit-for-bit, so skewed matrices stop paying the (n, k) scatter.
     The route follows the matrix's fill (``segment.use_segmented``).
 :mod:`repro.kernels.zeroplan`
-    Zero-structure plans for the dense rounded matvec: a frozen
-    operand's zero pattern says which products and fold partial sums
-    are already fixed points of ``round``, so only the rest are
-    rounded.  Plans are cached per operand and evicted with it.
+    The dense fold tape: a frozen operand's zero pattern compiled
+    into a :mod:`~repro.kernels.segment` fold plan, so the dense
+    rounded matvec multiplies, adds and rounds only its live slots.
+    Plans are cached per operand and evicted with it.
 :mod:`repro.kernels.scratch`
     Shape-keyed, thread-local pools of reusable ndarray buffers, so the
     quantize pipeline (``posit_round``, ``FPContext``, the summation

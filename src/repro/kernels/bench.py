@@ -8,10 +8,12 @@ rounding pass over lanes of several formats
 (:class:`~repro.kernels.lut.LaneTables`) against one ``fmt.round``
 call per format and record ``speedup_vs_separate``; the segmented CSR
 matvec entries also time the padded route and record
-``speedup_vs_padded``.  Each ratio is measured in one process on one
-host, so ratios compare across machines where absolute seconds do
-not; CI's ``bench`` job fails when one falls below its floor
-(``docs/performance.md`` §7).  Each timed
+``speedup_vs_padded``; the ``dense/`` matvec entries time a frozen
+operand's fold tape against the whole-array route a writeable copy
+takes and record ``speedup_vs_whole``.  Each ratio is measured in one
+process on one host, so ratios compare across machines where absolute
+seconds do not; CI's ``bench`` job fails when one falls below its
+floor (``docs/performance.md`` §7).  Each timed
 pair is checked to agree bit for bit on the input it times.
 
 Timing protocol: every callable runs in ``repeats`` rounds of one timed
@@ -24,7 +26,7 @@ round timed back to back.
 Run as a module (JSON on stdout)::
 
     python -m repro.kernels.bench
-    python -m repro.kernels.bench --only quantize/,sparse/ --repeats 3
+    python -m repro.kernels.bench --only quantize/,sparse/,dense/ --repeats 3
 
 ``--only`` restricts measurement to entries whose id starts with one
 of the comma-separated prefixes (the rest are skipped, not zeroed).
@@ -45,7 +47,7 @@ import numpy as np
 __all__ = ["microbench", "main",
            "QUANTIZE_FORMATS", "CONTEXT_FORMATS", "QUANTIZE_SIZES",
            "CONTEXT_SIZES", "MIXED",
-           "SPARSE_MATRICES", "SPARSE_FORMATS"]
+           "SPARSE_MATRICES", "SPARSE_FORMATS", "DENSE"]
 
 #: quantize coverage: the paper's narrow actors plus the wide posits,
 #: each timed against its reference rounder
@@ -66,6 +68,11 @@ CONTEXT_SIZES = (24, 96)
 #: the skewed arrow extra, both at their full published dimension
 SPARSE_MATRICES = ("1138_bus", "arrow_496")
 SPARSE_FORMATS = ("fp16", "posit32es2")
+#: dense matvec coverage, (matrix, format, lanes): a small-scale CG
+#: operand alone and as a six-lane stack, as the ``cg_small`` groups
+#: run it
+DENSE = tuple((m, f, b) for m in ("nos2",) for f in ("posit32es2", "fp32")
+              for b in (1, 6))
 #: the :data:`repro.kernels.segment.PAD_RATIO` that forces each CSR
 #: matvec route
 _ROUTE_PAD_RATIO = {"padded": math.inf, "segmented": 0.0}
@@ -209,7 +216,8 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
                     ops[key] = (fn,)
 
     mixed = _mixed_jobs(only)
-    timed = _rounds({**quantize, **mixed, **ops}, repeats)
+    dense = _dense_jobs(only)
+    timed = _rounds({**quantize, **mixed, **ops, **dense}, repeats)
     # the sparse set-up frees large arrays, and after that glibc serves
     # 512 KB temporaries from its heap instead of fresh pages: built
     # first, it would speed the n = 65536 bitwise references up ~3x
@@ -225,6 +233,8 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
     kernels.update((key, _entry(timed[key], "separate_s",
                                 "speedup_vs_separate")) for key in mixed)
     kernels.update((key, _entry(timed[key])) for key in ops)
+    kernels.update((key, _entry(timed[key], "whole_s", "speedup_vs_whole"))
+                   for key in dense)
     for base in sparse:
         for key, entry in (
                 (f"{base}/csr_padded", _entry(timed[base][:, 1:])),
@@ -259,6 +269,34 @@ def _mixed_jobs(only: tuple[str, ...] | None
             return [fmt.round(x) for fmt, x in zip(fmts, xs)]
         _same_bits(key, mixed(), np.concatenate(separate()))
         jobs[key] = (mixed, separate)
+    return jobs
+
+
+def _dense_jobs(only: tuple[str, ...] | None
+                ) -> dict[str, tuple[Callable, Callable]]:
+    """Dense matvec jobs: (the fold tape of a frozen operand, the
+    whole-array route of a writeable copy) per
+    ``dense/matvec/<matrix>/<format>/b<lanes>``."""
+    from ..arith.context import FPContext
+    from ..config import SCALES
+    from ..matrices import load_matrix
+    from .zeroplan import freeze
+
+    rng = np.random.default_rng(13579)
+    jobs: dict[str, tuple[Callable, Callable]] = {}
+    for mname, fname, lanes in DENSE:
+        key = f"dense/matvec/{mname}/{fname}/b{lanes}"
+        if not _selected(key, only):
+            continue
+        ctx = FPContext(fname)
+        A = np.asarray(ctx.asarray(load_matrix(mname, SCALES["small"])))
+        shape = (lanes, A.shape[0]) if lanes > 1 else (A.shape[0],)
+        x = np.asarray(ctx.asarray(rng.standard_normal(shape)))
+        if lanes > 1:
+            A = np.stack([A] * lanes)
+        jobs[key] = (partial(ctx.matvec, freeze(A.copy()), x),
+                     partial(ctx.matvec, A.copy(), x))
+        _same_bits(key, jobs[key][0](), jobs[key][1]())
     return jobs
 
 

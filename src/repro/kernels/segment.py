@@ -376,9 +376,12 @@ def segmented_fold(products: np.ndarray, plan: SegmentPlan,
     counts (a plan built with lane boundaries).  A rounder that reports
     to a collector carries ``record_exact(padded)``, which the fold
     calls with each level's live-pad pair counts: the padded tree
-    rounds those pairs, exactly.  Returns a fresh ``(n,)`` float64
-    array bit-identical to the padded pairwise fold of each row at its
-    own width.
+    rounds those pairs, exactly.  A level without a live-live pair
+    makes no rounding call.  Returns a fresh ``(n,)`` float64 array
+    bit-identical to the padded pairwise fold of each row at its own
+    width.  The dense matvec's plans
+    (:class:`repro.kernels.zeroplan.DensePlan`) run here too, with the
+    level-0 pads ``0.0·x`` in the pad slots.
     """
     tape = np.empty(plan.size)
     tape[:len(products)] = products
@@ -387,7 +390,9 @@ def segmented_fold(products: np.ndarray, plan: SegmentPlan,
         both = tape.take(pairs)
         seg = tape[out]
         np.add(both[0], both[1], out=seg)
-        seg[:live] = rnd(seg[:live], runs) if lanes else rnd(seg[:live])
+        if live:
+            seg[:live] = rnd(seg[:live], runs) if lanes \
+                else rnd(seg[:live])
         if record_exact is not None:
             record_exact(padded)
     return tape.take(plan.final_src)

@@ -1,64 +1,70 @@
-"""Zero-structure plans for the dense rounded matvec.
+"""Fold plans for the dense rounded matvec: the dense fold tape.
 
 ``FPContext.matvec`` on a dense ``(m, n)`` operand rounds the ``m·n``
 products ``A[i, j]·x[j]`` and then every partial sum of the pairwise
-(or sequential) fold along each row.  On a mostly-zero matrix almost
-all of that rounding returns its input unchanged.  A :class:`ZeroPlan`
-records, from the operand's zero pattern alone, which entries can
-change, so the matvec rounds only those.
+fold along each row (``summation._fold_pairwise``: slot ``j`` pairs with
+``j + k // 2``, an odd leftover slot is carried).  On a mostly-zero
+matrix almost all of that work returns ±0 or its input.  A
+:class:`DensePlan` compiles a frozen operand's zero pattern into a plan
+for :func:`repro.kernels.segment.segmented_fold`, the fold kernel the
+CSR matvec runs too, so the matvec multiplies, adds and rounds only its
+operand's live slots.
 
-Why skipping is exact
----------------------
+Why the tape keeps every bit
+----------------------------
 The plan is used only when every ``x[j]`` is finite (the matvec checks
-that per call).  Then:
+that per call) and no stored zero of the operand is ``-0`` (the builder
+checks that once).  Call a slot of a row's tree *live* when one of the
+products it sums has ``A[i, j] != 0`` (NaN and ±inf entries count), a
+*pad* otherwise.
 
-1. **Products.**  Where ``A[i, j] == 0`` the float64 product is exactly
-   ±0, and every format's ``round`` returns ±0 unchanged, sign kept.
-   Only the ``A[i, j] != 0`` entries (NaN and ±inf included) are
-   rounded.
-2. **Fold slots.**  Call a slot *structurally zero* when every product
-   it sums has a zero matrix entry; its value is then ±0.  A slot whose
-   addends are not both structurally nonzero is ``v + (±0)``, which in
-   float64 is ``v`` itself, or ``+0`` for ``v = -0``.  ``v`` is a rounded
-   product or partial sum, or ±0, so the sum is a fixed point of
-   ``round`` and the level rounds only the slots whose two addends are
-   both structurally nonzero.
+1. **Products.**  A pad product is ``(+0)·x[j]``: ``-0`` where ``x[j]``
+   has its sign bit set, ``+0`` elsewhere, and every format's ``round``
+   returns ±0 unchanged, sign kept.  Level 0 of the tape holds only the
+   ``A != 0`` products, rounded in one call in row-major order.
+2. **Pads are row-independent.**  A pad slot sums pad products over a
+   column set fixed by its level and position alone, and sums of ±0 are
+   exact (``-0`` only when every addend is).  So each call writes the
+   level-0 pads ``0.0·x`` once, each level adds the pad-pad sum of
+   every position once, unrounded, and a row never computes a pad-pad
+   pair of its own: it reads its position's pad slot.
+3. **Live-pad pairs are added, never rounded.**  A live value ``v`` is
+   a rounder's output or such a sum, and ``v + (±0)`` is ``v`` or, for
+   ``v = ±0``, a zero: a fixed point of ``round``.  The pair must still
+   be added, since ``-0 + +0 = +0``; and because pads differ from
+   position to position, a live value that met one pad may meet one of
+   the other sign later, so every live-pad pair is added (the CSR tape
+   skips a repeated meeting, as its rows share one pad).
+4. **Live-live pairs are added and rounded**, in row-major order, and a
+   level without one makes no rounding call.  The rounder thus sees the
+   whole-array route's inexact values in its order, so
+   ``StochasticRounding`` makes the same draws.
 
-Every float64 multiply and add still runs over the whole array, so the
-fold tree, the signs of zeros and NaN payloads come out as the
-whole-array rounding gives them; only the calls to ``round`` shrink.
-StochasticRounding draws random numbers only for inexact values, in
-row-major order, and the gathered entries keep that order, so it makes
-the same draws.  An ``x`` with ±inf or NaN is excluded because ``0·inf``
-is NaN, and posit and takum ``round`` canonicalize NaN's sign bit: a
-NaN product would not be a bitwise fixed point.
+An ``x`` with ±inf or NaN takes the whole-array route because ``0·inf``
+is NaN, which posit and takum ``round`` canonicalize: a NaN pad would
+not be a fixed point.  A stored ``-0`` does because ``(-0)·x[j]`` has
+the other sign, so its row's pads would differ from the other rows'.
 
-Each index array follows the half-share rule of
-``repro.arith.context._nonzero_block``: when more than half of an array
-needs rounding, the entry is None and the whole array is rounded,
-because gather and scatter cost more per element than rounding in
-place.  A plan whose entries are all None is the whole-array route.
-
-A frozen ``(B, m, n)`` lane stack
-(:func:`repro.linalg.cg.conjugate_gradient_lanes`) gets one plan that
-applies the rule per lane: each lane's indices are the ones its own
-``(m, n)`` plan would hold (every index of the lane where that plan
-rounds the whole array), offset to the lane's slice of the stack.  The
-stack then rounds exactly the entries its lanes would round one by one;
-a rule applied to the whole stack would round a different set.
+A frozen ``(B, m, n)`` lane stack gets one plan: its rows are the
+lanes' rows in order, each lane's pads come from its own ``x`` row,
+and the plan counts each lane's live products and each level's
+live-live pairs (``runs``), so a :class:`~repro.arith.context.LaneContext`
+can round every lane in its own format.  ``Lanes.retire`` freezes the
+smaller stack it keeps, which gets a plan of its own.
 
 Which operands get a plan
 -------------------------
-A plan is valid only while its operand's zero pattern cannot change,
-so :func:`plan_for` serves one only to a read-only array that owns its
-data (:func:`freeze` marks a solver's private quantized copy so).
-Writeable arrays and views get None and take the whole-array route.
-Plans are cached by ``id`` and evicted through a weakref when the array
-dies; a lookup checks that the cached entry still refers to the same
-array, so an array reusing a dead operand's ``id`` never sees its plan.
-An array made writeable again loses its plan at its next lookup.
-Freezing does not reach views taken before it, so an operand is frozen
-as soon as it is made, before any view of it exists.
+A plan is valid only while its operand's values cannot change (it
+holds their nonzeros), so :func:`plan_for` serves one only to a
+read-only array that owns its data (:func:`freeze` marks a solver's
+private quantized copy so).  Writeable arrays and views get None and
+take the whole-array route.  Plans are cached by ``id`` and evicted
+through a weakref when the array dies; a lookup checks that the cached
+entry still refers to the same array, so an array reusing a dead
+operand's ``id`` never sees its plan.  An array made writeable again
+loses its plan at its next lookup.  Freezing does not reach views taken
+before it, so an operand is frozen as soon as it is made, before any
+view of it exists.
 """
 
 from __future__ import annotations
@@ -67,86 +73,108 @@ import weakref
 
 import numpy as np
 
-__all__ = ["ZeroPlan", "freeze", "plan_for"]
+from .segment import SegmentPlan, _Level
+
+__all__ = ["DensePlan", "freeze", "plan_for"]
 
 
-def _subset(mask: np.ndarray):
-    """Flat indices of *mask*'s True entries, or None past half."""
-    ix = np.flatnonzero(mask)
-    return None if 2 * ix.size > mask.size else ix
+class DensePlan:
+    """A dense operand's fold tape: its live products and their trees.
 
-
-def _lane_subset(mask: np.ndarray):
-    """:func:`_subset` decided per lane (axis 0) of a stacked mask,
-    as flat indices into the whole stack; None when every lane is
-    past half."""
-    lanes = [_subset(lane) for lane in mask]
-    if all(ix is None for ix in lanes):
-        return None
-    size = mask[0].size
-    return np.concatenate([(np.arange(size) if ix is None else ix)
-                           + k * size for k, ix in enumerate(lanes)])
-
-
-class ZeroPlan:
-    """Where a dense matvec's products and partial sums can change.
-
-    ``products`` indexes the flat ``(m, n)`` product array;
-    :meth:`fold_levels` gives one entry per fold step, indexing that
-    step's partial sums (pairwise: the ``(m, k // 2)`` level; sequential:
-    the ``(m,)`` accumulator).  None means "round the whole array".
-    A ``(B, m, n)`` lane stack's arrays index the stacked shapes and
-    decide the half-share rule per lane.
+    ``data`` holds the operand's nonzero entries in row-major order and
+    ``cols`` the index of each one's ``x`` entry in ``x`` laid out flat
+    (``(B·n,)`` for a lane stack); ``runs`` counts each lane's live
+    products (None for an ``(m, n)`` operand).  On the tape the products
+    take slots ``0 .. nnz − 1`` and the level-0 pads ``0.0·x`` the next
+    ``B·n``; ``fold`` is the :class:`~repro.kernels.segment.SegmentPlan`
+    of the ``B·m`` rows' trees over that tape.  Each of its levels adds
+    the live-live pairs (rounded), then the live-pad pairs, then the
+    pad-pad sum of every position of every lane: the next level's pads.
     """
 
-    __slots__ = ("products", "_live", "_levels", "_subset")
+    __slots__ = ("shape", "data", "cols", "runs", "fold")
 
     def __init__(self, A: np.ndarray):
-        live = A != 0  # NaN and ±inf entries count as nonzero
-        self._subset = _lane_subset if A.ndim == 3 else _subset
-        self.products = self._subset(live)
-        self._live = live
-        self._levels: dict[str, tuple] = {}
+        self.shape = A.shape
+        lanes = A.shape[0] if A.ndim == 3 else 1
+        m, n = A.shape[-2:]
+        live = (A != 0).reshape(-1, n)  # NaN and ±inf count as live
+        flat = np.flatnonzero(live)
+        nnz = flat.size
+        self.data = A.reshape(-1)[flat]
+        # the live slots of this level, in row-major order
+        row, pos = np.divmod(flat, n)
+        lane_of = np.arange(lanes * m) // m
+        self.cols = lane_of[row] * n + pos
+        self.runs = (np.bincount(lane_of[row], minlength=lanes)
+                     if A.ndim == 3 else None)
+        slot = np.arange(nnz)
+        # pad[b, p]: the tape slot of lane b's pad at position p
+        pad = nnz + np.arange(lanes * n).reshape(lanes, n)
+        size, k = nnz + lanes * n, n
+        levels = []
+        while k > 1:
+            half, odd = k // 2, k & 1
+            # slot j + half joins slot j, an odd leftover becomes slot
+            # half; a stable sort keeps each pair's left addend first
+            right = pos >= half
+            pos = pos - half * right
+            order = np.argsort(row * (half + odd) + pos, kind="stable")
+            row, pos, slot, right = (row[order], pos[order], slot[order],
+                                     right[order])
+            twin = np.zeros(row.size, dtype=bool)
+            twin[:-1] = (row[1:] == row[:-1]) & (pos[1:] == pos[:-1])
+            head = np.ones(row.size, dtype=bool)
+            head[1:] = ~twin[:-1]
+            both = np.flatnonzero(twin)
+            one = np.flatnonzero(head & ~twin & (pos < half))
+            n_both, n_one = both.size, one.size
+            pairs = np.empty((2, n_both + n_one + lanes * half),
+                             dtype=np.intp)
+            pairs[0, :n_both] = slot[both]
+            pairs[1, :n_both] = slot[both + 1]
+            # a live value meets the pad on the other side of its pair
+            side = right[one]
+            met = pad[lane_of[row[one]], pos[one] + half * ~side]
+            mine = slot[one]
+            pairs[0, n_both:n_both + n_one] = np.where(side, met, mine)
+            pairs[1, n_both:n_both + n_one] = np.where(side, mine, met)
+            pairs[0, n_both + n_one:] = pad[:, :half].ravel()
+            pairs[1, n_both + n_one:] = pad[:, half:2 * half].ravel()
+            # the next level's live slots: a sum, or a leftover's slot
+            slot[both] = size + np.arange(n_both)
+            slot[one] = size + n_both + np.arange(n_one)
+            runs = (np.bincount(lane_of[row[both]], minlength=lanes)
+                    if A.ndim == 3 else None)
+            keep = np.flatnonzero(head)
+            row, pos, slot = row[keep], pos[keep], slot[keep]
+            levels.append(_Level(pairs, slice(size, size + pairs.shape[1]),
+                                 n_both, runs, _NO_PADS))
+            nxt = size + n_both + n_one + np.arange(lanes * half).reshape(
+                lanes, half)
+            pad = np.concatenate([nxt, pad[:, -1:]], axis=1) if odd else nxt
+            size, k = size + pairs.shape[1], half + odd
+        final = pad[lane_of, 0]
+        final[row] = slot
+        self.fold = SegmentPlan(lanes * m, n, lanes * n, levels, final,
+                                size)
 
-    def fold_levels(self, order: str) -> tuple:
-        """Per-step index arrays of the rounded fold in *order*."""
-        levels = self._levels.get(order)
-        if levels is None:
-            build = (_pairwise_levels if order == "pairwise"
-                     else _sequential_levels)
-            levels = self._levels[order] = build(self._live, self._subset)
-        return levels
+
+#: a collector never runs the tape (the matvec gives it the whole
+#: array), so no level reports live-pad pairs as exact roundings
+_NO_PADS = np.zeros(1, dtype=np.int64)
 
 
-def _pairwise_levels(live: np.ndarray, subset) -> tuple:
-    """Mirror of ``summation._fold_pairwise``: slot ``j`` pairs with
-    ``j + k // 2``; an odd leftover slot is carried unrounded."""
-    levels = []
-    while live.shape[-1] > 1:
-        k = live.shape[-1]
-        m = k // 2
-        a, b = live[..., :m], live[..., m:2 * m]
-        levels.append(subset(a & b))
-        nxt = a | b
-        if k & 1:
-            nxt = np.concatenate([nxt, live[..., -1:]], axis=-1)
-        live = nxt
-    return tuple(levels)
+def _tape_plan(A: np.ndarray) -> DensePlan | None:
+    """*A*'s plan, or None for an operand the tape cannot serve: an
+    empty one, or one with a stored ``-0``."""
+    if A.size == 0 or np.signbit(A[A == 0]).any():
+        return None
+    return DensePlan(A)
 
 
-def _sequential_levels(live: np.ndarray, subset) -> tuple:
-    """Mirror of ``summation._fold_sequential``: column ``j`` is added
-    into the running accumulator."""
-    levels = []
-    acc = live[..., 0]
-    for j in range(1, live.shape[-1]):
-        levels.append(subset(acc & live[..., j]))
-        acc = acc | live[..., j]
-    return tuple(levels)
-
-
-#: id(array) -> (weakref to the array, its plan)
-_PLANS: dict[int, tuple[weakref.ref, ZeroPlan]] = {}
+#: id(array) -> (weakref to the array, its plan or None)
+_PLANS: dict[int, tuple[weakref.ref, DensePlan | None]] = {}
 
 
 def _evict(key: int):
@@ -157,9 +185,10 @@ def _evict(key: int):
     return drop
 
 
-def plan_for(A: np.ndarray) -> ZeroPlan | None:
+def plan_for(A: np.ndarray) -> DensePlan | None:
     """The cached plan of a frozen operand, built on first use; None
-    for an array that could change (writeable, or a view)."""
+    for an array that could change (writeable, or a view) and for one
+    the tape cannot serve (empty, or holding a stored ``-0``)."""
     key = id(A)
     entry = _PLANS.get(key)
     if A.flags.writeable or not A.flags.owndata:
@@ -168,7 +197,7 @@ def plan_for(A: np.ndarray) -> ZeroPlan | None:
         return None
     if entry is not None and entry[0]() is A:
         return entry[1]
-    plan = ZeroPlan(A)
+    plan = _tape_plan(A)
     _PLANS[key] = (weakref.ref(A, _evict(key)), plan)
     return plan
 

@@ -1,14 +1,19 @@
-"""Dense ``FPContext.matvec``: the zero-structure plan route against the
-whole-array route.
+"""Dense ``FPContext.matvec``: the fold tape against the whole-array route.
 
 A frozen operand (read-only, owning its data) gets a cached
-:class:`repro.kernels.zeroplan.ZeroPlan` and rounds only the products
-with a nonzero matrix entry and the fold slots with two structurally
-nonzero addends.  A writeable copy of the same matrix takes the
-whole-array route.  Every test compares the two byte for byte
-(``tobytes()``, so NaN payloads and zero signs count), over every
-registered format with the rounding tables on and off, the directed
-IEEE modes and stochastic rounding, in both sum orders.
+:class:`repro.kernels.zeroplan.DensePlan` and multiplies, adds and
+rounds only its live slots through the segmented fold; a writeable copy
+of the same matrix takes the whole-array route.  Every test compares
+the two byte for byte (``tobytes()``, so NaN payloads and zero signs
+count), over every registered format with the rounding tables on and
+off, the directed IEEE modes and stochastic rounding, and checks that
+the frozen operand really took the tape.
+
+A NaN entry of a test matrix is the x86 default NaN that ``inf − inf``
+and ``0·inf`` give.  When two NaNs of opposite sign meet in one add,
+NumPy's strided and contiguous add loops keep different ones, so the
+whole-array route's own ``(m, n)`` call and its row-by-row calls
+disagree there; the tape follows the row-by-row calls.
 """
 
 from __future__ import annotations
@@ -17,11 +22,16 @@ import numpy as np
 import pytest
 
 from repro.arith import FPContext
+from repro.arith import context as context_module
+from repro.arith.context import LaneContext
+from repro.config import SCALES
 from repro.formats import get_format
-from repro.formats.native import NativeIEEEFormat
 from repro.formats.registry import available_formats
 from repro.formats.rounding_modes import DirectedIEEEFormat, StochasticRounding
 from repro.kernels import lut, zeroplan
+from repro.kernels.segment import LaneSegments
+from repro.linalg import conjugate_gradient_lanes
+from repro.matrices.suite import load_matrix, right_hand_side
 from repro.telemetry import Collector
 
 _REGISTERED = sorted(set(available_formats()) - {"fp64"})
@@ -34,56 +44,69 @@ _SIZES = (1, 2, 3, 7, 48, 66, 96)
 _SLOW = {"takum_log32": (1, 2, 3, 7, 48)}
 _PATTERNS = ("zero", "empty_rows", "dense", "random")
 _ORDERS = ("pairwise", "sequential")
+#: the NaN ``inf − inf`` gives on x86 (sign bit set)
+_NAN = np.float64(np.inf) - np.float64(np.inf)
 
 
-def _matrix(fmt, rng, pattern: str, n: int) -> np.ndarray:
-    """Format values in one of the zero patterns; nonzero entries
-    include ±max, ±minpos and the odd NaN."""
+@pytest.fixture
+def folds(monkeypatch):
+    """Count the matvec's segmented folds: one per call on the tape."""
+    calls = []
+    inner = context_module.segmented_fold
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(context_module, "segmented_fold", counted)
+    return calls
+
+
+def _matrix(fmt, rng, pattern: str, shape) -> np.ndarray:
+    """Format values in one of the zero patterns, every zero ``+0``;
+    nonzero entries include ±max, ±minpos and the odd NaN."""
     base = getattr(fmt, "base", fmt)
-    A = np.asarray(base.round(rng.standard_normal((n, n))), dtype=np.float64)
+    A = np.asarray(base.round(rng.standard_normal(shape)), dtype=np.float64)
     specials = np.array([fmt.max_value, -fmt.max_value,
-                         fmt.min_positive, -fmt.min_positive, np.nan])
-    hit = rng.random((n, n)) < 0.05
+                         fmt.min_positive, -fmt.min_positive, _NAN])
+    hit = rng.random(shape) < 0.05
     A[hit] = rng.choice(specials, hit.sum())
     if pattern == "zero":
         A[:] = 0.0
     elif pattern == "empty_rows":
-        A[rng.random((n, n)) < 0.7] = 0.0
-        A[rng.random(n) < 0.4] = 0.0
+        A[rng.random(shape) < 0.7] = 0.0
+        A[rng.random(shape[:-1]) < 0.4] = 0.0
     elif pattern == "random":
-        A[rng.random((n, n)) < rng.uniform(0.5, 0.97)] = 0.0
-    # stored zeros of both signs
-    A[(A == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        A[rng.random(shape) < rng.uniform(0.5, 0.97)] = 0.0
+    A[A == 0] = 0.0
     return A
 
 
-def _vectors(fmt, rng, n: int):
-    """A finite x (the plan route) and one with ±inf and NaN as well
-    (the plan is declined per call); both hold ±0, ±max and ±minpos."""
+def _vectors(fmt, rng, shape):
+    """Finite x: ±0, ±max and ±minpos among ordinary values; then all
+    of it negative, and all of it ±0 (pads of both signs)."""
     base = getattr(fmt, "base", fmt)
-    x = np.asarray(base.round(rng.standard_normal(n) * 4.0), dtype=np.float64)
+    x = np.asarray(base.round(rng.standard_normal(shape) * 4.0),
+                   dtype=np.float64)
     specials = [0.0, -0.0, fmt.max_value, -fmt.max_value,
                 fmt.min_positive, -fmt.min_positive]
-    hit = rng.random(n) < 0.3
+    hit = rng.random(shape) < 0.3
     x[hit] = rng.choice(specials, hit.sum())
     yield x
-    y = x.copy()
-    hit = rng.random(n) < 0.3
-    y[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
-    yield y
+    yield -np.abs(x)
+    yield np.where(rng.random(shape) < 0.5, 0.0, -0.0)
 
 
 def _cases(fmt, seed: int):
     rng = np.random.default_rng(seed)
     for n in _SLOW.get(fmt.name, _SIZES):
         for pattern in _PATTERNS:
-            A = _matrix(fmt, rng, pattern, n)
+            A = _matrix(fmt, rng, pattern, (n, n))
             for x in _vectors(fmt, rng, n):
                 yield A, x
 
 
 def _routes(A):
-    """(whole-array operand, planned operand) over the same values."""
+    """(whole-array operand, tape operand) over the same values."""
     return A.copy(), zeroplan.freeze(A.copy())
 
 
@@ -92,101 +115,220 @@ def _counts(col: Collector) -> dict:
             for site, by_fmt in col.snapshot().items()}
 
 
-def _check(make_fmt, order: str, seed: int) -> None:
-    """Bits equal on every case; a collector's counts equal too."""
-    fmt = make_fmt()
-    ctx = FPContext(fmt, sum_order=order)
-    for A, x in _cases(fmt, seed):
-        whole, planned = _routes(A)
-        assert (ctx.matvec(planned, x).tobytes()
-                == ctx.matvec(whole, x).tobytes())
-    # a collector sees the full arrays: both operands report the same
-    # per-(site, format) counts
-    cols = Collector(), Collector()
-    for A, x in _cases(fmt, seed + 1):
-        for col, operand in zip(cols, _routes(A)):
-            FPContext(fmt, sum_order=order, collector=col).matvec(operand, x)
-    assert _counts(cols[0]) == _counts(cols[1])
+def _same(ctx, A, x, folds) -> None:
+    """The frozen operand gives the whole-array route's bits, through
+    one fold on the tape in a pairwise context and through none in a
+    sequential one (which keeps the whole-array route)."""
+    whole, taped = _routes(A)
+    before = len(folds)
+    got = ctx.matvec(taped, x)
+    taken = int(ctx.sum_order == "pairwise")
+    assert len(folds) == before + taken
+    assert got.tobytes() == ctx.matvec(whole, x).tobytes()
+    assert len(folds) == before + taken
 
 
 @pytest.mark.parametrize("order", _ORDERS)
 @pytest.mark.parametrize("tables", [True, False], ids=["lut", "nolut"])
 @pytest.mark.parametrize("fmt_name", _REGISTERED)
-def test_registered_formats(fmt_name, tables, order, monkeypatch):
+def test_registered_formats(fmt_name, tables, order, folds, monkeypatch):
     monkeypatch.setattr(lut, "_ENABLED", tables)
-    _check(lambda: get_format(fmt_name), order, seed=len(fmt_name))
+    fmt = get_format(fmt_name)
+    ctx = FPContext(fmt, sum_order=order)
+    for A, x in _cases(fmt, seed=len(fmt_name)):
+        _same(ctx, A, x, folds)
 
 
 @pytest.mark.parametrize("order", _ORDERS)
 @pytest.mark.parametrize("spec", _DIRECTED,
                          ids=lambda s: "-".join(map(str, s)))
-def test_directed_modes(spec, order):
-    _check(lambda: DirectedIEEEFormat(*spec), order, seed=spec[0])
+def test_directed_modes(spec, order, folds):
+    fmt = DirectedIEEEFormat(*spec)
+    ctx = FPContext(fmt, sum_order=order)
+    for A, x in _cases(fmt, seed=spec[0]):
+        _same(ctx, A, x, folds)
 
 
 @pytest.mark.parametrize("order", _ORDERS)
 @pytest.mark.parametrize("fmt_name", _STOCHASTIC)
-def test_stochastic_rounding_draws_the_same_numbers(fmt_name, order):
-    """Skipped entries are exact and the gathered ones keep row-major
-    order, so two equally seeded rounders make the same draws."""
+def test_stochastic_rounding_draws_the_same_numbers(fmt_name, order,
+                                                    folds):
+    """The tape rounds the whole-array route's inexact values in its
+    row-major order, so two equally seeded rounders make the same
+    draws."""
     base = get_format(fmt_name)
-    whole_fmt, plan_fmt = (StochasticRounding(base, seed=9) for _ in range(2))
+    whole_fmt, tape_fmt = (StochasticRounding(base, seed=9) for _ in range(2))
     whole_ctx = FPContext(whole_fmt, sum_order=order)
-    plan_ctx = FPContext(plan_fmt, sum_order=order)
+    tape_ctx = FPContext(tape_fmt, sum_order=order)
     for A, x in _cases(base, seed=3):
-        whole, planned = _routes(A)
-        assert (plan_ctx.matvec(planned, x).tobytes()
+        whole, taped = _routes(A)
+        assert (tape_ctx.matvec(taped, x).tobytes()
                 == whole_ctx.matvec(whole, x).tobytes())
-        assert (plan_fmt._rng.bit_generator.state
+        assert (tape_fmt._rng.bit_generator.state
                 == whole_fmt._rng.bit_generator.state)
+    assert bool(folds) == (order == "pairwise")
 
 
-@pytest.mark.parametrize("fmt_name", ["posit32es2", "takum16", "bf16"])
-def test_planned_route_rounds_fewer_elements(fmt_name, monkeypatch):
-    """The comparison above is not vacuous: on a sparse operand the
-    frozen copy sends fewer elements through ``round``."""
+@pytest.mark.parametrize("fmt_name", ["posit16es1", "bf16", "fp32"])
+def test_every_row_width_up_to_69(fmt_name, folds):
+    """Every tree shape the fold can take up to width 69, on short and
+    full rows and on lane stacks."""
     fmt = get_format(fmt_name)
-    rng = np.random.default_rng(1)
-    A = _matrix(fmt, rng, "random", 96)
-    A[np.isnan(A)] = 1.0
-    x = np.asarray(fmt.round(rng.standard_normal(96)))
-    rounded = [0]
-    inner = fmt.round
-
-    def counting(v):
-        rounded[0] += np.size(v)
-        return inner(v)
-    monkeypatch.setattr(fmt, "round", counting)
     ctx = FPContext(fmt)
-    whole, planned = _routes(A)
-    ctx.matvec(whole, x)
-    full, rounded[0] = rounded[0], 0
-    ctx.matvec(planned, x)
-    assert rounded[0] < full / 2, (rounded[0], full)
+    rng = np.random.default_rng(69)
+    for n in range(1, 70):
+        for shape in ((5, n), (3, 4, n)):
+            A = _matrix(fmt, rng, "random", shape)
+            A[0] = 0.0
+            A[..., -1, :] = _matrix(fmt, rng, "dense", shape[-1:])
+            for x in _vectors(fmt, rng, shape[:-2] + (n,)):
+                _same(ctx, A, x, folds)
 
 
-def test_native_cast_formats_take_the_whole_array_route():
-    A = zeroplan.freeze(np.eye(8))
-    for name in _REGISTERED:
-        fmt = get_format(name)
-        native = isinstance(fmt, NativeIEEEFormat)
-        assert FPContext(fmt)._use_plans == (not native)
-    # a native-cast context never asks for a plan, so none is built
-    FPContext("fp32").matvec(A, np.ones(8))
-    assert id(A) not in zeroplan._PLANS
-    FPContext("posit32es2").matvec(A, np.ones(8))
-    assert id(A) in zeroplan._PLANS
-
-
-def test_rectangular_operand():
+def test_rectangular_operand(folds):
     """QR and Householder callers pass (m, n) operands with m != n."""
     fmt = get_format("posit16es1")
+    ctx = FPContext(fmt)
     rng = np.random.default_rng(4)
-    A = np.asarray(fmt.round(rng.standard_normal((5, 37))))
-    A[rng.random(A.shape) < 0.8] = 0.0
-    x = np.asarray(fmt.round(rng.standard_normal(37)))
-    for order in _ORDERS:
-        ctx = FPContext(fmt, sum_order=order)
-        whole, planned = _routes(A)
-        assert (ctx.matvec(planned, x).tobytes()
-                == ctx.matvec(whole, x).tobytes())
+    for shape in ((5, 37), (37, 5), (1, 64), (64, 1), (2, 9, 3)):
+        A = _matrix(fmt, rng, "random", shape)
+        for x in _vectors(fmt, rng, shape[:-2] + shape[-1:]):
+            _same(ctx, A, x, folds)
+
+
+@pytest.mark.parametrize("fmt_name", ["posit32es2", "fp32", "fp16"])
+def test_fully_dense_operand(fmt_name, folds):
+    """bcsstk02 has no zero entry: every pair is live-live."""
+    ctx = FPContext(fmt_name)
+    A = np.asarray(ctx.asarray(load_matrix("bcsstk02", SCALES["small"])))
+    assert np.all(A != 0)
+    x = np.asarray(ctx.asarray(right_hand_side(A)))
+    _same(ctx, A, x, folds)
+    _same(ctx, np.stack([A, A[::-1]]), np.stack([x, -x]), folds)
+
+
+def test_native_cast_formats_take_the_tape(folds):
+    """fp16 and fp32 round by a NumPy dtype cast and take the tape
+    too, with the whole-array route's bits."""
+    for fmt_name in ("fp16", "fp32"):
+        ctx = FPContext(fmt_name)
+        A = np.asarray(ctx.asarray(load_matrix("nos2", SCALES["small"])))
+        x = np.asarray(ctx.asarray(
+            np.random.default_rng(2).standard_normal(96)))
+        _same(ctx, A, x, folds)
+        _same(ctx, np.stack([A, A]), np.stack([x, -x]), folds)
+    assert len(folds) == 4
+
+
+@pytest.mark.parametrize("fmt_name", ["posit32es2", "takum16", "bf16",
+                                      "fp32"])
+def test_planned_route_rounds_fewer_elements(fmt_name, monkeypatch):
+    """The comparisons above are not vacuous: on a sparse operand the
+    frozen copy sends fewer elements through ``round``, and a level
+    without a live-live pair makes no rounding call."""
+    fmt = get_format(fmt_name)
+    rng = np.random.default_rng(1)
+    A = _matrix(fmt, rng, "random", (96, 96))
+    A[np.isnan(A)] = 1.0
+    x = np.asarray(fmt.round(rng.standard_normal(96)))
+    sizes = []
+    inner = fmt.round
+    monkeypatch.setattr(fmt, "round",
+                        lambda v, *a: sizes.append(np.size(v)) or inner(v))
+    ctx = FPContext(fmt)
+    whole, taped = _routes(A)
+    ctx.matvec(whole, x)
+    full, sizes[:] = sum(sizes), []
+    ctx.matvec(taped, x)
+    assert sum(sizes) < full / 2, (sum(sizes), full)
+    assert 0 not in sizes
+    diagonal = zeroplan.freeze(np.diag(np.asarray(fmt.round(
+        rng.standard_normal(96)))))
+    sizes.clear()
+    ctx.matvec(diagonal, x)
+    assert sizes == [96]  # the products; no level has a live-live pair
+
+
+def test_fall_backs_take_the_whole_array_route(folds):
+    """A non-finite x, a stored −0, a collector or the sequential order
+    keep the whole-array route, with its bits."""
+    fmt = get_format("posit16es2")
+    rng = np.random.default_rng(5)
+    A = _matrix(fmt, rng, "random", (24, 24))
+    x = next(_vectors(fmt, rng, 24))
+    whole, taped = _routes(A)
+    ctx = FPContext(fmt)
+    for bad in (np.inf, -np.inf, np.nan):
+        y = x.copy()
+        y[3] = bad
+        assert ctx.matvec(taped, y).tobytes() == \
+            ctx.matvec(whole, y).tobytes()
+    sequential = FPContext(fmt, sum_order="sequential")
+    assert sequential.matvec(taped, x).tobytes() == \
+        sequential.matvec(whole, x).tobytes()
+    cols = Collector(), Collector()
+    outs = [FPContext(fmt, collector=col).matvec(operand, x)
+            for col, operand in zip(cols, (whole, taped))]
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert _counts(cols[0]) == _counts(cols[1])
+    signed = A.copy()
+    signed[signed == 0] = -0.0
+    frozen = zeroplan.freeze(signed.copy())
+    assert zeroplan.plan_for(frozen) is None
+    assert ctx.matvec(frozen, x).tobytes() == \
+        ctx.matvec(signed, x).tobytes()
+    assert folds == []
+    ctx.matvec(taped, x)
+    assert folds == [1]
+
+
+@pytest.mark.parametrize("fmt_name", ["posit32es2", "fp32"])
+def test_lane_solve_through_retire(fmt_name, monkeypatch):
+    """A dense CG lane group sheds lanes as they finish; each smaller
+    stack gets a plan of its own, and every lane keeps the bits the
+    whole-array route gives it."""
+    systems = []
+    for name in ("494_bus", "nos1", "nos2"):
+        A = load_matrix(name, SCALES["small"])
+        systems += [(A, right_hand_side(A)), (2.0 * A, right_hand_side(A))]
+    ctx = FPContext(fmt_name)
+    shapes = []
+    inner = zeroplan.DensePlan
+
+    class Counted(inner):
+        __slots__ = ()
+
+        def __init__(self, A):
+            shapes.append(A.shape)
+            super().__init__(A)
+    monkeypatch.setattr(zeroplan, "DensePlan", Counted)
+    taped = conjugate_gradient_lanes(ctx, systems, max_iterations=300)
+    assert (6, 96, 96) in shapes and len(shapes) > 2
+    monkeypatch.setattr(zeroplan, "plan_for", lambda A: None)
+    monkeypatch.setattr(context_module, "plan_for", lambda A: None)
+    whole = conjugate_gradient_lanes(ctx, systems, max_iterations=300)
+    assert len({r.iterations for r in whole}) > 2
+    for a, b in zip(taped, whole):
+        assert a.iterations == b.iterations
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.relative_residual == b.relative_residual \
+            or (np.isnan(a.relative_residual)
+                and np.isnan(b.relative_residual))
+
+
+def test_format_mixed_lane_context(monkeypatch):
+    """The plan's per-lane runs let one :class:`LaneContext` round a
+    dense stack's lanes each in its own format."""
+    monkeypatch.setattr(lut, "_ENABLED", True)
+    names = ("posit32es2", "takum32", "posit32es3")
+    rng = np.random.default_rng(11)
+    n = 40
+    A = np.stack([np.asarray(get_format(f).round(
+        _matrix(get_format(f), rng, "random", (n, n)))) for f in names])
+    x = np.stack([np.asarray(get_format(f).round(rng.standard_normal(n)))
+                  for f in names])
+    ctx = LaneContext(names, LaneSegments([n] * len(names)))
+    out = ctx.matvec(zeroplan.freeze(A.copy()), x)
+    for k, name in enumerate(names):
+        alone = FPContext(name).matvec(A[k].copy(), x[k])
+        assert out[k].tobytes() == alone.tobytes()

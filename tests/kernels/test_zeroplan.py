@@ -1,9 +1,10 @@
-"""Which dense operands get a cached zero-structure plan, and for how long.
+"""Which dense operands get a cached fold-tape plan, and for how long.
 
-A plan is valid only while its operand's zero pattern cannot change,
-so :func:`repro.kernels.zeroplan.plan_for` serves one only to a frozen
+A plan holds its operand's nonzeros and zero pattern, so
+:func:`repro.kernels.zeroplan.plan_for` serves one only to a frozen
 array (read-only, owning its data), keeps it while the array lives,
-and never hands it to another array.
+never hands it to another array, and lets it die with its array: a
+lane group's stacks too, which retiring lanes replace one by one.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ def builds(monkeypatch):
     """Count plan builds."""
     made = []
 
-    class Counting(zeroplan.ZeroPlan):
+    class Counting(zeroplan.DensePlan):
         __slots__ = ()
 
         def __init__(self, A):
             made.append(id(A))
             super().__init__(A)
-    monkeypatch.setattr(zeroplan, "ZeroPlan", Counting)
+    monkeypatch.setattr(zeroplan, "DensePlan", Counting)
     return made
 
 
@@ -72,11 +73,51 @@ def test_a_solve_builds_each_operand_plan_once(solver, plans, builds):
     assert len(builds) == plans
 
 
-def test_native_cast_solve_builds_no_plan(builds):
+def test_native_cast_solve_builds_one_plan(builds):
+    """fp32 rounds by a dtype cast and takes the tape like every other
+    rounded format."""
     A = load_matrix("nos1", SCALES["small"])
     conjugate_gradient(FPContext("fp32"), A, right_hand_side(A),
                        max_iterations=20)
+    assert len(builds) == 1
+
+
+def test_stored_negative_zero_gets_no_plan(builds):
+    """``(−0)·x[j]`` would make that row's pads differ from the other
+    rows': the operand keeps the whole-array route, decided once."""
+    A = _sparse()
+    A[A == 0] = 0.0
+    A[0, np.flatnonzero(A[0] == 0)[0]] = -0.0
+    frozen = zeroplan.freeze(A.copy())
+    ctx = FPContext("posit32es2")
+    x = np.arange(1.0, 13.0)
+    for _ in range(2):
+        assert ctx.matvec(frozen, x).tobytes() == ctx.matvec(A, x).tobytes()
+    assert zeroplan.plan_for(frozen) is None
+    assert id(frozen) in zeroplan._PLANS
     assert builds == []
+
+
+def test_lane_stacks_leave_no_plans_alive(builds):
+    """A dense lane group's stacks, the smaller ones retiring lanes
+    leave behind and its systems' own matrices each get a plan, and
+    every one dies with its array."""
+    from repro.linalg import conjugate_gradient_lanes
+    gc.collect()
+    before = len(zeroplan._PLANS)
+    # one step, three steps (three eigenvalues), then the budget
+    systems = [(np.eye(8), np.ones(8)),
+               (np.diag(np.resize([1.0, 2.0, 3.0], 8)), np.ones(8))]
+    for seed in range(2):
+        A = _sparse(8, seed) + 8.0 * np.eye(8)
+        systems.append((A + A.T, np.ones(8)))
+    results = conjugate_gradient_lanes(FPContext("posit16es1"), systems,
+                                       max_iterations=12)
+    assert len({r.iterations for r in results}) > 1
+    assert len(builds) > 1
+    del results
+    gc.collect()
+    assert len(zeroplan._PLANS) == before
 
 
 def test_back_to_back_solves_leave_no_plans_alive(builds):
@@ -123,7 +164,7 @@ def test_reused_id_never_gets_the_old_plan(evict, monkeypatch):
         pytest.skip("the allocator never reused an id")
     plan = zeroplan.plan_for(B)
     assert plan is not old
-    assert plan.products is None  # B is all ones: every product rounds
+    assert plan.data.size == n * n  # B is all ones: every product lives
     ctx = FPContext("posit16es1")
     x = np.arange(1.0, n + 1)
     assert ctx.matvec(B, x).tobytes() == ctx.matvec(B.copy(), x).tobytes()

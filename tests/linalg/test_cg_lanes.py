@@ -377,7 +377,7 @@ def test_dot_and_matvec_lanes_equal_single_calls(fmt, order, n):
     assert dots.shape == (4,)
     for k in range(4):
         assert dots[k].hex() == ctx.dot(x[k], x[::-1][k]).hex()
-    for operand in (stack, np.stack(frozen)):       # planned, whole-array
+    for operand in (stack, np.stack(frozen)):       # tape, whole-array
         out = ctx.matvec(operand, x)
         assert out.shape == (4, n)
         for k in range(4):
@@ -387,8 +387,8 @@ def test_dot_and_matvec_lanes_equal_single_calls(fmt, order, n):
 
 @pytest.mark.parametrize("order", ["pairwise", "sequential"])
 def test_stacked_plan_rounds_what_the_lanes_would(order, monkeypatch):
-    """The half-share rule is decided per lane, so a stack rounds as
-    many elements as its lanes do one by one."""
+    """A stack's tape rounds each lane's live products and live-live
+    pairs, so it rounds as many elements as its lanes do one by one."""
     from repro.formats import get_format
     fmt = get_format("posit32es2")
     ctx = FPContext(fmt, sum_order=order)
