@@ -27,7 +27,7 @@ from ..formats.registry import get_format
 from ..kernels import gemm as _gemm_kernels
 from ..kernels.lut import LaneTables
 from ..kernels.scratch import ScratchPool
-from ..kernels.segment import segmented_fold, use_segmented
+from ..kernels.segment import segmented_fold
 from ..kernels.zeroplan import plan_for
 from .shapes import require_conformant, require_lanes, require_product
 from .sparse import CSRMatrix, CSRStack
@@ -369,14 +369,13 @@ class FPContext:
         rounds one product per stored entry and reduces over the padded
         row width instead of the full dimension (the padded-row
         semantics of :mod:`repro.arith.sparse`).  It quantizes the
-        products in compact form and either scatters them into the
-        padded shape or folds them segmented in O(nnz), chosen from the
-        matrix's fill (:func:`repro.kernels.segment.use_segmented`);
-        both routes give the same bits.  A :class:`CSRStack` of ragged
-        lanes, with their vectors laid end to end in *x*, always folds
-        segmented, each row at its own lane's width and padding
-        product, so each lane's block of the result has the bits of
-        its own call (pairwise contexts only).
+        products in compact form; a pairwise context folds them
+        segmented in O(nnz) (:func:`~repro.kernels.segment.segmented_fold`),
+        a sequential one scatters them into the padded shape.  A
+        :class:`CSRStack` of ragged lanes, with their vectors laid end
+        to end in *x*, folds each row at its own lane's width and
+        padding product, so each lane's block of the result has the
+        bits of its own call (pairwise contexts only).
 
         The dense path rounds every product and every partial sum of
         the fold.  A read-only dense operand that owns its data (the
@@ -387,10 +386,11 @@ class FPContext:
         :func:`~repro.kernels.segment.segmented_fold`, rounding only the
         partial sums of two live slots; every other slot is ±0 or a
         live value plus ±0, already a fixed point.  The bits equal the
-        whole-array route's in every format.  The whole-array route
-        serves what the tape cannot: writeable arrays and views, a
-        stored ``-0``, a non-finite *x*, the sequential order and a
-        collector (which sees every partial sum).
+        whole-array route's in every format, and so do a collector's
+        counts: the tape reports the roundings it skips as exact ones.
+        The whole-array route serves what the tape cannot: writeable
+        arrays and views, a stored ``-0``, a non-finite *x* and the
+        sequential order.
 
         A dense ``(B, n, n)`` stack with *x* of shape ``(B, n)`` runs B
         lanes in one call and returns ``(B, n)``, each row with the bits
@@ -428,8 +428,7 @@ class FPContext:
                     products = np.asarray(self._quantize(
                         "matvec.csr.mul", ext,
                         A.product_runs if stacked else None))
-                    if stacked or use_segmented(A.n, A.row_width, A.nnz,
-                                                self.sum_order):
+                    if self.sum_order == "pairwise":
                         out = segmented_fold(products, A.segment_plan(),
                                              rnd, self._lanes)
                     else:
@@ -461,8 +460,7 @@ class FPContext:
     def _dense_plan(self, A: np.ndarray, x: np.ndarray):
         """The dense operand's fold tape, or None for the whole-array
         route (see :meth:`matvec`)."""
-        if self.sum_order != "pairwise" or self.collector is not None \
-                or _INSTRUMENTS["collector"] is not None:
+        if self.sum_order != "pairwise":
             return None
         plan = plan_for(A)
         if plan is None or not np.isfinite(x).all():
@@ -471,8 +469,10 @@ class FPContext:
 
     def _matvec_tape(self, plan, x: np.ndarray, rnd) -> np.ndarray:
         """The dense matvec through *plan*'s fold tape: the live
-        products, then every level's pads, folded segmented."""
+        products, then every level's pads, folded segmented.  A
+        collector sees the pad products as exact roundings."""
         nnz = plan.data.size
+        skipped = getattr(self._rnd_for("matvec.mul"), "record_exact", None)
         tape = _SCRATCH.take((nnz + plan.fold.pads,))
         try:
             with np.errstate(invalid="ignore", over="ignore"):
@@ -481,6 +481,8 @@ class FPContext:
                 np.multiply(plan.data, live, out=live)
                 if nnz:
                     live[:] = self._quantize("matvec.mul", live, plan.runs)
+                if skipped is not None:
+                    skipped(plan.zeros)
                 np.multiply(0.0, x.reshape(-1), out=tape[nnz:])
                 out = segmented_fold(tape, plan.fold, rnd, self._lanes)
         finally:

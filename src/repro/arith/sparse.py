@@ -20,20 +20,20 @@ which is just another valid per-op-rounded association order (see
 :mod:`repro.arith.summation`).  The exact (fp64) context evaluates the
 same padded rows with one float64 einsum (:meth:`CSRMatrix.matvec64`).
 
-Two routes realize the spec, picked from the matrix's fill
-(:func:`repro.kernels.segment.use_segmented`):
+The emulated matvec quantizes the per-entry products in compact form
+(plus one shared padding product); quantization is elementwise, so
+compact-then-pad and pad-then-quantize commute bit for bit.  One route
+per summation order realizes the spec:
 
-* the *padded* route quantizes the per-entry products in compact form
-  (plus one shared padding product) and scatters them through a cached
-  slot map into the ``(n, k)`` padded shape, reduced by the rounded
-  pairwise fold — quantization is elementwise, so compact-then-scatter
-  and scatter-then-quantize commute bit for bit;
-* the *segmented* route never materializes the padded view at all: it
-  folds the compact product array through a cached
-  :class:`~repro.kernels.segment.SegmentPlan` reproducing the padded
-  tree shape per row in O(nnz) work (padding slots are exact zeros that
-  round and add exactly, so only the pairs touching live values are
-  computed).
+* ``pairwise`` folds the compact product array through a cached
+  :class:`~repro.kernels.segment.SegmentPlan`, which reproduces the
+  padded tree shape per row in O(nnz) work without materializing the
+  padded view (padding slots are exact zeros that round and add
+  exactly, so only the pairs touching live values are computed);
+* ``sequential`` scatters the products through a cached slot map
+  (:meth:`CSRMatrix.slot_map`) into the ``(n, k)`` padded shape and
+  folds each row left to right, since every padding slot re-rounds its
+  accumulator.
 
 :class:`CSRStack` lays several CSR matrices of any orders out as one
 block-diagonal matrix, the operator of ragged CG lanes.  Each of its
@@ -156,9 +156,8 @@ class CSRMatrix:
         Entry ``(i, j)`` indexes the j-th stored entry of row ``i`` in
         the compact arrays; slots past the row's length point at the
         sentinel position ``nnz`` (the shared padding product).  Only
-        the padded route and :meth:`matvec64` build it; a pairwise
-        context on a skewed pattern takes the segmented fold and never
-        does.
+        a sequential context's matvec and :meth:`matvec64` build it; a
+        pairwise context folds segmented and never does.
         """
         cache = self._pattern
         if cache.slots is None:
@@ -229,8 +228,8 @@ class CSRStack(CSRMatrix):
     width of its lane's matrix and its lane's padding product
     ``rnd(0.0 * x_ℓ[0])`` (:meth:`segment_plan`), so each lane's block
     of the result has the bits of its own matvec.  The stack folds
-    segmented on every pattern, which the padded route matches bit for
-    bit; a sequential context has no such fold and rejects a stack.
+    segmented; a sequential context has no such fold and rejects a
+    stack.
     Build one with :meth:`of` from lanes that are already quantized.
     """
 

@@ -27,8 +27,8 @@ conformance suites hold them to that):
 :mod:`repro.kernels.segment`
     The compact CSR matvec reduction: a segmented rounded pairwise
     fold over the O(nnz) product array reproducing the padded-row tree
-    bit-for-bit, so skewed matrices stop paying the (n, k) scatter.
-    The route follows the matrix's fill (``segment.use_segmented``).
+    bit-for-bit, so no matrix pays the (n, k) scatter; every pairwise
+    CSR matvec folds here.
 :mod:`repro.kernels.zeroplan`
     The dense fold tape: a frozen operand's zero pattern compiled
     into a :mod:`~repro.kernels.segment` fold plan, so the dense

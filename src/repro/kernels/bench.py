@@ -6,11 +6,13 @@ entries also time the format's bitwise/softfloat reference rounder and
 record ``speedup_vs_bitwise``; ``quantize/mixed/`` entries time one
 rounding pass over lanes of several formats
 (:class:`~repro.kernels.lut.LaneTables`) against one ``fmt.round``
-call per format and record ``speedup_vs_separate``; the segmented CSR
-matvec entries also time the padded route and record
-``speedup_vs_padded``; the ``dense/`` matvec entries time a frozen
-operand's fold tape against the whole-array route a writeable copy
-takes and record ``speedup_vs_whole``.  Each ratio is measured in one
+call per format and record ``speedup_vs_separate``; the ``sparse/``
+entries time the CSR matvec (its segmented fold) against a padded
+reference, the products scattered through ``slot_map()`` into the
+whole-array fold, and record ``speedup_vs_padded``; the ``dense/``
+matvec entries time a frozen operand's fold tape against the
+whole-array route a writeable copy takes and record
+``speedup_vs_whole``.  Each ratio is measured in one
 process on one host, so ratios compare across machines where absolute
 seconds do not; CI's ``bench`` job fails when one falls below its
 floor (``docs/performance.md`` §7).  Each timed
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from functools import partial
@@ -64,18 +65,17 @@ MIXED = ((96, ("posit32es2", "posit32es3", "takum32")),
 #: context ops: one narrow and one wide format per solver family
 CONTEXT_FORMATS = ("posit16es1", "posit32es2", "fp32")
 CONTEXT_SIZES = (24, 96)
-#: sparse matvec coverage: the paper's largest near-uniform system and
-#: the skewed arrow extra, both at their full published dimension
-SPARSE_MATRICES = ("1138_bus", "arrow_496")
+#: sparse matvec coverage: the paper's largest near-uniform system, the
+#: skewed arrow extra and a matrix of full rows (fill 1.00, where the
+#: padded reference wastes no slot), each at its full published
+#: dimension
+SPARSE_MATRICES = ("1138_bus", "arrow_496", "bcsstk02")
 SPARSE_FORMATS = ("fp16", "posit32es2")
 #: dense matvec coverage, (matrix, format, lanes): a small-scale CG
 #: operand alone and as a six-lane stack, as the ``cg_small`` groups
 #: run it
 DENSE = tuple((m, f, b) for m in ("nos2",) for f in ("posit32es2", "fp32")
               for b in (1, 6))
-#: the :data:`repro.kernels.segment.PAD_RATIO` that forces each CSR
-#: matvec route
-_ROUTE_PAD_RATIO = {"padded": math.inf, "segmented": 0.0}
 
 
 def _rounds(jobs: dict[str, tuple[Callable[[], object], ...]],
@@ -152,19 +152,6 @@ def _selected(key: str, only: tuple[str, ...] | None) -> bool:
     return only is None or any(key.startswith(p) for p in only)
 
 
-def _routed(mode: str, fn: Callable[[], np.ndarray]
-            ) -> Callable[[], np.ndarray]:
-    """*fn* with the CSR matvec route pinned to *mode* on every call."""
-    from . import segment
-
-    ratio = _ROUTE_PAD_RATIO[mode]
-
-    def run() -> np.ndarray:
-        segment.PAD_RATIO = ratio
-        return fn()
-    return run
-
-
 def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
                sizes: tuple[int, ...] = QUANTIZE_SIZES,
                ctx_formats: tuple[str, ...] = CONTEXT_FORMATS,
@@ -178,7 +165,6 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
     """
     from ..arith.context import FPContext
     from ..formats.registry import get_format
-    from . import segment
 
     rng = np.random.default_rng(12345)
     quantize: dict[str, tuple] = {}
@@ -221,12 +207,8 @@ def microbench(formats: tuple[str, ...] = QUANTIZE_FORMATS,
     # the sparse set-up frees large arrays, and after that glibc serves
     # 512 KB temporaries from its heap instead of fresh pages: built
     # first, it would speed the n = 65536 bitwise references up ~3x
-    saved = segment.PAD_RATIO
-    try:
-        sparse = _sparse_jobs(only)
-        timed.update(_rounds(sparse, repeats))
-    finally:
-        segment.PAD_RATIO = saved
+    sparse = _sparse_jobs(only)
+    timed.update(_rounds(sparse, repeats))
 
     kernels = {key: _entry(timed[key], "bitwise_s", "speedup_vs_bitwise")
                for key in quantize}
@@ -302,12 +284,11 @@ def _dense_jobs(only: tuple[str, ...] | None
 
 def _sparse_jobs(only: tuple[str, ...] | None
                  ) -> dict[str, tuple[Callable, Callable]]:
-    """Sparse matvec jobs: the (segmented, padded) CSR routes per
-    ``sparse/matvec/<matrix>/<format>``.
+    """Sparse matvec jobs: (the CSR matvec, :func:`_padded_matvec`)
+    per ``sparse/matvec/<matrix>/<format>``.
 
     Matrices run at their full published dimension (the ``full`` run
-    scale) so the skewed arrow keeps its adversarial pad ratio; each
-    CSR route is forced through ``segment.PAD_RATIO``.
+    scale) so the skewed arrow keeps its adversarial pad ratio.
     """
     from ..arith.context import FPContext
     from ..arith.sparse import CSRMatrix
@@ -327,12 +308,28 @@ def _sparse_jobs(only: tuple[str, ...] | None
         csr = CSRMatrix.from_dense(A)
         for fname in wanted:
             ctx = FPContext(fname)
-            matvec = partial(ctx.matvec, ctx.asarray(csr), x)
+            quantized = ctx.asarray(csr)
             base = f"sparse/matvec/{mname}/{fname}"
-            jobs[base] = (_routed("segmented", matvec),
-                          _routed("padded", matvec))
+            jobs[base] = (partial(ctx.matvec, quantized, x),
+                          partial(_padded_matvec, ctx, quantized, x))
             _same_bits(base, jobs[base][0](), jobs[base][1]())
     return jobs
+
+
+def _padded_matvec(ctx, A, x: np.ndarray) -> np.ndarray:
+    """The padded-row CSR matvec: the quantized products and the
+    padding product ``0.0 * x[0]`` scattered through ``A.slot_map()``
+    into the ``(n, k)`` padded shape, then folded whole."""
+    from ..arith.summation import rounded_sum_last_axis
+
+    ext = np.empty(A.nnz + 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.take(x, A.indices, out=ext[:-1])
+        np.multiply(A.data, ext[:-1], out=ext[:-1])
+        ext[-1] = 0.0 * x[0]
+        products = np.asarray(ctx.fmt.round(ext))
+        return rounded_sum_last_axis(products[A.slot_map()],
+                                     ctx.fmt.round, ctx.sum_order)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,12 +1,13 @@
 """Segmented CSR reduction: the compact O(nnz) rounded pairwise fold.
 
-The padded CSR matvec (:meth:`repro.arith.sparse.CSRMatrix.slot_map`)
-scatters the ``nnz + 1`` quantized products into the full ``(n, k)``
-padded shape before folding, so one long row inflates every row to its
-width: an arrow matrix with a single dense row pays O(n²) per
-application.  This module folds the compact product array directly,
-reproducing the padded tree **bit for bit** without ever materializing the
-padded view.
+The CSR matvec's semantics (:mod:`repro.arith.sparse`) fold every row
+through the padded tree of the longest row's width ``k``.  Scattering
+the ``nnz + 1`` quantized products into that ``(n, k)`` shape would
+inflate every row to the widest one: an arrow matrix with a single
+dense row would pay O(n²) per application.  This module folds the
+compact product array directly, reproducing the padded tree **bit for
+bit** without ever materializing the padded view; every pairwise CSR
+matvec runs here, whatever its fill.
 
 Why skipping the padding preserves every bit
 --------------------------------------------
@@ -43,9 +44,10 @@ commutes with gather/scatter: the rounded compact pair sums carry the
 bits of the padded level's (:mod:`tests.kernels.test_segment` holds the
 two paths byte-identical across the format zoo, including NaR and
 signed-zero products, and walks the padded tree of every row shape up
-to width 69).  A collector bound to the context still sees every pair
-the padded fold rounds: each level reports its live-pad pairs, fresh
-and stale, as exact roundings (the rounder's ``record_exact``).
+to width 69).  A collector bound to the context still counts every
+pair of the padded tree that holds a live value: each level reports
+its live-pad pairs, fresh and stale, as exact roundings (the rounder's
+``record_exact``).
 
 The fold tape
 -------------
@@ -66,11 +68,8 @@ plan stores two int64 per pair it adds and nothing for a stale pair.
 
 The ``sequential`` summation order offers no such skip — every trailing
 padding slot re-rounds the accumulator (``rnd(acc + p)`` rewrites
-``-0.0`` to ``+0.0``) — so sequential contexts keep the padded view.
-
-Route selection (:func:`use_segmented`) depends on the input alone: a
-pairwise context takes the segmented fold once the padded view would
-hold more than :data:`PAD_RATIO` slots per stored entry.
+``-0.0`` to ``+0.0``) — so sequential contexts keep the padded view
+(:meth:`repro.arith.sparse.CSRMatrix.slot_map`).
 
 Ragged lanes
 ------------
@@ -96,26 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LaneSegments", "SegmentPlan", "segmented_fold", "use_segmented",
-           "PAD_RATIO"]
-
-#: a CSR matvec switches to the segmented fold when the padded (n, k)
-#: view holds more than this many slots per stored entry — near-uniform
-#: rows stay on the rectangular padded gather, skewed ones go compact
-PAD_RATIO = 1.5
-
-
-def use_segmented(n: int, row_width: int, nnz: int,
-                  sum_order: str = "pairwise") -> bool:
-    """Whether a CSR matvec should take the segmented fold.
-
-    Sequential contexts always decline (see the module docstring);
-    pairwise ones take it when the padded view holds more than
-    :data:`PAD_RATIO` slots per stored entry.
-    """
-    if sum_order != "pairwise":
-        return False
-    return n * row_width > PAD_RATIO * max(nnz, 1)
+__all__ = ["LaneSegments", "SegmentPlan", "segmented_fold"]
 
 
 class _Level(NamedTuple):
@@ -128,9 +108,11 @@ class _Level(NamedTuple):
     as added (fact 3).  ``runs`` counts each lane's live-live pairs,
     for a plan built with lane boundaries (None otherwise): the pairs
     are in row order, so each lane's pairs are one run of the rounded
-    prefix.  ``padded`` counts each lane's live-pad pairs of the padded
-    tree, fresh and stale (one total without lane boundaries), for a
-    collector, which sees them as exact roundings.
+    prefix.  ``padded`` counts each lane's pairs (one total without
+    lane boundaries) that a collector sees as exact roundings the fold
+    skips: a CSR row's live-pad pairs of the padded tree, fresh and
+    stale; for a dense plan, every pair of the whole-array fold that is
+    not live-live.
     """
 
     pairs: np.ndarray
@@ -375,11 +357,11 @@ def segmented_fold(products: np.ndarray, plan: SegmentPlan,
     with *lanes* as ``rnd(pairs, runs)`` with the level's per-lane pair
     counts (a plan built with lane boundaries).  A rounder that reports
     to a collector carries ``record_exact(padded)``, which the fold
-    calls with each level's live-pad pair counts: the padded tree
-    rounds those pairs, exactly.  A level without a live-live pair
-    makes no rounding call.  Returns a fresh ``(n,)`` float64 array
-    bit-identical to the padded pairwise fold of each row at its own
-    width.  The dense matvec's plans
+    calls with each level's skipped pair counts (``_Level.padded``):
+    the padded tree rounds those pairs, exactly.  A level without a
+    live-live pair makes no rounding call.  Returns a fresh ``(n,)``
+    float64 array bit-identical to the padded pairwise fold of each row
+    at its own width.  The dense matvec's plans
     (:class:`repro.kernels.zeroplan.DensePlan`) run here too, with the
     level-0 pads ``0.0·x`` in the pad slots.
     """

@@ -40,6 +40,16 @@ products it sums has ``A[i, j] != 0`` (NaN and ±inf entries count), a
    whole-array route's inexact values in its order, so
    ``StochasticRounding`` makes the same draws.
 
+A collector counts what the whole-array route rounds.  The tape skips
+two kinds of rounding that route makes, and reports both as exact ones
+(the rounder's ``record_exact``): per call and lane the ``m·n − live``
+pad products at ``matvec.mul`` (fact 1), and per level and lane the
+``m·(k // 2) − live-live`` pair sums that are live-pad or pad-pad
+(facts 2 and 3) at ``matvec.sum``.  Each is ±0 or a live value plus
+±0, a fixed point of ``round``, which the whole-array route counts as
+exact with no other event; so the per-(site, format) counts of both
+routes are equal.
+
 An ``x`` with ±inf or NaN takes the whole-array route because ``0·inf``
 is NaN, which posit and takum ``round`` canonicalize: a NaN pad would
 not be a fixed point.  A stored ``-0`` does because ``(-0)·x[j]`` has
@@ -49,8 +59,9 @@ A frozen ``(B, m, n)`` lane stack gets one plan: its rows are the
 lanes' rows in order, each lane's pads come from its own ``x`` row,
 and the plan counts each lane's live products and each level's
 live-live pairs (``runs``), so a :class:`~repro.arith.context.LaneContext`
-can round every lane in its own format.  ``Lanes.retire`` freezes the
-smaller stack it keeps, which gets a plan of its own.
+can round every lane in its own format and a collector can count each
+lane's skipped roundings in its lane's format.  ``Lanes.retire`` freezes
+the smaller stack it keeps, which gets a plan of its own.
 
 Which operands get a plan
 -------------------------
@@ -84,15 +95,17 @@ class DensePlan:
     ``data`` holds the operand's nonzero entries in row-major order and
     ``cols`` the index of each one's ``x`` entry in ``x`` laid out flat
     (``(B·n,)`` for a lane stack); ``runs`` counts each lane's live
-    products (None for an ``(m, n)`` operand).  On the tape the products
-    take slots ``0 .. nnz − 1`` and the level-0 pads ``0.0·x`` the next
-    ``B·n``; ``fold`` is the :class:`~repro.kernels.segment.SegmentPlan`
-    of the ``B·m`` rows' trees over that tape.  Each of its levels adds
-    the live-live pairs (rounded), then the live-pad pairs, then the
-    pad-pad sum of every position of every lane: the next level's pads.
+    products (None for an ``(m, n)`` operand) and ``zeros`` each lane's
+    pad products, ``m·n − live``, which a collector sees as exact
+    roundings.  On the tape the products take slots ``0 .. nnz − 1``
+    and the level-0 pads ``0.0·x`` the next ``B·n``; ``fold`` is the
+    :class:`~repro.kernels.segment.SegmentPlan` of the ``B·m`` rows'
+    trees over that tape.  Each of its levels adds the live-live pairs
+    (rounded), then the live-pad pairs, then the pad-pad sum of every
+    position of every lane: the next level's pads.
     """
 
-    __slots__ = ("shape", "data", "cols", "runs", "fold")
+    __slots__ = ("shape", "data", "cols", "runs", "zeros", "fold")
 
     def __init__(self, A: np.ndarray):
         self.shape = A.shape
@@ -106,8 +119,9 @@ class DensePlan:
         row, pos = np.divmod(flat, n)
         lane_of = np.arange(lanes * m) // m
         self.cols = lane_of[row] * n + pos
-        self.runs = (np.bincount(lane_of[row], minlength=lanes)
-                     if A.ndim == 3 else None)
+        live_of = np.bincount(lane_of[row], minlength=lanes)
+        self.runs = live_of if A.ndim == 3 else None
+        self.zeros = m * n - live_of
         slot = np.arange(nnz)
         # pad[b, p]: the tape slot of lane b's pad at position p
         pad = nnz + np.arange(lanes * n).reshape(lanes, n)
@@ -144,12 +158,12 @@ class DensePlan:
             # the next level's live slots: a sum, or a leftover's slot
             slot[both] = size + np.arange(n_both)
             slot[one] = size + n_both + np.arange(n_one)
-            runs = (np.bincount(lane_of[row[both]], minlength=lanes)
-                    if A.ndim == 3 else None)
+            both_of = np.bincount(lane_of[row[both]], minlength=lanes)
             keep = np.flatnonzero(head)
             row, pos, slot = row[keep], pos[keep], slot[keep]
             levels.append(_Level(pairs, slice(size, size + pairs.shape[1]),
-                                 n_both, runs, _NO_PADS))
+                                 n_both, both_of if A.ndim == 3 else None,
+                                 m * half - both_of))
             nxt = size + n_both + n_one + np.arange(lanes * half).reshape(
                 lanes, half)
             pad = np.concatenate([nxt, pad[:, -1:]], axis=1) if odd else nxt
@@ -158,11 +172,6 @@ class DensePlan:
         final[row] = slot
         self.fold = SegmentPlan(lanes * m, n, lanes * n, levels, final,
                                 size)
-
-
-#: a collector never runs the tape (the matvec gives it the whole
-#: array), so no level reports live-pad pairs as exact roundings
-_NO_PADS = np.zeros(1, dtype=np.int64)
 
 
 def _tape_plan(A: np.ndarray) -> DensePlan | None:

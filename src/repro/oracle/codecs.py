@@ -56,10 +56,6 @@ __all__ = ["OracleCodec", "PositOracleCodec", "IEEEOracleCodec",
 TABLE_MAX_NBITS = 17
 
 
-def _pow2(s: int) -> Rat:
-    return (1 << s, 1) if s >= 0 else (1, 1 << -s)
-
-
 class OracleCodec(abc.ABC):
     """Exact decode + correctly-rounded encode for one format.
 

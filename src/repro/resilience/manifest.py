@@ -137,12 +137,6 @@ class RunManifest:
         """A previously recorded free-form section, or None."""
         return self.data.get(name)
 
-    def is_cell_complete(self, cell_id: str, scale: str) -> bool:
-        entry = self.get_cell(cell_id)
-        return bool(entry and entry.get("status") in ("completed",
-                                                      "cached")
-                    and entry.get("scale") == scale)
-
     def is_complete(self, experiment_id: str, scale: str) -> bool:
         """True when the experiment finished at *scale* and its artifact
         (if it produced one) still exists on disk."""

@@ -2,23 +2,20 @@
 padded-row (ELL) bit-identity.
 
 The load-bearing property is the differential one — for every suite
-matrix and every format family the CSR emulated matvec, on every
-route, must be *bit-identical* to the padded-row (ELLPACK) evaluation
-that :mod:`tests.sparse_reference` writes out from the dense matrix,
-because experiments treat the route as an implementation detail
-(caches key on it, results must not).
+matrix and every format family the CSR emulated matvec, in both
+summation orders, must be *bit-identical* to the padded-row (ELLPACK)
+evaluation that :mod:`tests.sparse_reference` writes out from the
+dense matrix.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 import pytest
 
 from repro.arith import CSRMatrix, FPContext
-from repro.kernels import segment
 from repro.linalg import conjugate_gradient
 from tests.sparse_reference import padded_row_matvec
 
@@ -126,7 +123,7 @@ class TestConstruction:
             maps.append(slot_map(self)) or maps[-1]))
         A = _skewed(rng, n=40)
         C = CSRMatrix.from_dense(A)
-        assert C.n * C.row_width > segment.PAD_RATIO * C.nnz
+        assert C.n * C.row_width > 2 * C.nnz  # mostly padding
         res = conjugate_gradient(FPContext("fp64"), C, A @ np.ones(40))
         assert res.iterations >= 2
         assert len(maps) >= res.iterations
@@ -134,7 +131,9 @@ class TestConstruction:
 
 
 class TestELLBitIdentity:
-    """CSR against the padded-row (ELL) reference, route chosen by input."""
+    """CSR against the padded-row (ELL) reference in both summation
+    orders: the pairwise segmented fold on every fill (full rows
+    included, as in ``bcsstk02``) and the sequential padded view."""
 
     FORMATS = ("fp16", "bf16", "fp32", "fp64", "posit16es2",
                "posit32es2", "takum16", "takum32", "takum_log16")
@@ -144,11 +143,12 @@ class TestELLBitIdentity:
         assert csr.matvec64(x).tobytes() == \
             padded_row_matvec(FPContext("fp64"), A, x).tobytes()
         for fname in formats:
-            ctx = FPContext(fname)
-            ye = padded_row_matvec(ctx, A, x)
-            yc = ctx.matvec(ctx.asarray(csr), x)
-            assert ye.tobytes() == yc.tobytes(), \
-                f"CSR != padded-row reference bitwise for {fname}"
+            for order in ("pairwise", "sequential"):
+                ctx = FPContext(fname, sum_order=order)
+                ye = padded_row_matvec(ctx, A, x)
+                yc = ctx.matvec(ctx.asarray(csr), x)
+                assert ye.tobytes() == yc.tobytes(), \
+                    f"CSR != padded-row reference for {fname}, {order}"
 
     def test_random_spd(self, rng):
         A = _sparse_spd(rng)
@@ -182,11 +182,11 @@ class TestELLBitIdentity:
 class TestSkewedFixture:
     """The committed arrow/power-law Matrix Market fixture.
 
-    The adversarial shape for the padded route: one dense arrow row
+    The adversarial shape for the padded view: one dense arrow row
     drives the row width to n while most rows hold a handful of
-    entries, so the CSR matvec is routed through the segmented fold —
-    which must stay byte-identical to the padded-row reference across
-    the format zoo, including NaR and signed-zero edge products.
+    entries.  The CSR matvec must stay byte-identical to the padded-row
+    reference across the format zoo in both summation orders, including
+    NaR and signed-zero edge products.
     """
 
     FORMATS = ("fp16", "bf16", "fp32", "posit16es2", "posit32es2",
@@ -205,45 +205,37 @@ class TestSkewedFixture:
         assert np.array_equal(CSRMatrix.from_scipy(S).to_dense(), A)
 
     def test_fixture_is_skewed(self, fixture_pair):
-        from repro.kernels.segment import PAD_RATIO, use_segmented
         _, S = fixture_pair
         C = CSRMatrix.from_scipy(S)
         assert C.row_width == C.n  # the arrow row is fully dense
-        assert C.n * C.row_width > PAD_RATIO * C.nnz
-        assert use_segmented(C.n, C.row_width, C.nnz)
+        assert C.n * C.row_width > 2 * C.nnz  # mostly padding
 
-    def _assert_identical(self, A, S, x, monkeypatch):
+    def _assert_identical(self, A, S, x):
         csr = CSRMatrix.from_scipy(S)
         for fname in self.FORMATS:
-            ctx = FPContext(fname)
-            ye = padded_row_matvec(ctx, A, x)
-            # force padded, segmented, then the input-driven choice
-            for ratio in (math.inf, 0.0, segment.PAD_RATIO):
-                monkeypatch.setattr(segment, "PAD_RATIO", ratio)
+            for order in ("pairwise", "sequential"):
+                ctx = FPContext(fname, sum_order=order)
+                ye = padded_row_matvec(ctx, A, x)
                 yc = ctx.matvec(ctx.asarray(csr), x)
                 assert ye.tobytes() == yc.tobytes(), \
-                    f"CSR(PAD_RATIO={ratio}) != reference for {fname}"
+                    f"CSR != reference for {fname}, {order}"
 
-    def test_byte_identity_across_formats(self, fixture_pair, rng,
-                                          monkeypatch):
+    def test_byte_identity_across_formats(self, fixture_pair, rng):
         A, S = fixture_pair
-        self._assert_identical(A, S, rng.standard_normal(A.shape[0]),
-                               monkeypatch)
+        self._assert_identical(A, S, rng.standard_normal(A.shape[0]))
 
-    def test_byte_identity_nar_products(self, fixture_pair, rng,
-                                        monkeypatch):
+    def test_byte_identity_nar_products(self, fixture_pair, rng):
         """x[0] = NaN floods the arrow column with NaR products."""
         A, S = fixture_pair
         x = rng.standard_normal(A.shape[0])
         x[0] = np.nan
-        self._assert_identical(A, S, x, monkeypatch)
+        self._assert_identical(A, S, x)
 
-    def test_byte_identity_signed_zero_padding(self, fixture_pair, rng,
-                                               monkeypatch):
+    def test_byte_identity_signed_zero_padding(self, fixture_pair, rng):
         """Strictly negative x makes every padding product -0.0."""
         A, S = fixture_pair
         x = -np.abs(rng.standard_normal(A.shape[0])) - 0.25
-        self._assert_identical(A, S, x, monkeypatch)
+        self._assert_identical(A, S, x)
 
     def test_cg_solves_fixture_identically(self, fixture_pair):
         from repro.matrices import right_hand_side

@@ -39,6 +39,22 @@ def _results_dir(tmp_path_factory):
 
 
 @pytest.fixture
+def folds(monkeypatch):
+    """Count the segmented folds ``FPContext.matvec`` makes: one per
+    call on a fold tape."""
+    from repro.arith import context
+
+    calls = []
+    inner = context.segmented_fold
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(context, "segmented_fold", counted)
+    return calls
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""
     return np.random.default_rng(0xC0FFEE)

@@ -91,7 +91,6 @@ class TestCellWiring:
         the cached CSR matrix, and its quantized copies share one
         lazily built segment plan."""
         from repro.kernels import segment
-        monkeypatch.setattr(segment, "PAD_RATIO", 0.0)  # force segmented
         builds = []
         from_csr = segment.SegmentPlan.from_csr
         monkeypatch.setattr(segment.SegmentPlan, "from_csr", staticmethod(

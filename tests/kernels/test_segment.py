@@ -4,10 +4,10 @@
 The contract (:mod:`repro.kernels.segment`): the compact O(nnz) fold
 must reproduce the padded-row rounded pairwise reduction **bit for
 bit** — on every sparsity shape, every format family, and every edge
-product (NaR, ±0, infinities).  These tests hold both CSR routes to the
-explicit padded-row reference (:mod:`tests.sparse_reference`) and pin
-the input-driven route choice; they force a route by patching
-:data:`~repro.kernels.segment.PAD_RATIO`.  :class:`TestRaggedLanes`
+product (NaR, ±0, infinities).  These tests hold the CSR matvec to the
+explicit padded-row reference (:mod:`tests.sparse_reference`) once per
+summation order: a pairwise context always folds segmented, a
+sequential one on the padded view.  :class:`TestRaggedLanes`
 holds a block-diagonal stack's plan (a width and a pad slot per row)
 to each lane's own plan.  :class:`TestPlanInvariants` checks the fold
 tape against a row-by-row walk of the padded tree (:func:`_tree`), and
@@ -17,8 +17,6 @@ while a collector still counts every pair the padded tree rounds.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -26,9 +24,7 @@ from repro.arith import CSRMatrix, FPContext
 from repro.arith.context import LaneContext
 from repro.arith.sparse import CSRStack
 from repro.arith.summation import rounded_sum_last_axis
-from repro.kernels import segment
-from repro.kernels.segment import (PAD_RATIO, LaneSegments, SegmentPlan,
-                                   segmented_fold, use_segmented)
+from repro.kernels.segment import LaneSegments, SegmentPlan, segmented_fold
 from repro.telemetry import Collector
 from tests.sparse_reference import padded_row_matvec
 
@@ -50,14 +46,6 @@ def _ragged_spd(rng, n=40, skew=False):
             A[js, i] = A[i, js]
     A += np.diag(np.abs(A).sum(axis=1) + 1.0)
     return A
-
-
-#: the PAD_RATIO that forces each CSR matvec route
-ROUTES = {"padded": math.inf, "segmented": 0.0, "auto": PAD_RATIO}
-
-
-def _force(monkeypatch, route):
-    monkeypatch.setattr(segment, "PAD_RATIO", ROUTES[route])
 
 
 def _tree(count, width):
@@ -195,8 +183,8 @@ class TestPlanInvariants:
         plan = C.segment_plan()
         padded = C.n * C.row_width * 8  # the (n, k) float64 view
         assert plan.nbytes < padded
-        # and the padded route really is the expensive one here
-        assert C.n * C.row_width > PAD_RATIO * C.nnz
+        # and the padded view really is mostly padding here
+        assert C.n * C.row_width > 2 * C.nnz
 
 
 class TestFoldByteIdentity:
@@ -259,75 +247,59 @@ class TestFoldByteIdentity:
 
 
 class TestMatvecRouting:
-    """The full FPContext.matvec path on every forced route."""
+    """The full FPContext.matvec path in each summation order."""
 
-    def _matvec_all_modes(self, monkeypatch, A, x, fname):
-        ctx = FPContext(fname)
-        csr = ctx.asarray(CSRMatrix.from_dense(A))
-        ye = padded_row_matvec(ctx, A, x)
-        outs = {}
-        for route in ROUTES:
-            _force(monkeypatch, route)
-            outs[route] = ctx.matvec(csr, x)
-        return ye, outs
+    def _assert_orders_match_reference(self, A, x, fname, folds):
+        """Each order's matvec gives the reference's bits, pairwise
+        through one segmented fold and sequential through none."""
+        csr = CSRMatrix.from_dense(A)
+        for order, taken in (("pairwise", 1), ("sequential", 0)):
+            ctx = FPContext(fname, sum_order=order)
+            ye = padded_row_matvec(ctx, A, x)
+            before = len(folds)
+            yc = ctx.matvec(ctx.asarray(csr), x)
+            assert len(folds) == before + taken, order
+            assert ye.tobytes() == yc.tobytes(), \
+                f"{order} diverges from the reference for {fname}"
 
     @pytest.mark.parametrize("fname", FORMATS)
-    def test_modes_bit_identical_to_ell(self, monkeypatch, rng, fname):
+    def test_modes_bit_identical_to_ell(self, rng, fname, folds):
         A = _ragged_spd(rng, n=35, skew=True)
-        x = rng.standard_normal(35)
-        ye, outs = self._matvec_all_modes(monkeypatch, A, x, fname)
-        for route, yc in outs.items():
-            assert ye.tobytes() == yc.tobytes(), \
-                f"route={route} diverges from the reference for {fname}"
+        self._assert_orders_match_reference(A, rng.standard_normal(35),
+                                            fname, folds)
 
-    def test_sequential_order_uses_padded_path(self, monkeypatch, rng):
-        """Sequential folds cannot skip padding — any fill must yield."""
-        assert not use_segmented(10, 10, 20, sum_order="sequential")
-        _force(monkeypatch, "segmented")
-        assert not use_segmented(10, 10, 20, sum_order="sequential")
-        A = _ragged_spd(rng, n=30, skew=True)
-        x = rng.standard_normal(30)
-        for fname in ("fp16", "posit16es2"):
-            ctx = FPContext(fname, sum_order="sequential")
-            ye = padded_row_matvec(ctx, A, x)
-            yc = ctx.matvec(ctx.asarray(CSRMatrix.from_dense(A)), x)
-            assert ye.tobytes() == yc.tobytes()
+    def test_sequential_order_uses_padded_path(self, rng, monkeypatch):
+        """Sequential folds cannot skip padding: they scatter through
+        the slot map on every fill; pairwise ones never build it, full
+        rows included."""
+        maps = []
+        slot_map = CSRMatrix.slot_map
+        monkeypatch.setattr(CSRMatrix, "slot_map", lambda self: (
+            maps.append(1) or slot_map(self)))
+        full = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
+        for A in (_ragged_spd(rng, n=30, skew=True), full):
+            x = rng.standard_normal(len(A))
+            for fname in ("fp16", "posit16es2"):
+                for order, uses in (("pairwise", 0), ("sequential", 1)):
+                    ctx = FPContext(fname, sum_order=order)
+                    ye = padded_row_matvec(ctx, A, x)
+                    before = len(maps)
+                    yc = ctx.matvec(ctx.asarray(CSRMatrix.from_dense(A)), x)
+                    assert len(maps) == before + uses, order
+                    assert ye.tobytes() == yc.tobytes()
 
-    def test_extra_suite_arrow_matrix(self, monkeypatch, rng):
-        """The arrow_496 extra is auto-routed segmented and bit-exact."""
+    def test_extra_suite_arrow_matrix(self, rng, folds):
+        """The arrow_496 extra is bit-exact in both orders."""
         from repro.matrices import load_matrix
         A = load_matrix("arrow_496")
-        C = CSRMatrix.from_dense(A)
-        assert use_segmented(C.n, C.row_width, C.nnz)
-        x = rng.standard_normal(A.shape[0])
-        ye, outs = self._matvec_all_modes(monkeypatch, A, x,
-                                          "posit32es2")
-        assert ye.tobytes() == outs["padded"].tobytes()
-        assert ye.tobytes() == outs["auto"].tobytes()
-        assert ye.tobytes() == outs["segmented"].tobytes()
-
-
-class TestRouteChoice:
-    def test_forced_modes(self, monkeypatch):
-        _force(monkeypatch, "padded")
-        assert not use_segmented(100, 100, 200)
-        _force(monkeypatch, "segmented")
-        assert use_segmented(100, 100, 200)
-        assert use_segmented(4, 2, 8)  # even when padding is cheap
-
-    def test_auto_heuristic_threshold(self):
-        # padded cost n*k vs compact nnz: flips at PAD_RATIO
-        assert not use_segmented(10, 3, 30)       # exactly dense rows
-        assert not use_segmented(10, 3, 20)       # 1.5x: at threshold
-        assert use_segmented(10, 3, 19)           # just past it
-        assert use_segmented(100, 100, 300)       # arrow shape
-        assert not use_segmented(0, 0, 0)         # degenerate
+        self._assert_orders_match_reference(
+            A, rng.standard_normal(A.shape[0]), "posit32es2", folds)
 
 
 def _lanes(rng):
-    """CSR lanes of different orders and widths: full rows (the padded
-    route's case), an arrow, a diagonal (width 1), empty rows and a
-    1 × 1 system."""
+    """CSR lanes of different orders and widths: full rows (no padding
+    at all), an arrow, a diagonal (width 1), empty rows and a 1 × 1
+    system."""
     dense = rng.standard_normal((7, 7)) + 10.0 * np.eye(7)
     holes = _ragged_spd(rng, n=13)
     holes[[2, 9], :] = 0.0
@@ -477,7 +449,6 @@ class TestRoundedPairs:
         x = rng.standard_normal(60)
         ctx = FPContext("posit16es2")
         C = ctx.asarray(CSRMatrix.from_dense(A))
-        assert use_segmented(C.n, C.row_width, C.nnz)
         rnd, seen = self._counting(ctx._rnd_for("matvec.csr.sum"))
         with np.errstate(invalid="ignore", over="ignore"):
             got = segmented_fold(_products(ctx, C, x), C.segment_plan(), rnd)

@@ -187,7 +187,7 @@ def _ragged_adversarial():
     holes = holes + holes.T + np.diag(np.full(11, 8.0))
     holes[[3, 8], :] = 0.0           # empty rows: a singular system
     lanes = [
-        # full rows: the padded route's case when alone
+        # full rows: no padding at all
         ("padded", random_dense_spd(9, kappa=50.0, seed=2),
          np.linspace(-1.0, 1.0, 9)),
         ("skewed", arrow, arrow_b),

@@ -47,7 +47,7 @@ def _common_lanes(rng):
     nan_b = rng.standard_normal(6)
     nan_b[1] = np.nan
     return [
-        # full rows: the padded route's case when alone
+        # full rows: no padding at all
         ("padded", random_dense_spd(9, kappa=50.0, seed=2),
          np.linspace(-1.0, 1.0, 9)),
         ("skewed", arrow, rng.standard_normal(17)),
