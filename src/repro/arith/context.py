@@ -28,8 +28,8 @@ from ..kernels import gemm as _gemm_kernels
 from ..kernels.lut import LaneTables
 from ..kernels.scratch import ScratchPool
 from ..kernels.segment import segmented_fold
-from ..kernels.zeroplan import plan_for
-from .shapes import require_conformant, require_lanes, require_product
+from ..kernels.zeroplan import DenseStack, plan_for
+from .shapes import require_conformant, require_product, require_vectors
 from .sparse import CSRMatrix, CSRStack
 from .summation import SUM_ORDERS, round_at, rounded_sum_last_axis
 
@@ -63,10 +63,23 @@ def _nonzero_block(x: np.ndarray, y: np.ndarray):
     return (rows[:, np.newaxis] * y.size + cols).ravel()
 
 
+def _record_exact(col, site: str, count: int, fmt) -> None:
+    """Report *count* exact roundings at *site* in *fmt* to the
+    collector *col*: as a count when it takes one (``record_exact``),
+    else as ``record`` of that many zeros."""
+    by_count = getattr(col, "record_exact", None)
+    if by_count is not None:
+        by_count(site, count, fmt)
+    else:
+        zeros = np.zeros(count)
+        col.record(site, zeros, zeros, fmt)
+
+
 # Ambient instrumentation registry.  The context layer knows nothing
 # about the internals of what is installed — an ``injector`` is anything
 # with ``apply(site, value, fmt)`` (repro.resilience.faults), a
-# ``collector`` anything with ``record(site, exact, rounded, fmt)``
+# ``collector`` anything with ``record(site, exact, rounded, fmt)`` and
+# optionally ``record_exact(site, count, fmt)``
 # (repro.telemetry.collector), a ``tracer`` anything with
 # ``emit(type, **fields)`` (repro.telemetry.trace) — which keeps this
 # module import-free of both packages.  Every slot defaults to None and
@@ -206,7 +219,9 @@ class FPContext:
         ``record_exact(counts)`` reports roundings its caller skipped
         because they return their input unchanged, as exact ones: the
         segmented fold's live-pad pairs (a :class:`LaneContext` takes
-        the counts per lane).
+        the counts per lane).  A collector with a ``record_exact(site,
+        count, fmt)`` method takes them as a count; any other gets
+        ``record`` of that many zeros.
         """
         if self._exact:
             return self._rnd
@@ -223,9 +238,9 @@ class FPContext:
             return out
 
         def record_exact(counts):
-            zeros = np.zeros(int(np.sum(counts)))
-            if zeros.size:
-                record(site, zeros, zeros, fmt)
+            count = int(np.sum(counts))
+            if count:
+                _record_exact(col, site, count, fmt)
         observed.record_exact = record_exact
         return observed
 
@@ -320,16 +335,13 @@ class FPContext:
     def dot(self, x, y, segments=None):
         """Rounded inner product: round every product, round every add.
 
-        Two ``(n,)`` vectors give a float.  Two ``(B, n)`` lane stacks
-        give the ``(B,)`` array of their row dots, each with the bits of
-        its own 1-D call: products round elementwise and the fold runs
-        along the last axis, one tree per row.  With *segments* (a
+        Two ``(n,)`` vectors give a float.  With *segments* (a
         :class:`~repro.kernels.segment.LaneSegments`), *x* and *y* are
-        ragged lanes' vectors laid end to end and the result is one dot
-        per lane, each again with its own 1-D call's bits: the
-        segmented fold gives every lane its own pairwise tree, so
-        ragged dots need a pairwise context.  The float64 context keeps
-        one BLAS ``x @ y`` per lane for the same reason.
+        lanes' vectors laid end to end and the result is the ``(B,)``
+        array of one dot per lane, each with the bits of its own 1-D
+        call: the segmented fold gives every lane its own pairwise
+        tree, so lane dots need a pairwise context.  The float64
+        context keeps one BLAS ``x @ y`` per lane for the same reason.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -340,17 +352,14 @@ class FPContext:
                                  f" for {len(segments)} ragged lanes")
             if self.sum_order != "pairwise" and not self._exact:
                 raise ValueError("ragged lane dots fold pairwise only")
-        elif x.shape != y.shape or not 0 < x.ndim < 3:
-            require_lanes(x, y)
+        else:
+            require_vectors(x, y)
         if self._exact:
             if segments is not None:
                 return self.inject("dot", np.array(
                     [segments.lane(x, k) @ segments.lane(y, k)
                      for k in range(len(segments))]))
-            if x.ndim == 1:
-                return float(self.inject("dot", float(x @ y)))
-            return self.inject("dot", np.array([xk @ yk for xk, yk
-                                                in zip(x, y)]))
+            return float(self.inject("dot", float(x @ y)))
         with np.errstate(invalid="ignore", over="ignore"):
             products = self._ewise("dot.mul", np.multiply, x, y)
             rnd = self._rnd_for("dot.sum")
@@ -358,7 +367,7 @@ class FPContext:
                    if segments is None
                    else segmented_fold(products, segments.plan(), rnd,
                                        self._lanes))
-        if x.ndim == 1 and segments is None:
+        if segments is None:
             return float(self.inject("dot", float(out)))
         return self.inject("dot", out)
 
@@ -392,20 +401,22 @@ class FPContext:
         arrays and views, a stored ``-0``, a non-finite *x* and the
         sequential order.
 
-        A dense ``(B, n, n)`` stack with *x* of shape ``(B, n)`` runs B
-        lanes in one call and returns ``(B, n)``, each row with the bits
-        of its own ``(n, n)`` call: products round elementwise, the fold
-        runs per row, a frozen stack's tape counts each lane's live
-        products and pairs (a :class:`LaneContext` rounds each lane in
-        its own format), and the float64 context keeps one BLAS
-        ``A @ x`` per lane.
+        A :class:`~repro.kernels.zeroplan.DenseStack` of ragged dense
+        lanes, with their vectors laid end to end in *x*, returns their
+        results laid end to end, each lane's block with the bits of its
+        own call (pairwise contexts only): frozen lanes fold on their
+        tapes laid end to end, and the whole-array route rounds every
+        lane's products in one call and folds every row at its own
+        lane's width.  Both count each lane's products and pairs, so a
+        :class:`LaneContext` rounds each lane in its own format.  The
+        float64 context keeps one BLAS ``A @ x`` per lane.
 
         Collector sites carry the layout (``matvec.mul`` dense,
         ``matvec.csr.*`` sparse); the ``matvec`` injector site is
         layout-independent.
         """
         x = np.asarray(x, dtype=np.float64)
-        require_conformant(A, x, lanes=not isinstance(A, CSRMatrix))
+        require_conformant(A, x)
         if isinstance(A, CSRMatrix):
             if self._exact:
                 return self.inject("matvec", A.matvec64(x))
@@ -437,57 +448,77 @@ class FPContext:
             finally:
                 _SCRATCH.give(ext)
             return self.inject("matvec", out)
-        A = np.asarray(A, dtype=np.float64)
-        if self._exact:
-            if A.ndim == 2:
+        stacked = isinstance(A, DenseStack)
+        if stacked:
+            if self._exact:
+                return self.inject("matvec", np.concatenate(
+                    [Ak @ A.segments.lane(x, k)
+                     for k, Ak in enumerate(A.lanes)]))
+            if self.sum_order != "pairwise":
+                raise ValueError("a dense lane stack folds pairwise only")
+        else:
+            A = np.asarray(A, dtype=np.float64)
+            if self._exact:
                 return self.inject("matvec", A @ x)
-            return self.inject("matvec", np.stack([Ak @ xk for Ak, xk
-                                                   in zip(A, x)]))
         rnd = self._rnd_for("matvec.sum")
         plan = self._dense_plan(A, x)
         if plan is not None:
             return self.inject("matvec", self._matvec_tape(plan, x, rnd))
+        if stacked:
+            return self.inject("matvec", self._matvec_lanes(A, x, rnd))
         buf = _SCRATCH.take(A.shape)
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                np.multiply(A, x[..., np.newaxis, :], out=buf)
+                np.multiply(A, x, out=buf)
                 products = self._quantize("matvec.mul", buf)
                 out = rounded_sum_last_axis(products, rnd, self.sum_order)
         finally:
             _SCRATCH.give(buf)
         return self.inject("matvec", out)
 
-    def _dense_plan(self, A: np.ndarray, x: np.ndarray):
+    def _dense_plan(self, A, x: np.ndarray):
         """The dense operand's fold tape, or None for the whole-array
         route (see :meth:`matvec`)."""
         if self.sum_order != "pairwise":
             return None
-        plan = plan_for(A)
+        plan = A.plan() if isinstance(A, DenseStack) else plan_for(A)
         if plan is None or not np.isfinite(x).all():
             return None
         return plan
 
+    def _matvec_lanes(self, A: DenseStack, x: np.ndarray, rnd):
+        """The whole-array route of a dense lane stack: every lane's
+        products, rounded in one call, then every row's pairwise fold
+        at its own lane's width, every pair rounded."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            products = np.concatenate(
+                [np.multiply(Ak, A.segments.lane(x, k)).ravel()
+                 for k, Ak in enumerate(A.lanes)])
+            products = np.asarray(self._quantize("matvec.mul", products,
+                                                 A.product_runs))
+            return segmented_fold(products, A.whole_plan(), rnd,
+                                  self._lanes)
+
     def _matvec_tape(self, plan, x: np.ndarray, rnd) -> np.ndarray:
         """The dense matvec through *plan*'s fold tape: the live
-        products, then every level's pads, folded segmented.  A
-        collector sees the pad products as exact roundings."""
+        products, then every level's pads, folded segmented on the tape
+        in place.  A collector sees the pad products as exact
+        roundings."""
         nnz = plan.data.size
         skipped = getattr(self._rnd_for("matvec.mul"), "record_exact", None)
-        tape = _SCRATCH.take((nnz + plan.fold.pads,))
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                live = tape[:nnz]
-                np.take(x, plan.cols, out=live)
-                np.multiply(plan.data, live, out=live)
-                if nnz:
-                    live[:] = self._quantize("matvec.mul", live, plan.runs)
-                if skipped is not None:
-                    skipped(plan.zeros)
-                np.multiply(0.0, x.reshape(-1), out=tape[nnz:])
-                out = segmented_fold(tape, plan.fold, rnd, self._lanes)
-        finally:
-            _SCRATCH.give(tape)
-        return out.reshape(plan.shape[:-1])
+        tape = np.empty(plan.fold.size)
+        with np.errstate(invalid="ignore", over="ignore"):
+            live = tape[:nnz]
+            np.take(x, plan.cols, out=live)
+            np.multiply(plan.data, live, out=live)
+            if nnz:
+                live[:] = self._quantize("matvec.mul", live, plan.runs)
+            if skipped is not None:
+                skipped(plan.zeros)
+            products = tape[:nnz + plan.fold.pads]
+            np.multiply(0.0, x, out=products[nnz:])
+            return segmented_fold(products, plan.fold, rnd, self._lanes,
+                                  tape)
 
     def _quantize_at(self, site: str, exact: np.ndarray, ix):
         """Round *exact* at the entries *ix* only (all of it for None).
@@ -600,19 +631,21 @@ class FPContext:
 
 
 class LaneContext(FPContext):
-    """The context of ragged CSR lanes that each round in their own
-    table format: one rounding call serves every lane.
+    """The context of ragged lanes, CSR or dense, that each round in
+    their own table format: one rounding call serves every lane.
 
     Lane ``ℓ`` of *segments* rounds in ``fmts[ℓ]``; every format must
     round through a :class:`~repro.kernels.lut.TwoLevelTable` (its
-    ``table_step`` is not None).  Every array a CSR lane iteration
-    rounds is lane-ordered, so a few run lengths describe it
+    ``table_step`` is not None).  Every array a lane iteration rounds
+    is lane-ordered, so a few run lengths describe it
     (:class:`~repro.kernels.lut.LaneTables`): the lanes' vectors laid
     end to end (runs: the lane sizes), k rows of them (the sizes k
-    times), their ``(B,)`` scalars (runs of ones), a
-    :class:`~.sparse.CSRStack`'s products
-    (:attr:`~.sparse.CSRStack.product_runs`) and every level of a
-    segmented fold (its plan's per-lane pair counts).  Each call
+    times), their ``(B,)`` scalars (runs of ones), the products of a
+    :class:`~.sparse.CSRStack` (:attr:`~.sparse.CSRStack.product_runs`)
+    or of a :class:`~repro.kernels.zeroplan.DenseStack` (its tape's
+    ``runs``, or each lane's ``m·n`` on the whole-array route) and
+    every level of a segmented fold (its plan's per-lane pair counts).
+    A caller passes the runs of any other layout.  Each call
     goes through the first lane's ``fmt.round`` with the runs, and
     each entry gets its own format's bits.  A collector sees every call
     split by format, so it counts per ``(site, format)`` what it counts
@@ -687,9 +720,13 @@ class LaneContext(FPContext):
             return out
 
         def record_exact(runs):
-            zeros = np.zeros(int(np.sum(runs)))
-            if zeros.size:
-                self._record(col, site, zeros, zeros, runs)
+            runs = np.asarray(runs)
+            counts = np.bincount(np.resize(self._lane_fmt, runs.size),
+                                 weights=runs,
+                                 minlength=len(self._distinct))
+            for fmt, count in zip(self._distinct, counts.tolist()):
+                if count:
+                    _record_exact(col, site, int(count), fmt)
         observed.record_exact = record_exact
         return observed
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["require_conformant", "require_lanes", "require_product",
-           "require_square", "require_system"]
+__all__ = ["require_conformant", "require_product", "require_square",
+           "require_system", "require_vectors"]
 
 
 def _shape(obj) -> tuple:
@@ -29,30 +29,20 @@ def require_square(A, name: str = "A") -> int:
     return shape[0]
 
 
-def require_conformant(A, x, names: tuple[str, str] = ("A", "x"),
-                       lanes: bool = False) -> None:
-    """ValueError naming both shapes unless *A* is (m, n) and *x* (n,),
-    or, with *lanes*, *A* is a (B, m, n) stack and *x* (B, n)."""
+def require_conformant(A, x, names: tuple[str, str] = ("A", "x")) -> None:
+    """ValueError naming both shapes unless *A* is (m, n) and *x* (n,)."""
     sa, sx = _shape(A), _shape(x)
-    if lanes and len(sa) == 3:
-        if sx == (sa[0], sa[2]):
-            return
-    elif len(sa) == 2 and sx == (sa[1],):
-        return
-    expected = "(m, n) and (n,)"
-    if lanes:
-        expected += ", or (B, m, n) and (B, n)"
-    raise ValueError(f"{names[0]} has shape {sa} and {names[1]} has "
-                     f"shape {sx}; expected {expected}")
+    if len(sa) != 2 or sx != (sa[1],):
+        raise ValueError(f"{names[0]} has shape {sa} and {names[1]} has "
+                         f"shape {sx}; expected (m, n) and (n,)")
 
 
-def require_lanes(x, y) -> None:
-    """ValueError naming both shapes unless *x* and *y* are both (n,)
-    or both (B, n) (one vector, or one per lane)."""
+def require_vectors(x, y) -> None:
+    """ValueError naming both shapes unless *x* and *y* are both (n,)."""
     sx, sy = _shape(x), _shape(y)
-    if sx != sy or len(sx) not in (1, 2):
+    if sx != sy or len(sx) != 1:
         raise ValueError(f"x has shape {sx} and y has shape {sy}; "
-                         f"expected equal (n,) or (B, n) shapes")
+                         f"expected equal (n,) shapes")
 
 
 def require_product(A, B) -> None:

@@ -266,6 +266,10 @@ class CSRStack(CSRMatrix):
                                 or [np.empty(0)]),
             lanes=lanes)
 
+    def subset(self, lanes) -> "CSRStack":
+        """The stack of this stack's *lanes* (indices, in order)."""
+        return CSRStack.of([self.lanes[k] for k in lanes])
+
     def segment_plan(self):
         """The cached plan folding each row at its own lane's width,
         padded from its own lane's pad slot, with each level's per-lane

@@ -217,54 +217,58 @@ def lane_key(cell: Cell, scale: RunScale) -> tuple | None:
     """The key under which *cell* may run as a lane of a lockstep solve.
 
     Cells with equal keys run as lanes of one lockstep solve
-    (:func:`compute_lanes`).  The key holds what the solve's shape and
-    arithmetic depend on:
+    (:func:`compute_lanes`), ragged (lanes of any orders, their vectors
+    laid end to end), so no key holds an order.  The key holds what
+    the solve's arithmetic depends on:
 
-    * a dense CG cell: the kind, the format, the solver options and
-      the order n of the system at *scale* (dense lanes share one n);
-      rescaling only picks the system a lane solves, so it is left out;
+    * a dense CG cell: ``("cg", width, step, options)`` when the format
+      rounds through a two-level table (its storage width in bits and
+      its table's step,
+      :attr:`~repro.formats.base.NumberFormat.table_step`), else
+      ``("cg", format, options)``, with the solver options but for
+      ``rescaled``, which only picks the system a lane solves;
     * a CSR CG cell (``sparse``) and an X13 grid cell of any solver
       (``cg``, ``bicgstab``, ``gmres``): ``(f"{solver}-csr", width,
-      step, rtol)`` when the format rounds through a two-level table
-      (its storage width in bits and its table's step,
-      :attr:`~repro.formats.base.NumberFormat.table_step`), else
-      ``(f"{solver}-csr", format, rtol)``, with no n, since CSR lanes
-      may be ragged.  A CSR CG cell and a grid CG cell make the same
+      step, rtol)`` for a table format, else ``(f"{solver}-csr",
+      format, rtol)``.  A CSR CG cell and a grid CG cell make the same
       ``conjugate_gradient(ctx, A_csr, b, rtol,
       max_iterations=scale.cg_max_iterations)`` call; the others run
       as ragged CSR lanes of :func:`~repro.linalg.bicg.bicgstab_lanes`
-      or :func:`~repro.linalg.gmres.gmres_lanes`.  Lanes of several
-      table formats share one rounding call per step
-      (:class:`~repro.arith.context.LaneContext`); keying them by width
-      keeps a group's plan and workspace near one format's.  fp64,
-      fp16 and fp32 round by a dtype cast (or not at all), and
-      ``REPRO_LUT=off`` takes every table away, so their keys stay per
-      format; under a fault injector the engine runs every cell alone.
+      or :func:`~repro.linalg.gmres.gmres_lanes`.
+
+    Lanes of several table formats share one rounding call per step
+    (:class:`~repro.arith.context.LaneContext`); keying them by width
+    keeps a group's plan and workspace near one format's.  fp64, fp16
+    and fp32 round by a dtype cast (or not at all), and
+    ``REPRO_LUT=off`` takes every table away, so their keys stay per
+    format; under a fault injector the engine runs every cell alone.
 
     None (the cell runs alone) for every other cell, and for a matrix
-    the suite does not know or (dense) cannot build.
+    the suite does not know or (dense) cannot build.  A dense cell's
+    system is built here, so a sweep builds it once, before any pool
+    forks.
     """
     if cell.matrix not in SUITE_ORDER and cell.matrix not in EXTRA_SUITE:
         return None
-    if (cell.kind == "grid" and cell.option("solver") in _GRID_LANES) or \
-            (cell.kind == "cg" and cell.option("sparse")):
-        try:
-            fmt = get_format(cell.fmt)
-        except Exception:
-            return None  # the cell's own run reports the failure
-        solver = f"{cell.option('solver', 'cg')}-csr"
-        rtol = float(cell.option("rtol", 1e-5))
-        if fmt.table_step is None:
-            return (solver, cell.fmt, rtol)
-        return (solver, fmt.nbits, fmt.table_step, rtol)
-    if cell.kind != "cg":
+    csr = (cell.kind == "grid" and cell.option("solver") in _GRID_LANES) \
+        or (cell.kind == "cg" and cell.option("sparse"))
+    if not csr and cell.kind != "cg":
         return None
     try:
-        n = suite_systems(scale, names=(cell.matrix,))[0][1].shape[0]
+        fmt = get_format(cell.fmt)
+        if not csr:
+            suite_systems(scale, names=(cell.matrix,))
     except Exception:
         return None  # the cell's own run reports the failure
-    return ("cg", cell.fmt,
-            tuple(o for o in cell.options if o[0] != "rescaled"), n)
+    if csr:
+        solver = f"{cell.option('solver', 'cg')}-csr"
+        detail = float(cell.option("rtol", 1e-5))
+    else:
+        solver = "cg"
+        detail = tuple(o for o in cell.options if o[0] != "rescaled")
+    if fmt.table_step is None:
+        return (solver, cell.fmt, detail)
+    return (solver, fmt.nbits, fmt.table_step, detail)
 
 
 def compute_lanes(cells, scale: RunScale) -> list:

@@ -33,7 +33,9 @@ conformance suites hold them to that):
     The dense fold tape: a frozen operand's zero pattern compiled
     into a :mod:`~repro.kernels.segment` fold plan, so the dense
     rounded matvec multiplies, adds and rounds only its live slots.
-    Plans are cached per operand and evicted with it.
+    Plans are cached per operand and evicted with it.  Ragged dense
+    lanes (:class:`zeroplan.DenseStack`) share one plan, each row
+    folding at its own lane's width.
 :mod:`repro.kernels.scratch`
     Shape-keyed, thread-local pools of reusable ndarray buffers, so the
     quantize pipeline (``posit_round``, ``FPContext``, the summation

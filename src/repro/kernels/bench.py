@@ -72,8 +72,9 @@ CONTEXT_SIZES = (24, 96)
 SPARSE_MATRICES = ("1138_bus", "arrow_496", "bcsstk02")
 SPARSE_FORMATS = ("fp16", "posit32es2")
 #: dense matvec coverage, (matrix, format, lanes): a small-scale CG
-#: operand alone and as a six-lane stack, as the ``cg_small`` groups
-#: run it
+#: operand alone and as a ragged dense stack of six lanes
+#: (:class:`~repro.kernels.zeroplan.DenseStack`), as the ``cg_small``
+#: groups run it
 DENSE = tuple((m, f, b) for m in ("nos2",) for f in ("posit32es2", "fp32")
               for b in (1, 6))
 
@@ -258,11 +259,13 @@ def _dense_jobs(only: tuple[str, ...] | None
                 ) -> dict[str, tuple[Callable, Callable]]:
     """Dense matvec jobs: (the fold tape of a frozen operand, the
     whole-array route of a writeable copy) per
-    ``dense/matvec/<matrix>/<format>/b<lanes>``."""
+    ``dense/matvec/<matrix>/<format>/b<lanes>``; more than one lane
+    runs as a dense stack of that many copies, its vectors laid end to
+    end."""
     from ..arith.context import FPContext
     from ..config import SCALES
     from ..matrices import load_matrix
-    from .zeroplan import freeze
+    from .zeroplan import DenseStack, freeze
 
     rng = np.random.default_rng(13579)
     jobs: dict[str, tuple[Callable, Callable]] = {}
@@ -272,12 +275,13 @@ def _dense_jobs(only: tuple[str, ...] | None
             continue
         ctx = FPContext(fname)
         A = np.asarray(ctx.asarray(load_matrix(mname, SCALES["small"])))
-        shape = (lanes, A.shape[0]) if lanes > 1 else (A.shape[0],)
-        x = np.asarray(ctx.asarray(rng.standard_normal(shape)))
+        x = np.asarray(ctx.asarray(rng.standard_normal(lanes * A.shape[0])))
+        taped, whole = freeze(A.copy()), A.copy()
         if lanes > 1:
-            A = np.stack([A] * lanes)
-        jobs[key] = (partial(ctx.matvec, freeze(A.copy()), x),
-                     partial(ctx.matvec, A.copy(), x))
+            taped = DenseStack.of([freeze(A.copy()) for _ in range(lanes)])
+            whole = DenseStack.of([A.copy() for _ in range(lanes)])
+        jobs[key] = (partial(ctx.matvec, taped, x),
+                     partial(ctx.matvec, whole, x))
         _same_bits(key, jobs[key][0](), jobs[key][1]())
     return jobs
 

@@ -20,8 +20,8 @@ Contract
   arrays**; scratch buffers only ever hold intermediate values and are
   given back before the call returns.
 * A thread's pool retains at most :data:`SCRATCH_BUDGET` bytes, however
-  many distinct shapes pass through it (lockstep CG lanes make a new
-  ``(B, n, n)`` shape each time a lane finishes); the least recently
+  many distinct shapes pass through it (lockstep CG lanes make new
+  ``(N,)`` shapes each time a lane finishes); the least recently
   returned shapes are dropped first.
 """
 

@@ -348,14 +348,18 @@ class LaneSegments:
 
 
 def segmented_fold(products: np.ndarray, plan: SegmentPlan,
-                   rnd, lanes: bool = False) -> np.ndarray:
+                   rnd, lanes: bool = False,
+                   tape: np.ndarray | None = None) -> np.ndarray:
     """Fold the extended product array through the plan's tree.
 
     *products* is the quantized length ``nnz + plan.pads`` array (pad
     products in the trailing slots, as :meth:`FPContext.matvec` builds
-    it); *rnd* is the reduction rounder, called as ``rnd(pairs)``, or
-    with *lanes* as ``rnd(pairs, runs)`` with the level's per-lane pair
-    counts (a plan built with lane boundaries).  A rounder that reports
+    it); with *tape*, a ``plan.size`` array whose first slots already
+    hold them (*products* is then their view), the fold fills *tape*
+    in place instead of a copy.  *rnd* is the reduction rounder,
+    called as ``rnd(pairs)``, or with *lanes* as ``rnd(pairs, runs)``
+    with the level's per-lane pair counts (a plan built with lane
+    boundaries).  A rounder that reports
     to a collector carries ``record_exact(padded)``, which the fold
     calls with each level's skipped pair counts (``_Level.padded``):
     the padded tree rounds those pairs, exactly.  A level without a
@@ -365,8 +369,9 @@ def segmented_fold(products: np.ndarray, plan: SegmentPlan,
     (:class:`repro.kernels.zeroplan.DensePlan`) run here too, with the
     level-0 pads ``0.0·x`` in the pad slots.
     """
-    tape = np.empty(plan.size)
-    tape[:len(products)] = products
+    if tape is None:
+        tape = np.empty(plan.size)
+        tape[:products.size] = products
     record_exact = getattr(rnd, "record_exact", None) if plan.pads else None
     for pairs, out, live, runs, padded in plan.levels:
         both = tape.take(pairs)

@@ -127,44 +127,40 @@ def conjugate_gradient_lanes(ctx, systems, rtol: float = 1e-5,
     """Solve several SPD systems as lockstep lanes.
 
     *systems* is a sequence of ``(A, b)`` pairs: every ``A`` a dense
-    ``(n, n)`` array with one n, or every ``A`` a
-    :class:`~repro.arith.sparse.CSRMatrix` of any order (ragged
-    lanes).  *ctx* is one :class:`FPContext` for every system, or one
-    per system, differing at most in format.  Returns one
-    :class:`CGResult` per system, in order, each with the bits of
-    ``conjugate_gradient(ctx_k, A, b, ...)`` under the same options,
-    its trace included: while a tracer is active every lane records its
-    own, in its own format.
+    array, or every ``A`` a :class:`~repro.arith.sparse.CSRMatrix`,
+    of any orders (ragged lanes, their vectors laid end to end).  *ctx*
+    is one :class:`FPContext` for every system, or one per system,
+    differing at most in format.  Returns one :class:`CGResult` per
+    system, in order, each with the bits of ``conjugate_gradient(ctx_k,
+    A, b, ...)`` under the same options, its trace included: while a
+    tracer is active every lane records its own, in its own format.
 
-    CSR systems whose formats round through two-level tables with one
-    step (:attr:`~repro.formats.base.NumberFormat.table_step`) run as
-    one group in a :class:`~repro.arith.context.LaneContext`, whatever
+    Systems whose formats round through two-level tables with one step
+    (:attr:`~repro.formats.base.NumberFormat.table_step`) run as one
+    group in a :class:`~repro.arith.context.LaneContext`, whatever
     their formats, so each rounding call serves all of them; every
     other format's systems (and, under a fault injector, which draws
     its faults in one format, every format's) run as a group of their
-    own.  A sequential-order context solves CSR systems one by one: its
-    padded folds have no ragged form.  Lanes record no residual
-    history; run a system alone for one.
+    own.  A sequential-order context solves the systems one by one: its
+    folds have no ragged form.  Lanes record no residual history; run a
+    system alone for one.
     """
     contexts = lane_contexts(ctx, systems, "CG")
     sparse = [isinstance(A, CSRMatrix) for A, _ in systems]
     if any(sparse) and not all(sparse):
         raise ValueError("CG lanes take all-dense or all-CSR systems, "
                          "not a mix of dense and CSR")
-    sizes = [require_system(A, b) for A, b in systems]
-    if any(sparse) and contexts[0].sum_order != "pairwise":
+    for A, b in systems:
+        require_system(A, b)
+    if any(c.sum_order != "pairwise" for c in contexts):
         return [conjugate_gradient(c, A, b, rtol, max_iterations,
                                    divergence_factor, jacobi=jacobi)
                 for c, (A, b) in zip(contexts, systems)]
-    if not any(sparse) and len(set(sizes)) > 1:
-        raise ValueError(f"dense CG lanes need systems of one order, got "
-                         f"orders {sorted(set(sizes))}")
     return solve_groups(
         "cg", contexts,
         lambda k: _System(contexts[k], *systems[k], rtol, max_iterations,
                           divergence_factor, jacobi),
-        lambda prepared, traces: _solve(prepared, traces, max_iterations),
-        sparse=any(sparse))
+        lambda prepared, traces: _solve(prepared, traces, max_iterations))
 
 
 def _solve(prepared, traces, max_iterations,

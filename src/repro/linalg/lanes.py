@@ -26,7 +26,7 @@ from ..arith.shapes import require_system
 from ..arith.sparse import CSRMatrix, CSRStack
 from ..kernels.lut import release_workspace
 from ..kernels.segment import LaneSegments
-from ..kernels.zeroplan import freeze
+from ..kernels.zeroplan import DenseStack, freeze
 from ..telemetry.trace import SolverTrace
 from .norms import relative_backward_error
 
@@ -106,15 +106,14 @@ def lane_contexts(ctx, systems, solver: str) -> list:
 
 
 def solve_groups(solver: str, contexts, prepare, solve,
-                 sparse: bool = True, always: bool = False) -> list:
+                 always: bool = False) -> list:
     """The results of one system per entry of *contexts*, in order.
 
     ``prepare(k)`` sets system k up under ``contexts[k]``, and
     ``solve(prepared, traces)`` solves a group's prepared systems as
     lanes, each recording into its own entry of *traces*
     (:func:`lane_traces` of *solver*, *always*).  One group holds all
-    CSR (*sparse*) systems whose formats round through two-level
-    tables with one step
+    systems whose formats round through two-level tables with one step
     (:attr:`~repro.formats.base.NumberFormat.table_step`), whatever
     their formats; every other format's systems form a group of their
     own, and so does every format under a fault injector, which draws
@@ -126,7 +125,7 @@ def solve_groups(solver: str, contexts, prepare, solve,
         injected = ctx.injector is not None or \
             get_active_injector() is not None
         key = ctx.fmt
-        if sparse and ctx.fmt.table_step is not None and not injected:
+        if ctx.fmt.table_step is not None and not injected:
             key = ("tables", ctx.fmt.table_step)
         groups.setdefault(key, []).append(k)
     results: list = [None] * len(contexts)
@@ -134,9 +133,8 @@ def solve_groups(solver: str, contexts, prepare, solve,
                      always) as traces:
         for ks in groups.values():
             prepared = [prepare(k) for k in ks]
-            if sparse:
-                # the set-up's shapes, one per system, never come back
-                release_workspace()
+            # the set-up's shapes, one per system, never come back
+            release_workspace()
             for k, result in zip(ks, solve(prepared,
                                            [traces[k] for k in ks])):
                 results[k] = result
@@ -169,10 +167,11 @@ def lane_traces(solver: str, fmts, always: bool = False) -> Iterator[list]:
 class Lanes:
     """The live state of one run: one system on 1-D vectors with float
     scalars, or lanes with ``(B,)`` scalars, row k belonging to system
-    ``ids[k]``.  Dense lanes stack their vectors as ``(B, n)`` rows;
-    ragged CSR lanes lay them end to end in one ``(N,)`` array
-    (``segments``) against the lanes' block-diagonal
-    :class:`~repro.arith.sparse.CSRStack`.
+    ``ids[k]``.  Lanes of any orders lay their vectors end to end in
+    one ``(N,)`` array (``segments``) against the lanes'
+    block-diagonal operator: a :class:`~repro.arith.sparse.CSRStack`
+    of CSR lanes or a :class:`~repro.kernels.zeroplan.DenseStack` of
+    dense ones.
 
     A subclass names its per-lane fields, ``VECTORS`` and ``SCALARS``,
     each starting as the system's attribute of that name (else None),
@@ -182,8 +181,9 @@ class Lanes:
     (GMRES's basis).  The subclass builds a settled system's result in
     ``result(system, x, iterations, value, history, trace,
     **outcome)``.  :meth:`retire` drops settled lanes from every
-    stacked field, rebuilding a CSR stack from the lanes left; the last
-    lane goes on as a single run on its own matrix.
+    stacked field and keeps the stack of the lanes left (a dense one
+    with their part of its fold tape); the last lane goes on as a
+    single run on its own matrix.
     """
 
     VECTORS: tuple[str, ...] = ()
@@ -212,14 +212,12 @@ class Lanes:
             return
         # each lane keeps its own matrix for its finish and for a run
         # alone as the last lane
-        if isinstance(live[0].A, CSRMatrix):
-            self.A = CSRStack.of([s.A for s in live])
-            self.segments = self.A.segments
-            join = np.concatenate
-        else:
-            self.A = freeze(np.stack([s.A for s in live]))
-            join = np.stack
-        for names, stack in ((self.VECTORS, join), (self.SCALARS, np.array)):
+        operator = CSRStack if isinstance(live[0].A, CSRMatrix) \
+            else DenseStack
+        self.A = operator.of([s.A for s in live])
+        self.segments = self.A.segments
+        for names, stack in ((self.VECTORS, np.concatenate),
+                             (self.SCALARS, np.array)):
             for name in names:
                 values = [getattr(s, name, None) for s in live]
                 setattr(self, name,
@@ -229,18 +227,18 @@ class Lanes:
     @staticmethod
     def lane_context(live: list, segments):
         """The context the systems *live* round in as lanes laid out as
-        *segments*: CSR lanes of table formats round in one
+        *segments*: lanes of table formats round in one
         :class:`~repro.arith.context.LaneContext`, each lane in its own
         format (one format or several: one route); other lanes share
         the first one's context."""
         ctx = live[0].ctx
-        if segments is None or ctx.fmt.table_step is None:
+        if ctx.fmt.table_step is None:
             return ctx
         return LaneContext([s.ctx.fmt for s in live], segments,
                            ctx.sum_order, ctx.injector, ctx.collector)
 
     def subset(self, rows):
-        """The context and segments of the CSR lanes *rows* (a mask)
+        """The context and segments of the lanes *rows* (a mask)
         alone, for a call that rounds only their entries: each lane
         keeps its own format."""
         segments = LaneSegments(self.segments.sizes[rows])
@@ -251,14 +249,10 @@ class Lanes:
         """*scalar* shaped to scale each lane's entries of a vector."""
         if not self.stacked:
             return scalar
-        if self.segments is not None:
-            return self.segments.expand(scalar)
-        return scalar[:, np.newaxis]
+        return self.segments.expand(scalar)
 
     def _lane(self, vector, row: int):
         """Lane *row*'s part of a stacked vector (a view)."""
-        if self.segments is None:
-            return vector[row]
         offsets = self.segments.offsets
         return vector[..., offsets[row]:offsets[row + 1]]
 
@@ -275,13 +269,10 @@ class Lanes:
             self.traces[0].iteration(iterations, residual=residual,
                                      vectors=vectors)
             return
+        starts = self.segments.offsets[:-1]
         with np.errstate(invalid="ignore"):
-            if self.segments is None:
-                maxima = [np.max(np.abs(v), axis=-1) for v in vectors]
-            else:
-                starts = self.segments.offsets[:-1]
-                maxima = [np.maximum.reduceat(np.abs(v), starts)
-                          for v in vectors]
+            maxima = [np.maximum.reduceat(np.abs(v), starts)
+                      for v in vectors]
         for row, trace in enumerate(self.traces):
             trace.iteration(iterations, residual=residual[row],
                             peak=max(float(m[row]) for m in maxima))
@@ -312,9 +303,8 @@ class Lanes:
                 int(counts[row]), float(value[row]), [], self.traces[row],
                 **outcome)
         rows = np.flatnonzero(~flags)
-        if self.segments is not None:
-            # no later step rounds the old stack's array sizes again
-            release_workspace()
+        # no later step rounds the old stack's array sizes again
+        release_workspace()
         if rows.size == 0:
             return True
         self.ids = [self.ids[row] for row in rows]
@@ -328,12 +318,9 @@ class Lanes:
                          lambda v: v[row].item())
             self.stacked = False
             self.segments = None
-        elif self.segments is None:
-            self.A = freeze(self.A[rows])
-            self._select(rows, lambda v: v[rows], lambda v: v[rows])
         else:
             keep = self.segments.expand(~flags)
-            self.A = CSRStack.of([self.A.lanes[row] for row in rows])
+            self.A = self.A.subset(rows)
             self.segments = self.A.segments
             # contiguous rows: the float64 context's BLAS dots sum a
             # strided vector in another order

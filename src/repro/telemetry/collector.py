@@ -109,7 +109,8 @@ class Collector:
     """Accumulates :class:`SiteCounters` keyed by ``(site, format)``.
 
     Anything that quacks like this (a ``record(site, exact, rounded,
-    fmt)`` method) can be installed per-context
+    fmt)`` method; ``record_exact(site, count, fmt)`` is optional) can
+    be installed per-context
     (``FPContext(fmt, collector=...)``) or ambiently
     (``set_instrument("collector", ...)`` /
     :func:`collecting`).
@@ -125,6 +126,18 @@ class Collector:
         if counters is None:
             counters = self._counters[key] = SiteCounters()
         _count(counters, exact, rounded, fmt.max_value, fmt.min_positive)
+
+    def record_exact(self, site: str, count: int, fmt) -> None:
+        """Count *count* roundings at *site* that returned their input
+        unchanged (±0 or a format value): the counts ``record`` gives
+        that many zeros, without building or scanning them.  The fold
+        tapes report the roundings they skip through here."""
+        key = (site, fmt.name)
+        counters = self._counters.get(key)
+        if counters is None:
+            counters = self._counters[key] = SiteCounters()
+        counters.total += count
+        counters.exact += count
 
     # -- queries ---------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, SiteCounters]]:

@@ -8,7 +8,9 @@ the two byte for byte (``tobytes()``, so NaN payloads and zero signs
 count), over every registered format with the rounding tables on and
 off, the directed IEEE modes and stochastic rounding, and checks that
 the frozen operand really took the tape.  A collector sees the same
-counts on both routes.
+counts on both routes.  Ragged dense lanes
+(:class:`repro.kernels.zeroplan.DenseStack`) take either route for all
+their lanes at once, and each lane's block must be its own call's.
 
 A NaN entry of a test matrix is the x86 default NaN that ``inf − inf``
 and ``0·inf`` give, so all of them carry one sign.  When two NaNs of
@@ -33,6 +35,7 @@ from repro.formats.registry import available_formats
 from repro.formats.rounding_modes import DirectedIEEEFormat, StochasticRounding
 from repro.kernels import lut, zeroplan
 from repro.kernels.segment import LaneSegments
+from repro.kernels.zeroplan import DenseStack
 from repro.linalg import conjugate_gradient_lanes
 from repro.matrices.suite import load_matrix, right_hand_side
 from repro.telemetry import Collector
@@ -96,8 +99,20 @@ def _cases(fmt, seed: int):
 
 
 def _routes(A):
-    """(whole-array operand, tape operand) over the same values."""
+    """(whole-array operand, tape operand) over the same values: of
+    an array, or of a list of lanes, a ragged dense stack each."""
+    if isinstance(A, list):
+        return (DenseStack.of([a.copy() for a in A]),
+                DenseStack.of([zeroplan.freeze(a.copy()) for a in A]))
     return A.copy(), zeroplan.freeze(A.copy())
+
+
+def _alone(ctx, lanes, x):
+    """Each of *lanes* multiplied alone by its part of *x* (laid end to
+    end), on the whole-array route, the results laid end to end."""
+    ends = np.cumsum([0] + [a.shape[1] for a in lanes])
+    return np.concatenate([ctx.matvec(a.copy(), x[lo:hi])
+                           for a, lo, hi in zip(lanes, ends, ends[1:])])
 
 
 def _counts(col: Collector) -> dict:
@@ -108,12 +123,17 @@ def _counts(col: Collector) -> dict:
 def _same(ctx, A, x, folds) -> None:
     """The frozen operand gives the whole-array route's bits, through
     one fold on the tape in a pairwise context and through none in a
-    sequential one (which keeps the whole-array route)."""
+    sequential one (which keeps the whole-array route).  *A* may be a
+    list of lanes: their stack, frozen and not, gives each lane's own
+    bits (pairwise only; its whole-array route folds segmented too)."""
     whole, taped = _routes(A)
     before = len(folds)
     got = ctx.matvec(taped, x)
     taken = int(ctx.sum_order == "pairwise")
     assert len(folds) == before + taken
+    if isinstance(A, list):
+        assert got.tobytes() == _alone(ctx, A, x).tobytes()
+        taken *= 2
     assert got.tobytes() == ctx.matvec(whole, x).tobytes()
     assert len(folds) == before + taken
 
@@ -162,17 +182,21 @@ def test_stochastic_rounding_draws_the_same_numbers(fmt_name, order,
 @pytest.mark.parametrize("fmt_name", ["posit16es1", "bf16", "fp32"])
 def test_every_row_width_up_to_69(fmt_name, folds):
     """Every tree shape the fold can take up to width 69, on short and
-    full rows and on lane stacks."""
+    full rows and on ragged lane stacks."""
     fmt = get_format(fmt_name)
     ctx = FPContext(fmt)
     rng = np.random.default_rng(69)
     for n in range(1, 70):
-        for shape in ((5, n), (3, 4, n)):
-            A = _matrix(fmt, rng, "random", shape)
-            A[0] = 0.0
-            A[..., -1, :] = _matrix(fmt, rng, "dense", shape[-1:])
-            for x in _vectors(fmt, rng, shape[:-2] + (n,)):
-                _same(ctx, A, x, folds)
+        for shapes in ([(5, n)], [(4, n), (3, 70 - n), (2, n // 2 + 1)]):
+            lanes = []
+            for shape in shapes:
+                A = _matrix(fmt, rng, "random", shape)
+                A[-1] = _matrix(fmt, rng, "dense", shape[-1:])
+                lanes.append(A)
+            lanes[0][0] = 0.0
+            for x in _vectors(fmt, rng, sum(s[1] for s in shapes)):
+                _same(ctx, lanes if len(lanes) > 1 else lanes[0], x,
+                      folds)
 
 
 def test_rectangular_operand(folds):
@@ -180,10 +204,13 @@ def test_rectangular_operand(folds):
     fmt = get_format("posit16es1")
     ctx = FPContext(fmt)
     rng = np.random.default_rng(4)
-    for shape in ((5, 37), (37, 5), (1, 64), (64, 1), (2, 9, 3)):
+    for shape in ((5, 37), (37, 5), (1, 64), (64, 1)):
         A = _matrix(fmt, rng, "random", shape)
-        for x in _vectors(fmt, rng, shape[:-2] + shape[-1:]):
+        for x in _vectors(fmt, rng, shape[-1]):
             _same(ctx, A, x, folds)
+    lanes = [_matrix(fmt, rng, "random", s) for s in ((9, 3), (4, 7))]
+    for x in _vectors(fmt, rng, 10):
+        _same(ctx, lanes, x, folds)
 
 
 @pytest.mark.parametrize("fmt_name", ["posit32es2", "fp32", "fp16"])
@@ -194,7 +221,7 @@ def test_fully_dense_operand(fmt_name, folds):
     assert np.all(A != 0)
     x = np.asarray(ctx.asarray(right_hand_side(A)))
     _same(ctx, A, x, folds)
-    _same(ctx, np.stack([A, A[::-1]]), np.stack([x, -x]), folds)
+    _same(ctx, [A, A[::-1]], np.concatenate([x, -x]), folds)
 
 
 def test_native_cast_formats_take_the_tape(folds):
@@ -206,8 +233,8 @@ def test_native_cast_formats_take_the_tape(folds):
         x = np.asarray(ctx.asarray(
             np.random.default_rng(2).standard_normal(96)))
         _same(ctx, A, x, folds)
-        _same(ctx, np.stack([A, A]), np.stack([x, -x]), folds)
-    assert len(folds) == 4
+        _same(ctx, [A, A[:48, :48]], np.concatenate([x, -x[:48]]), folds)
+    assert len(folds) == 6
 
 
 @pytest.mark.parametrize("fmt_name", ["posit32es2", "takum16", "bf16",
@@ -281,10 +308,14 @@ def test_collector_counts_equal_the_whole_array_route(fmt_name, folds):
     """Under a collector the tape reports the pad products and the
     pairs it skips as exact roundings, so every (site, format) count,
     exact, inexact, NaR, overflow and underflow included, equals the
-    whole-array route's, on every zero pattern and on lane stacks."""
+    whole-array route's, on every zero pattern and on ragged lane
+    stacks, whose counts are also their lanes' run alone."""
     fmt = get_format(fmt_name)
     for A, x in _cases(fmt, seed=7):
-        stack = np.stack([A, A[::-1], -A]), np.stack([x, -x, x])
+        half = (A.shape[0] + 1) // 2
+        # 0 − A keeps every stored zero +0, so the lane has a tape
+        stack = ([A, A[::-1], 0.0 - A[:half, :half]],
+                 np.concatenate([x, -x, x[:half]]))
         for operand, v in ((A, x), stack):
             cols = Collector(), Collector()
             whole, taped = _routes(operand)
@@ -292,33 +323,68 @@ def test_collector_counts_equal_the_whole_array_route(fmt_name, folds):
                     for col, a in zip(cols, (whole, taped))]
             assert outs[0].tobytes() == outs[1].tobytes()
             assert _counts(cols[0]) == _counts(cols[1])
+        alone = Collector()
+        _alone(FPContext(fmt, collector=alone), *stack)
+        assert _counts(alone) == _counts(cols[1])
     assert folds
 
 
 def test_lane_context_collector_counts_each_lane_in_its_format(folds):
-    """A dense stack under a format-mixed :class:`LaneContext` gives
-    a collector, per (site, format), the counts of its lanes run alone,
-    and each lane alone counts on the tape what it counts on the
+    """A ragged dense stack under a format-mixed :class:`LaneContext`
+    gives a collector, per (site, format), the counts of its lanes run
+    alone, and each lane alone counts on the tape what it counts on the
     whole-array route."""
     names = ("posit16es2", "bf16", "takum16", "posit16es2")
+    orders = (33, 20, 47, 5)
     rng = np.random.default_rng(12)
-    n = 33
-    A = np.stack([_matrix(get_format(f), rng, pattern, (n, n))
-                  for f, pattern in zip(names, _PATTERNS)])
-    x = np.stack([np.asarray(get_format(f).round(rng.standard_normal(n)))
-                  for f in names])
+    A = [_matrix(get_format(f), rng, pattern, (n, n))
+         for f, pattern, n in zip(names, _PATTERNS, orders)]
+    x = [np.asarray(get_format(f).round(rng.standard_normal(n)))
+         for f, n in zip(names, orders)]
     mixed, taped, whole = Collector(), Collector(), Collector()
-    ctx = LaneContext(names, LaneSegments([n] * len(names)),
-                      collector=mixed)
-    out = ctx.matvec(zeroplan.freeze(A.copy()), x)
+    ctx = LaneContext(names, LaneSegments(orders), collector=mixed)
+    out = ctx.matvec(DenseStack.of([zeroplan.freeze(a.copy()) for a in A]),
+                     np.concatenate(x))
     assert folds == [1]
     for k, name in enumerate(names):
         alone = FPContext(name, collector=taped).matvec(
             zeroplan.freeze(A[k].copy()), x[k])
-        assert out[k].tobytes() == alone.tobytes()
+        assert ctx.segments.lane(out, k).tobytes() == alone.tobytes()
         FPContext(name, collector=whole).matvec(A[k].copy(), x[k])
     assert _counts(mixed) == _counts(taped) == _counts(whole)
     assert set(_counts(mixed)["matvec.sum"]) == set(names)
+
+
+@pytest.mark.parametrize("names", [("posit16es2", "bf16", "takum16"),
+                                   ("posit32es2", "posit32es3")],
+                         ids=["16-bit", "32-bit"])
+@pytest.mark.parametrize("fallback", ["writeable", "nan"])
+def test_format_mixed_stack_on_the_whole_array_route(names, fallback,
+                                                     folds):
+    """A format-mixed ragged dense stack on the whole-array route (a
+    writeable lane, or a NaN in one lane's x) gives each lane the bits
+    and the collector counts of its own call: its products and pairs
+    round in its own format, never in a neighbour's."""
+    rng = np.random.default_rng(21)
+    orders = (8, 13, 5, 8)[:len(names) + 1]
+    fmts = [names[k % len(names)] for k in range(len(orders))]
+    A = [_matrix(get_format(f), rng, "random", (n, n))
+         for f, n in zip(fmts, orders)]
+    x = [np.asarray(get_format(f).round(rng.standard_normal(n) * 1e3))
+         for f, n in zip(fmts, orders)]
+    lanes = [zeroplan.freeze(a.copy()) for a in A]
+    if fallback == "writeable":
+        lanes[1] = A[1].copy()
+    else:
+        x[1][2] = np.nan
+    mixed, alone = Collector(), Collector()
+    ctx = LaneContext(fmts, LaneSegments(orders), collector=mixed)
+    out = ctx.matvec(DenseStack.of(lanes), np.concatenate(x))
+    assert folds == [1]       # the whole-array route's one fold
+    for k, name in enumerate(fmts):
+        own = FPContext(name, collector=alone).matvec(A[k].copy(), x[k])
+        assert ctx.segments.lane(out, k).tobytes() == own.tobytes(), k
+    assert _counts(mixed) == _counts(alone)
 
 
 @pytest.mark.xfail(strict=True, reason="NumPy's contiguous add keeps the "
@@ -326,10 +392,10 @@ def test_lane_context_collector_counts_each_lane_in_its_format(folds):
                    "in its scalar tail, so where a lane's pair falls in "
                    "the stacked level decides the sign of its NaN")
 def test_opposite_nans_of_a_lane_stack_keep_their_lanes_signs():
-    """A frozen fp8e4m3 ``(3, 6, 60)`` stack holding ``+NaN`` and
-    ``−NaN``: each lane should carry the bits of its own call.  One tape
-    level adds every lane's pairs in one call, so a pair of opposite
-    NaNs keeps one sign in the stack and the other alone."""
+    """A frozen fp8e4m3 stack of three ``(6, 60)`` lanes holding
+    ``+NaN`` and ``−NaN``: each lane should carry the bits of its own
+    call.  One tape level adds every lane's pairs in one call, so a pair
+    of opposite NaNs keeps one sign in the stack and the other alone."""
     fmt = get_format("fp8e4m3")
     ctx = FPContext(fmt)
     rng = np.random.default_rng(0)
@@ -338,7 +404,8 @@ def test_opposite_nans_of_a_lane_stack_keep_their_lanes_signs():
     A[hit] = rng.choice([np.nan, -np.nan], hit.sum())
     A[rng.random(A.shape) < 0.5] = 0.0
     x = np.asarray(fmt.round(rng.standard_normal((3, 60))))
-    got = ctx.matvec(zeroplan.freeze(A.copy()), x)
+    stack = DenseStack.of([zeroplan.freeze(a.copy()) for a in A])
+    got = ctx.matvec(stack, x.ravel()).reshape(3, 6)
     assert np.array_equal(got, np.stack([  # equal up to NaN signs
         ctx.matvec(zeroplan.freeze(A[k].copy()), x[k]) for k in range(3)]),
         equal_nan=True)
@@ -349,26 +416,33 @@ def test_opposite_nans_of_a_lane_stack_keep_their_lanes_signs():
 
 @pytest.mark.parametrize("fmt_name", ["posit32es2", "fp32"])
 def test_lane_solve_through_retire(fmt_name, monkeypatch):
-    """A dense CG lane group sheds lanes as they finish; each smaller
-    stack gets a plan of its own, and every lane keeps the bits the
-    whole-array route gives it."""
+    """A ragged dense CG lane group sheds lanes as they finish: its
+    stack's plan is built once, every smaller stack takes its lanes'
+    part of it, and every lane keeps the bits the whole-array route
+    gives it."""
     systems = []
-    for name in ("494_bus", "nos1", "nos2"):
+    for name in ("bcsstk01", "bcsstk02", "nos2"):
         A = load_matrix(name, SCALES["small"])
         systems += [(A, right_hand_side(A)), (2.0 * A, right_hand_side(A))]
     ctx = FPContext(fmt_name)
-    shapes = []
+    built, kept = [], []
     inner = zeroplan.DensePlan
 
     class Counted(inner):
         __slots__ = ()
 
-        def __init__(self, A):
-            shapes.append(A.shape)
-            super().__init__(A)
+        def __init__(self, lanes):
+            built.append(len(lanes))
+            super().__init__(lanes)
+
+        def subset(self, lanes):
+            kept.append(len(lanes))
+            return super().subset(lanes)
     monkeypatch.setattr(zeroplan, "DensePlan", Counted)
     taped = conjugate_gradient_lanes(ctx, systems, max_iterations=300)
-    assert (6, 96, 96) in shapes and len(shapes) > 2
+    # the stack's plan, then (if one lane runs on alone) that lane's own
+    assert built[0] == 6 and built[1:] in ([], [1])
+    assert len(kept) > 1 and kept == sorted(kept, reverse=True)
     monkeypatch.setattr(zeroplan, "plan_for", lambda A: None)
     monkeypatch.setattr(context_module, "plan_for", lambda A: None)
     whole = conjugate_gradient_lanes(ctx, systems, max_iterations=300)
@@ -383,17 +457,19 @@ def test_lane_solve_through_retire(fmt_name, monkeypatch):
 
 def test_format_mixed_lane_context(monkeypatch):
     """The plan's per-lane runs let one :class:`LaneContext` round a
-    dense stack's lanes each in its own format."""
+    ragged dense stack's lanes each in its own format."""
     monkeypatch.setattr(lut, "_ENABLED", True)
     names = ("posit32es2", "takum32", "posit32es3")
+    orders = (40, 17, 64)
     rng = np.random.default_rng(11)
-    n = 40
-    A = np.stack([np.asarray(get_format(f).round(
-        _matrix(get_format(f), rng, "random", (n, n)))) for f in names])
-    x = np.stack([np.asarray(get_format(f).round(rng.standard_normal(n)))
-                  for f in names])
-    ctx = LaneContext(names, LaneSegments([n] * len(names)))
-    out = ctx.matvec(zeroplan.freeze(A.copy()), x)
+    A = [np.asarray(get_format(f).round(
+        _matrix(get_format(f), rng, "random", (n, n))))
+        for f, n in zip(names, orders)]
+    x = [np.asarray(get_format(f).round(rng.standard_normal(n)))
+         for f, n in zip(names, orders)]
+    ctx = LaneContext(names, LaneSegments(orders))
+    out = ctx.matvec(DenseStack.of([zeroplan.freeze(a.copy()) for a in A]),
+                     np.concatenate(x))
     for k, name in enumerate(names):
         alone = FPContext(name).matvec(A[k].copy(), x[k])
-        assert out[k].tobytes() == alone.tobytes()
+        assert ctx.segments.lane(out, k).tobytes() == alone.tobytes()

@@ -109,9 +109,9 @@ class TestGridSolver:
 
 
 class TestLaneKeys:
-    """CSR CG cells and X13 grid cells of table formats group by solver,
-    storage width and table step; dense CG cells and the formats that
-    round otherwise keep their per-format keys."""
+    """CG cells, dense or CSR, and X13 grid cells of table formats
+    group by solver, storage width and table step, never by order; the
+    formats that round otherwise keep their per-format keys."""
 
     NAMES = ("bcsstk02", "bcsstk22", "lund_b", "nos5")
 
@@ -140,15 +140,16 @@ class TestLaneKeys:
         assert sorted(len(g) for g in groups.values()) == [4, 4, 8, 12, 16]
 
     def test_dense_bicgstab_and_gmres_keys_stay_per_format(self):
-        """Dense CG keys name the format, table format or not, and so
-        do the BiCGSTAB and GMRES keys of the formats that round by a
-        dtype cast."""
+        """Dense CG keys of fp64 and of the formats that round by a
+        dtype cast name the format, and so do their BiCGSTAB and GMRES
+        keys."""
         from repro.experiments import common
         scale = SCALES["small"]
-        [dense] = common.cg_cells(scale, formats=("posit32es2",),
-                                  names=("nos1",))
-        key = common.lane_key(dense, scale)
-        assert key[:2] == ("cg", "posit32es2") and isinstance(key[3], int)
+        for fmt in ("fp64", "fp32", "fp16"):
+            [dense] = common.cg_cells(scale, formats=(fmt,),
+                                      names=("nos1",))
+            assert common.lane_key(dense, scale) == (
+                "cg", fmt, (("rtol", 1e-5), ("sparse", False)))
         for solver in ("bicgstab", "gmres"):
             for fmt in ("fp16", "fp32"):
                 [cell] = common.grid_cells(scale, solvers=(solver,),
@@ -156,6 +157,36 @@ class TestLaneKeys:
                                            names=("nos1",))
                 assert common.lane_key(cell, scale) == (f"{solver}-csr",
                                                         fmt, 1e-5)
+
+    def test_cg_small_forms_three_ragged_groups(self):
+        """The cg_small grid (orders 48, 66 and 96, plain and rescaled):
+        fp64, fp32, and one group of both 32-bit posits, whose key holds
+        the width and step but no order."""
+        from repro.experiments import common
+        scale = SCALES["small"]
+        names = ("bcsstk01", "bcsstk02", "494_bus", "nos1", "nos2")
+        cells = (common.cg_cells(scale, names=names)
+                 + common.cg_cells(scale, names=names, rescaled=True))
+        groups: dict = {}
+        for cell in cells:
+            groups.setdefault(common.lane_key(cell, scale), set()).add(
+                cell.fmt)
+        options = (("rtol", 1e-5), ("sparse", False))
+        assert groups == {("cg", "fp64", options): {"fp64"},
+                          ("cg", "fp32", options): {"fp32"},
+                          ("cg", 32, "rint", options): {"posit32es2",
+                                                        "posit32es3"}}
+
+    def test_dense_cells_the_suite_cannot_build_run_alone(self, monkeypatch):
+        from repro.experiments import common
+
+        def broken(scale, names=None):
+            raise RuntimeError("no such system")
+        monkeypatch.setattr(common, "suite_systems", broken)
+        scale = SCALES["small"]
+        [dense] = common.cg_cells(scale, formats=("posit32es2",),
+                                  names=("nos1",))
+        assert common.lane_key(dense, scale) is None
 
     def test_smoke_bicgstab_and_gmres_form_eight_groups(self):
         """The smoke X13 grid's BiCGSTAB and GMRES cells: per solver,

@@ -1,9 +1,9 @@
 """Lockstep CG lanes give every lane the bits of its own solve.
 
-:func:`repro.linalg.cg.conjugate_gradient_lanes` runs B dense systems of
-one order, or CSR systems of any orders (ragged lanes), as lanes of one
-iteration body; each lane must come out as ``conjugate_gradient`` gives
-it alone, payload for payload (compared as
+:func:`repro.linalg.cg.conjugate_gradient_lanes` runs B dense or B CSR
+systems of any orders (ragged lanes) as lanes of one iteration body;
+each lane must come out as ``conjugate_gradient`` gives it alone,
+payload for payload (compared as
 ``benchmarks.e2e.child.canonical`` text: flags, counts and every float
 as ``float.hex``), whatever the other lanes do.  Under a tracer and a
 collector, each lane's trace events must be its solo run's too, reach
@@ -13,6 +13,8 @@ runs round.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from benchmarks.e2e.child import canonical
 from repro.arith import CSRMatrix, FPContext
 from repro.config import SCALES
 from repro.experiments import common
-from repro.kernels.zeroplan import freeze
+from repro.kernels.segment import LaneSegments
+from repro.kernels.zeroplan import DenseStack, freeze
 from repro.linalg import conjugate_gradient, conjugate_gradient_lanes
 from repro.matrices import random_dense_spd
+from repro.matrices.suite import load_matrix, right_hand_side
 from repro.telemetry import Collector, collecting, tracing
 
 N = 8
@@ -122,8 +126,10 @@ def test_jacobi_lanes_match(fmt):
 
 
 def test_every_cg_small_cell_matches_its_run_alone():
-    """The Fig. 6/7 benchmark grid (five matrices, four formats, plain
-    and rescaled), grouped by lane key as the serial engine groups it."""
+    """The Fig. 6/7 benchmark grid (five matrices of orders 48, 66 and
+    96, four formats, plain and rescaled), grouped by lane key as the
+    serial engine groups it: ragged groups of fp64 and of fp32, and one
+    group of both 32-bit posits, each lane in its own format."""
     scale = SCALES["small"]
     names = ("bcsstk01", "bcsstk02", "494_bus", "nos1", "nos2")
     cells = (common.cg_cells(scale, names=names)
@@ -132,7 +138,7 @@ def test_every_cg_small_cell_matches_its_run_alone():
     for cell in cells:
         groups.setdefault(common.lane_key(cell, scale), []).append(cell)
     assert None not in groups
-    assert sorted(len(g) for g in groups.values()) == [2] * 8 + [6] * 4
+    assert sorted(len(g) for g in groups.values()) == [10, 10, 20]
     for group in groups.values():
         for cell, value in zip(group, common.compute_lanes(group, scale)):
             assert canonical(value) == canonical(_alone(cell, scale)), \
@@ -338,11 +344,8 @@ def test_empty_and_single_lane():
         conjugate_gradient(FPContext("posit32es2"), A, np.ones(N)))
 
 
-def test_lanes_reject_mixed_orders_and_sparse_systems():
+def test_lanes_reject_a_mix_of_dense_and_csr_systems():
     ctx = FPContext("posit32es2")
-    with pytest.raises(ValueError, match="one order"):
-        conjugate_gradient_lanes(ctx, [(np.eye(3), np.ones(3)),
-                                       (np.eye(4), np.ones(4))])
     with pytest.raises(ValueError, match="dense and CSR"):
         conjugate_gradient_lanes(
             ctx, [(CSRMatrix.from_dense(np.eye(3)), np.ones(3)),
@@ -351,17 +354,17 @@ def test_lanes_reject_mixed_orders_and_sparse_systems():
 
 # -- the context's lane ops ---------------------------------------------
 
-def _stack(B: int, n: int, seed: int = 0):
-    """B operands and B vectors.  Lane 0 is ~70 % nonzero, past the
-    half-share line its own plan draws, the others ~20 %: a rule
-    applied to the whole stack (~32 % nonzero) would round a different
-    set of entries."""
+def _lanes(orders, seed: int = 0):
+    """One operand and one vector per entry of *orders*.  Lane 0 is
+    ~70 % nonzero, past the half-share line its own plan draws, the
+    others ~20 %: a rule applied to the whole stack would round a
+    different set of entries."""
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((B, n, n))
-    A[0][rng.random((n, n)) < 0.3] = 0.0
-    for k in range(1, B):
-        A[k][rng.random((n, n)) < 0.8] = 0.0
-    return A, rng.standard_normal((B, n))
+    A = [rng.standard_normal((n, n)) for n in orders]
+    A[0][rng.random(A[0].shape) < 0.3] = 0.0
+    for a in A[1:]:
+        a[rng.random(a.shape) < 0.8] = 0.0
+    return A, [rng.standard_normal(n) for n in orders]
 
 
 @pytest.mark.parametrize("fmt", ["fp64", "fp32", "posit32es2", "posit16es1",
@@ -369,40 +372,155 @@ def _stack(B: int, n: int, seed: int = 0):
 @pytest.mark.parametrize("order", ["pairwise", "sequential"])
 @pytest.mark.parametrize("n", [1, 7, 33])
 def test_dot_and_matvec_lanes_equal_single_calls(fmt, order, n):
-    A, x = _stack(4, n)
+    """Lane dots and a ragged dense stack's matvec (frozen lanes on the
+    tape, writeable ones on the whole-array route) give each lane its
+    single call's bits; a sequential context, whose folds have no
+    ragged form, refuses both but in float64, which folds nothing."""
+    orders = (n, n + 5, max(1, n // 2), 2 * n)
+    A, x = _lanes(orders)
     ctx = FPContext(fmt, sum_order=order)
+    segments = LaneSegments(orders)
     frozen = [freeze(np.array(ctx.asarray(a))) for a in A]
-    stack = freeze(np.stack(frozen))
-    dots = ctx.dot(x, x[::-1])
+    flat, other = np.concatenate(x), np.concatenate(x[::-1])
+    stacks = (DenseStack.of(frozen),                       # tape
+              DenseStack.of([a.copy() for a in frozen]))   # whole-array
+    if order == "sequential" and fmt != "fp64":
+        with pytest.raises(ValueError, match="pairwise only"):
+            ctx.dot(flat, other, segments=segments)
+        for stack in stacks:
+            with pytest.raises(ValueError, match="pairwise only"):
+                ctx.matvec(stack, flat)
+        return
+    dots = ctx.dot(flat, other, segments=segments)
     assert dots.shape == (4,)
     for k in range(4):
-        assert dots[k].hex() == ctx.dot(x[k], x[::-1][k]).hex()
-    for operand in (stack, np.stack(frozen)):       # tape, whole-array
-        out = ctx.matvec(operand, x)
-        assert out.shape == (4, n)
+        assert dots[k].hex() == ctx.dot(
+            segments.lane(flat, k), segments.lane(other, k)).hex()
+    for stack in stacks:
+        out = ctx.matvec(stack, flat)
+        assert out.shape == (sum(orders),)
         for k in range(4):
             single = ctx.matvec(frozen[k], x[k])
-            assert out[k].tobytes() == single.tobytes()
+            assert segments.lane(out, k).tobytes() == single.tobytes()
 
 
-@pytest.mark.parametrize("order", ["pairwise", "sequential"])
-def test_stacked_plan_rounds_what_the_lanes_would(order, monkeypatch):
-    """A stack's tape rounds each lane's live products and live-live
-    pairs, so it rounds as many elements as its lanes do one by one."""
+@pytest.mark.parametrize("route", ["tape", "whole"])
+def test_stacked_plan_rounds_what_the_lanes_would(route, monkeypatch):
+    """A ragged stack rounds each lane's products and pairs, so it
+    rounds as many elements as its lanes do one by one: on the tape
+    their live products and live-live pairs, on the whole-array route
+    every product and pair."""
     from repro.formats import get_format
     fmt = get_format("posit32es2")
-    ctx = FPContext(fmt, sum_order=order)
-    A, x = _stack(3, 24, seed=1)
+    ctx = FPContext(fmt)
+    A, x = _lanes((24, 9, 31), seed=1)
     frozen = [freeze(np.array(ctx.asarray(a))) for a in A]
-    stack = freeze(np.stack(frozen))
+    lanes = frozen if route == "tape" else [a.copy() for a in frozen]
     counted = []
     rnd = fmt.round
     monkeypatch.setattr(fmt, "round",
                         lambda v: counted.append(np.size(v)) or rnd(v))
-    ctx = FPContext(fmt, sum_order=order)
-    ctx.matvec(stack, x)
+    ctx = FPContext(fmt)
+    ctx.matvec(DenseStack.of(lanes), np.concatenate(x))
     stacked = sum(counted)
     counted.clear()
-    for k in range(3):
-        ctx.matvec(frozen[k], x[k])
+    for a, v in zip(lanes, x):
+        ctx.matvec(a, v)
     assert stacked == sum(counted)
+
+
+# -- ragged and format-mixed dense lanes --------------------------------
+
+#: small-scale suite matrices of orders 48, 66 and 96
+DENSE_NAMES = ("bcsstk01", "bcsstk02", "nos1")
+#: a budget some lanes reach and others do not
+DENSE_OPTS = {"max_iterations": 200}
+
+
+def _dense_suite(names=DENSE_NAMES):
+    """(name, A, b) dense lanes of orders 48, 66 and 96, each plain and
+    scaled by 2⁴ (a rescaled twin converges at another step)."""
+    out = []
+    for name in names:
+        A = load_matrix(name, SCALES["small"])
+        b = right_hand_side(A)
+        out += [(name, A, b), (f"{name}x16", 16.0 * A, b)]
+    return out
+
+
+@pytest.mark.parametrize("jacobi", [False, True], ids=["plain", "jacobi"])
+@pytest.mark.parametrize("fmt", ["fp64", "fp32", "posit32es2", "bf16"])
+def test_ragged_dense_lanes_match_their_own_solves(fmt, jacobi):
+    """Dense lanes of orders 48, 66 and 96 in one group: without any
+    instrument each lane is its solo run, and under a tracer and a
+    collector so are its trace events and its counts."""
+    lanes = _dense_suite()
+    opts = dict(DENSE_OPTS, jacobi=jacobi)
+    got = conjugate_gradient_lanes(FPContext(fmt),
+                                   [(A, b) for _, A, b in lanes], **opts)
+    for (name, A, b), res in zip(lanes, got):
+        alone = conjugate_gradient(FPContext(fmt), A, b, **opts)
+        assert canonical(res) == canonical(alone), name
+    assert len({r.iterations for r in got}) > 1  # lanes retire mid-run
+    check_observed_lanes(
+        lanes,
+        lambda systems: conjugate_gradient_lanes(FPContext(fmt), systems,
+                                                 **opts),
+        lambda A, b: conjugate_gradient(FPContext(fmt), A, b, **opts))
+
+
+#: format-mixed dense groups: 32-bit posits (the cg_small table group),
+#: and 16-bit and 32-bit table formats of one step together
+MIXED = {"posits": ("posit32es2", "posit32es3"),
+         "zoo": ("posit16es2", "bf16", "takum16", "posit32es2", "takum32")}
+
+
+@pytest.mark.parametrize("jacobi", [False, True], ids=["plain", "jacobi"])
+@pytest.mark.parametrize("mix", list(MIXED))
+def test_format_mixed_dense_lanes_match_their_own_solves(mix, jacobi,
+                                                         monkeypatch):
+    """Dense lanes of several table formats and orders run in one lane
+    context, each in its own format: without any instrument each lane
+    is its solo run, and under a tracer and a collector so are its
+    trace events and its per-(site, format) counts."""
+    fmts = MIXED[mix]
+    lanes = [(f"{name}/{fmt}", A, b, fmt)
+             for k, (name, A, b) in enumerate(_dense_suite())
+             for fmt in [fmts[k % len(fmts)]]]
+    opts = dict(DENSE_OPTS, jacobi=jacobi)
+    _, made = _mixed(lanes, monkeypatch)
+
+    def lanes_solve(systems):
+        return conjugate_gradient_lanes(
+            [FPContext(fmt) for *_, fmt in lanes], systems, **opts)
+
+    def alone(A, b, fmt):
+        return conjugate_gradient(FPContext(fmt), A, b, **opts)
+    got = lanes_solve([(A, b) for _, A, b, _ in lanes])
+    for (name, A, b, fmt), res in zip(lanes, got):
+        assert canonical(res) == canonical(alone(A, b, fmt)), name
+    assert made and set(made[0]) == set(fmts)
+    check_observed_lanes(lanes, lanes_solve, alone)
+
+
+def test_every_dense_retirement_order_matches_their_own_solves():
+    """Four ragged dense lanes that leave at four different steps, in
+    every order of the group: whichever lanes a retirement keeps, the
+    stitched stack gives each its own solve's bits."""
+    rng = np.random.default_rng(5)
+    lanes = []
+    for n, eigenvalues in ((5, 1), (9, 2), (12, 3), (7, 5)):
+        # exact CG ends after as many steps as distinct eigenvalues
+        lanes.append((np.diag(np.resize(np.arange(1.0, eigenvalues + 1),
+                                        n)), rng.standard_normal(n)))
+    ctx = FPContext("posit32es2")
+    alone = [canonical(conjugate_gradient(ctx, A, b)) for A, b in lanes]
+    ends = set()
+    for order in itertools.permutations(range(4)):
+        got = conjugate_gradient_lanes(ctx, [lanes[k] for k in order])
+        for k, res in zip(order, got):
+            assert canonical(res) == alone[k], order
+        ends.add(tuple(r.iterations for r in got))
+    assert len({r.iterations for r in conjugate_gradient_lanes(
+        ctx, lanes)}) == 4
+    assert len(ends) == 24
